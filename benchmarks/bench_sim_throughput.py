@@ -26,20 +26,22 @@ must reach the 1.5x target.  ``--check`` turns violations into a
 non-zero exit status, which is how CI fails the build on a hot-path
 regression.
 
-Schema 3 adds the **whole-sweep batch rows**: a (seeds × cores) sparselu
-grid cell executed once per cell through the scalar engine (fresh
-manager per cell, exactly like ``SweepRunner`` with ``n_jobs=1``) versus
-one :func:`repro.sim.batch.run_lanes` call advancing every cell as a
-lane.  The two sides produce byte-identical results (enforced by the
-batch golden/differential suites); the rows measure wall time only.
-The ``ideal`` batch row is gated at a 5.0x floor under ``--check`` in
-both quick and full modes.
+``Machine.run`` replays ideal and nanos runs on the fast kernel of
+:mod:`repro.sim.batch`, so their rows above measure the kernel.  Schema
+4 replaces the old whole-sweep batch rows with **kernel-vs-scalar
+rows**: a (seeds × cores) sparselu grid executed once per cell through
+``Machine.run`` (the kernel) and once through ``Machine.run_scalar``
+(the scalar reference loop), fresh manager per cell, exactly like
+``SweepRunner`` with ``n_jobs=1``.  The two sides produce byte-identical
+results (enforced by the kernel-vs-scalar golden/differential suites);
+the rows measure wall time only.  The ``ideal`` row is gated at a 5.0x
+floor under ``--check`` in both quick and full modes.
 
 Run with::
 
     PYTHONPATH=src python benchmarks/bench_sim_throughput.py [--quick] [--check]
 
-Writes ``BENCH_sim_throughput.json`` (schema 3, repo root by default).
+Writes ``BENCH_sim_throughput.json`` (schema 4, repo root by default).
 """
 
 from __future__ import annotations
@@ -89,18 +91,18 @@ MANAGER_ROWS: Dict[str, Tuple[Callable, Callable]] = {
 #: Rows whose speedups feed the nexus geomean / floor gate.
 NEXUS_ROWS = ("nexuspp", "nexus#6")
 
-#: Whole-sweep batch section: the (seeds x cores) grid cell both engines
+#: Kernel-vs-scalar section: the (seeds x cores) grid both paths
 #: execute, the lane-kernel managers it is measured for, and the gate.
-BATCH_SEEDS = (1, 2, 3, 4)
-BATCH_CORES = (4, 8, 16, 32)
-BATCH_MANAGERS: Dict[str, Callable] = {
+KERNEL_SEEDS = (1, 2, 3, 4)
+KERNEL_CORES = (4, 8, 16, 32)
+KERNEL_MANAGERS: Dict[str, Callable] = {
     "ideal": ideal_factory(),
     "nanos": nanos_factory(),
 }
-#: Batch rows gated under ``--check`` (quick and full modes alike).
-BATCH_GATED_ROWS = ("ideal",)
-#: Whole-sweep wall-time speedup floor for the gated batch rows.
-BATCH_FLOOR = 5.0
+#: Kernel rows gated under ``--check`` (quick and full modes alike).
+KERNEL_GATED_ROWS = ("ideal",)
+#: Whole-grid wall-time speedup floor for the gated kernel rows.
+KERNEL_FLOOR = 5.0
 
 
 def _traces(scale: float):
@@ -137,74 +139,63 @@ def _geomean(values: List[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def run_batch_section(scale: float, repetitions: int) -> Dict[str, object]:
-    """Whole-sweep rows: scalar per-cell execution vs one lane batch.
+def run_kernel_section(scale: float, repetitions: int) -> Dict[str, object]:
+    """Kernel-vs-scalar rows over one (seeds × cores) sparselu grid.
 
-    Both sides run the identical (seeds × cores) sparselu grid with
-    ``keep_schedule=False`` (the configuration large sweeps use): the
-    scalar side as ``len(seeds) * len(cores)`` independent
-    ``Machine.run`` calls with a fresh manager per cell, the batch side
-    as a single :func:`repro.sim.batch.run_lanes` call over the same
-    cells.  Warm-up runs outside the timed region fill the per-trace
-    structural caches both sides share, so the rows compare engine
-    execution, not trace compilation.
+    Both sides run the identical grid with ``keep_schedule=False`` (the
+    configuration large sweeps use) as ``len(seeds) * len(cores)``
+    independent runs with a fresh manager per cell: the kernel side
+    through ``Machine.run``, the scalar side through
+    ``Machine.run_scalar``.  Warm-up runs outside the timed region fill
+    the per-trace structural caches, so the rows compare replay, not
+    trace compilation.
     """
-    from repro.sim.batch import LaneSpec, run_lanes
-
-    traces = [generate_sparselu(scale=scale, seed=seed) for seed in BATCH_SEEDS]
-    configs = [MachineConfig(num_cores=c, keep_schedule=False) for c in BATCH_CORES]
+    traces = [generate_sparselu(scale=scale, seed=seed) for seed in KERNEL_SEEDS]
+    configs = [MachineConfig(num_cores=c, keep_schedule=False) for c in KERNEL_CORES]
     rows: Dict[str, object] = {}
-    for manager_name, factory in BATCH_MANAGERS.items():
+    for manager_name, factory in KERNEL_MANAGERS.items():
 
-        def run_scalar() -> int:
-            runs = 0
-            for trace in traces:
-                for config in configs:
-                    Machine(factory(), config).run(trace)
-                    runs += 1
-            return runs
+        def grid(method: str) -> Callable[[], int]:
+            def run() -> int:
+                for trace in traces:
+                    for config in configs:
+                        getattr(Machine(factory(), config), method)(trace)
+                return len(traces) * len(configs)
+            return run
 
-        def run_batch() -> int:
-            lanes = [
-                LaneSpec(trace=trace, manager=factory(), config=config)
-                for trace in traces for config in configs
-            ]
-            return len(run_lanes(lanes))
-
-        run_batch()
+        run_kernel, run_scalar = grid("run"), grid("run_scalar")
+        run_kernel()
         run_scalar()
-        batch_s, num_lanes, scalar_s, num_runs = _time_pair(
-            run_batch, run_scalar, repetitions)
-        speedup = scalar_s / batch_s if batch_s > 0 else math.inf
-        gated = manager_name in BATCH_GATED_ROWS
+        kernel_s, num_runs, scalar_s, _ = _time_pair(run_kernel, run_scalar, repetitions)
+        speedup = scalar_s / kernel_s if kernel_s > 0 else math.inf
+        gated = manager_name in KERNEL_GATED_ROWS
         rows[manager_name] = {
-            "lanes": num_lanes,
-            "scalar_runs": num_runs,
-            "batch_seconds": round(batch_s, 6),
+            "runs": num_runs,
+            "kernel_seconds": round(kernel_s, 6),
             "scalar_seconds": round(scalar_s, 6),
             "speedup": round(speedup, 3),
-            "floor": BATCH_FLOOR if gated else None,
-            "meets_floor": speedup >= BATCH_FLOOR if gated else True,
+            "floor": KERNEL_FLOOR if gated else None,
+            "meets_floor": speedup >= KERNEL_FLOOR if gated else True,
         }
     return {
         "grid": {
             "workload": "sparselu",
             "scale": scale,
-            "seeds": list(BATCH_SEEDS),
-            "cores": list(BATCH_CORES),
+            "seeds": list(KERNEL_SEEDS),
+            "cores": list(KERNEL_CORES),
             "keep_schedule": False,
         },
         "rows": rows,
-        "gated_rows": list(BATCH_GATED_ROWS),
-        "floor": BATCH_FLOOR,
+        "gated_rows": list(KERNEL_GATED_ROWS),
+        "floor": KERNEL_FLOOR,
         "meets_floor": all(
-            rows[name]["meets_floor"] for name in BATCH_GATED_ROWS  # type: ignore[index]
+            rows[name]["meets_floor"] for name in KERNEL_GATED_ROWS  # type: ignore[index]
         ),
     }
 
 
 def run_benchmark(
-    scale: float, cores: int, repetitions: int, batch_scale: float,
+    scale: float, cores: int, repetitions: int, kernel_scale: float,
 ) -> Dict[str, object]:
     workloads: Dict[str, object] = {}
     speedups: Dict[str, List[float]] = {key: [] for key in MANAGER_ROWS}
@@ -242,7 +233,7 @@ def run_benchmark(
             }
         workloads[trace_name] = per_manager
 
-    batch_sweep = run_batch_section(scale=batch_scale, repetitions=repetitions)
+    kernel_vs_scalar = run_kernel_section(scale=kernel_scale, repetitions=repetitions)
 
     nexus_speedups = [s for key in NEXUS_ROWS for s in speedups[key]]
     geomean_nexus = _geomean(nexus_speedups)
@@ -250,7 +241,7 @@ def run_benchmark(
     per_manager_geomean = {key: round(_geomean(values), 3) for key, values in speedups.items()}
     return {
         "benchmark": "sim_throughput",
-        "schema": 3,
+        "schema": 4,
         "config": {
             "cores": cores,
             "scale": scale,
@@ -260,12 +251,14 @@ def run_benchmark(
             "baseline": "frozen legacy stack: _legacy_machine.py loop for all rows; "
                         "ideal rows use its pre-refactor tracker, nanos/nexuspp/nexus#6 "
                         "rows use the pre-compiled-engine managers of _legacy_depres.py",
+            "current": "Machine.run: the fast kernel for ideal/nanos rows, the "
+                       "scalar loop for nexuspp/nexus#6 rows",
             "note": "speedup is wall-time (legacy_seconds / current_seconds); events/sec "
                     "are per-side — the layered runtime coalesces back-to-back master "
                     "steps, so it dispatches fewer events for the same simulated work",
         },
         "workloads": workloads,
-        "batch_sweep": batch_sweep,
+        "kernel_vs_scalar": kernel_vs_scalar,
         "per_manager_geomean_speedup": per_manager_geomean,
         "geomean_speedup_nexus": round(geomean_nexus, 3),
         "geomean_speedup_ideal": round(geomean_ideal, 3),
@@ -305,12 +298,12 @@ def check_report(report: Dict[str, object], enforce_geomean: bool = True) -> Lis
             f"nexus geomean {report['geomean_speedup_nexus']:.3f}x below the "
             f"{report['target_speedup_nexus']:.1f}x target"
         )
-    batch = report["batch_sweep"]
-    for manager_name in batch["gated_rows"]:  # type: ignore[index]
-        row = batch["rows"][manager_name]  # type: ignore[index]
+    kernel = report["kernel_vs_scalar"]
+    for manager_name in kernel["gated_rows"]:  # type: ignore[index]
+        row = kernel["rows"][manager_name]  # type: ignore[index]
         if not row["meets_floor"]:
             failures.append(
-                f"batch-sweep/{manager_name}: whole-sweep speedup "
+                f"kernel-vs-scalar/{manager_name}: speedup "
                 f"{row['speedup']:.3f}x below the {row['floor']:.1f}x floor"
             )
     return failures
@@ -333,11 +326,11 @@ def main() -> int:
 
     scale = args.scale if args.scale is not None else (0.05 if args.quick else 0.3)
     repetitions = args.repetitions if args.repetitions is not None else (3 if args.quick else 7)
-    # The batch grid multiplies the trace by 16 cells, so it runs at its
+    # The kernel grid multiplies the trace by 16 cells, so it runs at its
     # own (smaller) scale to keep the benchmark's wall time bounded.
-    batch_scale = 0.02 if args.quick else 0.05
+    kernel_scale = 0.02 if args.quick else 0.05
     report = run_benchmark(scale=scale, cores=args.cores, repetitions=repetitions,
-                           batch_scale=batch_scale)
+                           kernel_scale=kernel_scale)
 
     output = Path(args.output)
     output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -354,14 +347,14 @@ def main() -> int:
     print(f"geomean speedup (nexus rows): {report['geomean_speedup_nexus']:.2f}x "
           f"(target >= {report['target_speedup_nexus']}x, row floor {report['row_floor']}x)")
     print(f"geomean speedup (ideal rows): {report['geomean_speedup_ideal']:.2f}x")
-    batch = report["batch_sweep"]
-    grid = batch["grid"]
-    for manager_name, row in batch["rows"].items():
+    kernel = report["kernel_vs_scalar"]
+    grid = kernel["grid"]
+    for manager_name, row in kernel["rows"].items():
         gate = f" (floor {row['floor']:.1f}x)" if row["floor"] is not None else ""
         print(
-            f"batch-sweep {manager_name:8s} {row['lanes']} lanes "
+            f"kernel-vs-scalar {manager_name:8s} {row['runs']} runs "
             f"({len(grid['seeds'])} seeds x {len(grid['cores'])} cores): "
-            f"scalar {row['scalar_seconds']:.3f}s, batch {row['batch_seconds']:.3f}s, "
+            f"scalar {row['scalar_seconds']:.3f}s, kernel {row['kernel_seconds']:.3f}s, "
             f"speedup {row['speedup']:.2f}x{gate}"
         )
 

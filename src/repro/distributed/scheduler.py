@@ -107,9 +107,6 @@ class SweepScheduler:
         Number of additional workers expected to connect from elsewhere
         (started by hand; the scheduler prints nothing and simply
         serves whoever completes the handshake).
-    batch_lanes:
-        Forwarded to every worker: lane-compatible cells of a chunk are
-        advanced in lockstep through :func:`repro.sim.batch.run_lanes`.
     cache_dir:
         Shared content-addressed result store.  Workers publish every
         finished cell into it with atomic writes, so results survive
@@ -171,7 +168,6 @@ class SweepScheduler:
         external_workers: int = 0,
         host: str = "127.0.0.1",
         port: int = 0,
-        batch_lanes: int = 1,
         cache_dir: Optional[str] = None,
         chunk_size: Optional[int] = None,
         max_attempts: int = 3,
@@ -198,7 +194,6 @@ class SweepScheduler:
         self.external_workers = external_workers
         self.host = host
         self.port = port
-        self.batch_lanes = batch_lanes
         self.cache_dir = cache_dir
         self.heartbeat_interval = min(heartbeat_interval, heartbeat_timeout / 4)
         self.timeout = timeout
@@ -452,7 +447,6 @@ class SweepScheduler:
                 "type": "setup",
                 "worker_id": worker_id,
                 "jobs": self._payload,
-                "batch_lanes": self.batch_lanes,
                 "cache_dir": self.cache_dir,
                 "heartbeat_interval": self.heartbeat_interval,
             }

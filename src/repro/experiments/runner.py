@@ -14,11 +14,9 @@ The output is a pure function of the spec:
   :meth:`SweepSpec.points` and results are re-ordered to it after the
   (unordered) parallel execution,
 * every result crosses process/cache/socket boundaries as its JSON
-  document, so a cold serial run, a cold parallel run, a batched serial
-  run (``batch_lanes``, via the vectorized :mod:`repro.sim.batch`
-  backend), a distributed run (``transport="sockets"``, via the
-  :mod:`repro.distributed` fabric) and a warm cached run all emit
-  byte-identical JSONL rows.
+  document, so a cold serial run, a cold parallel run, a distributed
+  run (``transport="sockets"``, via the :mod:`repro.distributed`
+  fabric) and a warm cached run all emit byte-identical JSONL rows.
 """
 
 from __future__ import annotations
@@ -111,19 +109,19 @@ def intern_jobs(
 def execute_lane_block(
     block: List[Tuple[int, RunPoint]],
 ) -> List[Tuple[int, Dict[str, Any]]]:
-    """Advance a block of materialised static cells in lockstep.
+    """Run a block of grid cells in this process; results in block order.
 
-    The block runs through the vectorized batch backend
-    (:func:`repro.sim.batch.run_lanes`), which replicates the scalar
-    engine exactly and falls back to it per-lane for configurations its
-    kernels do not cover — results are byte-identical to per-cell
-    :meth:`RunPoint.run` calls either way.  Cells sharing a workload
-    share one structural compilation (``WorkloadSpec.resolve`` memoises
-    named traces per process).
+    Static cells go through :func:`repro.sim.batch.run_lanes` (a loop
+    over :meth:`Machine.run <repro.system.machine.Machine.run>`, which
+    picks the fast kernel itself), stream and dynamic cells through
+    :meth:`RunPoint.run`.  The socket worker and the serving batcher both
+    call this; it and ``run_lanes`` keep their names because layer probes
+    (the repository benchmark's tracer) bind to them.
     """
     from repro.sim.batch import LaneSpec, run_lanes
     from repro.system.machine import MachineConfig
 
+    static = [point for _, point in block if not (point.stream or point.dynamic)]
     lanes = [
         LaneSpec(
             trace=point.workload.resolve(),
@@ -136,11 +134,13 @@ def execute_lane_block(
                 topology=point.topology,
             ),
         )
-        for _, point in block
+        for point in static
     ]
+    results = iter(run_lanes(lanes))
     return [
-        (index, result_to_json(result))
-        for (index, _), result in zip(block, run_lanes(lanes))
+        (index, result_to_json(
+            point.run() if point.stream or point.dynamic else next(results)))
+        for index, point in block
     ]
 
 
@@ -268,18 +268,6 @@ class SweepRunner:
     cache_dir:
         Convenience: directory to open a :class:`ResultCache` in (ignored
         when ``cache`` is given).
-    batch_lanes:
-        Number of grid cells advanced together through the vectorized
-        batch backend (:func:`repro.sim.batch.run_lanes`) on the serial
-        path.  1 (the default) runs every cell through the scalar engine;
-        higher values group non-stream, non-dynamic cells into lane
-        batches of this size, in grid order.  This is an *execution*
-        option like ``n_jobs`` — results (and therefore cache keys and
-        JSONL rows) are byte-identical either way, because the batch
-        backend replicates the scalar engine exactly and falls back to
-        it per-lane for configurations its kernels do not cover.
-        Ignored when ``n_jobs > 1`` (worker processes run cells
-        individually); socket workers apply it to each dispatched chunk.
     transport:
         ``"local"`` (the default) executes in-process / via
         ``multiprocessing``; ``"sockets"`` runs the distributed sweep
@@ -320,7 +308,6 @@ class SweepRunner:
         *,
         cache: Optional[ResultCache] = None,
         cache_dir: Optional[Union[str, Path]] = None,
-        batch_lanes: int = 1,
         transport: str = "local",
         workers: Union[int, str, None] = None,
         worker_hosts: Sequence[str] = (),
@@ -330,8 +317,6 @@ class SweepRunner:
         chaos: Union[str, Any, None] = None,
     ) -> None:
         self.n_jobs = resolve_worker_count(n_jobs, flag="n_jobs")
-        if batch_lanes < 1:
-            raise ConfigurationError(f"batch_lanes must be >= 1, got {batch_lanes}")
         if transport not in ("local", "sockets"):
             raise ConfigurationError(
                 f"transport must be 'local' or 'sockets', got {transport!r}")
@@ -347,7 +332,6 @@ class SweepRunner:
         self.scheduler_bind = scheduler_bind
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
-        self.batch_lanes = batch_lanes
         if cache is None and cache_dir is not None:
             cache = ResultCache(cache_dir)
         self.cache = cache
@@ -430,8 +414,6 @@ class SweepRunner:
         if self.transport == "sockets":
             return self._execute_sockets(pending)
         if self.n_jobs == 1 or len(pending) == 1:
-            if self.batch_lanes > 1 and len(pending) > 1:
-                return self._execute_batched(pending)
             return [run_job((index, point, None)) for index, point in pending]
         self._check_factories_picklable(pending)
         # Intern inline-trace workloads: ship each unique trace to workers
@@ -441,27 +423,6 @@ class SweepRunner:
         processes = min(self.n_jobs, len(pending))
         with context.Pool(processes=processes, initializer=_init_worker, initargs=(table,)) as pool:
             return list(pool.imap_unordered(_run_point_job, jobs, chunksize=1))
-
-    def _execute_batched(
-        self, pending: List[Tuple[int, RunPoint]]
-    ) -> List[Tuple[int, Dict[str, Any]]]:
-        """Serial execution through the vectorized batch backend.
-
-        Materialised (non-stream, non-dynamic) cells are grouped into
-        lane batches of ``batch_lanes`` in grid order and advanced in
-        lockstep (:func:`execute_lane_block`); everything else runs
-        through the scalar path exactly as before.
-        """
-        out: List[Tuple[int, Dict[str, Any]]] = []
-        batchable: List[Tuple[int, RunPoint]] = []
-        for index, point in pending:
-            if point.stream or point.dynamic:
-                out.append(run_job((index, point, None)))
-            else:
-                batchable.append((index, point))
-        for start in range(0, len(batchable), self.batch_lanes):
-            out.extend(execute_lane_block(batchable[start:start + self.batch_lanes]))
-        return out
 
     def _execute_sockets(
         self, pending: List[Tuple[int, RunPoint]]
@@ -515,7 +476,6 @@ class SweepRunner:
             external_workers=len(self.worker_hosts),
             host=host,
             port=port_number,
-            batch_lanes=self.batch_lanes,
             cache_dir=cache_dir,
             heartbeat_interval=self.heartbeat_interval,
             heartbeat_timeout=self.heartbeat_timeout,
@@ -720,13 +680,12 @@ def run_sweep(
     n_jobs: Union[int, str] = 1,
     cache_dir: Optional[Union[str, Path]] = None,
     jsonl_path: Optional[Union[str, Path]] = None,
-    batch_lanes: int = 1,
     transport: str = "local",
     workers: Union[int, str, None] = None,
     worker_hosts: Sequence[str] = (),
 ) -> SweepOutcome:
     """One-call convenience wrapper around :class:`SweepRunner`."""
     runner = SweepRunner(
-        n_jobs=n_jobs, cache_dir=cache_dir, batch_lanes=batch_lanes,
-        transport=transport, workers=workers, worker_hosts=worker_hosts)
+        n_jobs=n_jobs, cache_dir=cache_dir, transport=transport,
+        workers=workers, worker_hosts=worker_hosts)
     return runner.run(spec, jsonl_path=jsonl_path)

@@ -59,14 +59,12 @@ class SubmitOutcome(NamedTuple):
 
 
 class LaneKernelSpec(NamedTuple):
-    """Constant-folded description of a manager for the batch lane engine.
+    """Constant-folded description of a manager for the fast replay kernel.
 
-    The vectorized batch backend (:mod:`repro.sim.batch`) advances many
-    independent simulation runs ("lanes") in lockstep.  It cannot call
-    back into stateful manager objects per event — each lane owns flat
-    per-lane state instead — so a manager that wants its lanes on the
-    vector kernel must describe itself as pure constants.  Two kernel
-    kinds exist today:
+    The kernel (:func:`repro.sim.batch.run_kernel`) does not call back
+    into stateful manager objects per event — it owns flat run state
+    instead — so a manager that wants its runs on the kernel must
+    describe itself as pure constants.  Two kernel kinds exist today:
 
     * ``"ideal"`` — zero-overhead dependency resolution (submission and
       retirement cost no simulated time);
@@ -78,8 +76,8 @@ class LaneKernelSpec(NamedTuple):
     The hardware managers (Nexus++/Nexus#) model history-dependent
     pipeline contention (per-task-graph ports, arbiters, set-conflict
     stalls) that has no constant folding; they return ``None`` from
-    :meth:`TaskManagerModel.lane_kernel` and their lanes run on the
-    scalar engine instead (see ``repro.sim.batch.lane_fallback_reason``).
+    :meth:`TaskManagerModel.lane_kernel` and their runs use the scalar
+    engine instead (see ``repro.sim.batch.lane_fallback_reason``).
     """
 
     kind: str
@@ -167,17 +165,19 @@ class TaskManagerModel(abc.ABC):
         """
 
     def lane_kernel(self) -> "LaneKernelSpec | None":
-        """Constant description for the batch lane engine, or ``None``.
+        """Constant description for the fast replay kernel, or ``None``.
 
         Returning a :class:`LaneKernelSpec` declares that this manager's
-        behaviour is fully captured by the spec's constants, so a batch
-        run (:meth:`repro.system.machine.Machine.run_batch`) may execute
-        its lanes on the vectorized kernel in :mod:`repro.sim.batch`
-        instead of calling :meth:`submit`/:meth:`finish` per event.  The
-        lane kernel must be **byte-identical** to the scalar path — the
-        golden batch-equivalence suite and the lane-differential fuzz
-        tests in ``tests/batch/`` pin this.  The default ``None`` routes
-        every lane through the scalar engine, which is always correct.
+        behaviour is fully captured by the spec's constants, so
+        :meth:`repro.system.machine.Machine.run` replays eligible static
+        traces on the kernel in :mod:`repro.sim.batch` instead of calling
+        :meth:`submit`/:meth:`finish` per event.  A subclass that
+        overrides :meth:`submit`, :meth:`finish` or :meth:`statistics`
+        without redeclaring ``lane_kernel`` keeps the scalar engine.  The
+        kernel must be **byte-identical** to the scalar path — the golden
+        kernel-vs-scalar suite and the differential tests in
+        ``tests/batch/`` pin this.  The default ``None`` routes every run
+        through the scalar engine, which is always correct.
         """
         return None
 

@@ -53,9 +53,9 @@ class IdealManager(TaskManagerModel):
 
     def lane_kernel(self) -> LaneKernelSpec:
         """The ideal manager is pure dependency bookkeeping: zero cost,
-        ready times equal to the submit/finish times — exactly the batch
-        engine's ``"ideal"`` kernel."""
-        return LaneKernelSpec(kind="ideal")
+        ready times equal to the submit/finish times — exactly the
+        kernel's ``"ideal"`` kind."""
+        return LaneKernelSpec(kind="ideal", worker_overhead_us=self.worker_overhead_us)
 
     def statistics(self) -> Mapping[str, object]:
         return {

@@ -107,7 +107,7 @@ class NexusPlusPlusManager(TaskManagerModel):
         # (grown on demand): per-task pipeline costs are table lookups
         # with bit-identical values instead of method calls + multiplies.
         # The tables are process-shared per (timing, cycle_us) — every
-        # sweep point / batch lane with the same configuration aliases
+        # sweep point with the same configuration aliases
         # the same grown lists instead of re-deriving them.
         timing = self.config.timing
         cycle_us = self._cycle_us
@@ -255,14 +255,14 @@ class NexusPlusPlusManager(TaskManagerModel):
         return FinishOutcome(ready=tuple(notifications), notify_done_us=cleanup_end)
 
     def lane_kernel(self) -> None:
-        """Nexus++ declines the vectorized batch lane kernel.
+        """Nexus++ declines the fast replay kernel.
 
         Its pipeline state is history-dependent in ways the lane kernel
         cannot constant-fold: three serial resources (Input Parser, the
         task graph's single port, Write Back) interleave submit- and
         finish-side reservations, and the set-associative address table
-        adds occupancy-dependent conflict stalls.  Batch lanes fall back
-        to the scalar engine; they still benefit from the process-shared
+        adds occupancy-dependent conflict stalls.  Its runs use the
+        scalar engine; they still benefit from the process-shared
         latency tables (:func:`repro.nexus.timing.shared_offset_tables`).
         """
         return None

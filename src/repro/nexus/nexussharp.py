@@ -148,7 +148,7 @@ class NexusSharpManager(TaskManagerModel):
             (timing.insert_cycles_per_param + timing.set_conflict_stall_cycles) * cycle_us
         )
         # Per-index offset tables, process-shared per (timing, cycle_us):
-        # batch lanes and sweep points with the same configuration alias
+        # sweep points with the same configuration alias
         # the same monotonically grown lists.
         self._tables = shared_offset_tables(timing, cycle_us)
         self._fwd_us = self._tables.fwd_us
@@ -334,14 +334,14 @@ class NexusSharpManager(TaskManagerModel):
         return FinishOutcome(ready=tuple(notifications), notify_done_us=fp_end)
 
     def lane_kernel(self) -> None:
-        """Nexus# declines the vectorized batch lane kernel.
+        """Nexus# declines the fast replay kernel.
 
         The distributed pipeline is far too history-dependent to
         constant-fold: per-task-graph insertion ports, the Dependence
         Counts Arbiter's result interleaving, set-conflict stalls and
         dummy-entry occupancy all couple a task's cost to every earlier
-        task's placement.  Batch lanes fall back to the scalar engine;
-        they still benefit from the process-shared latency tables
+        task's placement.  Its runs use the scalar engine; they still
+        benefit from the process-shared latency tables
         (:func:`repro.nexus.timing.shared_offset_tables`).
         """
         return None

@@ -12,9 +12,8 @@ report.  The layer is built from four pieces:
 * :mod:`repro.serve.batcher` — request coalescing: identical in-flight
   requests share one simulation (single-flight keyed by the same
   spec-hash cache key the sweep runner uses), distinct requests are
-  grouped into lane batches for the vectorized batch backend
-  (:func:`repro.sim.batch.run_lanes`), and every finished cell is
-  published to the shared :class:`~repro.experiments.cache.ResultCache`;
+  grouped into blocks run on executor threads, and every finished cell
+  is published to the shared :class:`~repro.experiments.cache.ResultCache`;
 * :mod:`repro.serve.admission` — bounded-queue back-pressure: past
   saturation the server answers ``429`` with a measured ``Retry-After``
   instead of queueing without bound (the serving-side analogue of

@@ -16,13 +16,12 @@ the single funnel they all pass through:
    :class:`~repro.serve.admission.AdmissionController` (all-or-nothing
    for multi-cell sweeps) or the request is rejected with a measured
    Retry-After.
-4. **Batched execution** — admitted cells are grouped into blocks of
-   ``batch_lanes`` and advanced in lockstep through the vectorized batch
-   backend (:func:`repro.experiments.runner.execute_lane_block` →
-   :func:`repro.sim.batch.run_lanes`) on a thread-pool executor;
-   stream/dynamic cells fall back to the scalar engine exactly like the
-   sweep runner's ``--batch-lanes`` path.  With ``fabric_workers`` > 0,
-   large blocks are fanned out over the distributed sweep fabric
+4. **Block execution** — admitted cells are grouped into blocks of up
+   to :data:`BLOCK_CELLS` and run on a thread-pool executor through
+   :func:`repro.experiments.runner.execute_lane_block` (each cell's
+   :meth:`Machine.run <repro.system.machine.Machine.run>` picks the fast
+   kernel itself).  With ``fabric_workers`` > 0, large blocks are fanned
+   out over the distributed sweep fabric
    (:class:`~repro.distributed.scheduler.SweepScheduler`) instead.
 
 All bookkeeping runs on the server's event loop (no locks); only the
@@ -39,43 +38,27 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.cache import ResultCache
-from repro.experiments.runner import execute_lane_block, intern_jobs, run_job
+from repro.experiments.runner import execute_lane_block, intern_jobs
 from repro.experiments.spec import RunPoint
 from repro.resilience.circuit import CircuitBreaker
 from repro.serve.admission import AdmissionController, Saturated
 
-__all__ = ["Batcher", "BatcherStats", "Saturated", "execute_block"]
+__all__ = ["BLOCK_CELLS", "Batcher", "BatcherStats", "Saturated", "execute_block"]
+
+#: Most cells one executor block runs; a burst smaller than this waits up
+#: to ``batch_window`` to fill the block.
+BLOCK_CELLS = 8
 
 
 def execute_block(block: List[Tuple[int, RunPoint]]) -> List[Tuple[int, Dict[str, Any]]]:
-    """Run one block of grid cells, batched where the lane backend applies.
-
-    Mirrors :meth:`SweepRunner._execute_batched
-    <repro.experiments.runner.SweepRunner>`: static cells advance in
-    lockstep through the lane backend, stream/dynamic cells (and
-    singleton blocks) run through the scalar engine — byte-identical
-    results either way.
-    """
-    out: List[Tuple[int, Dict[str, Any]]] = []
-    batchable: List[Tuple[int, RunPoint]] = []
-    for index, point in block:
-        if point.stream or point.dynamic:
-            out.append(run_job((index, point, None)))
-        else:
-            batchable.append((index, point))
-    if len(batchable) == 1:
-        index, point = batchable[0]
-        out.append(run_job((index, point, None)))
-    elif batchable:
-        out.extend(execute_lane_block(batchable))
-    return out
+    """Run one block of grid cells on this executor thread."""
+    return execute_lane_block(block)
 
 
 def execute_block_fabric(
     block: List[Tuple[int, RunPoint]],
     *,
     workers: int,
-    batch_lanes: int,
     cache_dir: Optional[str],
 ) -> List[Tuple[int, Dict[str, Any]]]:
     """Fan one block out over the distributed sweep fabric.
@@ -88,8 +71,7 @@ def execute_block_fabric(
     from repro.distributed.scheduler import SweepScheduler
 
     jobs, table = intern_jobs(block)
-    scheduler = SweepScheduler(
-        jobs, table, workers=workers, batch_lanes=batch_lanes, cache_dir=cache_dir)
+    scheduler = SweepScheduler(jobs, table, workers=workers, cache_dir=cache_dir)
     return scheduler.run()
 
 
@@ -148,10 +130,9 @@ class Batcher:
         the batcher keeps a bounded in-memory memo of results by cache
         key, so repeated identical requests are warm even on a server
         without a cache directory.
-    batch_lanes:
-        Cells advanced in lockstep per executor block (1 = scalar).
     batch_window:
-        Seconds the dispatcher waits for a partial block to fill before
+        Seconds the dispatcher waits for a partial block (fewer than
+        :data:`BLOCK_CELLS` cells) to fill before
         running it anyway — the latency cost of coalescing (default 2 ms).
     max_pending:
         Bounded-queue depth handed to the :class:`AdmissionController`.
@@ -180,7 +161,6 @@ class Batcher:
         self,
         *,
         cache: Optional[ResultCache] = None,
-        batch_lanes: int = 8,
         batch_window: float = 0.002,
         max_pending: int = 256,
         executor_threads: int = 2,
@@ -190,10 +170,7 @@ class Batcher:
         breaker: Optional[CircuitBreaker] = None,
         chaos: Optional[Any] = None,
     ) -> None:
-        if batch_lanes < 1:
-            raise ValueError(f"batch_lanes must be >= 1, got {batch_lanes}")
         self.cache = cache
-        self.batch_lanes = batch_lanes
         self.batch_window = batch_window
         self.admission = AdmissionController(max_pending)
         self.stats = BatcherStats()
@@ -342,12 +319,12 @@ class Batcher:
             await self._wakeup.wait()
             self._wakeup.clear()
             while self._queue:
-                if 0 < len(self._queue) < self.batch_lanes and self.batch_window > 0:
+                if 0 < len(self._queue) < BLOCK_CELLS and self.batch_window > 0:
                     # Let a burst coalesce into a fuller block.
                     await asyncio.sleep(self.batch_window)
                 block = [
                     self._queue.popleft()
-                    for _ in range(min(self.batch_lanes, len(self._queue)))
+                    for _ in range(min(BLOCK_CELLS, len(self._queue)))
                 ]
                 task = asyncio.create_task(self._run_block(block))
                 self._block_tasks.add(task)
@@ -366,8 +343,7 @@ class Batcher:
                 try:
                     pairs = await loop.run_in_executor(
                         self._executor, lambda: execute_block_fabric(
-                            indexed, workers=self.fabric_workers,
-                            batch_lanes=self.batch_lanes, cache_dir=cache_dir))
+                            indexed, workers=self.fabric_workers, cache_dir=cache_dir))
                     self.breaker.record_success()
                     self.stats.fabric_blocks += 1
                 except Exception:

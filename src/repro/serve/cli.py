@@ -53,9 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--cache-dir", default=None,
                          help="content-addressed result cache directory "
                               "(shared with sweep runs over the same dir)")
-    p_serve.add_argument("--batch-lanes", type=int, default=8,
-                         help="cells advanced in lockstep per simulation "
-                              "block (default 8)")
     p_serve.add_argument("--batch-window-ms", type=float, default=2.0,
                          help="milliseconds a partial block waits to fill "
                               "before running anyway (default 2)")
@@ -98,7 +95,6 @@ def _run_server(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         cache_dir=args.cache_dir,
-        batch_lanes=args.batch_lanes,
         batch_window=args.batch_window_ms / 1e3,
         max_pending=args.max_pending,
         executor_threads=args.executor_threads,
@@ -110,8 +106,7 @@ def _run_server(args: argparse.Namespace) -> int:
         await server.start()
         assert server.address is not None
         print(f"serving on http://{server.address[0]}:{server.address[1]} "
-              f"(max_pending={config.max_pending}, "
-              f"batch_lanes={config.batch_lanes})", file=sys.stderr)
+              f"(max_pending={config.max_pending})", file=sys.stderr)
         try:
             await server.serve_forever()
         finally:

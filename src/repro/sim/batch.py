@@ -1,46 +1,40 @@
-"""Vectorized multi-lane batch-simulation backend.
+"""The fast replay kernel for constant-foldable managers.
 
-A parameter sweep replays the *same trace* across many grid cells —
-seeds, core counts, managers — and the scalar engine pays the full
-per-event Python dispatch cost (simulator callbacks, outcome tuples,
-policy/pool indirection, per-access cell objects) once per cell.  This
-module advances many such runs as independent **lanes in lockstep**:
+:meth:`repro.system.machine.Machine.run` sends every static replay the
+kernel covers here (:func:`lane_fallback_reason` decides) and keeps the
+scalar event loop for the rest.  The kernel is one specialized, inlined
+event loop per run, and its speed comes from three things:
 
-* **structural compilation is shared across lanes.**  A trace is
-  compiled once into a :class:`LaneProgram`: per-task access rows from
-  the existing :class:`~repro.trace.compiled.CompiledAccessProgram`,
+* **structural compilation cached on the trace.**  A trace is compiled
+  once into a :class:`LaneProgram`: per-task access rows from the
+  existing :class:`~repro.trace.compiled.CompiledAccessProgram`,
   augmented (with numpy) by an address-major CSR of each address's
   program-order access sequence and every access's position within it.
   Because the master thread submits tasks in trace order, the per-address
   OmpSs dependency state machine (:class:`~repro.taskgraph.address_state.
-  AddressCell`) collapses to **four small integers per (lane, address)**
-  — inserted cursor, activated cursor, active count, active-is-writer —
+  AddressCell`) collapses to **four small integers per address** —
+  inserted cursor, activated cursor, active count, active-is-writer —
   advanced over the static address-major arrays.  No cells, sets or
-  deques per lane.
-* **timing tables are folded across the task axis and shared across the
-  lane axis.**  Per-kernel cost columns (worker-overhead-inclusive
-  nominal durations, Nanos creation/lock-insertion costs) are computed
-  once per ``(program, kernel)`` with numpy elementwise arithmetic —
-  IEEE-identical to the scalar per-event expressions — and reused by
-  every lane of that kernel.
-* **each lane runs a specialized inlined event loop** (a generator):
-  a plain-tuple heap replicating the :class:`~repro.sim.engine.
-  EventQueue` ``(time, priority, sequence)`` discipline, flat
-  ``(lane, task)`` dependence-count/finished/dispatched state, an int
-  heap of idle cores and a deque of queued ready tasks.  The lockstep
-  driver round-robins fixed event slices over all live lanes.
+  deques.
+* **timing tables folded across the task axis.**  Per-kernel cost
+  columns (worker-overhead-inclusive nominal durations, Nanos
+  creation/lock-insertion costs) are computed once per ``(program,
+  kernel)`` with numpy elementwise arithmetic — IEEE-identical to the
+  scalar per-event expressions — and reused by every run of that kernel.
+* **flat run state**: a plain-tuple heap replicating the
+  :class:`~repro.sim.engine.EventQueue` ``(time, priority, sequence)``
+  discipline, flat per-task dependence-count/finished/dispatched state,
+  an int heap of idle cores and a deque of queued ready tasks.
 
-The scalar engine stays the reference oracle: lane kernels exist only
-for managers whose behaviour constant-folds (see
+The scalar engine stays the reference oracle: kernels exist only for
+managers whose behaviour constant-folds (see
 :meth:`repro.managers.base.TaskManagerModel.lane_kernel` — ideal and
-Nanos today).  Every other lane — hardware managers with
-history-dependent pipeline contention, non-FIFO schedulers,
-heterogeneous topologies, sparse task ids — **falls back to the scalar
-engine inside the same batch**, so ``run_lanes`` is always exact:
-results are byte-identical to per-lane :meth:`~repro.system.machine.
-Machine.run` calls by construction on the fallback path and by the
-golden/differential harnesses (``tests/batch/``,
-``tests/golden/test_batch_equivalence.py``) on the vector path.
+Nanos today).  Hardware managers with history-dependent pipeline
+contention, non-FIFO schedulers, heterogeneous topologies and sparse
+task ids keep the scalar loop.  Kernel results are byte-identical to
+:meth:`~repro.system.machine.Machine.run_scalar`, pinned by the
+kernel-vs-scalar suites (``tests/batch/``,
+``tests/golden/test_batch_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -48,25 +42,21 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.errors import SimulationError
 from repro.managers.base import LaneKernelSpec, TaskManagerModel
 from repro.system.results import MachineResult
-from repro.system.scheduling import make_policy
+from repro.system.scheduling import FifoPolicy
 from repro.system.timeline import TaskTimeline
-from repro.system.topology import resolve_topology
 from repro.trace.dag import validate_schedule
 from repro.trace.trace import Trace
 
 #: Attribute under which a trace caches its lane program (``_compiled*``
 #: prefixed, so ``Trace.__getstate__`` excludes it from pickles).
 _LANE_PROGRAM_ATTR = "_compiled_lane_program"
-
-#: Events each live lane processes per lockstep round.
-DEFAULT_SLICE_EVENTS = 1024
 
 # Event op codes, mirroring repro.system.machine's compiled trace.
 _OP_SUBMIT = 0
@@ -76,7 +66,7 @@ _OP_WAIT_ON = 2
 
 @dataclass(frozen=True)
 class LaneSpec:
-    """One lane of a batch: a trace replayed on a manager under a config."""
+    """One run for :func:`run_lanes`: a trace replayed on a manager under a config."""
 
     trace: Trace
     manager: TaskManagerModel
@@ -84,10 +74,10 @@ class LaneSpec:
 
 
 class LaneProgram:
-    """Lane-invariant structural compilation of one trace.
+    """Run-invariant structural compilation of one trace.
 
     Everything here depends only on the trace — never on the manager,
-    core count or seed of a lane — so one program is shared by all lanes
+    core count or seed of a run — so one program is shared by all runs
     (and cached on the trace object like the machine's compiled form).
     """
 
@@ -178,7 +168,7 @@ class LaneProgram:
         tasks = compiled.task_by_slot
         self.duration = [task.duration_us for task in tasks]
         self.creation = [task.creation_overhead_us for task in tasks]
-        # Cached once per trace; every lane's MachineResult repeats it
+        # Cached once per trace; every kernel MachineResult repeats it
         # (same left-to-right float sum as Trace.total_work_us).
         self.total_work_us = trace.total_work_us
         self._kernel_cache: Dict[LaneKernelSpec, Tuple[list, ...]] = {}
@@ -229,28 +219,46 @@ def lane_program(trace: Trace) -> LaneProgram:
     return program
 
 
-def lane_fallback_reason(
-    trace: object, manager: TaskManagerModel, config: "MachineConfig"  # noqa: F821
-) -> Optional[str]:
-    """Why a lane must run on the scalar engine, or ``None`` if the
-    vectorized kernel applies.
+#: Manager methods the kernel replaces with its own arithmetic: a class
+#: that overrides one of them below the class declaring the kernel (or an
+#: instance that rebinds one) changes behaviour the kernel cannot see.
+_KERNEL_REPLACED = ("submit", "finish", "statistics")
 
-    The lane-compatibility rules (documented in ``docs/performance.md``):
+
+def _kernel_methods_overridden(manager: TaskManagerModel) -> bool:
+    """True when ``manager`` does not use the ``submit``/``finish``/
+    ``statistics`` of the class that declares its lane kernel."""
+    cls = type(manager)
+    owner = next(klass for klass in cls.__mro__ if "lane_kernel" in vars(klass))
+    instance = getattr(manager, "__dict__", {})
+    return any(getattr(cls, name) is not getattr(owner, name) or name in instance
+               for name in _KERNEL_REPLACED)
+
+
+def lane_fallback_reason(machine: "Machine", trace: object) -> Optional[str]:  # noqa: F821
+    """Why ``machine`` must replay ``trace`` on the scalar loop, or
+    ``None`` when the kernel applies.
+
+    The kernel-selection rules (documented in ``docs/performance.md``):
+    the trace must be a materialised static trace with dense task ids;
     the manager must publish a :class:`~repro.managers.base.
-    LaneKernelSpec`, the trace must be a materialised static trace with
-    dense task ids, dispatch must be FIFO over a homogeneous unit-speed
-    topology, and ``taskwait on`` pragmas require manager support (no
-    Nexus++-style degradation is folded into lane programs).
+    LaneKernelSpec` and use the ``submit``/``finish``/``statistics`` of
+    the class that declares it; dispatch must be plain :class:`~repro.system.scheduling.
+    FifoPolicy` (not a subclass) over unit-speed cores; and ``taskwait
+    on`` pragmas require manager support (no Nexus++-style degradation is
+    folded into lane programs).  The machine's own policy and topology
+    are checked, so nothing is rebuilt per run.
     """
     if not isinstance(trace, Trace):
         return "not a materialised static trace"
-    kern = manager.lane_kernel()
-    if kern is None:
+    manager = machine.manager
+    if manager.lane_kernel() is None:
         return f"manager {manager.name!r} publishes no lane kernel"
-    if make_policy(config.scheduler).name != "fifo":
-        return "non-FIFO scheduler policy"
-    topology = resolve_topology(config.topology, config.num_cores)
-    if any(speed != 1.0 for speed in topology.speed_factors):
+    if _kernel_methods_overridden(manager):
+        return "manager overrides methods the lane kernel replaces"
+    if type(machine.policy) is not FifoPolicy:
+        return "scheduler policy is not plain FIFO"
+    if any(speed != 1.0 for speed in machine.topology.speed_factors):
         return "non-unit core speeds"
     prog = lane_program(trace)
     if not prog.dense_ids:
@@ -260,55 +268,24 @@ def lane_fallback_reason(
     return None
 
 
-def run_lanes(
-    lanes: Sequence[LaneSpec],
-    *,
-    slice_events: int = DEFAULT_SLICE_EVENTS,
-) -> List[MachineResult]:
-    """Run every lane to completion; results in lane order.
+def run_lanes(lanes: Sequence[LaneSpec]) -> List[MachineResult]:
+    """Run every lane to completion through :meth:`Machine.run`, in order.
 
-    Vector-compatible lanes (see :func:`lane_fallback_reason`) advance
-    in lockstep rounds of ``slice_events`` events each; incompatible
-    lanes replay sequentially on the scalar engine afterwards.  An empty
-    batch returns an empty list without touching any engine.
+    :meth:`Machine.run` picks the kernel or the scalar loop per lane, so
+    this is a plain loop; the function keeps its name because layer
+    probes (the repository benchmark's tracer) bind to it.
     """
-    if slice_events <= 0:
-        raise SimulationError(f"slice_events must be positive, got {slice_events}")
-    results: List[Optional[MachineResult]] = [None] * len(lanes)
-    live: List[Tuple[int, Generator[None, None, MachineResult]]] = []
-    fallback: List[int] = []
-    for index, lane in enumerate(lanes):
-        if lane_fallback_reason(lane.trace, lane.manager, lane.config) is None:
-            live.append((index, _lane_run(lane, slice_events)))
-        else:
-            fallback.append(index)
-    while live:
-        advancing: List[Tuple[int, Generator[None, None, MachineResult]]] = []
-        for index, gen in live:
-            try:
-                next(gen)
-            except StopIteration as stop:
-                results[index] = stop.value
-            else:
-                advancing.append((index, gen))
-        live = advancing
-    if fallback:
-        from repro.system.machine import Machine
+    from repro.system.machine import Machine
 
-        for index in fallback:
-            lane = lanes[index]
-            results[index] = Machine(lane.manager, lane.config).run(lane.trace)
-    return results  # type: ignore[return-value] - every slot is filled above
+    return [Machine(lane.manager, lane.config).run(lane.trace) for lane in lanes]
 
 
-def _lane_run(
-    lane: LaneSpec, slice_events: int
-) -> Generator[None, None, MachineResult]:
-    """One lane's specialized event loop, yielding every ``slice_events``
-    task completions (the cheapest progress proxy on the hot path).
+def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
+    """Replay ``trace`` on ``machine`` through the specialized kernel.
 
-    This inlines — in replicated order — the scalar stack for the FIFO /
-    homogeneous / dense-ids configuration: ``Machine._run_trace``'s
+    Only valid when :func:`lane_fallback_reason` returns ``None``.  This
+    inlines — in replicated order — the scalar stack for the FIFO /
+    homogeneous / dense-ids configuration: ``Machine.run_scalar``'s
     master loop and event handlers, ``EventQueue``'s ``(time, priority,
     sequence)`` heap discipline, ``CorePool``'s lowest-id idle-core heap,
     ``FifoPolicy``'s deque, the compiled ``DependencyTracker`` insert /
@@ -316,12 +293,13 @@ def _lane_run(
     kernel's manager arithmetic (including exact
     :meth:`~repro.sim.resource.SerialResource.reserve` replication for
     the Nanos lock).  Schedules are byte-identical to the scalar engine;
-    any behavioural change there must land here too (the batch golden
-    and differential suites guard the pairing).
+    any behavioural change there must land here too (the kernel-vs-scalar
+    golden and differential suites guard the pairing).  The number of
+    events processed lands in ``machine.last_events_processed``, equal to
+    the scalar loop's ``Simulator.processed_events``.
     """
-    trace = lane.trace
-    manager = lane.manager
-    config = lane.config
+    manager = machine.manager
+    config = machine.config
     kern = manager.lane_kernel()
     assert kern is not None
     prog = lane_program(trace)
@@ -346,7 +324,7 @@ def _lane_run(
     finish_lock_us = kern.finish_lock_us
     wakeup_us = kern.wakeup_per_task_us
 
-    # --- per-lane flat state ------------------------------------------------
+    # --- flat run state -----------------------------------------------------
     num_addresses = prog.num_addresses
     dep_count = [0] * num_tasks
     finished = bytearray(num_tasks)
@@ -390,14 +368,13 @@ def _lane_run(
         core_arr = [-1] * num_tasks
 
     # --- main loop ----------------------------------------------------------
-    # The master advance is inlined into the generator body rather than
-    # kept as a closure: any variable shared with a nested function
-    # becomes a cell, which would turn every hot-path access in BOTH the
-    # master loop and the event loop into a (slower) dereference.  With
-    # everything a plain generator local, the interpreter uses fast
-    # locals throughout.
+    # The master advance is inlined into the loop body rather than kept
+    # as a closure: any variable shared with a nested function becomes a
+    # cell, which would turn every hot-path access in BOTH the master
+    # loop and the event loop into a (slower) dereference.  With
+    # everything a plain local, the interpreter uses fast locals
+    # throughout.
     do_master = True
-    next_yield = slice_events
     while True:
         if do_master:
             do_master = False
@@ -483,7 +460,7 @@ def _lane_run(
                         continue
                     blocked_kind = 1
                     break
-                # op == _OP_WAIT_ON (manager support checked at lane admission)
+                # op == _OP_WAIT_ON (manager support checked by lane_fallback_reason)
                 waited = op_wait_task[event_index]
                 if waited < 0 or finished[waited]:
                     event_index += 1
@@ -591,9 +568,6 @@ def _lane_run(
                     if not master_done:
                         heappush(heap, (master_time, 2, seq, -1, -1))
                         seq += 1
-            if finished_count >= next_yield:
-                next_yield = finished_count + slice_events
-                yield None
         elif priority == 1:  # task ready
             if dispatched[task_id]:
                 raise SimulationError(f"task {task_id} reported ready twice")
@@ -618,6 +592,9 @@ def _lane_run(
                     master_time = time
                 do_master = True
 
+    # The loop only ends on an empty heap, so every pushed event was
+    # popped: the sequence counter is the scalar loop's processed_events.
+    machine.last_events_processed = seq
     makespan = now if now > master_time else master_time
 
     # --- consistency checks (mirroring the scalar engine) --------------------
@@ -668,8 +645,8 @@ def _lane_run(
         master_finish_us=master_time,
         core_busy_us=core_busy_us,
         manager_stats=manager_stats,
-        scheduler="fifo",
-        topology=resolve_topology(config.topology, num_cores).describe(),
+        scheduler=machine.policy.name,
+        topology=machine.topology.describe(),
         per_core_busy_us=tuple(busy_us),
         task_cores=timeline.core_dict() if keep else {},
     )

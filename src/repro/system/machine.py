@@ -41,7 +41,11 @@ bit-identical to the pre-refactor monolithic loop.
 Two replay paths share the layers above:
 
 * :meth:`Machine.run` compiles a materialised trace into flat op arrays
-  (cached on the trace) — the fastest path when the trace fits in RAM;
+  (cached on the trace) — the fastest path when the trace fits in RAM.
+  It hands the runs it can to the specialized kernel in
+  :mod:`repro.sim.batch` (constant-foldable managers under FIFO dispatch
+  on unit-speed cores) and replays the rest on the scalar loop of
+  :meth:`Machine.run_scalar`;
 * :meth:`Machine.run_stream` pulls events incrementally from any
   :class:`~repro.trace.stream.TaskStream` through a windowed lookahead
   buffer, keeping live state bounded by the in-flight window — the path
@@ -54,7 +58,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.common.errors import SimulationError
 from repro.common.validation import check_positive
@@ -211,12 +215,31 @@ class Machine:
     def run(self, trace: Union[Trace, DynamicProgram]) -> MachineResult:
         """Replay ``trace`` and return the resulting schedule and metrics.
 
+        A static trace the fast kernel covers (see
+        :func:`repro.sim.batch.lane_fallback_reason`: a manager with a
+        lane kernel, plain FIFO dispatch, unit-speed cores, dense task
+        ids) replays on :func:`repro.sim.batch.run_kernel`; every other
+        trace on the scalar loop of :meth:`run_scalar`.  Both produce
+        byte-identical results.
+
         A :class:`~repro.trace.dynamic.DynamicProgram` source runs on the
         dynamic engine with the **compiled** tracking path (a growable
         access program bound to the manager); see :meth:`run_dynamic`.
         """
         if isinstance(trace, DynamicProgram):
             return self.run_dynamic(trace, compiled=True)
+        from repro.sim.batch import lane_fallback_reason, run_kernel
+
+        if lane_fallback_reason(self, trace) is None:
+            return run_kernel(self, trace)
+        return self.run_scalar(trace)
+
+    def run_scalar(self, trace: Trace) -> MachineResult:
+        """Replay ``trace`` on the scalar event loop, whatever the manager.
+
+        This is the general path — every manager, scheduler policy and
+        topology — and the reference the kernel is checked against.
+        """
         try:
             return self._run_trace(trace)
         except BaseException:
@@ -499,53 +522,6 @@ class Machine:
             topology=self.topology.describe(),
             per_core_busy_us=tuple(pool.busy_us),
             task_cores=timeline.core_dict() if keep else {},
-        )
-
-    def run_batch(
-        self,
-        traces: Iterable[Trace],
-        *,
-        lane_cores: Optional[Sequence[int]] = None,
-        slice_events: Optional[int] = None,
-    ) -> List[MachineResult]:
-        """Replay many traces as lockstep lanes of the batch engine.
-
-        Each trace becomes one lane; ``lane_cores`` optionally overrides
-        the core count per lane (defaulting every lane to this machine's
-        ``num_cores``), which is how a sweep grid cell — the same
-        workload across seeds and core counts — maps onto one batch.
-        Lanes whose configuration the vectorized kernel supports (see
-        :func:`repro.sim.batch.lane_fallback_reason`) advance in
-        lockstep; the rest replay sequentially on the scalar engine
-        inside the same call.  Results are **byte-identical** to
-        per-trace :meth:`run` calls and returned in lane order; an empty
-        batch returns ``[]`` without touching either engine.
-        """
-        from dataclasses import replace
-
-        from repro.sim.batch import DEFAULT_SLICE_EVENTS, LaneSpec, run_lanes
-
-        traces = list(traces)
-        if lane_cores is None:
-            cores = [self.config.num_cores] * len(traces)
-        else:
-            cores = list(lane_cores)
-            if len(cores) != len(traces):
-                raise SimulationError(
-                    f"lane_cores has {len(cores)} entries for {len(traces)} lanes"
-                )
-        lanes = [
-            LaneSpec(
-                trace=trace,
-                manager=self.manager,
-                config=self.config if count == self.config.num_cores
-                else replace(self.config, num_cores=count),
-            )
-            for trace, count in zip(traces, cores)
-        ]
-        return run_lanes(
-            lanes,
-            slice_events=DEFAULT_SLICE_EVENTS if slice_events is None else slice_events,
         )
 
     def run_stream(
@@ -973,44 +949,6 @@ def simulate(
         ),
     )
     return machine.run(trace)
-
-
-def simulate_batch(
-    traces: Iterable[Trace],
-    manager: TaskManagerModel,
-    num_cores: int,
-    *,
-    lane_cores: Optional[Sequence[int]] = None,
-    validate: bool = False,
-    keep_schedule: bool = True,
-    scheduler: PolicyLike = "fifo",
-    topology: TopologyLike = "homogeneous",
-) -> List[MachineResult]:
-    """Convenience wrapper around :meth:`Machine.run_batch`.
-
-    >>> from repro.managers.ideal import IdealManager
-    >>> from repro.trace.trace import TraceBuilder
-    >>> builder = TraceBuilder("two-independent")
-    >>> _ = builder.add_task("a", duration_us=10.0, outputs=[0x1000])
-    >>> _ = builder.add_task("b", duration_us=10.0, outputs=[0x1040])
-    >>> builder.add_taskwait()
-    >>> trace = builder.build()
-    >>> results = simulate_batch([trace, trace], IdealManager(), num_cores=2,
-    ...                          lane_cores=[2, 1])
-    >>> [r.makespan_us for r in results]
-    [10.0, 20.0]
-    """
-    machine = Machine(
-        manager,
-        MachineConfig(
-            num_cores=num_cores,
-            validate=validate,
-            keep_schedule=keep_schedule,
-            scheduler=scheduler,
-            topology=topology,
-        ),
-    )
-    return machine.run_batch(traces, lane_cores=lane_cores)
 
 
 def simulate_stream(

@@ -10,8 +10,8 @@ Two subcommands mirroring the experiments CLI:
 ``report``
     Re-render a previously written report file.
 
-Execution flags (``--n-jobs``, ``--workers``, ``--batch-lanes``,
-``--cache-dir``, ``--chaos-seed``/``--chaos-profile``) pass straight
+Execution flags (``--n-jobs``, ``--workers``, ``--cache-dir``,
+``--chaos-seed``/``--chaos-profile``) pass straight
 through to the :class:`~repro.experiments.runner.SweepRunner`, so the
 tuner parallelises — and injects faults — exactly like a plain sweep.
 
@@ -93,8 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     execution.add_argument("--workers", default=None, metavar="N|auto",
                            help="run rungs on the distributed sweep fabric "
                                 "with this many socket workers")
-    execution.add_argument("--batch-lanes", type=int, default=1, metavar="N",
-                           help="vectorized lane width for serial execution")
     execution.add_argument("--cache-dir", default=None,
                            help="content-addressed result cache directory "
                                 "(strongly recommended: makes re-promotion "
@@ -145,7 +143,6 @@ def _build_runner(args: argparse.Namespace) -> Optional[SweepRunner]:
     return SweepRunner(
         args.n_jobs,
         cache_dir=args.cache_dir,
-        batch_lanes=args.batch_lanes,
         transport="sockets" if distributed else "local",
         workers=args.workers,
         chaos=chaos,

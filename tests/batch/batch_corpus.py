@@ -1,14 +1,14 @@
-"""The pinned batch corpus: fixed-seed scalar-vs-batch regression cases.
+"""The pinned kernel corpus: fixed-seed kernel-vs-scalar regression cases.
 
 Each entry is a :class:`repro.workloads.fuzz.FuzzSpec` whose **serial
 elaboration** (a static trace) replays deterministically without
-hypothesis — the CI regression layer of the batch differential suite
+hypothesis — the CI regression layer of the kernel differential suite
 (mirroring ``tests/fuzz/fuzz_corpus.py`` for the dynamic runtime).
 When the hypothesis-driven tests in ``test_batch_differential.py`` find
 a failing configuration, pin it here (with a comment naming the bug) so
 it is replayed forever.
 
-The corpus spans the axes the lane kernels branch on:
+The corpus spans the axes the kernel branches on:
 
 * conflict-free wide fan-out (deps==0 fast path, inline submission) vs
   address-conflict storms (the per-address cursor state machine);

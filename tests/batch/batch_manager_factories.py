@@ -2,10 +2,10 @@
 
 Mirrors ``tests/golden/golden_config.GOLDEN_MANAGERS`` (same paper
 configurations) without importing across test directories.  The ideal
-and nanos managers publish lane kernels and run vectorized; the two
-nexus managers decline (``lane_kernel() is None``) and exercise the
-batch backend's per-lane scalar fallback — both paths must be
-byte-identical to the scalar engine.
+and nanos managers publish lane kernels, so ``Machine.run`` replays
+them on the fast kernel; the two nexus managers decline
+(``lane_kernel() is None``) and keep the scalar loop — both paths must
+be byte-identical to ``Machine.run_scalar``.
 """
 
 from __future__ import annotations
@@ -24,5 +24,5 @@ BATCH_TEST_MANAGERS = {
     "nexussharp": nexus_sharp_factory(6),
 }
 
-#: Managers whose lane kernels actually vectorize (no fallback).
+#: Managers whose runs take the kernel.
 KERNEL_MANAGERS = ("ideal", "nanos")

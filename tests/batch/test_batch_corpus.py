@@ -1,10 +1,10 @@
-"""Replay the pinned batch corpus — the hypothesis-free regression layer.
+"""Replay the pinned kernel corpus — the hypothesis-free regression layer.
 
 Every corpus spec's serial elaboration runs under all four golden
-managers through both engines (``Machine.run`` scalar oracle,
-:func:`repro.sim.batch.run_lanes` batch backend), asserting full
-result byte-identity, plus exact determinism of repeated batch runs
-and the slice-size independence of the lockstep driver.
+managers through ``Machine.run`` (which takes the kernel for ideal and
+nanos) and the scalar reference ``Machine.run_scalar``, asserting full
+result byte-identity and equal event counts, plus exact determinism of
+repeated runs.
 """
 
 from __future__ import annotations
@@ -28,20 +28,20 @@ def _trace(spec):
 
 @pytest.mark.parametrize("spec", BATCH_CORPUS, ids=CORPUS_IDS)
 @pytest.mark.parametrize("manager_key", MANAGER_IDS)
-def test_corpus_scalar_vs_batch(spec, manager_key):
+def test_corpus_run_vs_scalar(spec, manager_key):
     factory = BATCH_TEST_MANAGERS[manager_key]
     trace = _trace(spec)
     config = MachineConfig(num_cores=4, validate=True)
 
-    scalar = Machine(factory(), config).run(trace)
-    (batch,) = run_lanes([LaneSpec(trace=trace, manager=factory(), config=config)])
-
-    assert scalar == batch
+    reference = Machine(factory(), config)
+    routed = Machine(factory(), config)
+    assert routed.run(trace) == reference.run_scalar(trace)
+    assert routed.last_events_processed == reference.last_events_processed
 
 
 @pytest.mark.parametrize("manager_key", MANAGER_IDS)
-def test_corpus_as_one_mixed_batch(manager_key):
-    """The whole corpus as one lane batch, each lane a different trace
+def test_corpus_through_run_lanes(manager_key):
+    """The whole corpus through run_lanes, each lane a different trace
     and core count, equals the per-trace scalar runs."""
     factory = BATCH_TEST_MANAGERS[manager_key]
     traces = [_trace(spec) for spec in BATCH_CORPUS]
@@ -50,51 +50,22 @@ def test_corpus_as_one_mixed_batch(manager_key):
         for cores in (1, 2, 3, 4, 8, 16)
     ]
     scalars = [
-        Machine(factory(), config).run(trace)
+        Machine(factory(), config).run_scalar(trace)
         for trace, config in zip(traces, configs)
     ]
-    batch = run_lanes([
+    lanes = run_lanes([
         LaneSpec(trace=trace, manager=factory(), config=config)
         for trace, config in zip(traces, configs)
     ])
-    assert batch == scalars
+    assert lanes == scalars
 
 
-def test_corpus_batch_runs_are_exactly_deterministic():
-    lanes = [
-        LaneSpec(
-            trace=_trace(spec),
-            manager=BATCH_TEST_MANAGERS["nanos"](),
-            config=MachineConfig(num_cores=4),
-        )
-        for spec in BATCH_CORPUS
-    ]
-    first = run_lanes(lanes)
-    second = run_lanes([
-        LaneSpec(
-            trace=lane.trace,
-            manager=BATCH_TEST_MANAGERS["nanos"](),
-            config=lane.config,
-        )
-        for lane in lanes
-    ])
-    assert first == second
-
-
-@pytest.mark.parametrize("slice_events", [1, 7, 64, 10**9])
-def test_lockstep_slice_size_is_unobservable(slice_events):
-    """The lockstep granularity only controls interleaving fairness —
-    never results."""
-    factory = BATCH_TEST_MANAGERS["ideal"]
-    traces = [_trace(spec) for spec in BATCH_CORPUS[:3]]
+def test_corpus_kernel_runs_are_exactly_deterministic():
     config = MachineConfig(num_cores=4)
+    traces = [_trace(spec) for spec in BATCH_CORPUS]
 
-    def lanes():
-        return [
-            LaneSpec(trace=trace, manager=factory(), config=config)
-            for trace in traces
-        ]
+    def runs():
+        return [Machine(BATCH_TEST_MANAGERS["nanos"](), config).run(trace)
+                for trace in traces]
 
-    reference = run_lanes(lanes())
-    sliced = run_lanes(lanes(), slice_events=slice_events)
-    assert sliced == reference
+    assert runs() == runs()

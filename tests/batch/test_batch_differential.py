@@ -1,13 +1,13 @@
-"""Hypothesis-driven scalar-vs-batch differential verification.
+"""Hypothesis-driven kernel-vs-scalar differential verification.
 
 Random :class:`~repro.workloads.fuzz.FuzzSpec` configurations are
-elaborated to static traces and run through both engines — the scalar
-oracle (``Machine.run``) and the vectorized batch backend
-(:func:`repro.sim.batch.run_lanes`) — under the golden managers.  The
-two engines must agree **byte-for-byte** on the entire result: makespan,
-per-task submit/ready/start/finish times, core assignments (the
-observable image of the ready/dispatch order), manager table statistics
-and per-core busy accounting.
+elaborated to static traces and run through ``Machine.run`` (which
+takes the fast kernel for the ideal and nanos managers) and the scalar
+reference ``Machine.run_scalar`` under the golden managers.  The two
+must agree **byte-for-byte** on the entire result: makespan, per-task
+submit/ready/start/finish times, core assignments (the observable image
+of the ready/dispatch order), manager statistics and per-core busy
+accounting — and on the number of events processed.
 
 The CI workflow selects the ``ci`` hypothesis profile (registered in
 ``tests/conftest.py``: derandomized, bounded examples, no deadline), so
@@ -46,54 +46,55 @@ def fuzz_specs(draw) -> FuzzSpec:
     )
 
 
-def assert_identical(scalar, batch, context: str) -> None:
+def assert_identical(scalar, routed, context: str) -> None:
     """Field-wise byte-identity, with a readable message per field."""
     for field in (
         "makespan_us", "master_finish_us", "core_busy_us", "per_core_busy_us",
         "submit_times", "ready_times", "start_times", "finish_times",
         "task_cores", "manager_stats", "num_tasks", "total_work_us",
     ):
-        assert getattr(scalar, field) == getattr(batch, field), (
-            f"{context}: batch {field} diverged from the scalar oracle"
+        assert getattr(scalar, field) == getattr(routed, field), (
+            f"{context}: Machine.run {field} diverged from the scalar reference"
         )
-    assert scalar == batch, f"{context}: full results differ"
+    assert scalar == routed, f"{context}: full results differ"
 
 
 @given(spec=fuzz_specs(),
        cores=st.integers(min_value=1, max_value=6),
        manager_key=st.sampled_from(sorted(BATCH_TEST_MANAGERS)))
 @settings(max_examples=30, deadline=None)
-def test_single_lane_matches_scalar_oracle(spec, cores, manager_key):
-    """One lane through run_lanes == Machine.run, bit for bit."""
+def test_run_matches_scalar_reference(spec, cores, manager_key):
+    """Machine.run == Machine.run_scalar, bit for bit, same event count."""
     factory = BATCH_TEST_MANAGERS[manager_key]
     trace = fuzz_program(spec).elaborate()
     config = MachineConfig(num_cores=cores, validate=True)
 
-    scalar = Machine(factory(), config).run(trace)
-    (batch,) = run_lanes([LaneSpec(trace=trace, manager=factory(), config=config)])
-
-    assert_identical(scalar, batch, f"{manager_key}/{cores}c seed={spec.seed}")
+    reference = Machine(factory(), config)
+    routed = Machine(factory(), config)
+    context = f"{manager_key}/{cores}c seed={spec.seed}"
+    assert_identical(reference.run_scalar(trace), routed.run(trace), context)
+    assert routed.last_events_processed == reference.last_events_processed, context
 
 
 @given(spec=fuzz_specs(), cores=st.integers(min_value=1, max_value=6))
 @settings(max_examples=20, deadline=None)
-def test_kernel_lanes_are_vectorized_not_fallback(spec, cores):
+def test_kernel_managers_take_the_kernel(spec, cores):
     """The ideal/nanos kernels must actually admit elaborated traces —
-    otherwise the differential suite would silently test fallback
-    against itself."""
+    otherwise the differential suite would silently test the scalar
+    loop against itself."""
     trace = fuzz_program(spec).elaborate()
     config = MachineConfig(num_cores=cores)
     for manager_key in KERNEL_MANAGERS:
-        manager = BATCH_TEST_MANAGERS[manager_key]()
-        assert lane_fallback_reason(trace, manager, config) is None
+        machine = Machine(BATCH_TEST_MANAGERS[manager_key](), config)
+        assert lane_fallback_reason(machine, trace) is None
 
 
 @given(specs=st.lists(fuzz_specs(), min_size=2, max_size=5, unique_by=lambda s: s.seed),
        manager_key=st.sampled_from(sorted(BATCH_TEST_MANAGERS)))
 @settings(max_examples=15, deadline=None)
-def test_multi_lane_batch_matches_solo_runs(specs, manager_key):
-    """Lanes advanced in lockstep must equal their solo scalar runs:
-    lane isolation is absolute, whatever mix of traces shares a batch."""
+def test_run_lanes_matches_solo_runs(specs, manager_key):
+    """run_lanes over a mix of traces and core counts equals the solo
+    scalar runs, lane by lane."""
     factory = BATCH_TEST_MANAGERS[manager_key]
     traces = [fuzz_program(spec).elaborate() for spec in specs]
     configs = [
@@ -101,13 +102,13 @@ def test_multi_lane_batch_matches_solo_runs(specs, manager_key):
         for index in range(len(traces))
     ]
     scalars = [
-        Machine(factory(), config).run(trace)
+        Machine(factory(), config).run_scalar(trace)
         for trace, config in zip(traces, configs)
     ]
-    batch = run_lanes([
+    lanes = run_lanes([
         LaneSpec(trace=trace, manager=factory(), config=config)
         for trace, config in zip(traces, configs)
     ])
-    assert len(batch) == len(scalars)
-    for index, (scalar, lane) in enumerate(zip(scalars, batch)):
+    assert len(lanes) == len(scalars)
+    for index, (scalar, lane) in enumerate(zip(scalars, lanes)):
         assert_identical(scalar, lane, f"{manager_key} lane {index}")

@@ -1,16 +1,19 @@
-"""Structural properties of the batch backend: lane isolation and edges.
+"""Structural properties of the fast kernel: edge cases and memory.
 
 Beyond the differential suite (which checks *equivalence*), these tests
-pin down the batch engine's contract:
+pin down the kernel's contract:
 
 * **straggler isolation** — a lane that finishes almost immediately, or
   one that runs an order of magnitude longer than its siblings, must not
-  perturb any other lane's result relative to a solo run;
-* **edge cases** — empty batches, zero-task traces and single-task
-  traces go through the same code paths without special-casing;
-* **memory discipline** — ``keep_schedule=False`` lanes must never
-  allocate per-lane timelines (that is the whole point of the flag on
-  very large sweeps).
+  perturb any other lane's result in :func:`~repro.sim.batch.run_lanes`
+  relative to a solo scalar run (the kernel and the cached lane programs
+  share no state between lanes);
+* **edge cases** — empty ``run_lanes`` calls, zero-task traces and
+  single-task traces go through the same code paths without
+  special-casing;
+* **memory discipline** — ``keep_schedule=False`` kernel runs must never
+  allocate timelines (that is the whole point of the flag on very large
+  sweeps).
 """
 
 from __future__ import annotations
@@ -53,29 +56,29 @@ def _trace(spec: FuzzSpec):
        manager_key=st.sampled_from(sorted(BATCH_TEST_MANAGERS)))
 @settings(max_examples=10, deadline=None)
 def test_long_straggler_does_not_perturb_siblings(seed, manager_key):
-    """One lane with 10x-longer tasks keeps draining long after its
-    siblings retire; their results must equal their solo runs exactly."""
+    """One lane with 10x-longer tasks between two short ones: every lane
+    equals its own solo scalar run exactly."""
     factory = BATCH_TEST_MANAGERS[manager_key]
     siblings = [_trace(_spec(seed)), _trace(_spec(seed ^ 0x5A5A5A))]
     straggler = _trace(_spec(seed, duration_scale=10.0))
     config = MachineConfig(num_cores=4, validate=True)
 
-    solo = [Machine(factory(), config).run(trace) for trace in siblings]
-    batch = run_lanes([
+    solo = [Machine(factory(), config).run_scalar(trace) for trace in siblings]
+    lanes = run_lanes([
         LaneSpec(trace=siblings[0], manager=factory(), config=config),
         LaneSpec(trace=straggler, manager=factory(), config=config),
         LaneSpec(trace=siblings[1], manager=factory(), config=config),
     ])
-    assert batch[0] == solo[0]
-    assert batch[2] == solo[1]
+    assert lanes[0] == solo[0]
+    assert lanes[2] == solo[1]
     # And the straggler itself equals its own solo run.
-    assert batch[1] == Machine(factory(), config).run(straggler)
+    assert lanes[1] == Machine(factory(), config).run_scalar(straggler)
 
 
 @pytest.mark.parametrize("manager_key", sorted(BATCH_TEST_MANAGERS))
 def test_early_finisher_does_not_perturb_siblings(manager_key):
-    """A lane that retires after a single event slice leaves the
-    still-running lanes bit-identical to their solo runs."""
+    """A one-task lane ahead of two long lanes leaves them bit-identical
+    to their solo scalar runs."""
     factory = BATCH_TEST_MANAGERS[manager_key]
     quick = TraceBuilder("quick")
     quick.add_task("only", duration_us=0.25, outputs=[0x10])
@@ -83,22 +86,21 @@ def test_early_finisher_does_not_perturb_siblings(manager_key):
     long_traces = [_trace(_spec(77)), _trace(_spec(78))]
     config = MachineConfig(num_cores=3, validate=True)
 
-    solo = [Machine(factory(), config).run(trace) for trace in long_traces]
-    batch = run_lanes(
+    solo = [Machine(factory(), config).run_scalar(trace) for trace in long_traces]
+    lanes = run_lanes(
         [LaneSpec(trace=quick_trace, manager=factory(), config=config)]
-        + [LaneSpec(trace=t, manager=factory(), config=config) for t in long_traces],
-        slice_events=1,  # retire the quick lane at the first opportunity
+        + [LaneSpec(trace=t, manager=factory(), config=config) for t in long_traces]
     )
-    assert batch[1] == solo[0]
-    assert batch[2] == solo[1]
-    assert batch[0] == Machine(factory(), config).run(quick_trace)
+    assert lanes[1] == solo[0]
+    assert lanes[2] == solo[1]
+    assert lanes[0] == Machine(factory(), config).run_scalar(quick_trace)
 
 
 # ---------------------------------------------------------------------------
 # Edge cases
 # ---------------------------------------------------------------------------
 
-def test_empty_batch_returns_empty_list():
+def test_empty_run_lanes_returns_empty_list():
     assert run_lanes([]) == []
 
 
@@ -108,10 +110,10 @@ def test_zero_task_trace_matches_scalar(manager_key):
     trace = TraceBuilder("empty").build()
     config = MachineConfig(num_cores=2)
 
-    scalar = Machine(factory(), config).run(trace)
-    (batch,) = run_lanes([LaneSpec(trace=trace, manager=factory(), config=config)])
-    assert batch == scalar
-    assert batch.makespan_us == 0.0
+    scalar = Machine(factory(), config).run_scalar(trace)
+    routed = Machine(factory(), config).run(trace)
+    assert routed == scalar
+    assert routed.makespan_us == 0.0
 
 
 @pytest.mark.parametrize("manager_key", sorted(BATCH_TEST_MANAGERS))
@@ -122,9 +124,9 @@ def test_single_task_trace_matches_scalar(manager_key):
     trace = builder.build()
     config = MachineConfig(num_cores=1, validate=True)
 
-    scalar = Machine(factory(), config).run(trace)
-    (batch,) = run_lanes([LaneSpec(trace=trace, manager=factory(), config=config)])
-    assert batch == scalar
+    scalar = Machine(factory(), config).run_scalar(trace)
+    routed = Machine(factory(), config).run(trace)
+    assert routed == scalar
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +134,13 @@ def test_single_task_trace_matches_scalar(manager_key):
 # ---------------------------------------------------------------------------
 
 class _ForbiddenTimeline:
-    """Stands in for TaskTimeline when no lane may materialize one."""
+    """Stands in for TaskTimeline when no run may materialize one."""
 
     @staticmethod
     def from_columns(*args, **kwargs):
         raise AssertionError(
-            "keep_schedule=False lane built a TaskTimeline — the batch "
-            "backend must skip per-lane schedule collection entirely"
+            "keep_schedule=False kernel run built a TaskTimeline — the "
+            "kernel must skip schedule collection entirely"
         )
 
 
@@ -148,16 +150,13 @@ def test_keep_schedule_false_allocates_no_timelines(manager_key, monkeypatch):
     traces = [_trace(_spec(s)) for s in (301, 302, 303)]
     config = MachineConfig(num_cores=4, keep_schedule=False)
 
-    reference = [Machine(factory(), config).run(trace) for trace in traces]
+    reference = [Machine(factory(), config).run_scalar(trace) for trace in traces]
 
     monkeypatch.setattr(batch_module, "TaskTimeline", _ForbiddenTimeline)
-    batch = run_lanes([
-        LaneSpec(trace=trace, manager=factory(), config=config)
-        for trace in traces
-    ])
+    routed = [Machine(factory(), config).run(trace) for trace in traces]
 
-    assert batch == reference
-    for result in batch:
+    assert routed == reference
+    for result in routed:
         assert result.start_times == {}
         assert result.finish_times == {}
         assert result.task_cores == {}

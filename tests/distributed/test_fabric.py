@@ -84,14 +84,6 @@ class TestByteIdentity:
         assert runner.last_scheduler is not None
         assert runner.last_scheduler.results_received == 8
 
-    def test_batch_lane_workers_match_serial(self, tmp_path):
-        spec = small_spec()
-        SweepRunner().run(spec, jsonl_path=tmp_path / "serial.jsonl")
-        SweepRunner(transport="sockets", workers=2, batch_lanes=4).run(
-            spec, jsonl_path=tmp_path / "lanes.jsonl")
-        assert (tmp_path / "serial.jsonl").read_bytes() == \
-            (tmp_path / "lanes.jsonl").read_bytes()
-
 
 class TestSharedStore:
     def test_workers_publish_into_the_shared_cache(self, tmp_path):

@@ -1,16 +1,22 @@
 """Tests for SweepRunner: execution, caching, JSONL and study bridging."""
 
 import os
+from dataclasses import replace
 
 import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.experiments.cache import ResultCache
-from repro.experiments.runner import SweepRunner, resolve_worker_count, run_sweep
+from repro.experiments.runner import (
+    SweepRunner,
+    execute_lane_block,
+    resolve_worker_count,
+    run_sweep,
+)
 from repro.experiments.spec import SweepSpec, WorkloadSpec
 from repro.system import machine as machine_module
 from repro.system.machine import simulate
-from repro.trace.serialization import iter_jsonl
+from repro.trace.serialization import iter_jsonl, result_to_json
 from repro.workloads.registry import get_workload
 from repro.workloads.synthetic import generate_independent
 
@@ -86,6 +92,23 @@ class TestSerialExecution:
     def test_invalid_n_jobs_rejected(self):
         with pytest.raises(ConfigurationError):
             SweepRunner(n_jobs=0)
+
+    def test_mixed_block_runs_in_block_order(self):
+        """A block mixing static (kernel and scalar), stream and dynamic
+        cells returns each cell's own result, keyed and ordered as given."""
+        static = list(small_spec().points())
+        dynamic = next(SweepSpec(workloads=["fib"], managers=["ideal"], core_counts=[2],
+                                 depths=(5,), dynamic=True).points())
+        block = [
+            (7, static[0]),
+            (3, replace(static[1], stream=True)),
+            (0, dynamic),
+            (5, static[-1]),
+            (1, replace(static[2], stream=True)),
+        ]
+        rows = execute_lane_block(block)
+        assert [index for index, _ in rows] == [7, 3, 0, 5, 1]
+        assert [row for _, row in rows] == [result_to_json(point.run()) for _, point in block]
 
 
 class TestJsonl:

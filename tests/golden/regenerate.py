@@ -93,29 +93,24 @@ def regenerate() -> int:
     return 0
 
 
-def check_batch_equivalence(computed: dict) -> list[str]:
-    """Replay every golden trace through the batched lane backend — one
-    full 8-lane batch per golden manager — and compare each lane's
-    makespan against the regenerated expected values.  Guards the batch
-    engine's byte-identity contract at the same choke point that guards
-    the goldens themselves."""
-    from repro.sim.batch import LaneSpec, run_lanes
-
+def check_scalar_equivalence(computed: dict) -> list[str]:
+    """Replay every golden trace through the scalar reference loop
+    (``Machine.run_scalar``) for each manager that publishes a lane
+    kernel, and compare against the regenerated makespans, which
+    ``simulate`` computed on the kernel.  Keeps both replay paths pinned
+    to the committed goldens at the same choke point."""
     failures: list[str] = []
-    traces = golden_traces()
-    keys = sorted(traces)
-    config = MachineConfig(num_cores=GOLDEN_CORES)
-    for manager_key, factory in GOLDEN_MANAGERS.items():
-        lanes = run_lanes([
-            LaneSpec(trace=traces[key], manager=factory(), config=config)
-            for key in keys
-        ])
-        for key, lane in zip(keys, lanes):
+    config = MachineConfig(num_cores=GOLDEN_CORES, validate=True)
+    for key, trace in golden_traces().items():
+        for manager_key, factory in GOLDEN_MANAGERS.items():
+            if factory().lane_kernel() is None:
+                continue  # simulate already replayed it on the scalar loop
+            makespan = Machine(factory(), config).run_scalar(trace).makespan_us
             expected = computed["traces"][key]["makespans_us"][manager_key]
-            if lane.makespan_us != expected:
+            if makespan != expected:
                 failures.append(
-                    f"batch backend [{manager_key}/{key}]: batched makespan "
-                    f"{lane.makespan_us!r} != scalar {expected!r}")
+                    f"scalar reference [{manager_key}/{key}]: makespan "
+                    f"{makespan!r} != kernel {expected!r}")
     return failures
 
 
@@ -149,7 +144,7 @@ def check() -> int:
             continue
         if trace_digest(load_trace(path)) != trace_digest(fresh):
             failures.append(f"committed trace {filename} drifted from its generator")
-    failures.extend(check_batch_equivalence(computed))
+    failures.extend(check_scalar_equivalence(computed))
     if failures:
         print("golden drift detected:")
         for failure in failures:
@@ -159,7 +154,7 @@ def check() -> int:
         return 1
     print(f"goldens clean: {len(committed_files)} traces, "
           f"{len(computed['traces'])} static + {len(computed['dynamic'])} dynamic "
-          "makespan sets match; batched lane replay identical under "
+          "makespan sets match; kernel and scalar replay identical under "
           f"{len(GOLDEN_MANAGERS)} managers")
     return 0
 

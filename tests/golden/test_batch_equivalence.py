@@ -1,13 +1,14 @@
-"""Batch-vs-scalar golden equivalence.
+"""Kernel-vs-scalar golden equivalence.
 
-The batched lane backend (:func:`repro.sim.batch.run_lanes`) must
-reproduce the committed golden makespans **byte-identically** — the
-golden-trace guarantee extended to batched sweeps.  Every committed
-golden trace is replayed under all four golden managers at several lane
-widths (a single lane, a partial batch of 3, a full batch of 8), and a
-mixed-lane cell (different seeds and core counts per lane, the shape a
-real sweep grid produces) is checked lane-by-lane against solo scalar
-runs.
+``Machine.run`` replays ideal and nanos runs on the fast kernel
+(:func:`repro.sim.batch.run_kernel`); it must reproduce the committed
+golden makespans **byte-identically**.  Every committed golden trace is
+replayed under all four golden managers through both ``Machine.run``
+and the scalar reference ``Machine.run_scalar``: the full results must
+be equal, both must match the committed makespan, and both must report
+the same ``last_events_processed``.  A sweep-shaped mixed cell
+(different seeds and core counts per lane) is checked through
+:func:`repro.sim.batch.run_lanes` lane by lane against solo scalar runs.
 """
 
 from __future__ import annotations
@@ -32,51 +33,36 @@ EXPECTED = json.loads((GOLDEN_DIR / "expected_makespans.json").read_text(encodin
 TRACE_KEYS = sorted(EXPECTED["traces"])
 MANAGER_KEYS = list(GOLDEN_MANAGERS)
 
-#: Lane widths exercised per golden trace: degenerate single-lane batch,
-#: a partial batch, and a full 8-wide batch.
-LANE_COUNTS = (1, 3, 8)
-
 
 @lru_cache(maxsize=None)
 def _golden_trace(key: str):
     return load_trace(DATA_DIR / f"{key}.json.gz")
 
 
-@lru_cache(maxsize=None)
-def _scalar_oracle(key: str, manager_key: str):
-    factory = GOLDEN_MANAGERS[manager_key]
-    config = MachineConfig(num_cores=EXPECTED["cores"])
-    return Machine(factory(), config).run(_golden_trace(key))
-
-
 @pytest.mark.parametrize("manager_key", MANAGER_KEYS)
 @pytest.mark.parametrize("key", TRACE_KEYS)
-def test_batched_replay_matches_golden_makespans(key, manager_key):
-    """Every lane of every batch width equals the scalar oracle — and the
-    oracle equals the committed golden makespan."""
+def test_run_matches_scalar_and_golden_makespans(key, manager_key):
+    """Machine.run equals the scalar reference — result and event count —
+    and both equal the committed golden makespan."""
     trace = _golden_trace(key)
     factory = GOLDEN_MANAGERS[manager_key]
     config = MachineConfig(num_cores=EXPECTED["cores"])
     expected = EXPECTED["traces"][key]["makespans_us"][manager_key]
 
-    scalar = _scalar_oracle(key, manager_key)
+    reference = Machine(factory(), config)
+    scalar = reference.run_scalar(trace)
     assert scalar.makespan_us == expected, (
-        f"{manager_key} on golden {key}: scalar oracle itself drifted "
+        f"{manager_key} on golden {key}: scalar reference itself drifted "
         f"from the committed makespan"
     )
 
-    for lane_count in LANE_COUNTS:
-        lanes = run_lanes([
-            LaneSpec(trace=trace, manager=factory(), config=config)
-            for _ in range(lane_count)
-        ])
-        assert len(lanes) == lane_count
-        for index, lane in enumerate(lanes):
-            assert lane == scalar, (
-                f"{manager_key} on golden {key}: lane {index} of a "
-                f"{lane_count}-lane batch diverged from Machine.run — "
-                f"batched makespan {lane.makespan_us!r} != golden {expected!r}"
-            )
+    routed = Machine(factory(), config)
+    result = routed.run(trace)
+    assert result == scalar, (
+        f"{manager_key} on golden {key}: Machine.run diverged from the scalar "
+        f"reference — makespan {result.makespan_us!r} != golden {expected!r}"
+    )
+    assert routed.last_events_processed == reference.last_events_processed
 
 
 @pytest.mark.parametrize("manager_key", MANAGER_KEYS)
@@ -89,12 +75,12 @@ def test_mixed_lane_cell_matches_solo_runs(manager_key):
         for index, cores in enumerate((2, 4, 8, 16))
     ]
     solo = [
-        Machine(factory(), MachineConfig(num_cores=cores)).run(trace)
+        Machine(factory(), MachineConfig(num_cores=cores)).run_scalar(trace)
         for trace, cores in cell
     ]
-    batch = run_lanes([
+    lanes = run_lanes([
         LaneSpec(trace=trace, manager=factory(),
                  config=MachineConfig(num_cores=cores))
         for trace, cores in cell
     ])
-    assert batch == solo
+    assert lanes == solo

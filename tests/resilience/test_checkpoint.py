@@ -117,14 +117,14 @@ class TestSchedulerSigkillResume:
             return real_machine_run(self, *args, **kwargs)
 
         executed_cells = []
-        real_run_job = run_job
+        real_execute = runner_module.execute_lane_block
 
-        def recording_run_job(job):
-            executed_cells.append(job[0])
-            return real_run_job(job)
+        def recording_execute(block):
+            executed_cells.extend(index for index, _ in block)
+            return real_execute(block)
 
         monkeypatch.setattr(Machine, "run", counting_machine_run)
-        monkeypatch.setattr(runner_module, "run_job", recording_run_job)
+        monkeypatch.setattr(runner_module, "execute_lane_block", recording_execute)
 
         pending = list(enumerate(spec.points()))
         jobs, table = intern_jobs(pending)

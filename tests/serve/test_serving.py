@@ -13,6 +13,7 @@ import threading
 
 import pytest
 
+import repro.serve.batcher as batcher_module
 from repro.experiments.runner import SweepRunner
 from repro.experiments.spec import SweepSpec
 from repro.serve import ServeClient, ServeConfig, ServeError, start_in_thread
@@ -156,6 +157,21 @@ class TestSweepStreaming:
             client.sweep_report(workloads=[], managers=["ideal"],
                                 core_counts=[1])
         assert err.value.status == 400
+
+
+    @pytest.mark.parametrize("block_cells, blocks", [(None, 2), (5, 3), (1, 12)])
+    def test_sweep_cells_run_in_blocks_of_block_cells(
+            self, client, monkeypatch, block_cells, blocks):
+        """A 12-cell sweep is admitted at once and dispatched in blocks of
+        ``BLOCK_CELLS`` (8 by default: one full block and one of 4)."""
+        if block_cells is not None:
+            monkeypatch.setattr(batcher_module, "BLOCK_CELLS", block_cells)
+        client.sweep_report(workloads=["microbench"],
+                            managers=["ideal", "nanos", "nexus#2"],
+                            core_counts=[1, 2, 4, 8], scale=0.05)
+        stats = client.stats()
+        assert stats["executed"] == 12
+        assert stats["blocks"] == blocks
 
 
 class TestDedupe:
