@@ -15,7 +15,7 @@ Two measurement passes per manager:
   the full stream, with process peak RSS (``ru_maxrss``) recorded before
   and after; the report asserts the final peak stays under
   ``--rss-bound-mb`` (the documented bound: streaming keeps live state
-  O(in-flight window), so RSS is flat in task count);
+  O(in-flight tasks + live addresses), so RSS is flat in task count);
 * **heap** — a ``tracemalloc``-instrumented run at reduced length
   (tracemalloc distorts wall time, and the streaming heap profile is
   scale-invariant — pinned by the bounded-memory property test in
@@ -144,7 +144,7 @@ def run_benchmark(
             "machine_config": "run_stream, fifo scheduler, homogeneous topology, "
                               "keep_schedule=False",
             "note": "RSS bound holds because run_stream keeps live state "
-                    "O(in-flight window + lookahead), never O(total tasks); "
+                    "O(in-flight tasks + live addresses), never O(total tasks); "
                     "the heap pass runs shorter under tracemalloc (which "
                     "distorts wall time) — the streaming heap profile is "
                     "scale-invariant, see tests/properties/test_stream_memory.py",

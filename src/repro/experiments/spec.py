@@ -216,8 +216,8 @@ class RunPoint:
     #: Replay through the *dynamic* engine (:meth:`Machine.run_dynamic`):
     #: the workload's DynamicProgram spawns tasks while the machine runs
     #: instead of replaying its serial elaboration.  Combined with
-    #: ``stream`` this selects the dynamic (access-by-access) tracker
-    #: path; alone it uses the growable compiled path.
+    #: ``stream`` the program enters through :meth:`Machine.run_stream`
+    #: — the same engine and schedule, kept as its own cache identity.
     dynamic: bool = False
 
     def describe(self) -> Dict[str, object]:
@@ -285,7 +285,6 @@ class RunPoint:
                 self.workload.resolve_dynamic(),
                 self.factory(),
                 self.cores,
-                compiled=not self.stream,
                 validate=self.validate,
                 keep_schedule=self.keep_schedule,
                 scheduler=self.scheduler,
@@ -391,7 +390,8 @@ class SweepSpec:
         run_dynamic>`): the workload's program spawns tasks while the
         machine runs.  Requires dynamic workloads (``fib``, ``nqueens``,
         ``recursive-sort``, ``strassen``); with ``stream`` also set the
-        tracker uses its dynamic access-by-access path.
+        program enters through ``run_stream`` (same engine, same
+        schedule).
     depths:
         Recursion depths to sweep for dynamic workloads (``(None,)``
         keeps each workload's default); like ``seeds``, the axis only

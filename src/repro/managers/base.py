@@ -140,28 +140,25 @@ class TaskManagerModel(abc.ABC):
     def prepare_trace(self, trace) -> None:
         """Optional hook: the machine announces the trace it will replay.
 
-        Called by :meth:`repro.system.machine.Machine.run` after
+        Called by :meth:`repro.system.machine.Machine.run_scalar` after
         :meth:`reset` and before the first :meth:`submit`.  The default
         forwards the trace's compiled access program to
         :meth:`prepare_program`; managers that run a
         :class:`~repro.taskgraph.tracker.DependencyTracker` bind it there
-        so dependency resolution runs over preresolved int arrays.
-        Streaming replays (:meth:`~repro.system.machine.Machine.run_stream`)
-        never call it — :meth:`reset` must therefore also undo whatever
-        this hook set up.
+        so dependency resolution runs over the program's preresolved
+        rows.  Streams and dynamic programs never call it — their
+        tracker resolves each task at insert — so :meth:`reset` must
+        also undo whatever this hook set up.
         """
         self.prepare_program(trace.access_program())
 
     def prepare_program(self, program) -> None:
         """Optional hook: bind a compiled access program for the next run.
 
-        ``program`` is a :class:`~repro.trace.compiled.
-        CompiledAccessProgram`; it may be *empty and growable* — dynamic
-        runs (:meth:`repro.system.machine.Machine.run_dynamic`) bind a
-        fresh program per run and intern each task as it is spawned, so
-        a binding manager must tolerate tasks appearing after the bind
-        (the tracker's resolution extends itself lazily).  The default
-        is a no-op: managers without a tracker simply ignore programs.
+        ``program`` is the :class:`~repro.trace.compiled.
+        CompiledAccessProgram` of the static trace about to be replayed;
+        every task the run submits is in it.  The default is a no-op:
+        managers without a tracker simply ignore programs.
         """
 
     def lane_kernel(self) -> "LaneKernelSpec | None":

@@ -595,6 +595,7 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
     # The loop only ends on an empty heap, so every pushed event was
     # popped: the sequence counter is the scalar loop's processed_events.
     machine.last_events_processed = seq
+    machine.last_ready_order = ()
     makespan = now if now > master_time else master_time
 
     # --- consistency checks (mirroring the scalar engine) --------------------

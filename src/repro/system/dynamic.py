@@ -1,12 +1,19 @@
-"""The dynamic task-graph runtime: insert-while-running replay.
+"""The insert-while-running engine: streams and dynamic programs.
 
-This is the engine behind :meth:`repro.system.machine.Machine.run_dynamic`
-(and the ``Machine.run`` / ``Machine.run_stream`` dispatch for
-:class:`~repro.trace.dynamic.DynamicProgram` sources).  It simulates the
-regime the paper's hardware actually serves: tasks arrive from a running
-OmpSs-style program — the master thread *and* executing tasks may spawn
-new tasks and issue ``taskwait`` — so nothing about the task set is known
-at t=0.
+This is the engine behind :meth:`repro.system.machine.Machine.run_stream`
+and :meth:`~repro.system.machine.Machine.run_dynamic` (and the
+``Machine.run`` dispatch for :class:`~repro.trace.dynamic.DynamicProgram`
+sources).  It simulates the regime the paper's hardware actually serves:
+tasks arrive while the machine runs, so nothing about the task set is
+known at t=0.  Two kinds of source drive the master thread:
+
+* a :class:`~repro.trace.stream.TaskStream` (or a materialised trace
+  replayed as one): each ``TaskSubmitEvent`` submits the stream's own
+  descriptor under its own id, ``taskwait`` / ``taskwait on`` events are
+  master barriers.  Only in-flight tasks are held, so live state is
+  O(in-flight tasks + live addresses), never O(total tasks);
+* a :class:`~repro.trace.dynamic.DynamicProgram`: the master thread *and*
+  executing tasks may spawn new tasks and issue ``taskwait``.
 
 Semantics
 ---------
@@ -32,36 +39,38 @@ Semantics
   segment (a pure control body with no :class:`~repro.trace.dynamic.
   Compute` op pays none).
 
-Two dependency-tracking paths drive the same loop and must stay
-byte-identical (the fuzz suite in ``tests/fuzz/`` pins this):
+The manager's dependency tracker resolves every task's accesses at
+insert (no access program is bound), the same row loops a bound static
+trace uses.  On a static trace the engine's schedule, manager statistics
+and event count equal :meth:`Machine.run_scalar
+<repro.system.machine.Machine.run_scalar>`'s (pinned by
+``tests/golden/test_stream_equivalence.py``).
 
-* ``compiled=True`` (the ``Machine.run`` dispatch): a fresh, *growable*
-  :class:`~repro.trace.compiled.CompiledAccessProgram` is bound to the
-  manager before the run and every spawned task is interned into it, so
-  the tracker keeps its preresolved-int-array hot path even though task
-  ids are unknown at t=0;
-* ``compiled=False`` (the ``Machine.run_stream`` dispatch): the
-  tracker's dynamic access-by-access path, with no program bound.
-
-Determinism: given a deterministic program, the engine is fully
+Determinism: given a deterministic source, the engine is fully
 deterministic — the event queue orders ties by ``(time, priority,
 sequence)`` and every manager interaction happens in event-processing
-order — so repeated runs, and the two tracking paths, agree exactly.
+order — so repeated runs agree exactly.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.common.errors import SimulationError
 from repro.sim.engine import Simulator
 from repro.system.results import MachineResult
 from repro.system.timeline import TaskTimeline
 from repro.system.topology import CorePool
-from repro.trace.compiled import CompiledAccessProgram
 from repro.trace.dynamic import Compute, DynamicProgram, Spawn, Taskwait, TaskwaitOn
-from repro.trace.events import SpawnEvent, TraceEvent
+from repro.trace.events import (
+    SpawnEvent,
+    TaskSubmitEvent,
+    TaskwaitEvent,
+    TaskwaitOnEvent,
+    TraceEvent,
+)
+from repro.trace.stream import TaskStream
 from repro.trace.trace import Trace
 
 # Event kinds / priorities (completions before readies before the master,
@@ -76,10 +85,10 @@ _KIND_MASTER = "master-step"
 
 
 class _TaskRun:
-    """Live state of one spawned task (from submission to retirement)."""
+    """Live state of one submitted task (from submission to retirement)."""
 
     __slots__ = ("task", "body", "gen", "parent_id", "slot", "core",
-                 "children", "waiting", "first_segment")
+                 "children", "waiting", "first_segment", "dispatched")
 
     def __init__(self, task, body, parent_id: Optional[int], slot: int) -> None:
         self.task = task
@@ -91,27 +100,25 @@ class _TaskRun:
         self.children = 0        # direct children still in flight
         self.waiting = False     # suspended in a task-level taskwait
         self.first_segment = True
+        self.dispatched = False  # ready notification already delivered
 
 
-def run_dynamic(
+def run_engine(
     machine,
-    program: DynamicProgram,
+    source: Union[DynamicProgram, TaskStream],
     *,
-    compiled: bool,
     max_in_flight: Optional[int] = None,
 ) -> MachineResult:
-    """Replay ``program`` on ``machine``; see the module docstring."""
+    """Replay a dynamic program or a task stream on ``machine``.
+
+    See the module docstring.  ``max_in_flight`` stalls the master once
+    that many submitted tasks are outstanding (back-pressure).
+    """
     if max_in_flight is not None and max_in_flight <= 0:
         raise SimulationError(f"max_in_flight must be positive, got {max_in_flight}")
     config = machine.config
     manager = machine.manager
     manager.reset()
-    access_program: Optional[CompiledAccessProgram] = None
-    if compiled:
-        # A fresh growable program per run: dynamic task sets are never
-        # shared across runs, so nothing is cached on a trace object.
-        access_program = CompiledAccessProgram()
-        manager.prepare_program(access_program)
     policy = machine.policy
     policy.reset()
     pool = CorePool(machine.topology)
@@ -122,7 +129,6 @@ def run_dynamic(
     push = queue.push
 
     # --- state -------------------------------------------------------------
-    master_gen = program.master()
     master_time = 0.0
     master_blocked: Optional[Tuple[str, Optional[int]]] = None
     master_done = False
@@ -135,18 +141,17 @@ def run_dynamic(
     finished_count = 0
     core_busy_us = 0.0
 
+    #: every submitted, unfinished task
     runs: Dict[int, _TaskRun] = {}
-    unfinished: set = set()
-    dispatched: set = set()
     writes_of: Dict[int, Tuple[int, ...]] = {}
     last_writer: Dict[int, int] = {}
     resume_queue: deque = deque()    # parents whose children drained, awaiting a core
-    ready_order: List[int] = []
 
     validate = config.validate
     collect = config.keep_schedule or validate
     timeline = TaskTimeline.growable() if collect else None
-    recorded_events: List[TraceEvent] = []  # submission order (collect/validate)
+    ready_order: List[int] = []      # fed only when collecting
+    recorded_events: List[TraceEvent] = []  # submission order (validate)
 
     worker_overhead = manager.worker_overhead_us
     supports_taskwait_on = manager.supports_taskwait_on
@@ -162,21 +167,23 @@ def run_dynamic(
     manager_submit = manager.submit
     manager_finish = manager.finish
 
-    # --- submission (shared by master spawns and task spawns) ---------------
-    def submit_task(request, parent: Optional[_TaskRun], time: float) -> Tuple[int, float]:
-        nonlocal next_task_id, outstanding, num_tasks, total_work_us
-        task_id = next_task_id
-        next_task_id = task_id + 1
-        task = request.descriptor(task_id)
+    # --- submission (shared by the master and spawning tasks) ---------------
+    def submit_task(task, body, parent: Optional[_TaskRun], time: float) -> float:
+        """Hand ``task`` to the manager at ``time``; return when the submitter resumes.
+
+        The submitter is throttled like the static master: it resumes at
+        ``max(accept_time, time + creation_overhead)``.
+        """
+        nonlocal outstanding, num_tasks, total_work_us
+        task_id = task.task_id
+        parent_id = None if parent is None else parent.task.task_id
         slot = -1
         if collect:
             slot = timeline.add_task(task_id)
             timeline.submit[slot] = time
-            recorded_events.append(
-                SpawnEvent(task, parent_id=None if parent is None else parent.task.task_id))
-        rec = _TaskRun(task, request.body, None if parent is None else parent.task.task_id, slot)
-        runs[task_id] = rec
-        unfinished.add(task_id)
+            if validate:
+                recorded_events.append(SpawnEvent(task, parent_id=parent_id))
+        runs[task_id] = _TaskRun(task, body, parent_id, slot)
         outstanding += 1
         num_tasks += 1
         total_work_us += task.duration_us
@@ -187,8 +194,6 @@ def run_dynamic(
             writes_of[task_id] = write_addrs
             for address in write_addrs:
                 last_writer[address] = task_id
-        if access_program is not None:
-            access_program.add_task(task)
         outcome = manager_submit(task, time)
         for notification in outcome.ready:
             ready_id = notification.task_id
@@ -201,7 +206,15 @@ def run_dynamic(
         if accept < time:
             raise SimulationError(
                 f"manager {manager.name} accepted task {task_id} in the past")
-        return task_id, accept
+        resume = time + task.creation_overhead_us
+        return accept if accept > resume else resume
+
+    def spawn(request, parent: Optional[_TaskRun], time: float) -> Tuple[int, float]:
+        """Submit a program's spawn request; return ``(task id, resume time)``."""
+        nonlocal next_task_id
+        task_id = next_task_id
+        next_task_id = task_id + 1
+        return task_id, submit_task(request.descriptor(task_id), request.body, parent, time)
 
     # --- core dispatch -------------------------------------------------------
     def fill_cores(now: float) -> None:
@@ -262,12 +275,7 @@ def run_dynamic(
                 schedule_segment(rec, now, op.duration_us)
                 return
             if isinstance(op, Spawn):
-                child_id, accept = submit_task(op.request, rec, now)
-                next_time = now + op.request.creation_overhead_us
-                if accept > next_time:
-                    next_time = accept
-                now = next_time
-                send = child_id
+                send, now = spawn(op.request, rec, now)
                 continue
             if isinstance(op, Taskwait):
                 if rec.children == 0:
@@ -282,18 +290,16 @@ def run_dynamic(
                 return
             if isinstance(op, TaskwaitOn):
                 raise SimulationError(
-                    f"task {task_id} ({program.name}): TaskwaitOn is a "
+                    f"task {task_id} ({source.name}): TaskwaitOn is a "
                     "master-only op; task bodies join children with Taskwait")
             raise SimulationError(
-                f"task {task_id} ({program.name}): unknown dynamic op {op!r}")
+                f"task {task_id} ({source.name}): unknown dynamic op {op!r}")
 
     def finish_task(rec: _TaskRun, now: float) -> None:
         nonlocal outstanding, finished_count
         task_id = rec.task.task_id
         outstanding -= 1
         finished_count += 1
-        unfinished.discard(task_id)
-        dispatched.discard(task_id)
         if collect:
             timeline.finish[rec.slot] = now
         write_addrs = writes_of.pop(task_id, None)
@@ -340,7 +346,7 @@ def run_dynamic(
             if outstanding != 0:
                 return False
         elif kind == "task":
-            if waited_task in unfinished:
+            if waited_task in runs:
                 return False
         else:  # kind == "window": back-pressure stall
             assert max_in_flight is not None
@@ -351,19 +357,60 @@ def run_dynamic(
             master_time = now
         return True
 
-    def advance_master(now: float) -> None:
-        nonlocal master_time, master_blocked, master_done
-        nonlocal master_send, master_barrier_resuming
+    def block_on(address: Optional[int]) -> bool:
+        """Block the master on a barrier; False when it is already resolved.
+
+        ``None`` is a full taskwait; an address is a ``taskwait on`` —
+        degraded to a full taskwait when the manager lacks the pragma
+        (Nexus++, Section III of the paper).
+        """
+        nonlocal master_blocked
+        if address is None or not supports_taskwait_on:
+            if outstanding == 0:
+                return False
+            master_blocked = ("all", None)
+            return True
+        writer = last_writer.get(address)
+        if writer is None:
+            # Never written, or the writer already finished (pruned).
+            return False
+        master_blocked = ("task", writer)
+        return True
+
+    def yield_to_pending() -> bool:
+        """Requeue the master behind pending events that sort before it.
+
+        Otherwise the master keeps submitting inline instead of bouncing
+        through the event queue: equal-time completions and readies
+        outrank the master's priority, so none can sort before its next
+        step, and event order — and therefore the schedule — is
+        unchanged.
+        """
+        pending = queue.next_time
+        if pending is not None and pending <= master_time:
+            push(master_time, _KIND_MASTER, None, _PRIORITY_MASTER)
+            return True
+        return False
+
+    def window_full() -> bool:
+        nonlocal master_blocked
+        if max_in_flight is not None and outstanding >= max_in_flight:
+            master_blocked = ("window", None)
+            return True
+        return False
+
+    def advance_program(now: float) -> None:
+        """Run the program's master generator until it blocks or ends."""
+        nonlocal master_time, master_done, master_send, master_barrier_resuming
         if now > master_time:
             master_time = now
         if master_barrier_resuming:
             master_send = master_time
             master_barrier_resuming = False
         while True:
-            if max_in_flight is not None and outstanding >= max_in_flight:
-                # Window stalls keep master_send: the pending response
-                # belongs to the op consumed before the stall.
-                master_blocked = ("window", None)
+            # Window stalls keep master_send: the pending response belongs
+            # to the op consumed before the stall.
+            if window_full():
                 return
             try:
                 op = master_gen.send(master_send)
@@ -371,43 +418,70 @@ def run_dynamic(
                 master_done = True
                 return
             if isinstance(op, Spawn):
-                task_id, accept = submit_task(op.request, None, master_time)
-                master_send = task_id
-                next_time = master_time + op.request.creation_overhead_us
-                if accept > next_time:
-                    next_time = accept
-                master_time = next_time
-                pending = queue.next_time
-                if pending is not None and pending <= master_time:
-                    push(master_time, _KIND_MASTER, None, _PRIORITY_MASTER)
+                master_send, master_time = spawn(op.request, None, master_time)
+                if yield_to_pending():
                     return
-                # Same inline-submission fast path as the static loops.
                 continue
             if isinstance(op, Compute):
                 # A serial section on the master thread.
                 master_time += op.duration_us
                 master_send = master_time
                 continue
-            if isinstance(op, Taskwait) or (
-                isinstance(op, TaskwaitOn) and not supports_taskwait_on
-            ):
-                # Nexus++-style degradation of `taskwait on` (Section III).
-                if outstanding == 0:
-                    master_send = master_time
-                    continue
-                master_blocked = ("all", None)
+            if isinstance(op, Taskwait):
+                address = None
+            elif isinstance(op, TaskwaitOn):
+                address = op.address
+            else:
+                raise SimulationError(f"{source.name}: unknown master op {op!r}")
+            if block_on(address):
                 master_barrier_resuming = True
                 return
-            if not isinstance(op, TaskwaitOn):
-                raise SimulationError(f"{program.name}: unknown master op {op!r}")
-            writer = last_writer.get(op.address)
-            if writer is None:
-                # Never written, or the writer already finished (pruned).
-                master_send = master_time
+            master_send = master_time
+
+    def advance_stream(now: float) -> None:
+        """Consume stream events until a submission stalls, a block, or the end."""
+        nonlocal master_time, master_done, next_event
+        if now > master_time:
+            master_time = now
+        while True:
+            if window_full():
+                return
+            event = next_event
+            if event is None:
+                master_done = True
+                return
+            # Read one event ahead, so the master knows the stream ended
+            # right after its last submission, like the static loop.
+            next_event = next(events, None)
+            if isinstance(event, TaskSubmitEvent):
+                task = event.task
+                if task.task_id in runs:
+                    raise SimulationError(
+                        f"task id {task.task_id} submitted while still in flight "
+                        f"in stream {source.name!r}")
+                master_time = submit_task(task, None, None, master_time)
+                if next_event is None:
+                    master_done = True
+                    return
+                if yield_to_pending():
+                    return
                 continue
-            master_blocked = ("task", writer)
-            master_barrier_resuming = True
-            return
+            if isinstance(event, TaskwaitEvent):
+                address = None
+            elif isinstance(event, TaskwaitOnEvent):
+                address = event.address
+            else:
+                raise SimulationError(f"unknown trace event {event!r}")
+            if block_on(address):
+                return
+
+    if isinstance(source, DynamicProgram):
+        master_gen = source.master()
+        advance_master = advance_program
+    else:
+        events = iter(source.iter_events())
+        next_event = next(events, None)
+        advance_master = advance_stream
 
     # --- event handlers ------------------------------------------------------
     def on_master(sim: Simulator, event) -> None:
@@ -416,15 +490,17 @@ def run_dynamic(
 
     def on_ready(sim: Simulator, event) -> None:
         task_id = event[4]
-        if task_id in dispatched:
+        rec = runs[task_id]
+        if rec.dispatched:
             raise SimulationError(f"task {task_id} reported ready twice")
-        dispatched.add(task_id)
-        ready_order.append(task_id)
+        rec.dispatched = True
+        if collect:
+            ready_order.append(task_id)
         now = event[0]
         if idle_ranks:
             start_task(task_id, now, acquire())
         else:
-            enqueue(task_id, runs[task_id].task, now)
+            enqueue(task_id, rec.task, now)
 
     def on_segment(sim: Simulator, event) -> None:
         rec = runs[event[4]]
@@ -450,7 +526,7 @@ def run_dynamic(
         blocked = sorted(tid for tid, rec in runs.items() if rec.waiting)
         missing = num_tasks - finished_count
         raise SimulationError(
-            f"{manager.name} on {program.name}: {missing} of {num_tasks} tasks never "
+            f"{manager.name} on {source.name}: {missing} of {num_tasks} tasks never "
             f"finished (master {'done' if master_done else 'stuck'}; "
             f"{len(blocked)} tasks suspended in taskwait: {blocked[:10]}"
             f"{'...' if len(blocked) > 10 else ''})"
@@ -459,15 +535,15 @@ def run_dynamic(
         )
 
     if validate:
-        replayed = Trace(name=program.name, events=tuple(recorded_events),
-                         metadata=dict(program.metadata))
+        replayed = Trace(name=source.name, events=tuple(recorded_events),
+                         metadata=dict(source.metadata))
         from repro.trace.dag import validate_schedule
 
         validate_schedule(replayed, timeline.start_dict(), timeline.finish_dict())
 
     keep = config.keep_schedule and timeline is not None
     return MachineResult(
-        trace_name=program.name,
+        trace_name=source.name,
         manager_name=manager.name,
         num_cores=config.num_cores,
         makespan_us=makespan,

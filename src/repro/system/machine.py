@@ -38,7 +38,7 @@ With the default configuration (FIFO policy, homogeneous unit-speed
 topology) the schedule — and therefore every golden-trace makespan — is
 bit-identical to the pre-refactor monolithic loop.
 
-Two replay paths share the layers above:
+Two replay engines share the layers above, picked by the input type:
 
 * :meth:`Machine.run` compiles a materialised trace into flat op arrays
   (cached on the trace) — the fastest path when the trace fits in RAM.
@@ -46,17 +46,16 @@ Two replay paths share the layers above:
   :mod:`repro.sim.batch` (constant-foldable managers under FIFO dispatch
   on unit-speed cores) and replays the rest on the scalar loop of
   :meth:`Machine.run_scalar`;
-* :meth:`Machine.run_stream` pulls events incrementally from any
-  :class:`~repro.trace.stream.TaskStream` through a windowed lookahead
-  buffer, keeping live state bounded by the in-flight window — the path
-  for million-task workloads (optionally back-pressured via
+* :meth:`Machine.run_stream` and :meth:`Machine.run_dynamic` replay task
+  streams and dynamic programs on the insert-while-running engine in
+  :mod:`repro.system.dynamic`, which holds only in-flight tasks — the
+  path for million-task workloads (optionally back-pressured via
   ``max_in_flight``).  Default-configuration schedules are bit-identical
-  between the two paths.
+  between the two engines.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -64,6 +63,7 @@ from repro.common.errors import SimulationError
 from repro.common.validation import check_positive
 from repro.managers.base import TaskManagerModel
 from repro.sim.engine import Simulator
+from repro.system.dynamic import run_engine
 from repro.system.results import MachineResult
 from repro.system.scheduling import PolicyLike, SchedulerPolicy, make_policy
 from repro.system.timeline import TaskTimeline
@@ -77,10 +77,6 @@ from repro.trace.trace import Trace
 
 #: Anything `Machine.run_stream` accepts as a task source.
 StreamLike = Union[TaskStream, Trace, Iterable[TraceEvent], DynamicProgram]
-
-#: Default number of trace events buffered ahead of the master thread in
-#: streaming mode (amortises chunked-file decode; see `run_stream`).
-DEFAULT_LOOKAHEAD_EVENTS = 1024
 
 # Event kinds, ordered by processing priority at equal timestamps: task
 # completions first (they free cores and resolve barriers), then ready
@@ -206,9 +202,11 @@ class Machine:
         self.topology: CoreTopology = resolve_topology(config.topology, config.num_cores)
         #: Events dispatched by the most recent :meth:`run` (throughput metric).
         self.last_events_processed = 0
-        #: Task ids in the order the most recent *dynamic* run dispatched
-        #: their ready notifications (the differential fuzz suite pins
-        #: this between the two tracking paths); ``()`` after static runs.
+        #: Task ids in the order the most recent :meth:`run_stream` or
+        #: :meth:`run_dynamic` run dispatched their ready notifications,
+        #: recorded when that run kept its schedule (``keep_schedule`` or
+        #: ``validate``; the differential fuzz suite pins it).  ``()``
+        #: after any other run, static replays included.
         self.last_ready_order: Tuple[int, ...] = ()
 
     # -- public API -------------------------------------------------------------
@@ -223,11 +221,10 @@ class Machine:
         byte-identical results.
 
         A :class:`~repro.trace.dynamic.DynamicProgram` source runs on the
-        dynamic engine with the **compiled** tracking path (a growable
-        access program bound to the manager); see :meth:`run_dynamic`.
+        insert-while-running engine; see :meth:`run_dynamic`.
         """
         if isinstance(trace, DynamicProgram):
-            return self.run_dynamic(trace, compiled=True)
+            return self.run_dynamic(trace)
         from repro.sim.batch import lane_fallback_reason, run_kernel
 
         if lane_fallback_reason(self, trace) is None:
@@ -485,6 +482,7 @@ class Machine:
         advance_master(0.0)
         sim.run()
         self.last_events_processed = sim.processed_events
+        self.last_ready_order = ()
         makespan = sim.now if sim.now > master_time else master_time
 
         # --- consistency checks -----------------------------------------------------
@@ -529,25 +527,23 @@ class Machine:
         stream: StreamLike,
         *,
         max_in_flight: Optional[int] = None,
-        lookahead: int = DEFAULT_LOOKAHEAD_EVENTS,
     ) -> MachineResult:
         """Replay a task *stream* without materialising the trace.
 
         The streaming counterpart of :meth:`run`: the master thread pulls
-        events incrementally from ``stream`` (a
+        events one at a time from ``stream`` (a
         :class:`~repro.trace.stream.TaskStream`, a materialised
-        :class:`~repro.trace.trace.Trace`, or a bare event iterable)
-        through a windowed ``lookahead`` buffer, so a million-task trace
-        is simulated without ever holding its task list in memory.
-        Scheduler policies see exactly the same queued-ready-task picture
-        as in :meth:`run` — dispatch is driven by manager ready
-        notifications, which are unaffected by how the master sources its
-        events — and with default settings the schedule, and therefore
-        the makespan, is **bit-identical** to ``run(materialize(stream))``
-        (pinned by ``tests/golden/test_stream_equivalence.py``).
+        :class:`~repro.trace.trace.Trace`, or a bare event iterable) on
+        the engine of :mod:`repro.system.dynamic`, so a million-task
+        trace is simulated without ever holding its task list in memory.
+        Each submitted task keeps its own descriptor and id; an id may
+        be reused once its task has finished.  With default settings the
+        schedule, manager statistics and event count are **bit-identical**
+        to ``run_scalar(materialize(stream))`` (pinned by
+        ``tests/golden/test_stream_equivalence.py``).
 
         Memory-boundedness: with ``keep_schedule=False`` the machine's
-        live state is O(in-flight tasks + lookahead), never O(total
+        live state is O(in-flight tasks + live addresses), never O(total
         tasks).  In-flight count is workload-driven (barriers and
         dependency chains bound it naturally); ``max_in_flight`` adds
         explicit back-pressure — the master stalls once that many
@@ -557,338 +553,27 @@ class Machine:
         ``max_in_flight`` runs are only comparable to other runs with the
         same cap.
 
-        ``keep_schedule=True`` collects per-task times into dicts (O(total
-        tasks) — fine for tests, wrong for million-task runs), and
-        ``validate=True`` additionally records the events to check the
-        schedule against the reference DAG.
+        ``keep_schedule=True`` collects per-task times (O(total tasks) —
+        fine for tests, wrong for million-task runs), and
+        ``validate=True`` additionally records the submissions to check
+        the schedule against the reference DAG.
 
-        .. note:: This loop deliberately mirrors :meth:`run` (which keeps
-           its compiled-array hot path) with dict-backed state; any
-           behavioural change to one loop must be applied to both, and is
-           guarded by the golden equivalence tests plus the
-           scheduler/topology parity matrix in
-           ``tests/system/test_run_stream.py``.
-
-        A :class:`~repro.trace.dynamic.DynamicProgram` source runs on the
-        dynamic engine with the **dynamic** (access-by-access) tracking
-        path — the streaming counterpart of :meth:`run`'s compiled
-        dispatch; both paths are byte-identical on deterministic
-        programs (``lookahead`` does not apply, ``max_in_flight``
-        back-pressures the master's spawns).
+        A :class:`~repro.trace.dynamic.DynamicProgram` source runs as in
+        :meth:`run_dynamic` (``max_in_flight`` back-pressures the
+        master's spawns).
         """
         if isinstance(stream, DynamicProgram):
-            return self.run_dynamic(stream, compiled=False, max_in_flight=max_in_flight)
+            return self.run_dynamic(stream, max_in_flight=max_in_flight)
         try:
-            return self._run_stream(stream, max_in_flight=max_in_flight, lookahead=lookahead)
+            return run_engine(self, as_stream(stream), max_in_flight=max_in_flight)
         except BaseException:
             self._abandon()
             raise
-
-    def _run_stream(
-        self,
-        stream: StreamLike,
-        *,
-        max_in_flight: Optional[int],
-        lookahead: int,
-    ) -> MachineResult:
-        if max_in_flight is not None and max_in_flight <= 0:
-            raise SimulationError(f"max_in_flight must be positive, got {max_in_flight}")
-        if lookahead <= 0:
-            raise SimulationError(f"lookahead must be positive, got {lookahead}")
-        stream = as_stream(stream)
-        manager = self.manager
-        manager.reset()
-        policy = self.policy
-        policy.reset()
-        pool = CorePool(self.topology)
-
-        sim = Simulator()
-        queue = sim.queue
-        push = queue.push
-
-        # --- event source ------------------------------------------------------
-        source = stream.iter_events()
-        buffer: deque = deque()
-        source_done = False
-
-        def refill() -> bool:
-            """Top the lookahead buffer up; False when the source is dry."""
-            nonlocal source_done
-            if not source_done:
-                take = lookahead - len(buffer)
-                for event in source:
-                    buffer.append(event)
-                    take -= 1
-                    if take <= 0:
-                        break
-                else:
-                    source_done = True
-            return bool(buffer)
-
-        # --- state -------------------------------------------------------------
-        master_time = 0.0
-        master_blocked: Optional[Tuple[str, Optional[int]]] = None
-        master_done = False
-        outstanding = 0
-        num_tasks = 0
-        total_work_us = 0.0
-        finished_count = 0
-        core_busy_us = 0.0
-
-        # Per-task state lives in dicts/sets bounded by the in-flight
-        # window: every entry is removed when its task finishes.
-        task_of: Dict[int, TaskDescriptor] = {}
-        unfinished: set = set()
-        dispatched: set = set()
-        writes_of: Dict[int, Tuple[int, ...]] = {}
-        last_writer: Dict[int, int] = {}
-
-        validate = self.config.validate
-        collect = self.config.keep_schedule or validate
-        submit_times: Dict[int, float] = {}
-        ready_times: Dict[int, float] = {}
-        start_times: Dict[int, float] = {}
-        finish_times: Dict[int, float] = {}
-        task_cores: Dict[int, int] = {}
-        recorded_events: List[TraceEvent] = []  # only fed when validate
-
-        worker_overhead = manager.worker_overhead_us
-        supports_taskwait_on = manager.supports_taskwait_on
-        speeds = pool.speeds
-        busy_us = pool.busy_us
-        acquire = pool.acquire
-        release = pool.release
-        idle_ranks = pool.idle_ranks
-        wants_start_events = policy.wants_start_events
-        enqueue = policy.enqueue
-        select = policy.select
-        policy_pending = policy.__len__
-        manager_submit = manager.submit
-        manager_finish = manager.finish
-
-        # --- helpers -------------------------------------------------------------
-        def start_task(task_id: int, now: float) -> None:
-            nonlocal core_busy_us
-            task = task_of[task_id]
-            core = acquire()
-            nominal = worker_overhead + task.duration_us
-            speed = speeds[core]
-            duration = nominal if speed == 1.0 else nominal / speed
-            end = now + duration
-            core_busy_us += duration
-            busy_us[core] += duration
-            if collect:
-                start_times[task_id] = now
-                finish_times[task_id] = end
-                task_cores[task_id] = core
-            if wants_start_events:
-                policy.on_start(task_id, task, core, now)
-            push(end, _KIND_DONE, (task_id, core), _PRIORITY_DONE)
-
-        def barrier_satisfied(now: float) -> bool:
-            """Check (and clear) the master's barrier if it is resolved."""
-            nonlocal master_blocked, master_time
-            if master_blocked is None:
-                return False
-            kind, waited_task = master_blocked
-            if kind == "all":
-                if outstanding != 0:
-                    return False
-            elif kind == "task":
-                if waited_task in unfinished:
-                    return False
-            else:  # kind == "window": back-pressure stall
-                assert max_in_flight is not None
-                if outstanding >= max_in_flight:
-                    return False
-            master_blocked = None
-            if now > master_time:
-                master_time = now
-            return True
-
-        def advance_master(now: float) -> None:
-            """Consume stream events until a submission, a block, or the end."""
-            nonlocal master_time, master_blocked, master_done, outstanding
-            nonlocal num_tasks, total_work_us
-            if now > master_time:
-                master_time = now
-            while True:
-                if max_in_flight is not None and outstanding >= max_in_flight:
-                    master_blocked = ("window", None)
-                    return
-                if not buffer and not refill():
-                    master_done = True
-                    return
-                event = buffer.popleft()
-                if validate:
-                    recorded_events.append(event)
-                if isinstance(event, TaskSubmitEvent):
-                    task = event.task
-                    task_id = task.task_id
-                    if task_id in unfinished:
-                        raise SimulationError(
-                            f"task id {task_id} submitted while still in flight "
-                            f"in stream {stream.name!r}"
-                        )
-                    outstanding += 1
-                    num_tasks += 1
-                    total_work_us += task.duration_us
-                    unfinished.add(task_id)
-                    task_of[task_id] = task
-                    if collect:
-                        submit_times[task_id] = master_time
-                    write_addrs = task.output_addresses
-                    if write_addrs:
-                        writes_of[task_id] = write_addrs
-                        for address in write_addrs:
-                            last_writer[address] = task_id
-                    outcome = manager_submit(task, master_time)
-                    for notification in outcome.ready:
-                        ready_id = notification.task_id
-                        ready_time = notification.time_us
-                        if collect:
-                            ready_times[ready_id] = ready_time
-                        push(ready_time if ready_time > master_time else master_time,
-                             _KIND_READY, ready_id, _PRIORITY_READY)
-                    next_time = master_time + task.creation_overhead_us
-                    if outcome.accept_time_us > next_time:
-                        next_time = outcome.accept_time_us
-                    if next_time < master_time:
-                        raise SimulationError(
-                            f"manager {manager.name} accepted task {task_id} in the past"
-                        )
-                    master_time = next_time
-                    if not buffer and not refill():
-                        master_done = True
-                        return
-                    pending = queue.next_time
-                    if pending is not None and pending <= master_time:
-                        push(master_time, _KIND_MASTER, None, _PRIORITY_MASTER)
-                        return
-                    # Same inline-submission fast path as `run` (see the
-                    # comment there): event order is provably unchanged.
-                    continue
-                if isinstance(event, TaskwaitEvent) or (
-                    isinstance(event, TaskwaitOnEvent) and not supports_taskwait_on
-                ):
-                    # Nexus++-style degradation of `taskwait on` to a full
-                    # taskwait (Section III of the paper).
-                    if outstanding == 0:
-                        continue
-                    master_blocked = ("all", None)
-                    return
-                if not isinstance(event, TaskwaitOnEvent):
-                    raise SimulationError(f"unknown trace event {event!r}")
-                writer = last_writer.get(event.address)
-                if writer is None:
-                    # Never written, or the last writer already finished
-                    # (its entry is pruned on completion).
-                    continue
-                master_blocked = ("task", writer)
-                return
-
-        # --- event handlers ------------------------------------------------------
-        def on_master(sim: Simulator, event) -> None:
-            if master_blocked is None and not master_done:
-                advance_master(event[0])
-
-        def on_ready(sim: Simulator, event) -> None:
-            task_id = event[4]
-            if task_id in dispatched:
-                raise SimulationError(f"task {task_id} reported ready twice")
-            dispatched.add(task_id)
-            now = event[0]
-            if idle_ranks:
-                start_task(task_id, now)
-            else:
-                enqueue(task_id, task_of[task_id], now)
-
-        def on_done(sim: Simulator, event) -> None:
-            nonlocal outstanding, finished_count
-            task_id, core = event[4]
-            now = event[0]
-            outstanding -= 1
-            finished_count += 1
-            unfinished.discard(task_id)
-            dispatched.discard(task_id)
-            del task_of[task_id]
-            write_addrs = writes_of.pop(task_id, None)
-            if write_addrs:
-                for address in write_addrs:
-                    if last_writer.get(address) == task_id:
-                        del last_writer[address]
-            outcome = manager_finish(task_id, now)
-            for notification in outcome.ready:
-                ready_id = notification.task_id
-                ready_time = notification.time_us
-                if collect:
-                    ready_times[ready_id] = ready_time
-                push(ready_time if ready_time > now else now,
-                     _KIND_READY, ready_id, _PRIORITY_READY)
-            # The freed core picks up the next queued ready task, if any.
-            release(core)
-            if policy_pending():
-                next_task = select(core, now)
-                if next_task is not None:
-                    start_task(next_task, now)
-            # Barriers (and back-pressure stalls) resolve on completions.
-            if master_blocked is not None and barrier_satisfied(now) and not master_done:
-                push(master_time, _KIND_MASTER, None, _PRIORITY_MASTER)
-
-        sim.on(_KIND_MASTER, on_master)
-        sim.on(_KIND_READY, on_ready)
-        sim.on(_KIND_DONE, on_done)
-
-        # --- main loop ------------------------------------------------------------
-        advance_master(0.0)
-        sim.run()
-        self.last_events_processed = sim.processed_events
-        makespan = sim.now if sim.now > master_time else master_time
-
-        # --- consistency checks -----------------------------------------------------
-        if finished_count != num_tasks:
-            missing = num_tasks - finished_count
-            raise SimulationError(
-                f"{manager.name} on {stream.name}: {missing} of {num_tasks} tasks never ran "
-                "(deadlock or lost ready notification)"
-            )
-        if not master_done or master_blocked is not None:
-            raise SimulationError(
-                f"{manager.name} on {stream.name}: master thread did not reach "
-                "the end of the stream"
-            )
-
-        if validate:
-            replayed = Trace(name=stream.name, events=tuple(recorded_events),
-                             metadata=dict(stream.metadata))
-            validate_schedule(replayed, dict(start_times), dict(finish_times))
-
-        keep = self.config.keep_schedule
-        return MachineResult(
-            trace_name=stream.name,
-            manager_name=manager.name,
-            num_cores=self.config.num_cores,
-            makespan_us=makespan,
-            total_work_us=total_work_us,
-            num_tasks=num_tasks,
-            submit_times=submit_times if keep else {},
-            ready_times=ready_times if keep else {},
-            start_times=start_times if keep else {},
-            finish_times=finish_times if keep else {},
-            master_finish_us=master_time,
-            core_busy_us=core_busy_us,
-            manager_stats=dict(manager.statistics()),
-            scheduler=policy.name,
-            topology=self.topology.describe(),
-            per_core_busy_us=tuple(pool.busy_us),
-            task_cores=task_cores if keep else {},
-        )
 
     def run_dynamic(
         self,
         program: DynamicProgram,
         *,
-        compiled: bool = True,
         max_in_flight: Optional[int] = None,
     ) -> MachineResult:
         """Replay a dynamic task program (spawns and taskwaits at runtime).
@@ -896,19 +581,11 @@ class Machine:
         Tasks may be created by the master thread *and* by running tasks,
         so nothing about the task set is known at t=0; the engine lives
         in :mod:`repro.system.dynamic` (semantics documented there).
-
-        ``compiled=True`` binds a fresh growable compiled access program
-        to the manager (the tracker's preresolved-int hot path, extended
-        task by task); ``compiled=False`` uses the tracker's dynamic
-        access-by-access path.  Both produce byte-identical schedules on
-        deterministic programs — pinned by the fuzz corpus in
-        ``tests/fuzz/``.
+        Repeated runs of a deterministic program are byte-identical —
+        pinned by the fuzz corpus in ``tests/fuzz/``.
         """
-        from repro.system.dynamic import run_dynamic
-
         try:
-            return run_dynamic(self, program, compiled=compiled,
-                               max_in_flight=max_in_flight)
+            return run_engine(self, program, max_in_flight=max_in_flight)
         except BaseException:
             self._abandon()
             raise
@@ -961,7 +638,6 @@ def simulate_stream(
     scheduler: PolicyLike = "fifo",
     topology: TopologyLike = "homogeneous",
     max_in_flight: Optional[int] = None,
-    lookahead: int = DEFAULT_LOOKAHEAD_EVENTS,
 ) -> MachineResult:
     """Convenience wrapper around :meth:`Machine.run_stream`.
 
@@ -979,7 +655,7 @@ def simulate_stream(
             topology=topology,
         ),
     )
-    return machine.run_stream(stream, max_in_flight=max_in_flight, lookahead=lookahead)
+    return machine.run_stream(stream, max_in_flight=max_in_flight)
 
 
 def simulate_dynamic(
@@ -987,7 +663,6 @@ def simulate_dynamic(
     manager: TaskManagerModel,
     num_cores: int,
     *,
-    compiled: bool = True,
     validate: bool = False,
     keep_schedule: bool = True,
     scheduler: PolicyLike = "fifo",
@@ -1022,4 +697,4 @@ def simulate_dynamic(
             taskwait_holds_core=taskwait_holds_core,
         ),
     )
-    return machine.run_dynamic(program, compiled=compiled, max_in_flight=max_in_flight)
+    return machine.run_dynamic(program, max_in_flight=max_in_flight)

@@ -26,8 +26,8 @@ class TaskTimeline:
     the machine passes ``task_ids`` — the id of each slot in submission
     order — and indexes through its compiled slot map.
 
-    Dynamic runs, whose task ids are **not known at t=0**, use a
-    *growable* timeline instead (:meth:`growable` + :meth:`add_task`):
+    Streams and dynamic runs, whose task ids are **not known at t=0**,
+    use a *growable* timeline instead (:meth:`growable` + :meth:`add_task`):
     slots are appended in submission order as tasks are spawned, keeping
     the struct-of-arrays layout without preallocation.
     """

@@ -27,7 +27,7 @@ Modules
   complete functional dependency engine shared by every hardware model.
 """
 
-from repro.taskgraph.address_state import AccessMode, AddressCell, AddressState, Waiter
+from repro.taskgraph.address_state import AccessMode, AddressCell, Waiter
 from repro.taskgraph.dep_counts import DependenceCountsTable
 from repro.taskgraph.function_table import FunctionTable
 from repro.taskgraph.table import AddressTable, TableStats
@@ -37,7 +37,6 @@ from repro.taskgraph.tracker import DependencyTracker, InsertResult
 __all__ = [
     "AccessMode",
     "AddressCell",
-    "AddressState",
     "Waiter",
     "DependenceCountsTable",
     "FunctionTable",

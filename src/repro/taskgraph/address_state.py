@@ -25,8 +25,7 @@ The result is exactly the partial order of the reference dependency DAG
 from __future__ import annotations
 
 import enum
-from collections import deque
-from typing import Deque, List, NamedTuple, Optional, Set
+from typing import List, NamedTuple, Set
 
 from repro.common.errors import SimulationError
 
@@ -68,148 +67,17 @@ MODE_OF_FLAGS: tuple = (None, AccessMode.READ, AccessMode.WRITE, AccessMode.READ
 
 
 class Waiter(NamedTuple):
-    """One entry of an address' kick-off list."""
+    """One entry of an address' kick-off list (task id + access mode)."""
 
     task_id: int
     mode: AccessMode
 
 
-class AddressState:
-    """Dependency state of a single tracked address.
-
-    Attributes
-    ----------
-    address:
-        The tracked 48-bit address.
-    active_writer:
-        Task currently owning the address for writing (not yet finished),
-        or ``None``.
-    active_readers:
-        Unfinished tasks currently allowed to read the address.
-    waiters:
-        Kick-off list: tasks that accessed the address after the current
-        owners and must wait, in program order.
-    total_waiters_enqueued / max_kickoff_length:
-        Cumulative statistics.
-
-    One instance exists per live address, created and destroyed as tasks
-    come and go — a ``__slots__`` class keeps that churn cheap.
-    """
-
-    __slots__ = ("address", "active_writer", "active_readers", "waiters",
-                 "total_waiters_enqueued", "max_kickoff_length")
-
-    def __init__(
-        self,
-        address: int,
-        active_writer: Optional[int] = None,
-        active_readers: Optional[Set[int]] = None,
-        waiters: Optional[Deque[Waiter]] = None,
-        total_waiters_enqueued: int = 0,
-        max_kickoff_length: int = 0,
-    ) -> None:
-        self.address = address
-        self.active_writer = active_writer
-        self.active_readers = active_readers if active_readers is not None else set()
-        self.waiters = waiters if waiters is not None else deque()
-        self.total_waiters_enqueued = total_waiters_enqueued
-        self.max_kickoff_length = max_kickoff_length
-
-    # -- queries -------------------------------------------------------------
-    @property
-    def is_idle(self) -> bool:
-        """True when no unfinished task references this address."""
-        return self.active_writer is None and not self.active_readers and not self.waiters
-
-    @property
-    def kickoff_length(self) -> int:
-        """Current number of tasks waiting on this address."""
-        return len(self.waiters)
-
-    # -- insertion -------------------------------------------------------------
-    def insert(self, task_id: int, mode: AccessMode) -> bool:
-        """Register that ``task_id`` accesses the address with ``mode``.
-
-        Returns ``True`` when the task must *wait* on this address (it was
-        appended to the kick-off list) and ``False`` when it may proceed
-        immediately (it became an active reader/writer).
-        """
-        if self.waiters:
-            # Program order per address: queue behind earlier waiters.
-            self._enqueue(task_id, mode)
-            return True
-        if mode.writes:
-            if self.active_writer is None and not self.active_readers:
-                self.active_writer = task_id
-                if mode.reads:
-                    # inout: the task also reads, but as the sole owner no
-                    # extra bookkeeping is required.
-                    pass
-                return False
-            self._enqueue(task_id, mode)
-            return True
-        # pure reader
-        if self.active_writer is None:
-            self.active_readers.add(task_id)
-            return False
-        self._enqueue(task_id, mode)
-        return True
-
-    def _enqueue(self, task_id: int, mode: AccessMode) -> None:
-        self.waiters.append(Waiter(task_id, mode))
-        self.total_waiters_enqueued += 1
-        length = len(self.waiters)
-        if length > self.max_kickoff_length:
-            self.max_kickoff_length = length
-
-    # -- completion -------------------------------------------------------------
-    def finish(self, task_id: int) -> List[Waiter]:
-        """Register that ``task_id`` finished; return the kicked-off waiters.
-
-        The returned waiters have been *activated* on this address (they
-        became active readers / the active writer); the caller must
-        decrement their dependence counts.
-        """
-        released: List[Waiter] = []
-        if self.active_writer == task_id:
-            self.active_writer = None
-        elif task_id in self.active_readers:
-            self.active_readers.discard(task_id)
-        else:
-            raise SimulationError(
-                f"task {task_id} finished but is neither the active writer nor an active "
-                f"reader of address {self.address:#x}"
-            )
-        released.extend(self._activate_waiters())
-        return released
-
-    def _activate_waiters(self) -> List[Waiter]:
-        """Move waiters to active status while the address allows it."""
-        released: List[Waiter] = []
-        while self.waiters:
-            head = self.waiters[0]
-            if head.mode.writes:
-                if self.active_writer is None and not self.active_readers:
-                    self.waiters.popleft()
-                    self.active_writer = head.task_id
-                    released.append(head)
-                break
-            # head is a pure reader: it can start as soon as no writer owns
-            # the address; multiple consecutive readers start together.
-            if self.active_writer is not None:
-                break
-            self.waiters.popleft()
-            self.active_readers.add(head.task_id)
-            released.append(head)
-        return released
-
-
 class AddressCell:
-    """Array-backed per-address state used by the compiled engine.
+    """Array-backed dependency state of one tracked address.
 
-    Same dependency semantics as :class:`AddressState` (the golden
-    tracker-equivalence suite pins the two against each other), laid out
-    for the hot path:
+    The golden tracker-equivalence suite pins its semantics against the
+    frozen deque-based engine; the layout serves the hot path:
 
     * the kick-off list is two parallel plain lists (``waiter_ids`` /
       ``waiter_flags``) consumed through a ``waiter_head`` cursor, so
@@ -287,15 +155,12 @@ class AddressCell:
         return True
 
     # -- completion -------------------------------------------------------------
-    def finish(self, task_id: int, flags_out: Optional[List[int]] = None) -> List[int]:
+    def finish(self, task_id: int) -> List[int]:
         """Register that ``task_id`` finished; return the kicked-off ids.
 
         The returned tasks have been activated on this address (they
         became active readers / the writer); the caller must decrement
-        their dependence counts, in order.  When ``flags_out`` is given,
-        the direction flags of the released waiters are appended to it
-        (the raw table API uses this to rebuild ``Waiter`` records; the
-        compiled engine needs the ids only).
+        their dependence counts, in order.
         """
         if self.writer == task_id:
             self.writer = -1
@@ -321,8 +186,6 @@ class AddressCell:
                         head += 1
                         self.writer = waiter
                         released.append(waiter)
-                        if flags_out is not None:
-                            flags_out.append(flag)
                     break
                 # head is a pure reader: consecutive readers start together.
                 if self.writer >= 0:
@@ -331,8 +194,6 @@ class AddressCell:
                 head += 1
                 readers.add(waiter)
                 released.append(waiter)
-                if flags_out is not None:
-                    flags_out.append(flag)
             if released:
                 self.klen = end - head
             if head >= end:

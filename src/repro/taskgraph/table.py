@@ -16,45 +16,25 @@ entries* that occupy additional ways (the mechanism the
 Gaussian-elimination experiment validates), and set-conflict events are
 counted so the timing layer can charge stall cycles for them.
 
-Two access paths share the storage model:
-
-* the **raw-address API** (:meth:`AddressTable.insert_access` /
-  :meth:`finish_access`) keeps a dictionary of
-  :class:`~repro.taskgraph.address_state.AddressCell` cells — the path
-  for direct users and streams whose address set is not known up front;
-* the **compiled path** of
-  :class:`repro.taskgraph.tracker.DependencyTracker` owns cells in a
-  flat array indexed by the trace's dense address ids and only uses the
-  table for its structural accounting — the per-set occupancy array
-  (``set_occupancy_array``), the way/dummy-entry arithmetic
-  (:func:`ways_for`) and the statistics/live counters (``stats`` /
-  ``_dense_live``), updated inline in the tracker's hot loops.
+The per-address cells themselves live in the flat, address-id-indexed
+array of :class:`repro.taskgraph.tracker.DependencyTracker`; the table
+owns the structural accounting the tracker's hot loops update inline —
+the per-set occupancy array (``set_occupancy_array``), the way and
+dummy-entry arithmetic (:func:`ways_for`) and the statistics / live
+counters (``stats`` / ``_dense_live``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import List
 
 from repro.common.constants import (
     DEFAULT_KICKOFF_CAPACITY,
     DEFAULT_TABLE_SETS,
     DEFAULT_TABLE_WAYS,
 )
-from repro.common.errors import SimulationError
 from repro.common.validation import check_positive, check_power_of_two
-from repro.taskgraph.address_state import AccessMode, AddressCell, MODE_OF_FLAGS, Waiter
-
-
-def _set_index(address: int, num_sets: int) -> int:
-    """Set (line) index an address maps to.
-
-    Addresses are cache-line aligned in the generated traces; skip the
-    low 6 offset bits so consecutive lines land in consecutive sets.
-    Module-level so the hot access paths and :meth:`AddressTable.
-    set_index` share one definition.
-    """
-    return (address >> 6) & (num_sets - 1)
 
 
 def ways_for(kickoff_length: int, kickoff_capacity: int) -> int:
@@ -89,7 +69,7 @@ class TableStats:
 
 
 class AddressTable:
-    """Set-associative container of per-address dependency state.
+    """Geometry and structural accounting of one set-associative task graph.
 
     Parameters
     ----------
@@ -119,19 +99,21 @@ class AddressTable:
         self.ways = ways
         self.kickoff_capacity = kickoff_capacity
         self.name = name
-        self._entries: Dict[int, AddressCell] = {}
-        #: Ways in use per set — a flat list (the compiled engine indexes
-        #: it with precomputed set indices; a dict would re-hash per access).
+        #: Ways in use per set — a flat list (the tracker indexes it with
+        #: preresolved set indices; a dict would re-hash per access).
         self._set_occupancy: List[int] = [0] * num_sets
-        #: Entries owned by the compiled engine (dense cells live in the
-        #: tracker's array, not in ``_entries``).
+        #: Live entries (the cells themselves live in the tracker's array).
         self._dense_live = 0
         self.stats = TableStats()
 
     # -- geometry -----------------------------------------------------------
     def set_index(self, address: int) -> int:
-        """Set (line) index the address maps to."""
-        return _set_index(address, self.num_sets)
+        """Set (line) index the address maps to.
+
+        Addresses are cache-line aligned in the generated traces; skip the
+        low 6 offset bits so consecutive lines land in consecutive sets.
+        """
+        return (address >> 6) & (self.num_sets - 1)
 
     @property
     def capacity_entries(self) -> int:
@@ -140,15 +122,8 @@ class AddressTable:
 
     @property
     def live_entries(self) -> int:
-        """Number of addresses currently tracked (raw + compiled)."""
-        return len(self._entries) + self._dense_live
-
-    def ways_used(self, address: int) -> int:
-        """Number of ways the entry for ``address`` occupies (with dummies)."""
-        entry = self._entries.get(address)
-        if entry is None:
-            return 0
-        return ways_for(entry.kickoff_length, self.kickoff_capacity)
+        """Number of addresses currently tracked."""
+        return self._dense_live
 
     def set_occupancy(self, set_idx: int) -> int:
         """Number of ways currently used in set ``set_idx``."""
@@ -156,99 +131,11 @@ class AddressTable:
 
     @property
     def set_occupancy_array(self) -> List[int]:
-        """The mutable per-set way counters (compiled-engine hot path)."""
+        """The mutable per-set way counters (tracker hot path)."""
         return self._set_occupancy
-
-    # -- functional interface -------------------------------------------------
-    def lookup(self, address: int) -> Optional[AddressCell]:
-        """Return the entry for ``address`` if it is currently tracked."""
-        self.stats.lookups += 1
-        return self._entries.get(address)
-
-    def insert_access(self, address: int, task_id: int, mode: AccessMode) -> tuple[bool, bool]:
-        """Record that ``task_id`` accesses ``address``.
-
-        Returns ``(must_wait, set_conflict)`` where ``must_wait`` says the
-        task was appended to the address' kick-off list and
-        ``set_conflict`` says the insertion hit a structurally full set
-        (the timing layer charges a stall for it).
-        """
-        stats = self.stats
-        stats.lookups += 1
-        entries = self._entries
-        entry = entries.get(address)
-        set_idx = _set_index(address, self.num_sets)
-        occupancy = self._set_occupancy
-        set_conflict = False
-        if entry is None:
-            if occupancy[set_idx] >= self.ways:
-                # Structurally the hardware would stall until a way frees
-                # up; functionally we still track the address (the paper's
-                # dummy-entry mechanism guarantees forward progress) but
-                # report the conflict so timing can charge for it.
-                set_conflict = True
-                stats.set_conflicts += 1
-            entry = AddressCell(address)
-            entries[address] = entry
-            occupancy[set_idx] += 1
-            stats.insertions += 1
-            live = len(entries) + self._dense_live
-            if live > stats.max_live_entries:
-                stats.max_live_entries = live
-            # A fresh entry has no waiters: the access always proceeds.
-            must_wait = entry.insert(task_id, mode.flags)
-            return must_wait, set_conflict
-        capacity = self.kickoff_capacity
-        length_before = entry.kickoff_length
-        must_wait = entry.insert(task_id, mode.flags)
-        if must_wait and length_before + 1 > capacity:
-            before_ways = ways_for(length_before, capacity)
-            after_ways = ways_for(length_before + 1, capacity)
-            if after_ways != before_ways:
-                occupancy[set_idx] += after_ways - before_ways
-                if after_ways - 1 > stats.dummy_entries_peak:
-                    stats.dummy_entries_peak = after_ways - 1
-        return must_wait, set_conflict
-
-    def finish_access(self, address: int, task_id: int) -> List[Waiter]:
-        """Record that ``task_id`` (an active accessor of ``address``) finished.
-
-        Returns the list of :class:`~repro.taskgraph.address_state.Waiter`
-        records that were kicked off.  When the address becomes idle its
-        entry is evicted, freeing its way(s).
-        """
-        entry = self._entries.get(address)
-        if entry is None:
-            raise SimulationError(f"{self.name}: finish on untracked address {address:#x}")
-        set_idx = _set_index(address, self.num_sets)
-        capacity = self.kickoff_capacity
-        length_before = entry.kickoff_length
-        released_flags: List[int] = []
-        released_ids = entry.finish(task_id, flags_out=released_flags)
-        occupancy = self._set_occupancy
-        if entry.is_idle:
-            del self._entries[address]
-            before_ways = ways_for(length_before, capacity)
-            occupancy[set_idx] = max(0, occupancy[set_idx] - before_ways)
-            self.stats.evictions += 1
-        elif length_before > capacity or entry.kickoff_length > capacity:
-            before_ways = ways_for(length_before, capacity)
-            after_ways = ways_for(entry.kickoff_length, capacity)
-            if after_ways != before_ways:
-                occupancy[set_idx] = max(0, occupancy[set_idx] + (after_ways - before_ways))
-        modes = MODE_OF_FLAGS
-        return [
-            Waiter(waiter_id, modes[flag])
-            for waiter_id, flag in zip(released_ids, released_flags)
-        ]
-
-    def iter_entries(self) -> Iterator[AddressCell]:
-        """Iterate over the raw-path tracked address entries."""
-        return iter(self._entries.values())
 
     def reset(self) -> None:
         """Drop all entries and statistics."""
-        self._entries.clear()
         self._set_occupancy = [0] * self.num_sets
         self._dense_live = 0
         self.stats = TableStats()

@@ -17,24 +17,29 @@ pipeline occupancy; the functional result (who waits for whom) is
 identical for every hardware configuration, which the property-based
 tests assert against the reference DAG.
 
-Two execution paths produce identical results (pinned against each other
-— and against the frozen pre-compiled engine — by the golden
-tracker-equivalence suite):
+Every task runs through one pair of row loops over preresolved
+``(address_id, raw address, mode, flags, table_index, set_index)``
+tuples and an address-id-indexed cell array — no address re-hashing and
+no distribution hashing per access, and evicted cells are recycled
+through a free list.  The rows come from one of two places:
 
-* the **compiled path**: :meth:`bind_program` resolves a trace's
+* a **bound program**: :meth:`bind_program` resolves a trace's
   :class:`~repro.trace.compiled.CompiledAccessProgram` against this
-  tracker's distribution function and table geometry once, yielding one
-  preresolved ``(address_id, raw address, mode, flags, table_index,
-  set_index)`` row per deduplicated access.  ``insert_task`` /
-  ``finish_task`` then run over those int rows and an address-id-indexed
-  cell array — no per-submit merging, no address re-hashing, no
-  distribution hashing, and evicted cells are recycled through a free
-  list.  Resolutions are cached on the program (keyed by
-  ``distribution_key`` + geometry), so every tracker of the same manager
-  configuration shares one resolution per trace;
-* the **dynamic path** (no bound program): the original access-by-access
-  algorithm over the tables' raw-address API, used by streaming replays
-  and direct callers whose tasks are not known up front.
+  tracker's distribution function and table geometry once.  Resolutions
+  are cached on the program (keyed by ``distribution_key`` + geometry),
+  so every tracker of the same manager configuration shares one
+  resolution per trace;
+* **resolution at insert** (no program bound — streams, dynamic spawns,
+  direct callers): :meth:`insert_task` merges, interns and resolves the
+  task's accesses itself.  Live addresses get dense ids from a map with
+  a free list; an id is freed when its cell is evicted, which only
+  happens once no in-flight task references the address, so a freed id
+  never aliases a live one.  The task's rows are dropped at
+  :meth:`finish_task`, keeping memory O(live addresses + in-flight
+  tasks).
+
+Both are pinned against the frozen pre-compiled engine by the golden
+tracker-equivalence suite.
 """
 
 from __future__ import annotations
@@ -47,8 +52,8 @@ from repro.taskgraph.dep_counts import DependenceCountsTable
 from repro.taskgraph.function_table import FunctionTable
 from repro.taskgraph.table import AddressTable, ways_for
 from repro.taskgraph.task_pool import TaskPool
-from repro.trace.compiled import CompiledAccessProgram
-from repro.trace.task import Direction, TaskDescriptor
+from repro.trace.compiled import CompiledAccessProgram, merge_flags
+from repro.trace.task import TaskDescriptor
 
 # The result records below are NamedTuples, not dataclasses: two of them
 # are created per task on the simulation hot path, and tuple construction
@@ -127,123 +132,43 @@ class FinishResult(NamedTuple):
         return counts
 
 
-#: Direction -> AccessMode for the common single-occurrence case.
-_MODE_OF_DIRECTION = {
-    Direction.IN: AccessMode.READ,
-    Direction.OUT: AccessMode.WRITE,
-    Direction.INOUT: AccessMode.READWRITE,
-}
-
-
-def merge_access_modes(task: TaskDescriptor) -> List[Tuple[int, AccessMode]]:
-    """Deduplicate a task's parameter list into one access per address.
-
-    A task may legally list the same address several times (e.g. an array
-    block passed both as ``in`` and as part of an ``inout`` region); the
-    hardware tracks the address once, with the union of the access modes.
-    Declaration order of the first occurrence is preserved because the
-    Input Parser distributes parameters in arrival order.
-
-    This is the dynamic-path twin of the compile-time merge in
-    :class:`~repro.trace.compiled.CompiledAccessProgram`; it runs once
-    per task submission when no program is bound (the tracker caches the
-    result for the task's retirement).
-    """
-    params = task.params
-    merged: Dict[int, AccessMode] = {}
-    mode_of = _MODE_OF_DIRECTION
-    for param in params:
-        address = param.address
-        mode = mode_of[param.direction]
-        previous = merged.get(address)
-        if previous is None:
-            merged[address] = mode
-        elif previous is not mode:
-            # Any two distinct modes union to READWRITE (READ|WRITE,
-            # READ|READWRITE, WRITE|READWRITE all read and write).
-            merged[address] = AccessMode.READWRITE
-    # Python dicts preserve insertion order == first-occurrence order.
-    return list(merged.items())
+#: One preresolved access: (address id, raw address, mode, flags, table, set).
+Row = Tuple[int, int, AccessMode, int, int, int]
 
 
 class _ResolvedProgram:
     """A compiled access program resolved against one tracker config.
 
-    ``rows[slot]`` holds one preresolved tuple per deduplicated access of
-    the task in that slot: ``(address_id, raw address, AccessMode,
-    direction flags, table index, set index)``.  Everything the hot loops
-    consume is an int (or a preresolved object), so the per-access work
-    collapses to tuple unpacking plus the state transition itself.
-
-    Growable programs (dynamic runs interning tasks as they are spawned)
-    are supported by :meth:`extend`: new addresses and new task rows are
-    *appended* — existing entries never move — so a resolution shared by
-    several trackers of the same configuration stays valid while any of
-    them extends it.
+    ``rows[slot]`` holds one preresolved :data:`Row` per deduplicated
+    access of the task in that slot.  Everything the hot loops consume is
+    an int (or a preresolved object), so the per-access work collapses to
+    tuple unpacking plus the state transition itself.
     """
 
-    __slots__ = ("program", "rows", "num_addresses",
-                 "_num_tables", "_distribute", "_set_bits", "_table_of", "_set_of")
+    __slots__ = ("program", "rows", "num_addresses")
 
-    def __init__(
-        self,
-        program: CompiledAccessProgram,
-        num_tables: int,
-        distribute: Callable[[int], int],
-        set_bits: List[int],
-    ) -> None:
+    def __init__(self, program: CompiledAccessProgram, tracker: "DependencyTracker") -> None:
         self.program = program
-        self.rows: List[Tuple[Tuple[int, int, AccessMode, int, int, int], ...]] = []
-        self.num_addresses = 0
-        self._num_tables = num_tables
-        self._distribute = distribute
-        self._set_bits = set_bits
-        self._table_of: List[int] = []
-        self._set_of: List[int] = []
-        self.extend()
-
-    def extend(self) -> None:
-        """Resolve everything the program interned since the last call."""
-        program = self.program
         addresses = program.addresses
-        count = len(addresses)
-        table_of = self._table_of
-        set_of = self._set_of
-        if count > len(table_of):
-            num_tables = self._num_tables
-            distribute = self._distribute
-            set_bits = self._set_bits
-            for dense in range(len(table_of), count):
-                address = addresses[dense]
-                table_index = distribute(address)
-                if not 0 <= table_index < num_tables:
-                    raise SimulationError(
-                        f"distribution function returned table {table_index} for address "
-                        f"{address:#x}; valid range is [0, {num_tables})"
-                    )
-                table_of.append(table_index)
-                set_of.append((address >> 6) & set_bits[table_index])
-            self.num_addresses = count
-        rows = self.rows
-        num_tasks = program.num_tasks
-        if num_tasks > len(rows):
-            modes = MODE_OF_FLAGS
-            offsets = program.offsets
-            addr_ids = program.addr_ids
-            flags = program.flags
-            for slot in range(len(rows), num_tasks):
-                start, end = offsets[slot], offsets[slot + 1]
-                rows.append(tuple(
-                    (
-                        addr_ids[i],
-                        addresses[addr_ids[i]],
-                        modes[flags[i]],
-                        flags[i],
-                        table_of[addr_ids[i]],
-                        set_of[addr_ids[i]],
-                    )
-                    for i in range(start, end)
-                ))
+        resolve = tracker._resolve_address
+        table_of: List[int] = []
+        set_of: List[int] = []
+        for address in addresses:
+            table_index, set_idx = resolve(address)
+            table_of.append(table_index)
+            set_of.append(set_idx)
+        modes = MODE_OF_FLAGS
+        offsets = program.offsets
+        addr_ids = program.addr_ids
+        flags = program.flags
+        self.rows: List[Tuple[Row, ...]] = []
+        for slot in range(program.num_tasks):
+            start, end = offsets[slot], offsets[slot + 1]
+            self.rows.append(tuple(
+                (aid, addresses[aid], modes[flag], flag, table_of[aid], set_of[aid])
+                for aid, flag in zip(addr_ids[start:end], flags[start:end])
+            ))
+        self.num_addresses = len(addresses)
 
 
 class DependencyTracker:
@@ -292,26 +217,33 @@ class DependencyTracker:
         self.function_table = function_table or FunctionTable()
         #: tasks that were reported ready and are waiting to run or running
         self._in_flight: Dict[int, TaskDescriptor] = {}
-        #: per-task merged accesses of the dynamic path, computed at insert
-        #: and replayed at finish (recomputing the merge would double the
-        #: hot-path cost)
-        self._merged_accesses: Dict[int, List[Tuple[int, AccessMode]]] = {}
-        # -- compiled-path state (populated by bind_program) ---------------
         self._resolved: Optional[_ResolvedProgram] = None
-        #: dense address id -> live cell (compiled path)
+        #: dense address id -> live cell
         self._cells: List[Optional[AddressCell]] = []
         #: evicted cells recycled across insertions (and across runs)
         self._free_cells: List[AddressCell] = []
-        # Per-table structures prefetched at bind time so the compiled hot
-        # loops index parallel lists instead of chasing attributes (the
-        # stats / occupancy objects are replaced by AddressTable.reset, so
-        # these are refreshed on every bind).
-        self._stats_by: List = []
-        self._occ_by: List[List[int]] = []
-        self._ways_by: List[int] = []
-        self._cap_by: List[int] = []
+        # -- resolution at insert (no bound program) -----------------------
+        #: live raw address -> (dense id, table index, set index)
+        self._live: Dict[int, Tuple[int, int, int]] = {}
+        #: dense ids of evicted addresses, reused before the array grows
+        self._free_ids: List[int] = []
+        #: rows of each in-flight task, dropped when it finishes
+        self._rows_of: Dict[int, Tuple[Row, ...]] = {}
+        self._prefetch_tables()
         self.total_inserted = 0
         self.total_finished = 0
+
+    def _prefetch_tables(self) -> None:
+        """Cache per-table structures as parallel lists for the hot loops.
+
+        ``AddressTable.reset`` replaces the stats and occupancy objects,
+        so this runs again after every table reset.
+        """
+        tables = self.tables
+        self._stats_by = [table.stats for table in tables]
+        self._occ_by = [table.set_occupancy_array for table in tables]
+        self._ways_by = [table.ways for table in tables]
+        self._cap_by = [table.kickoff_capacity for table in tables]
 
     # -- helpers --------------------------------------------------------------
     def table_for(self, address: int) -> int:
@@ -323,6 +255,11 @@ class DependencyTracker:
                 f"valid range is [0, {self.num_tables})"
             )
         return index
+
+    def _resolve_address(self, address: int) -> Tuple[int, int]:
+        """``(table index, set index)`` of ``address`` under this config."""
+        table_index = self.table_for(address)
+        return table_index, self.tables[table_index].set_index(address)
 
     @property
     def in_flight_tasks(self) -> int:
@@ -336,52 +273,67 @@ class DependencyTracker:
 
     # -- program binding --------------------------------------------------------
     def bind_program(self, program: Optional[CompiledAccessProgram]) -> None:
-        """Switch the tracker onto the compiled path for ``program``.
+        """Take ``program``'s preresolved rows for the tasks of the next run.
 
         Resolves the program against this tracker's distribution function
         and table geometry (cached on the program when a
         ``distribution_key`` identifies the configuration) and allocates
-        the dense cell array.  Passing ``None`` unbinds, returning the
-        tracker to the dynamic access-by-access path.  Binding requires an
-        empty tracker (call :meth:`reset` first): mixing per-path state
-        for the same address would corrupt the bookkeeping.
+        the dense cell array.  Passing ``None`` unbinds: tasks are then
+        resolved at insert.  Binding requires an empty tracker (call
+        :meth:`reset` first): dense ids of two numberings must not mix.
         """
         if self._in_flight:
             raise SimulationError(
                 "cannot (re)bind an access program while tasks are in flight"
             )
+        self._recycle_cells()
         if program is None:
             self._resolved = None
-            self._recycle_cells()
             return
         resolved: Optional[_ResolvedProgram] = None
         cache_key: Optional[tuple] = None
-        set_bits = [table.num_sets - 1 for table in self.tables]
         if self._distribution_key is not None:
-            cache_key = (self._distribution_key, self.num_tables, tuple(set_bits))
+            cache_key = (self._distribution_key, self.num_tables,
+                         tuple(table.num_sets for table in self.tables))
             resolved = program.resolution_cache.get(cache_key)  # type: ignore[assignment]
         if resolved is None:
-            resolved = _ResolvedProgram(program, self.num_tables, self._distribute, set_bits)
+            resolved = _ResolvedProgram(program, self)
             if cache_key is not None:
                 program.resolution_cache[cache_key] = resolved
         self._resolved = resolved
-        self._recycle_cells()
         self._cells = [None] * resolved.num_addresses
-        tables = self.tables
-        self._stats_by = [table.stats for table in tables]
-        self._occ_by = [table.set_occupancy_array for table in tables]
-        self._ways_by = [table.ways for table in tables]
-        self._cap_by = [table.kickoff_capacity for table in tables]
+        self._prefetch_tables()
 
     def _recycle_cells(self) -> None:
-        """Move any live dense cells onto the free list."""
-        cells = self._cells
-        if cells:
-            free = self._free_cells
-            for cell in cells:
-                if cell is not None:
-                    free.append(cell)
+        """Move any live dense cells onto the free list; forget all ids."""
+        free = self._free_cells
+        for cell in self._cells:
+            if cell is not None:
+                free.append(cell)
         self._cells = []
+        self._live.clear()
+        self._free_ids.clear()
+        self._rows_of.clear()
+
+    def _resolve_task(self, task: TaskDescriptor) -> Tuple[Row, ...]:
+        """Merge, intern and resolve the accesses of a task no program holds."""
+        live = self._live
+        modes = MODE_OF_FLAGS
+        rows: List[Row] = []
+        for address, flag in merge_flags(task.params).items():
+            placement = live.get(address)
+            if placement is None:
+                table_index, set_idx = self._resolve_address(address)
+                free_ids = self._free_ids
+                if free_ids:
+                    aid = free_ids.pop()
+                else:
+                    aid = len(self._cells)
+                    self._cells.append(None)
+                placement = live[address] = (aid, table_index, set_idx)
+            aid, table_index, set_idx = placement
+            rows.append((aid, address, modes[flag], flag, table_index, set_idx))
+        return tuple(rows)
 
     # -- main interface ---------------------------------------------------------
     def insert_task(self, task: TaskDescriptor) -> InsertResult:
@@ -390,61 +342,19 @@ class DependencyTracker:
         if task_id in self._in_flight:
             raise SimulationError(f"task {task_id} inserted twice")
         resolved = self._resolved
-        if resolved is not None:
-            slot = resolved.program.slot(task_id)
-            if slot < 0:
-                raise SimulationError(
-                    f"task {task_id} is not in the bound access program; "
-                    "intern it (CompiledAccessProgram.add_task), reset the "
-                    "tracker, or bind the right trace first"
-                )
-            rows = resolved.rows
-            if slot >= len(rows):
-                # The bound program grew (dynamic run): resolve the new
-                # addresses/rows and widen the dense cell array to match.
-                resolved.extend()
-            cells = self._cells
-            if resolved.num_addresses > len(cells):
-                cells.extend([None] * (resolved.num_addresses - len(cells)))
-            return self._insert_compiled(task, rows[slot])
-        self._in_flight[task_id] = task
-        pool_was_full = self.task_pool.insert(task)
-        self.function_table.intern(task.function)
-        merged = merge_access_modes(task)
-        self._merged_accesses[task_id] = merged
-        accesses: List[AccessRecord] = []
-        append = accesses.append
-        tables = self.tables
-        distribute = self._distribute
-        num_tables = self.num_tables
-        dependence_count = 0
-        conflict_count = 0
-        for address, mode in merged:
-            table_index = distribute(address)
-            if not 0 <= table_index < num_tables:
-                raise SimulationError(
-                    f"distribution function returned table {table_index} for address "
-                    f"{address:#x}; valid range is [0, {num_tables})"
-                )
-            must_wait, set_conflict = tables[table_index].insert_access(address, task_id, mode)
-            if must_wait:
-                dependence_count += 1
-            if set_conflict:
-                conflict_count += 1
-            append(AccessRecord(address, mode, table_index, must_wait, set_conflict))
-        self.dep_counts.register(task_id, dependence_count)
-        self.total_inserted += 1
-        return InsertResult(
-            task_id,
-            tuple(accesses),
-            dependence_count,
-            dependence_count == 0,
-            pool_was_full,
-            conflict_count,
-        )
+        if resolved is None:
+            rows = self._rows_of[task_id] = self._resolve_task(task)
+            return self._insert_rows(task, rows)
+        slot = resolved.program.slot(task_id)
+        if slot < 0:
+            raise SimulationError(
+                f"task {task_id} is not in the bound access program; reset "
+                "the tracker or bind the right trace first"
+            )
+        return self._insert_rows(task, resolved.rows[slot])
 
-    def _insert_compiled(self, task: TaskDescriptor, rows) -> InsertResult:
-        """Compiled-path insertion over preresolved access rows."""
+    def _insert_rows(self, task: TaskDescriptor, rows) -> InsertResult:
+        """Insertion over preresolved access rows."""
         task_id = task.task_id
         self._in_flight[task_id] = task
         pool_was_full = self.task_pool.insert(task)
@@ -535,41 +445,19 @@ class DependencyTracker:
             )
         self.task_pool.remove(task_id)
         resolved = self._resolved
-        if resolved is not None:
-            return self._finish_compiled(task_id, resolved.rows[resolved.program.slot(task_id)])
-        merged = self._merged_accesses.pop(task_id)
-        accesses: List[FinishAccessRecord] = []
-        append = accesses.append
-        newly_ready: List[int] = []
-        tables = self.tables
-        distribute = self._distribute
-        num_tables = self.num_tables
-        decrement = dep_counts.decrement
-        kickoff_count = 0
-        for address, _mode in merged:
-            table_index = distribute(address)
-            if not 0 <= table_index < num_tables:
-                raise SimulationError(
-                    f"distribution function returned table {table_index} for address "
-                    f"{address:#x}; valid range is [0, {num_tables})"
-                )
-            released = tables[table_index].finish_access(address, task_id)
-            kicked: List[int] = []
-            for waiter in released:
-                waiter_id = waiter.task_id
-                kicked.append(waiter_id)
-                if decrement(waiter_id):
-                    newly_ready.append(waiter_id)
-            kickoff_count += len(kicked)
-            append(FinishAccessRecord(address, table_index, tuple(kicked)))
-        dep_counts.remove(task_id)
-        self.total_finished += 1
-        return FinishResult(task_id, tuple(accesses), tuple(newly_ready), kickoff_count)
+        if resolved is None:
+            return self._finish_rows(task_id, self._rows_of.pop(task_id), self._live)
+        return self._finish_rows(task_id, resolved.rows[resolved.program.slot(task_id)], None)
 
-    def _finish_compiled(self, task_id: int, rows) -> FinishResult:
-        """Compiled-path retirement over preresolved access rows."""
+    def _finish_rows(self, task_id: int, rows, live) -> FinishResult:
+        """Retirement over preresolved access rows.
+
+        ``live`` is the live-address map when the rows were resolved at
+        insert: an evicted address then also gives its dense id back.
+        """
         cells = self._cells
         free = self._free_cells
+        free_ids = self._free_ids
         tables = self.tables
         occ_by = self._occ_by
         cap_by = self._cap_by
@@ -606,9 +494,11 @@ class DependencyTracker:
                 before_ways = ways_for(length_before, cap_by[table_index])
                 remaining = occupancy[set_idx] - before_ways
                 occupancy[set_idx] = remaining if remaining > 0 else 0
-                table = tables[table_index]
-                table._dense_live -= 1
+                tables[table_index]._dense_live -= 1
                 stats_by[table_index].evictions += 1
+                if live is not None:
+                    del live[address]
+                    free_ids.append(aid)
             else:
                 capacity = cap_by[table_index]
                 length_after = cell.klen
@@ -628,11 +518,11 @@ class DependencyTracker:
         """Return the tracker to its initial empty state (and unbind)."""
         for table in self.tables:
             table.reset()
+        self._prefetch_tables()
         self.dep_counts.reset()
         self.task_pool.reset()
         self.function_table.reset()
         self._in_flight.clear()
-        self._merged_accesses.clear()
         self._resolved = None
         self._recycle_cells()
         self.total_inserted = 0

@@ -30,19 +30,16 @@ Programs are cached on the owning :class:`~repro.trace.trace.Trace` (see
 :meth:`Trace.access_program`) under a ``_compiled*`` attribute, which
 ``Trace.__getstate__`` already excludes from pickles.
 
-Programs are also *growable*: :meth:`CompiledAccessProgram.add_task`
-interns one task incrementally, appending to every flat array without
-moving existing ids or slots.  Dynamic runs (tasks spawned while the
-machine is running; see :mod:`repro.trace.dynamic`) build a fresh empty
-program per run and extend it task by task, and the tracker resolutions
-layered on top extend themselves lazily to match.
+The same merge (:func:`merge_flags`) also runs inside the tracker for
+tasks that belong to no compiled program — streamed and dynamically
+spawned tasks are merged, interned and resolved once, at insertion.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.trace.task import Direction, TaskDescriptor
+from repro.trace.task import Direction, Parameter, TaskDescriptor
 
 #: Direction flags of one access: bit 0 = reads, bit 1 = writes.
 FLAG_READS = 1
@@ -55,6 +52,29 @@ _FLAG_OF_DIRECTION = {
     Direction.OUT: FLAG_WRITES,
     Direction.INOUT: FLAG_READWRITE,
 }
+
+
+def merge_flags(params: Iterable[Parameter]) -> Dict[int, int]:
+    """Deduplicate a parameter list into ``{address: direction flags}``.
+
+    A task may legally list the same address several times (e.g. an
+    array block passed both as ``in`` and as part of an ``inout``
+    region); the hardware tracks the address once, with the union of the
+    access modes.  Any two distinct directions union to read-write.
+    First-occurrence order is preserved (dicts keep insertion order)
+    because the Input Parser distributes parameters in arrival order.
+    """
+    merged: Dict[int, int] = {}
+    flag_of = _FLAG_OF_DIRECTION
+    for param in params:
+        address = param.address
+        flag = flag_of[param.direction]
+        previous = merged.get(address)
+        if previous is None:
+            merged[address] = flag
+        elif previous != flag:
+            merged[address] = FLAG_READWRITE
+    return merged
 
 
 class CompiledAccessProgram:
@@ -84,32 +104,17 @@ class CompiledAccessProgram:
                  "flags", "_slot_of", "resolution_cache")
 
     def __init__(self, tasks: Iterable[TaskDescriptor] = ()) -> None:
-        # Bulk compilation stays a tight local-variable loop: this runs
-        # once per trace on the static hot path (add_task — the growable
-        # entry point for dynamic runs — pays method-call and duplicate
-        # checks the bulk path does not need, since Trace already
-        # guarantees unique ids).
+        # A tight local-variable loop: this runs once per trace on the
+        # static hot path (Trace already guarantees unique ids).
         addresses: List[int] = []
         id_of: Dict[int, int] = {}
         task_ids: List[int] = []
         offsets: List[int] = [0]
         addr_ids: List[int] = []
         flags: List[int] = []
-        flag_of = _FLAG_OF_DIRECTION
         for task in tasks:
             task_ids.append(task.task_id)
-            merged: Dict[int, int] = {}
-            for param in task.params:
-                address = param.address
-                flag = flag_of[param.direction]
-                previous = merged.get(address)
-                if previous is None:
-                    merged[address] = flag
-                elif previous != flag:
-                    # Any two distinct directions union to read-write,
-                    # exactly like merge_access_modes.
-                    merged[address] = FLAG_READWRITE
-            for address, flag in merged.items():
+            for address, flag in merge_flags(task.params).items():
                 dense = id_of.get(address)
                 if dense is None:
                     dense = len(addresses)
@@ -131,56 +136,6 @@ class CompiledAccessProgram:
         else:
             self._slot_of = {task_id: slot for slot, task_id in enumerate(task_ids)}
         self.resolution_cache: Dict[object, object] = {}
-
-    def add_task(self, task: TaskDescriptor) -> int:
-        """Intern ``task``'s accesses incrementally; return its slot.
-
-        This is how dynamic runs keep the compiled dependency-resolution
-        path: the machine interns each task the moment it is spawned, and
-        the tracker's bound resolution extends itself lazily (appending
-        rows and addresses only — existing slots and address ids never
-        move, so resolutions shared across trackers stay valid).
-        """
-        task_id = task.task_id
-        slot_of = self._slot_of
-        if slot_of is not None:
-            if task_id in slot_of:
-                raise ValueError(f"task {task_id} is already in the access program")
-        elif task_id < len(self.task_ids):
-            raise ValueError(f"task {task_id} is already in the access program")
-        addresses = self.addresses
-        id_of = self.id_of
-        addr_ids = self.addr_ids
-        flags = self.flags
-        flag_of = _FLAG_OF_DIRECTION
-        slot = len(self.task_ids)
-        self.task_ids.append(task_id)
-        merged: Dict[int, int] = {}
-        for param in task.params:
-            address = param.address
-            flag = flag_of[param.direction]
-            previous = merged.get(address)
-            if previous is None:
-                merged[address] = flag
-            elif previous != flag:
-                # Any two distinct directions union to read-write,
-                # exactly like merge_access_modes.
-                merged[address] = FLAG_READWRITE
-        for address, flag in merged.items():
-            dense = id_of.get(address)
-            if dense is None:
-                dense = len(addresses)
-                id_of[address] = dense
-                addresses.append(address)
-            addr_ids.append(dense)
-            flags.append(flag)
-        self.offsets.append(len(addr_ids))
-        if slot_of is not None:
-            slot_of[task_id] = slot
-        elif task_id != slot:
-            # First sparse id: fall back to the explicit map.
-            self._slot_of = {tid: s for s, tid in enumerate(self.task_ids)}
-        return slot
 
     # -- geometry ----------------------------------------------------------
     @property

@@ -65,7 +65,7 @@ from typing import Callable, Dict, Generator, Iterator, Mapping, Optional, Seque
 
 from repro.common.errors import TraceError
 from repro.trace.events import SpawnEvent, TaskwaitEvent, TaskwaitOnEvent, TraceEvent
-from repro.trace.task import Parameter, TaskDescriptor, make_params
+from repro.trace.task import Parameter, TaskDescriptor, check_duration, make_params
 from repro.trace.trace import Trace
 
 
@@ -75,8 +75,7 @@ class Compute:
     __slots__ = ("duration_us",)
 
     def __init__(self, duration_us: float) -> None:
-        if duration_us < 0:
-            raise TraceError(f"compute duration must be >= 0, got {duration_us}")
+        check_duration("compute duration", duration_us)
         self.duration_us = float(duration_us)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -164,12 +163,8 @@ class TaskRequest:
     def __post_init__(self) -> None:
         if not self.function:
             raise TraceError("task function name must be non-empty")
-        if self.duration_us < 0:
-            raise TraceError(f"duration_us must be >= 0, got {self.duration_us}")
-        if self.creation_overhead_us < 0:
-            raise TraceError(
-                f"creation_overhead_us must be >= 0, got {self.creation_overhead_us}"
-            )
+        check_duration("duration_us", self.duration_us)
+        check_duration("creation_overhead_us", self.creation_overhead_us)
         if not isinstance(self.params, tuple):
             object.__setattr__(self, "params", tuple(self.params))
 

@@ -10,11 +10,22 @@ over the PCIe-style link in the hardware prototype).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from repro.common.constants import ADDRESS_MASK
 from repro.common.errors import TraceError
+
+
+def check_duration(name: str, value: float) -> None:
+    """Reject a time span that is negative, NaN or infinite.
+
+    A non-finite duration would silently poison every simulated time
+    downstream (``NaN`` compares false both ways), so it is a trace error.
+    """
+    if not 0.0 <= value < math.inf:
+        raise TraceError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 class Direction(enum.Enum):
@@ -129,10 +140,8 @@ class TaskDescriptor:
             raise TraceError(f"task_id must be >= 0, got {self.task_id}")
         if not self.function:
             raise TraceError("task function name must be non-empty")
-        if self.duration_us < 0:
-            raise TraceError(f"duration_us must be >= 0, got {self.duration_us}")
-        if self.creation_overhead_us < 0:
-            raise TraceError(f"creation_overhead_us must be >= 0, got {self.creation_overhead_us}")
+        check_duration("duration_us", self.duration_us)
+        check_duration("creation_overhead_us", self.creation_overhead_us)
         if not isinstance(self.params, tuple):
             object.__setattr__(self, "params", tuple(self.params))
         for param in self.params:

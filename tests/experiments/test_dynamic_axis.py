@@ -97,10 +97,11 @@ class TestDynamicRuns:
         # submission costs in the dynamic run, so timings diverge.
         assert elaborated.makespan_us != dynamic.makespan_us
 
-    def test_dynamic_stream_selects_uncompiled_path_with_same_result(self):
-        compiled = next(_spec(dynamic=True).points()).run()
-        uncompiled = next(_spec(dynamic=True, stream=True).points()).run()
-        assert compiled.makespan_us == uncompiled.makespan_us
+    def test_dynamic_stream_runs_the_same_engine_with_same_result(self):
+        direct = next(_spec(dynamic=True).points()).run()
+        streamed = next(_spec(dynamic=True, stream=True).points()).run()
+        assert direct.makespan_us == streamed.makespan_us
+        assert direct.manager_stats == streamed.manager_stats
 
     def test_stream_without_dynamic_replays_the_elaboration(self):
         """stream=True must never silently switch a cell onto the dynamic

@@ -1,11 +1,11 @@
 """Replay the pinned fuzz corpus — the hypothesis-free regression layer.
 
 Every corpus spec runs under all four golden managers through **both**
-dynamic tracking paths (``Machine.run`` = growable compiled program,
-``Machine.run_stream`` = access-by-access), asserting the acceptance
-invariants of the dynamic runtime:
+entry points of the dynamic engine (``Machine.run`` and
+``Machine.run_stream``), asserting the acceptance invariants of the
+dynamic runtime:
 
-* byte-identical makespans and ready orders between the two paths;
+* byte-identical makespans and ready orders between the two entry points;
 * schedules that respect every address dependency
   (``validate_schedule`` on the recorded submission order);
 * no starvation: every task the program spawns also finishes;
@@ -38,7 +38,7 @@ def test_corpus_differential(spec, manager_key):
     dynamic_machine = Machine(factory(), MachineConfig(num_cores=4, validate=True))
     dynamic = dynamic_machine.run_stream(program)
 
-    # The two tracking paths must be byte-identical.
+    # The two entry points must be byte-identical.
     assert compiled.makespan_us == dynamic.makespan_us
     assert compiled_machine.last_ready_order == dynamic_machine.last_ready_order
     assert compiled.start_times == dynamic.start_times

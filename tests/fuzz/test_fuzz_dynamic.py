@@ -1,7 +1,8 @@
 """Hypothesis-driven differential verification of the dynamic runtime.
 
 Random :class:`~repro.workloads.fuzz.FuzzSpec` configurations are run
-under the golden managers through both dynamic tracking paths; every
+under the golden managers through both entry points (``Machine.run``
+and ``Machine.run_stream``) of the one engine; every
 example asserts the same invariants the pinned corpus pins
 (``test_corpus.py``), so a failing example here is a new regression case
 to add there.
@@ -46,7 +47,7 @@ def fuzz_specs(draw) -> FuzzSpec:
        manager_key=st.sampled_from(sorted(GOLDEN_TEST_MANAGERS)))
 @settings(max_examples=30, deadline=None)
 def test_differential_paths_and_invariants(spec, cores, manager_key):
-    """run (compiled) vs run_stream (dynamic) must agree bit-for-bit."""
+    """run vs run_stream of a dynamic program must agree bit-for-bit."""
     factory = GOLDEN_TEST_MANAGERS[manager_key]
     program = fuzz_program(spec)
 
@@ -99,6 +100,6 @@ def test_backpressure_preserves_invariants(spec, cores):
     program = fuzz_program(spec)
     machine = Machine(GOLDEN_TEST_MANAGERS["nexussharp"](),
                       MachineConfig(num_cores=cores, validate=True))
-    result = machine.run_dynamic(program, compiled=False, max_in_flight=3)
+    result = machine.run_dynamic(program, max_in_flight=3)
     assert result.num_tasks == program.metadata["num_tasks"]
     assert len(result.finish_times) == result.num_tasks

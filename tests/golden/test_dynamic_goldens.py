@@ -5,8 +5,8 @@ Pins, for every recursive golden program and every golden manager:
 * the **exact makespan** of the dynamic run (tasks spawned at runtime);
 * the **digest of the serial elaboration** against the committed
   ``dyn_<key>.json.gz`` trace;
-* bit-identical results between the compiled (``Machine.run``) and
-  dynamic (``Machine.run_stream``) tracking paths.
+* bit-identical results between the ``Machine.run`` and
+  ``Machine.run_stream`` entry points of the engine.
 
 Like the static golden suite, any diff here is a change to the simulated
 science: regenerate via ``tests/golden/regenerate.py`` and justify it.
@@ -72,7 +72,7 @@ def test_dynamic_makespans_exact(key, manager_key, programs):
 @pytest.mark.parametrize("manager_key", MANAGER_KEYS)
 @pytest.mark.parametrize("key", DYNAMIC_KEYS)
 def test_run_and_run_stream_paths_identical(key, manager_key, programs):
-    """Acceptance invariant: both dynamic tracking paths agree exactly."""
+    """Acceptance invariant: both entry points agree exactly."""
     factory = GOLDEN_MANAGERS[manager_key]
     compiled_machine = Machine(factory(), MachineConfig(num_cores=CORES))
     compiled = compiled_machine.run(programs[key])

@@ -9,7 +9,9 @@ golden trace is replayed three ways under all four golden managers:
 * streamed straight from the in-memory trace,
 * streamed from a chunked JSONL file on disk,
 
-and all three must equal the committed expected makespans exactly.
+and all three must equal the committed expected makespans exactly.  The
+in-memory stream must also match ``Machine.run_scalar`` in manager
+statistics and processed-event count.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.system.machine import simulate_stream
+from repro.system.machine import Machine, MachineConfig, simulate_stream
 from repro.trace.serialization import load_trace, open_trace_stream, write_trace_stream
 from repro.workloads.registry import STREAMS
 
@@ -59,15 +61,23 @@ def test_chunked_disk_replay_matches_golden_makespans(key, tmp_path):
     assert result.makespan_us == expected
 
 
-def test_small_lookahead_does_not_change_schedules():
-    """The lookahead window is an IO amortisation, not a semantic knob."""
-    trace = load_trace(DATA_DIR / "h264dec.json.gz")
-    expected = EXPECTED["traces"]["h264dec"]["makespans_us"]["nexuspp"]
-    factory = GOLDEN_MANAGERS["nexuspp"]
-    for lookahead in (1, 7, 4096):
-        result = simulate_stream(trace, factory(), num_cores=EXPECTED["cores"],
-                                 lookahead=lookahead)
-        assert result.makespan_us == expected, f"lookahead={lookahead}"
+@pytest.mark.parametrize("manager_key", MANAGER_KEYS)
+@pytest.mark.parametrize("key", TRACE_KEYS)
+def test_streamed_replay_matches_scalar_stats_and_event_count(key, manager_key):
+    """The stream engine is the scalar loop's twin, not just its makespan:
+    the manager sees the same calls (identical statistics) and the event
+    queue dispatches the same number of events."""
+    trace = load_trace(DATA_DIR / f"{key}.json.gz")
+    factory = GOLDEN_MANAGERS[manager_key]
+    config = MachineConfig(num_cores=EXPECTED["cores"], keep_schedule=False)
+    scalar_machine = Machine(factory(), config)
+    scalar = scalar_machine.run_scalar(trace)
+    stream_machine = Machine(factory(), config)
+    streamed = stream_machine.run_stream(trace)
+    assert streamed.makespan_us == scalar.makespan_us
+    assert streamed.master_finish_us == scalar.master_finish_us
+    assert streamed.manager_stats == scalar.manager_stats
+    assert stream_machine.last_events_processed == scalar_machine.last_events_processed
 
 
 @pytest.mark.parametrize("name", sorted(STREAMS))

@@ -1,11 +1,11 @@
-"""Golden equivalence of the compiled dependence-resolution engine.
+"""Golden equivalence of the dependence-resolution engine.
 
 Replays every committed golden trace through three dependency engines:
 
 * the **frozen legacy tracker** (``benchmarks/_legacy_depres.py``) — the
   access-by-access engine as it stood before the compiled engine landed;
-* the live tracker on its **dynamic path** (no bound program);
-* the live tracker on its **compiled path** (bound access program).
+* the live tracker **unbound** (each task resolved at insert);
+* the live tracker **bound** to the trace's access program.
 
 and asserts that the ``InsertResult`` / ``FinishResult`` sequences are
 *identical* — every access record (address, mode, table index, must-wait,
@@ -132,7 +132,7 @@ def test_compiled_engine_matches_frozen_tracker(trace_key, config_key):
     compiled = _live_tracker(num_tables, geometry)
     compiled.bind_program(trace.access_program())
     assert _replay(compiled, trace) == expected, (
-        f"compiled path diverged from the frozen tracker on {trace_key}/{config_key}"
+        f"bound tracker diverged from the frozen tracker on {trace_key}/{config_key}"
     )
 
 
@@ -145,7 +145,7 @@ def test_dynamic_path_matches_frozen_tracker(trace_key, config_key):
 
     dynamic = _live_tracker(num_tables, geometry)
     assert _replay(dynamic, trace) == expected, (
-        f"dynamic path diverged from the frozen tracker on {trace_key}/{config_key}"
+        f"unbound tracker diverged from the frozen tracker on {trace_key}/{config_key}"
     )
 
 
@@ -166,7 +166,7 @@ def test_rebinding_after_reset_is_stable(trace_key):
 
 def test_table_stats_match_between_paths():
     """Structural accounting (conflicts, insertions, evictions, dummies,
-    peak live entries) agrees between compiled, dynamic and frozen paths."""
+    peak live entries) agrees between bound, unbound and frozen trackers."""
     trace = load_trace(DATA_DIR / f"{TRACE_KEYS[0]}.json.gz")
     num_tables, geometry = CONFIGS["tiny-conflicts"]
 

@@ -376,3 +376,28 @@ class TestDynamicStaticEquivalence:
             Compute(-1.0)
         with pytest.raises(TraceError):
             Spawn("not a request")
+
+
+class TestLastReadyOrder:
+    """``Machine.last_ready_order`` always describes the most recent run."""
+
+    @pytest.mark.parametrize("replay", ["run", "run_scalar"])
+    def test_static_replay_after_dynamic_run_clears_order(self, replay):
+        machine = Machine(IdealManager(), MachineConfig(num_cores=4))
+        machine.run(fib_program(5, seed=1))
+        assert machine.last_ready_order
+        getattr(machine, replay)(generate_random_dag(30, seed=3))
+        assert machine.last_ready_order == ()
+
+    def test_stream_after_dynamic_run_records_its_own_order(self):
+        machine = Machine(IdealManager(), MachineConfig(num_cores=4))
+        machine.run(fib_program(5, seed=1))
+        trace = generate_random_dag(30, seed=3)
+        machine.run_stream(trace)
+        assert sorted(machine.last_ready_order) == [task.task_id for task in trace.tasks()]
+
+    def test_stream_without_schedule_records_nothing(self):
+        machine = Machine(IdealManager(), MachineConfig(num_cores=4, keep_schedule=False))
+        machine.run(fib_program(5, seed=1))
+        machine.run_stream(generate_random_dag(30, seed=3))
+        assert machine.last_ready_order == ()

@@ -104,8 +104,6 @@ class TestBackPressure:
         machine = Machine(IdealManager(), MachineConfig(num_cores=2))
         with pytest.raises(SimulationError):
             machine.run_stream(generate_chain(3), max_in_flight=0)
-        with pytest.raises(SimulationError):
-            machine.run_stream(generate_chain(3), lookahead=0)
 
 
 class TestErrorDetection:

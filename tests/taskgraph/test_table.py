@@ -1,10 +1,17 @@
-"""Tests for the set-associative address table."""
+"""Tests for the set-associative address table.
+
+The table owns geometry and structural accounting; the accesses that
+drive it go through a one-table :class:`DependencyTracker`.
+"""
 
 import pytest
 
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.taskgraph.address_state import AccessMode
 from repro.taskgraph.table import AddressTable
+from repro.taskgraph.tracker import DependencyTracker
+from repro.trace.task import Direction, Parameter, TaskDescriptor
+
+READ, WRITE = Direction.IN, Direction.OUT
 
 
 class TestGeometry:
@@ -27,82 +34,101 @@ class TestGeometry:
             AddressTable(num_sets=16, ways=0)
 
 
+def one_table(**geometry):
+    """A one-table tracker over ``AddressTable(**geometry)``."""
+    return DependencyTracker(table_factory=lambda index: AddressTable(name="TG0", **geometry))
+
+
+def access(tracker, task_id, address, direction):
+    """Insert a task with a single access; return its access record."""
+    task = TaskDescriptor(task_id=task_id, function="f",
+                          params=(Parameter(address=address, direction=direction),),
+                          duration_us=1.0)
+    (record,) = tracker.insert_task(task).accesses
+    return record
+
+
+def kicked(tracker, task_id):
+    """Finish a single-access task; return the ids its access kicked off."""
+    (record,) = tracker.finish_task(task_id).accesses
+    return record.kicked_off
+
+
 class TestInsertAndFinish:
     def test_insert_then_finish_evicts_entry(self):
-        table = AddressTable(num_sets=16, ways=2)
-        must_wait, conflict = table.insert_access(0x40, 1, AccessMode.WRITE)
-        assert (must_wait, conflict) == (False, False)
+        tracker = one_table(num_sets=16, ways=2)
+        table = tracker.tables[0]
+        record = access(tracker, 1, 0x40, WRITE)
+        assert (record.must_wait, record.set_conflict) == (False, False)
         assert table.live_entries == 1
-        table.finish_access(0x40, 1)
+        kicked(tracker, 1)
         assert table.live_entries == 0
         assert table.stats.evictions == 1
 
     def test_dependent_task_waits(self):
-        table = AddressTable()
-        table.insert_access(0x40, 1, AccessMode.WRITE)
-        must_wait, _ = table.insert_access(0x40, 2, AccessMode.READ)
-        assert must_wait is True
+        tracker = one_table()
+        access(tracker, 1, 0x40, WRITE)
+        assert access(tracker, 2, 0x40, READ).must_wait is True
 
     def test_finish_returns_kicked_waiters(self):
-        table = AddressTable()
-        table.insert_access(0x40, 1, AccessMode.WRITE)
-        table.insert_access(0x40, 2, AccessMode.READ)
-        released = table.finish_access(0x40, 1)
-        assert [w.task_id for w in released] == [2]
+        tracker = one_table()
+        access(tracker, 1, 0x40, WRITE)
+        access(tracker, 2, 0x40, READ)
+        assert kicked(tracker, 1) == (2,)
 
-    def test_finish_untracked_address_raises(self):
+    def test_finish_untracked_task_raises(self):
         with pytest.raises(SimulationError):
-            AddressTable().finish_access(0x40, 1)
+            one_table().finish_task(1)
 
     def test_set_conflict_detected(self):
-        table = AddressTable(num_sets=1, ways=2)
+        tracker = one_table(num_sets=1, ways=2)
         # Three distinct addresses in the single set: third insert conflicts.
-        assert table.insert_access(0x40, 1, AccessMode.WRITE)[1] is False
-        assert table.insert_access(0x80, 2, AccessMode.WRITE)[1] is False
-        assert table.insert_access(0xC0, 3, AccessMode.WRITE)[1] is True
-        assert table.stats.set_conflicts == 1
+        assert access(tracker, 1, 0x40, WRITE).set_conflict is False
+        assert access(tracker, 2, 0x80, WRITE).set_conflict is False
+        assert access(tracker, 3, 0xC0, WRITE).set_conflict is True
+        assert tracker.tables[0].stats.set_conflicts == 1
 
     def test_conflict_entry_is_still_tracked(self):
-        table = AddressTable(num_sets=1, ways=1)
-        table.insert_access(0x40, 1, AccessMode.WRITE)
-        table.insert_access(0x80, 2, AccessMode.WRITE)
+        tracker = one_table(num_sets=1, ways=1)
+        access(tracker, 1, 0x40, WRITE)
+        access(tracker, 2, 0x80, WRITE)
         # Functional behaviour unaffected: dependencies on the overflowing
         # address still resolve.
-        must_wait, _ = table.insert_access(0x80, 3, AccessMode.READ)
-        assert must_wait is True
+        assert access(tracker, 3, 0x80, READ).must_wait is True
 
     def test_occupancy_released_on_eviction(self):
-        table = AddressTable(num_sets=1, ways=2)
-        table.insert_access(0x40, 1, AccessMode.WRITE)
+        tracker = one_table(num_sets=1, ways=2)
+        table = tracker.tables[0]
+        access(tracker, 1, 0x40, WRITE)
         set_idx = table.set_index(0x40)
         assert table.set_occupancy(set_idx) == 1
-        table.finish_access(0x40, 1)
+        kicked(tracker, 1)
         assert table.set_occupancy(set_idx) == 0
 
 
 class TestDummyEntries:
     def test_long_kickoff_list_consumes_extra_ways(self):
-        table = AddressTable(num_sets=4, ways=8, kickoff_capacity=2)
-        table.insert_access(0x40, 0, AccessMode.WRITE)
+        tracker = one_table(num_sets=4, ways=8, kickoff_capacity=2)
+        table = tracker.tables[0]
+        access(tracker, 0, 0x40, WRITE)
         for task in range(1, 6):  # 5 waiters, capacity 2 -> 2 dummy entries
-            table.insert_access(0x40, task, AccessMode.WRITE)
-        assert table.ways_used(0x40) == 3
+            access(tracker, task, 0x40, WRITE)
+        assert table.set_occupancy(table.set_index(0x40)) == 3
         assert table.stats.dummy_entries_peak >= 2
 
     def test_unbounded_waiters_supported(self):
         # The Gaussian-elimination property: any number of tasks may wait
         # on one address (dummy-entry chaining), the structure never fails.
-        table = AddressTable(num_sets=4, ways=2, kickoff_capacity=4)
-        table.insert_access(0x40, 0, AccessMode.WRITE)
+        tracker = one_table(num_sets=4, ways=2, kickoff_capacity=4)
+        access(tracker, 0, 0x40, WRITE)
         for task in range(1, 300):
-            must_wait, _ = table.insert_access(0x40, task, AccessMode.READ)
-            assert must_wait is True
-        released = table.finish_access(0x40, 0)
-        assert len(released) == 299
+            assert access(tracker, task, 0x40, READ).must_wait is True
+        assert kicked(tracker, 0) == tuple(range(1, 300))
 
     def test_reset(self):
-        table = AddressTable()
-        table.insert_access(0x40, 1, AccessMode.WRITE)
-        table.reset()
+        tracker = one_table()
+        access(tracker, 1, 0x40, WRITE)
+        tracker.reset()
+        table = tracker.tables[0]
         assert table.live_entries == 0
         assert table.stats.insertions == 0

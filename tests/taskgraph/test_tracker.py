@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.taskgraph.address_state import AccessMode
-from repro.taskgraph.tracker import DependencyTracker, merge_access_modes
+from repro.taskgraph.tracker import DependencyTracker
 from repro.trace.dag import build_dependency_graph
 from repro.trace.task import Direction, Parameter, TaskDescriptor, make_params
 from repro.workloads.synthetic import generate_random_dag
@@ -19,11 +19,16 @@ def make_task(task_id, inputs=(), outputs=(), inouts=()):
     )
 
 
+def merged_modes(task):
+    """``(address, mode)`` per deduplicated access, as insert reports it."""
+    result = DependencyTracker().insert_task(task)
+    return [(access.address, access.mode) for access in result.accesses]
+
+
 class TestMergeAccessModes:
     def test_distinct_addresses_preserved_in_order(self):
         task = make_task(0, inputs=[0x1, 0x2], outputs=[0x3])
-        merged = merge_access_modes(task)
-        assert [a for a, _ in merged] == [0x1, 0x2, 0x3]
+        assert [a for a, _ in merged_modes(task)] == [0x1, 0x2, 0x3]
 
     def test_duplicate_address_merges_to_readwrite(self):
         task = TaskDescriptor(
@@ -35,8 +40,7 @@ class TestMergeAccessModes:
             ),
             duration_us=1.0,
         )
-        merged = merge_access_modes(task)
-        assert merged == [(0x1, AccessMode.READWRITE)]
+        assert merged_modes(task) == [(0x1, AccessMode.READWRITE)]
 
     def test_duplicate_reads_stay_read(self):
         task = TaskDescriptor(
@@ -48,7 +52,7 @@ class TestMergeAccessModes:
             ),
             duration_us=1.0,
         )
-        assert merge_access_modes(task) == [(0x1, AccessMode.READ)]
+        assert merged_modes(task) == [(0x1, AccessMode.READ)]
 
 
 class TestInsertFinish:
@@ -158,3 +162,27 @@ class TestAgainstReferenceDag:
                 # All DAG predecessors must have finished by now.
                 assert graph.predecessors[released] <= finished
         assert ready == set(graph.submission_order)
+
+
+class TestResolutionAtInsert:
+    """Without a bound program, ids come from the live-address map."""
+
+    def test_evicted_ids_are_reused_and_rows_dropped(self):
+        tracker = DependencyTracker()
+        for task_id in range(100):
+            tracker.insert_task(make_task(task_id, outputs=[0x1000 + 64 * task_id]))
+            tracker.finish_task(task_id)
+        # Memory is O(live addresses + in-flight tasks), not O(tasks).
+        assert tracker._live == {} and tracker._rows_of == {}
+        assert len(tracker._cells) == 1
+
+    def test_freed_id_never_aliases_a_live_address(self):
+        tracker = DependencyTracker()
+        tracker.insert_task(make_task(0, outputs=[0x40]))
+        tracker.insert_task(make_task(1, outputs=[0x80]))
+        tracker.finish_task(0)  # 0x40 is evicted and gives its id back
+        result = tracker.insert_task(make_task(2, inputs=[0x80], outputs=[0x40]))
+        # 0x40 takes the freed id; 0x80 keeps its own and its writer.
+        assert [a.must_wait for a in result.accesses] == [True, False]
+        assert len(tracker._cells) == 2
+        assert tracker.finish_task(1).newly_ready == (2,)

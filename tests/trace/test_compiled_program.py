@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from repro.taskgraph.address_state import AccessMode, MODE_OF_FLAGS
-from repro.taskgraph.tracker import DependencyTracker, merge_access_modes
+from repro.taskgraph.tracker import DependencyTracker
 from repro.trace.compiled import FLAG_READS, FLAG_READWRITE, FLAG_WRITES, CompiledAccessProgram
 from repro.trace.task import Direction, Parameter, TaskDescriptor
 from repro.trace.trace import TraceBuilder
@@ -35,7 +35,7 @@ class TestCompilation:
         assert program.task_accesses(1) == [(0, FLAG_READS), (1, FLAG_WRITES)]
         assert program.task_accesses(2) == [(0, FLAG_READS), (1, FLAG_READS), (2, FLAG_READWRITE)]
 
-    def test_duplicate_addresses_merge_like_merge_access_modes(self):
+    def test_duplicate_addresses_merge_like_unbound_insert(self):
         task = TaskDescriptor(
             task_id=0,
             function="f",
@@ -49,9 +49,9 @@ class TestCompilation:
         )
         program = CompiledAccessProgram([task])
         assert program.task_accesses(0) == [(0, FLAG_READWRITE), (1, FLAG_READS)]
-        merged = merge_access_modes(task)
+        inserted = DependencyTracker().insert_task(task).accesses
         assert [(program.addresses[aid], MODE_OF_FLAGS[flag]) for aid, flag in
-                program.task_accesses(0)] == merged
+                program.task_accesses(0)] == [(a.address, a.mode) for a in inserted]
 
     def test_flags_agree_with_access_mode_members(self):
         assert AccessMode.READ.flags == FLAG_READS

@@ -4,7 +4,11 @@ import pytest
 
 from repro.common.constants import ADDRESS_MASK
 from repro.common.errors import TraceError
+from repro.trace.dynamic import Compute, TaskRequest
 from repro.trace.task import Direction, Parameter, TaskDescriptor, make_params
+
+#: Durations a simulated time must never take.
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
 class TestDirection:
@@ -87,6 +91,16 @@ class TestTaskDescriptor:
         with pytest.raises(TraceError):
             self._task(duration_us=-1.0)
 
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_duration_rejected(self, value):
+        with pytest.raises(TraceError, match="finite"):
+            self._task(duration_us=value)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_creation_overhead_rejected(self, value):
+        with pytest.raises(TraceError, match="finite"):
+            self._task(creation_overhead_us=value)
+
     def test_non_parameter_entries_rejected(self):
         with pytest.raises(TraceError):
             self._task(params=(0x100,))
@@ -118,3 +132,27 @@ class TestMakeParams:
 
     def test_empty(self):
         assert make_params() == ()
+
+
+class TestDynamicDurations:
+    """The dynamic program's task requests and compute ops feed the same
+    engine as descriptors, so they reject the same non-finite values."""
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_task_request_non_finite_duration_rejected(self, value):
+        with pytest.raises(TraceError, match="finite"):
+            TaskRequest("work", duration_us=value)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_task_request_non_finite_creation_overhead_rejected(self, value):
+        with pytest.raises(TraceError, match="finite"):
+            TaskRequest("work", duration_us=1.0, creation_overhead_us=value)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_compute_non_finite_duration_rejected(self, value):
+        with pytest.raises(TraceError, match="finite"):
+            Compute(value)
+
+    def test_finite_values_accepted(self):
+        assert TaskRequest("work", duration_us=0.0, creation_overhead_us=2.5).duration_us == 0.0
+        assert Compute(3).duration_us == 3.0
