@@ -15,6 +15,11 @@ committed artefacts and compare *exactly* — any diff in a regeneration
 is a change to the simulated science and must be explained in the PR
 that commits it.
 
+The same replays also pin every manager's ``statistics()`` (the
+``manager_stats`` of each JSONL row) in ``expected_manager_stats.json``,
+floats stored by ``repr`` so a last-bit drift shows as a string diff
+(``test_manager_stats.py`` compares them exactly).
+
 ``--check`` recomputes everything in memory and compares against the
 committed files without writing, exiting non-zero on any drift — the CI
 guard that the committed goldens and the generators cannot diverge
@@ -42,17 +47,33 @@ from golden_config import (
 
 DATA_DIR = Path(__file__).parent / "data"
 EXPECTED_PATH = Path(__file__).parent / "expected_makespans.json"
+STATS_PATH = Path(__file__).parent / "expected_manager_stats.json"
 GOLDEN_CORES = 8
 
 
-def compute_expected() -> dict:
-    """Build the full expected-makespans document (traces + dynamic)."""
+def pin_stats(value):
+    """``value`` with every float replaced by its ``repr`` string."""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, dict):
+        return {key: pin_stats(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [pin_stats(item) for item in value]
+    return value
+
+
+def compute_expected() -> tuple[dict, dict]:
+    """Build the expected-makespans and expected-manager-stats documents
+    (traces + dynamic) from one replay per golden and manager."""
     traces: dict[str, dict[str, object]] = {}
+    stats: dict[str, dict[str, dict]] = {"traces": {}, "dynamic": {}}
     for key, trace in golden_traces().items():
         makespans = {}
+        stats["traces"][key] = {}
         for manager_key, factory in GOLDEN_MANAGERS.items():
             result = simulate(trace, factory(), num_cores=GOLDEN_CORES, validate=True)
             makespans[manager_key] = result.makespan_us
+            stats["traces"][key][manager_key] = pin_stats(dict(result.manager_stats))
         traces[key] = {
             "trace_digest": trace_digest(trace),
             "num_tasks": trace.num_tasks,
@@ -63,17 +84,25 @@ def compute_expected() -> dict:
     for key, program in golden_dynamic_programs().items():
         elaboration = program.elaborate()
         makespans = {}
+        stats["dynamic"][key] = {}
         for manager_key, factory in GOLDEN_MANAGERS.items():
             machine = Machine(factory(), MachineConfig(num_cores=GOLDEN_CORES, validate=True))
-            makespans[manager_key] = machine.run(program).makespan_us
+            result = machine.run(program)
+            makespans[manager_key] = result.makespan_us
+            stats["dynamic"][key][manager_key] = pin_stats(dict(result.manager_stats))
         dynamic[key] = {
             "elaboration_digest": trace_digest(elaboration),
             "num_tasks": elaboration.num_tasks,
             "total_work_us": elaboration.total_work_us,
             "makespans_us": makespans,
         }
-    return {"seed": GOLDEN_SEED, "cores": GOLDEN_CORES,
-            "traces": traces, "dynamic": dynamic}
+    header = {"seed": GOLDEN_SEED, "cores": GOLDEN_CORES}
+    return {**header, "traces": traces, "dynamic": dynamic}, {**header, **stats}
+
+
+def write_json(path: Path, document: dict) -> None:
+    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
 
 
 def regenerate() -> int:
@@ -85,11 +114,10 @@ def regenerate() -> int:
         elaboration = program.elaborate()
         path = save_trace(elaboration, DATA_DIR / f"dyn_{key}.json.gz")
         print(f"{key:24s} {elaboration.num_tasks:5d} tasks -> {path.name} (dynamic)")
-    EXPECTED_PATH.write_text(
-        json.dumps(compute_expected(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    print(f"wrote {EXPECTED_PATH}")
+    makespans, stats = compute_expected()
+    write_json(EXPECTED_PATH, makespans)
+    write_json(STATS_PATH, stats)
+    print(f"wrote {EXPECTED_PATH} and {STATS_PATH}")
     return 0
 
 
@@ -114,24 +142,34 @@ def check_scalar_equivalence(computed: dict) -> list[str]:
     return failures
 
 
+def diff_document(name: str, expected: dict, computed: dict) -> list[str]:
+    """One failure line per golden entry of ``computed`` that drifted."""
+    failures: list[str] = []
+    for section in ("traces", "dynamic"):
+        want, got = expected.get(section, {}), computed.get(section, {})
+        for key in sorted(set(want) | set(got)):
+            if want.get(key) != got.get(key):
+                failures.append(
+                    f"{name} [{section}/{key}]: committed "
+                    f"{want.get(key)} != regenerated {got.get(key)}")
+    for scalar in ("seed", "cores"):
+        if expected.get(scalar) != computed.get(scalar):
+            failures.append(f"{name} [{scalar}] drifted")
+    return failures
+
+
 def check() -> int:
     """Fail (non-zero) when committed goldens drift from the generators."""
     from repro.trace.serialization import load_trace
 
     failures: list[str] = []
-    expected = json.loads(EXPECTED_PATH.read_text(encoding="utf-8"))
-    computed = compute_expected()
-    if expected != computed:
-        for section in ("traces", "dynamic"):
-            want, got = expected.get(section, {}), computed.get(section, {})
-            for key in sorted(set(want) | set(got)):
-                if want.get(key) != got.get(key):
-                    failures.append(
-                        f"expected_makespans.json [{section}/{key}]: committed "
-                        f"{want.get(key)} != regenerated {got.get(key)}")
-        for scalar in ("seed", "cores"):
-            if expected.get(scalar) != computed.get(scalar):
-                failures.append(f"expected_makespans.json [{scalar}] drifted")
+    computed, computed_stats = compute_expected()
+    for path, fresh in ((EXPECTED_PATH, computed), (STATS_PATH, computed_stats)):
+        if not path.exists():
+            failures.append(f"missing committed {path.name}")
+            continue
+        failures.extend(diff_document(
+            path.name, json.loads(path.read_text(encoding="utf-8")), fresh))
     committed_files = {
         **{f"{key}.json.gz": trace for key, trace in golden_traces().items()},
         **{f"dyn_{key}.json.gz": program.elaborate()
@@ -154,7 +192,7 @@ def check() -> int:
         return 1
     print(f"goldens clean: {len(committed_files)} traces, "
           f"{len(computed['traces'])} static + {len(computed['dynamic'])} dynamic "
-          "makespan sets match; kernel and scalar replay identical under "
+          "makespan and manager-stats sets match; kernel and scalar replay identical under "
           f"{len(GOLDEN_MANAGERS)} managers")
     return 0
 
