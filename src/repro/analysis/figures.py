@@ -151,10 +151,9 @@ def microbenchmark_report(num_task_graphs: int = 1, frequency_mhz: float = 100.0
     last_ready_us = 0.0
     accept_us = 0.0
     for task in trace.tasks():
-        outcome = manager.submit(task, accept_us)
-        accept_us = outcome.accept_time_us
-        for notification in outcome.ready:
-            last_ready_us = max(last_ready_us, notification.time_us)
+        accept_us, ready = manager.submit(task, accept_us)
+        for _, ready_us in ready:
+            last_ready_us = max(last_ready_us, ready_us)
     measured_cycles = last_ready_us * frequency_mhz
     rows = [
         ["Nexus# (this model)", round(measured_cycles, 1)],

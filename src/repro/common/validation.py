@@ -7,6 +7,8 @@ base validate their fields the same way.
 
 from __future__ import annotations
 
+import math
+from numbers import Integral
 from typing import Union
 
 from repro.common.errors import ConfigurationError
@@ -14,17 +16,29 @@ from repro.common.errors import ConfigurationError
 Number = Union[int, float]
 
 
+def _finite(value: Number) -> bool:
+    # Integers are always finite (and may be too large for a float).
+    return isinstance(value, Integral) or math.isfinite(value)
+
+
 def check_positive(name: str, value: Number) -> Number:
-    """Ensure ``value`` is strictly positive; return it for chaining."""
-    if not value > 0:
-        raise ConfigurationError(f"{name} must be > 0, got {value!r}")
+    """Ensure ``value`` is finite and strictly positive; return it for chaining."""
+    if not (value > 0 and _finite(value)):
+        raise ConfigurationError(f"{name} must be finite and > 0, got {value!r}")
     return value
 
 
 def check_non_negative(name: str, value: Number) -> Number:
-    """Ensure ``value`` is >= 0; return it for chaining."""
-    if value < 0:
-        raise ConfigurationError(f"{name} must be >= 0, got {value!r}")
+    """Ensure ``value`` is finite and >= 0 (NaN fails); return it for chaining."""
+    if not (value >= 0 and _finite(value)):
+        raise ConfigurationError(f"{name} must be finite and >= 0, got {value!r}")
+    return value
+
+
+def check_positive_int(name: str, value: int) -> int:
+    """Ensure ``value`` is an integer (not a bool) and > 0; return it."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value <= 0:
+        raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
     return value
 
 

@@ -7,11 +7,22 @@ of finished tasks" (Section V-B).  The interface below is exactly that
 contract, expressed in simulation time (micro-seconds):
 
 * :meth:`TaskManagerModel.submit` — the master thread hands a task to the
-  manager at a given time; the manager reports when the master may
-  continue (back-pressure / software cost) and which tasks it has already
-  determined to be ready, with their ready times.
+  manager at a given time; the manager returns a :class:`SubmitOutcome`
+  ``(accept_time_us, ready)``: when the master may continue
+  (back-pressure / software cost) and which tasks it has already
+  determined to be ready;
 * :meth:`TaskManagerModel.finish` — a worker core reports a finished task;
-  the manager reports which waiting tasks become ready, and when.
+  the manager returns a :class:`FinishOutcome` ``(ready, notify_done_us)``
+  naming the waiting tasks that became ready.
+
+``ready`` is a tuple of plain ``(task_id, time_us)`` pairs, in the order
+the manager reports them.  The machine loops only unpack those pairs, so
+a manager may equally return :class:`ReadyNotification` entries (a named
+pair that unpacks the same way).  The managers built on
+:class:`~repro.taskgraph.tracker.DependencyTracker` read its flat
+``insert_task`` / ``finish_task`` tuples directly: no per-access or
+per-task record object travels from the tracker to the manager to the
+loop.
 
 All manager models are *passive*: they never call back into the machine;
 they only answer these two calls with timestamps, which keeps them easy
@@ -31,7 +42,12 @@ from repro.trace.task import TaskDescriptor
 
 
 class ReadyNotification(NamedTuple):
-    """A task reported ready by the manager at ``time_us``."""
+    """A task reported ready by the manager at ``time_us``.
+
+    The built-in managers report plain ``(task_id, time_us)`` tuples;
+    this named form unpacks identically and stays for managers (and the
+    frozen legacy oracles) that prefer it.
+    """
 
     task_id: int
     time_us: float
@@ -49,13 +65,14 @@ class SubmitOutcome(NamedTuple):
         for software managers it additionally contains the task-creation
         and dependency-analysis work performed on the master core.
     ready:
-        Ready notifications produced directly by this submission (the
-        submitted task itself when it has no dependencies — possibly
-        other tasks for managers that defer work).
+        ``(task_id, time_us)`` ready pairs produced directly by this
+        submission (the submitted task itself when it has no
+        dependencies — possibly other tasks for managers that defer
+        work).
     """
 
     accept_time_us: float
-    ready: tuple[ReadyNotification, ...] = ()
+    ready: tuple[tuple[int, float], ...] = ()
 
 
 class LaneKernelSpec(NamedTuple):
@@ -96,14 +113,15 @@ class FinishOutcome(NamedTuple):
     Attributes
     ----------
     ready:
-        Tasks that became ready because of this completion, with the time
-        the manager reports them (i.e. when a free core could start them).
+        ``(task_id, time_us)`` pairs of the tasks that became ready
+        because of this completion, with the time the manager reports
+        them (i.e. when a free core could start them).
     notify_done_us:
         Time at which the finished-task notification itself has been fully
         processed; only used for statistics.
     """
 
-    ready: tuple[ReadyNotification, ...] = ()
+    ready: tuple[tuple[int, float], ...] = ()
     notify_done_us: float = 0.0
 
 

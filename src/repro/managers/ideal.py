@@ -14,13 +14,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.managers.base import (
-    FinishOutcome,
-    LaneKernelSpec,
-    ReadyNotification,
-    SubmitOutcome,
-    TaskManagerModel,
-)
+from repro.managers.base import FinishOutcome, LaneKernelSpec, SubmitOutcome, TaskManagerModel
 from repro.taskgraph.tracker import DependencyTracker
 from repro.trace.task import TaskDescriptor
 
@@ -42,14 +36,13 @@ class IdealManager(TaskManagerModel):
         self._tracker.bind_program(program)
 
     def submit(self, task: TaskDescriptor, time_us: float) -> SubmitOutcome:
-        result = self._tracker.insert_task(task)
-        ready = (ReadyNotification(task.task_id, time_us),) if result.ready else ()
-        return SubmitOutcome(accept_time_us=time_us, ready=ready)
+        if self._tracker.insert_task(task)[1]:
+            return SubmitOutcome(time_us, ())
+        return SubmitOutcome(time_us, ((task.task_id, time_us),))
 
     def finish(self, task_id: int, time_us: float) -> FinishOutcome:
-        result = self._tracker.finish_task(task_id)
-        ready = tuple(ReadyNotification(t, time_us) for t in result.newly_ready)
-        return FinishOutcome(ready=ready, notify_done_us=time_us)
+        newly_ready = self._tracker.finish_task(task_id)[2]
+        return FinishOutcome(tuple([(t, time_us) for t in newly_ready]), time_us)
 
     def lane_kernel(self) -> LaneKernelSpec:
         """The ideal manager is pure dependency bookkeeping: zero cost,

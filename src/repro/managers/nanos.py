@@ -29,13 +29,7 @@ from typing import Mapping
 
 from repro.common.errors import ConfigurationError
 from repro.common.validation import check_non_negative
-from repro.managers.base import (
-    FinishOutcome,
-    LaneKernelSpec,
-    ReadyNotification,
-    SubmitOutcome,
-    TaskManagerModel,
-)
+from repro.managers.base import FinishOutcome, LaneKernelSpec, SubmitOutcome, TaskManagerModel
 from repro.sim.resource import SerialResource
 from repro.taskgraph.tracker import DependencyTracker
 from repro.trace.task import TaskDescriptor
@@ -95,8 +89,8 @@ class NanosManager(TaskManagerModel):
     # -- TaskManagerModel ------------------------------------------------------
     def submit(self, task: TaskDescriptor, time_us: float) -> SubmitOutcome:
         cfg = self.config
-        result = self._tracker.insert_task(task)
-        num_params = max(1, result.num_accesses)
+        rows, dependence_count, _, _ = self._tracker.insert_task(task)
+        num_params = max(1, len(rows))
         # Master-side creation work (serial by construction: the machine
         # only advances the master once we return accept_time).
         creation_done = time_us + cfg.task_creation_us + cfg.creation_per_param_us * num_params
@@ -104,18 +98,16 @@ class NanosManager(TaskManagerModel):
         # with workers retiring tasks.
         lock_cost = cfg.insert_lock_us + cfg.insert_lock_per_param_us * num_params
         _, insert_done = self._lock.reserve(creation_done, lock_cost)
-        ready = ()
-        if result.ready:
-            ready = (ReadyNotification(task.task_id, insert_done),)
-        return SubmitOutcome(accept_time_us=insert_done, ready=ready)
+        if dependence_count:
+            return SubmitOutcome(insert_done, ())
+        return SubmitOutcome(insert_done, ((task.task_id, insert_done),))
 
     def finish(self, task_id: int, time_us: float) -> FinishOutcome:
         cfg = self.config
-        result = self._tracker.finish_task(task_id)
-        lock_cost = cfg.finish_lock_us + cfg.wakeup_per_task_us * result.num_kickoffs
+        _, _, newly_ready, kickoff_count = self._tracker.finish_task(task_id)
+        lock_cost = cfg.finish_lock_us + cfg.wakeup_per_task_us * kickoff_count
         _, finish_done = self._lock.reserve(time_us, lock_cost)
-        ready = tuple(ReadyNotification(t, finish_done) for t in result.newly_ready)
-        return FinishOutcome(ready=ready, notify_done_us=finish_done)
+        return FinishOutcome(tuple([(t, finish_done) for t in newly_ready]), finish_done)
 
     def lane_kernel(self) -> LaneKernelSpec:
         """Nanos is constant-foldable: per-task costs are affine in the

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.common.validation import check_non_negative
-from repro.managers.base import FinishOutcome, ReadyNotification, SubmitOutcome, TaskManagerModel
+from repro.managers.base import FinishOutcome, SubmitOutcome, TaskManagerModel
 from repro.sim.resource import SerialResource
 from repro.taskgraph.tracker import DependencyTracker
 from repro.trace.task import TaskDescriptor
@@ -61,16 +61,16 @@ class VandierendonckManager(TaskManagerModel):
         self._tracker.bind_program(program)
 
     def submit(self, task: TaskDescriptor, time_us: float) -> SubmitOutcome:
-        result = self._tracker.insert_task(task)
+        dependence_count = self._tracker.insert_task(task)[1]
         _, done = self._lock.reserve(time_us, self.config.insert_us)
-        ready = (ReadyNotification(task.task_id, done),) if result.ready else ()
-        return SubmitOutcome(accept_time_us=done, ready=ready)
+        if dependence_count:
+            return SubmitOutcome(done, ())
+        return SubmitOutcome(done, ((task.task_id, done),))
 
     def finish(self, task_id: int, time_us: float) -> FinishOutcome:
-        result = self._tracker.finish_task(task_id)
+        newly_ready = self._tracker.finish_task(task_id)[2]
         _, done = self._lock.reserve(time_us, self.config.retire_us)
-        ready = tuple(ReadyNotification(t, done) for t in result.newly_ready)
-        return FinishOutcome(ready=ready, notify_done_us=done)
+        return FinishOutcome(tuple([(t, done) for t in newly_ready]), done)
 
     def describe(self) -> Mapping[str, object]:
         return {

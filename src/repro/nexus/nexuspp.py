@@ -21,12 +21,18 @@ Nexus++ does **not** support the ``taskwait on`` pragma (Section III);
 the machine simulator therefore degrades that barrier to a full
 ``taskwait`` when driving this manager, reproducing the H264dec behaviour
 the paper reports.
+
+Because the whole task moves through the pipeline at once, the model
+needs only counts from the dependency tracker's flat tuples: the number
+of rows, the popcount of ``conflict_mask``, ``kickoff_count`` and
+``newly_ready``.  Every serial stage is reserved inline, and ready tasks
+leave as plain ``(task_id, time_us)`` pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.common.constants import (
     DEFAULT_KICKOFF_CAPACITY,
@@ -34,10 +40,9 @@ from repro.common.constants import (
     DEFAULT_TABLE_WAYS,
     DEFAULT_TASK_POOL_ENTRIES,
 )
-from repro.common.errors import ConfigurationError
 from repro.common.units import Frequency
-from repro.common.validation import check_positive
-from repro.managers.base import FinishOutcome, ReadyNotification, SubmitOutcome, TaskManagerModel
+from repro.common.validation import check_non_negative, check_positive, check_positive_int
+from repro.managers.base import FinishOutcome, SubmitOutcome, TaskManagerModel
 from repro.nexus.timing import (
     NEXUS_PP_TEST_FREQUENCY_MHZ,
     NexusPlusPlusTiming,
@@ -69,11 +74,9 @@ class NexusPlusPlusConfig:
 
     def __post_init__(self) -> None:
         check_positive("frequency_mhz", self.frequency_mhz)
-        check_positive("fifo_latency_cycles", self.fifo_latency_cycles + 1)  # allow 0
-        check_positive("table_sets", self.table_sets)
-        check_positive("table_ways", self.table_ways)
-        check_positive("kickoff_capacity", self.kickoff_capacity)
-        check_positive("task_pool_entries", self.task_pool_entries)
+        check_non_negative("fifo_latency_cycles", self.fifo_latency_cycles)
+        for name in ("table_sets", "table_ways", "kickoff_capacity", "task_pool_entries"):
+            check_positive_int(name, getattr(self, name))
 
 
 class NexusPlusPlusManager(TaskManagerModel):
@@ -122,15 +125,6 @@ class NexusPlusPlusManager(TaskManagerModel):
         self._ready_latency_total_us = 0.0
         self._ready_count = 0
 
-    # -- helpers ---------------------------------------------------------------
-    def _cycles(self, cycles: float) -> float:
-        """Convert manager cycles to micro-seconds."""
-        return cycles * self._cycle_us
-
-    def _grow_tables(self, count: int) -> None:
-        """Extend the (shared) per-parameter-count latency tables."""
-        self._tables.grow_pp(count)
-
     @property
     def frequency(self) -> Frequency:
         """The manager clock."""
@@ -149,15 +143,13 @@ class NexusPlusPlusManager(TaskManagerModel):
 
     # -- TaskManagerModel --------------------------------------------------------
     def submit(self, task: TaskDescriptor, time_us: float) -> SubmitOutcome:
-        timing = self.config.timing
-        result = self._tracker.insert_task(task)
-        accesses = result.accesses
+        rows, dependence_count, _, conflict_mask = self._tracker.insert_task(task)
         num_params = task.num_params
         if num_params < 1:
             num_params = 1
-        num_accesses = len(accesses) or 1
+        num_accesses = len(rows) or 1
         if max(num_params, num_accesses) >= len(self._input_us):
-            self._grow_tables(max(num_params, num_accesses))
+            self._tables.grow_pp(max(num_params, num_accesses))
 
         # Stage 1: Input Parser receives the whole task.  The serial
         # reservations below inline SerialResource.reserve (start =
@@ -178,9 +170,9 @@ class NexusPlusPlusManager(TaskManagerModel):
         # Stage 2: Insert into the single task graph (whole task at once).
         insert_available = input_end + self._fifo_us
         insert_cycles = self._insert_cycles[num_accesses]
-        conflicts = result.set_conflict_count
-        if conflicts:
-            insert_cycles += timing.set_conflict_stall_cycles * conflicts
+        if conflict_mask:
+            insert_cycles += (self.config.timing.set_conflict_stall_cycles
+                              * conflict_mask.bit_count())
         graph = self._task_graph
         duration = insert_cycles * self._cycle_us
         next_free = graph._next_free
@@ -193,26 +185,33 @@ class NexusPlusPlusManager(TaskManagerModel):
         stats.total_wait += start - insert_available
         stats.last_busy_until = insert_end
 
-        ready: tuple[ReadyNotification, ...] = ()
-        if result.ready:
-            wb_available = insert_end + self._fifo_us
-            _, wb_end = self._write_back.reserve(wb_available, self._writeback_us)
-            ready = (ReadyNotification(task.task_id, wb_end),)
-            self._ready_latency_total_us += wb_end - time_us
-            self._ready_count += 1
-
         # The host regains the bus as soon as the Input Parser consumed the
         # descriptor; the deeper pipeline stages overlap with the next task.
-        return SubmitOutcome(accept_time_us=input_end, ready=ready)
+        if dependence_count:
+            return SubmitOutcome(input_end, ())
+        # Stage 3: Write Back forwards the ready task (reservation inlined).
+        write_back = self._write_back
+        wb_available = insert_end + self._fifo_us
+        next_free = write_back._next_free
+        start = wb_available if wb_available > next_free else next_free
+        wb_end = start + self._writeback_us
+        write_back._next_free = wb_end
+        stats = write_back.stats
+        stats.reservations += 1
+        stats.busy_time += self._writeback_us
+        stats.total_wait += start - wb_available
+        stats.last_busy_until = wb_end
+        self._ready_latency_total_us += wb_end - time_us
+        self._ready_count += 1
+        return SubmitOutcome(input_end, ((task.task_id, wb_end),))
 
     def finish(self, task_id: int, time_us: float) -> FinishOutcome:
-        timing = self.config.timing
-        result = self._tracker.finish_task(task_id)
-        num_params = result.num_accesses
+        rows, _, newly_ready, kickoff_count = self._tracker.finish_task(task_id)
+        num_params = len(rows)
         if num_params < 1:
             num_params = 1
         if num_params >= len(self._cleanup_cycles):
-            self._grow_tables(num_params)
+            self._tables.grow_pp(num_params)
 
         # The finished-task notification arrives over the same IO unit
         # (serial reservations inlined as in submit).
@@ -232,7 +231,7 @@ class NexusPlusPlusManager(TaskManagerModel):
         # walk the kick-off lists of its addresses.
         cleanup_available = notify_end + self._fifo_us
         cleanup_cycles = self._cleanup_cycles[num_params]
-        cleanup_cycles += timing.kickoff_cycles_per_waiter * result.kickoff_count
+        cleanup_cycles += self.config.timing.kickoff_cycles_per_waiter * kickoff_count
         graph = self._task_graph
         duration = cleanup_cycles * self._cycle_us
         next_free = graph._next_free
@@ -245,14 +244,28 @@ class NexusPlusPlusManager(TaskManagerModel):
         stats.total_wait += start - cleanup_available
         stats.last_busy_until = cleanup_end
 
-        notifications: List[ReadyNotification] = []
+        if not newly_ready:
+            return FinishOutcome((), cleanup_end)
+        # Ready waiters leave through Write Back in order (reservations
+        # inlined).
+        write_back = self._write_back
+        stats = write_back.stats
+        writeback_us = self._writeback_us
         wb_available = cleanup_end + self._fifo_us
-        for ready_task in result.newly_ready:
-            _, wb_end = self._write_back.reserve(wb_available, self._writeback_us)
-            notifications.append(ReadyNotification(ready_task, wb_end))
-            self._ready_latency_total_us += wb_end - time_us
-            self._ready_count += 1
-        return FinishOutcome(ready=tuple(notifications), notify_done_us=cleanup_end)
+        next_free = write_back._next_free
+        ready = []
+        for ready_task in newly_ready:
+            start = wb_available if wb_available > next_free else next_free
+            next_free = start + writeback_us
+            stats.reservations += 1
+            stats.busy_time += writeback_us
+            stats.total_wait += start - wb_available
+            self._ready_latency_total_us += next_free - time_us
+            ready.append((ready_task, next_free))
+        write_back._next_free = next_free
+        stats.last_busy_until = next_free
+        self._ready_count += len(newly_ready)
+        return FinishOutcome(tuple(ready), cleanup_end)
 
     def lane_kernel(self) -> None:
         """Nexus++ declines the fast replay kernel.

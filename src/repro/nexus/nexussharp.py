@@ -27,6 +27,13 @@ counts, forwarding those reaching zero to the Write Back stage.
 
 Unlike Nexus++, Nexus# supports the ``taskwait on`` pragma, which is what
 lets the fine-grained H264dec benchmark scale (Section VI).
+
+The model makes one tracker call per task per side and reads its flat
+tuples directly: each parameter's task-graph port is ``row[4]`` of the
+task's preresolved rows, its set-conflict stall bit *i* of
+``conflict_mask``, and its kick-off work ``released[i]``.  Every serial
+stage is reserved inline, and ready tasks leave as plain
+``(task_id, time_us)`` pairs.
 """
 
 from __future__ import annotations
@@ -43,8 +50,8 @@ from repro.common.constants import (
 )
 from repro.common.errors import ConfigurationError
 from repro.common.units import Frequency
-from repro.common.validation import check_positive
-from repro.managers.base import FinishOutcome, ReadyNotification, SubmitOutcome, TaskManagerModel
+from repro.common.validation import check_positive, check_positive_int
+from repro.managers.base import FinishOutcome, SubmitOutcome, TaskManagerModel
 from repro.nexus.arbiter import DependenceCountsArbiter
 from repro.nexus.distribution import nexus_hash
 from repro.nexus.timing import (
@@ -79,16 +86,15 @@ class NexusSharpConfig:
     task_pool_entries: int = DEFAULT_TASK_POOL_ENTRIES
 
     def __post_init__(self) -> None:
-        if not 1 <= self.num_task_graphs <= MAX_TASK_GRAPHS:
+        check_positive_int("num_task_graphs", self.num_task_graphs)
+        if self.num_task_graphs > MAX_TASK_GRAPHS:
             raise ConfigurationError(
                 f"num_task_graphs must be in [1, {MAX_TASK_GRAPHS}], got {self.num_task_graphs}"
             )
         if self.frequency_mhz is not None:
             check_positive("frequency_mhz", self.frequency_mhz)
-        check_positive("table_sets", self.table_sets)
-        check_positive("table_ways", self.table_ways)
-        check_positive("kickoff_capacity", self.kickoff_capacity)
-        check_positive("task_pool_entries", self.task_pool_entries)
+        for name in ("table_sets", "table_ways", "kickoff_capacity", "task_pool_entries"):
+            check_positive_int(name, getattr(self, name))
 
     @property
     def effective_frequency_mhz(self) -> float:
@@ -147,6 +153,8 @@ class NexusSharpManager(TaskManagerModel):
         self._insert_conflict_us = (
             (timing.insert_cycles_per_param + timing.set_conflict_stall_cycles) * cycle_us
         )
+        self._ready_fifo_us = timing.ready_fifo_latency_cycles * cycle_us
+        self._writeback_us = timing.writeback_cycles * cycle_us
         # Per-index offset tables, process-shared per (timing, cycle_us):
         # sweep points with the same configuration alias
         # the same monotonically grown lists.
@@ -157,17 +165,6 @@ class NexusSharpManager(TaskManagerModel):
         self._fin_input_us = self._tables.fin_input_us
         self._ready_latency_total_us = 0.0
         self._ready_count = 0
-
-    # -- helpers ---------------------------------------------------------------
-    def _cycles(self, cycles: float) -> float:
-        return cycles * self._cycle_us
-
-    def _grow_submit_tables(self, count: int) -> None:
-        """Extend the (shared) per-parameter-index offset tables."""
-        self._tables.grow_sharp_submit(count)
-
-    def _grow_finish_tables(self, count: int) -> None:
-        self._tables.grow_sharp_finish(count)
 
     @property
     def frequency(self) -> Frequency:
@@ -192,27 +189,16 @@ class NexusSharpManager(TaskManagerModel):
     def prepare_program(self, program) -> None:
         self._tracker.bind_program(program)
 
-    # -- ready-path helper --------------------------------------------------------
-    def _write_back_ready(self, task_id: int, concluded_us: float, reference_us: float) -> ReadyNotification:
-        """Send a ready task through the Internal Ready Tasks buffer and WB stage."""
-        timing = self.config.timing
-        wb_available = concluded_us + self._cycles(timing.ready_fifo_latency_cycles)
-        _, wb_end = self._write_back.reserve(wb_available, self._cycles(timing.writeback_cycles))
-        self._ready_latency_total_us += wb_end - reference_us
-        self._ready_count += 1
-        return ReadyNotification(task_id, wb_end)
-
     # -- TaskManagerModel --------------------------------------------------------
     def submit(self, task: TaskDescriptor, time_us: float) -> SubmitOutcome:
-        result = self._tracker.insert_task(task)
-        accesses = result.accesses
+        rows, dependence_count, _, conflict_mask = self._tracker.insert_task(task)
+        num_accesses = len(rows)
         num_params = task.num_params
         if num_params < 1:
             num_params = 1
         input_us = self._input_us
-        if num_params >= len(input_us) or len(accesses) > len(self._fwd_us):
-            self._grow_submit_tables(max(num_params, len(accesses)))
-            input_us = self._input_us
+        if num_params >= len(input_us) or num_accesses > len(self._fwd_us):
+            self._tables.grow_sharp_submit(max(num_params, num_accesses))
 
         # Stage 1: Input Parser.  Parameters are forwarded to their task
         # graphs as they arrive; the descriptor is written to the Task
@@ -230,59 +216,69 @@ class NexusSharpManager(TaskManagerModel):
         parser_stats.total_wait += ip_start - time_us
         parser_stats.last_busy_until = ip_end
 
-        if not accesses:
+        if not num_accesses:
             # A task with an empty parameter list is trivially ready; it
             # skips the task graphs entirely and is reported straight from
             # the Input Parser through the ready path.
-            ready = (self._write_back_ready(task.task_id, ip_end, time_us),)
-            return SubmitOutcome(accept_time_us=ip_end, ready=ready)
+            concluded = ip_end
+        else:
+            # Stage 2: per-parameter insertion at the owning task graph
+            # (``row[4]``).  One serial port per task graph, accumulated
+            # arithmetically: the reservation is start = max(visible,
+            # next_free), end = start + occupancy, exactly what
+            # SerialResource.reserve computes.
+            fwd_us = self._fwd_us
+            fifo_us = self._args_fifo_us
+            plain_us = self._insert_us
+            conflict_us = self._insert_conflict_us
+            tg_next_free = self._tg_next_free
+            tg_busy_us = self._tg_busy_us
+            insert_ends: List[float] = []
+            append_end = insert_ends.append
+            index = 0
+            for row in rows:
+                visible_us = ip_start + fwd_us[index] + fifo_us
+                occupancy_us = conflict_us if conflict_mask >> index & 1 else plain_us
+                index += 1
+                port = row[4]
+                next_free = tg_next_free[port]
+                start = visible_us if visible_us > next_free else next_free
+                tg_end = start + occupancy_us
+                tg_next_free[port] = tg_end
+                tg_busy_us[port] += occupancy_us
+                append_end(tg_end)
 
-        # Stage 2: per-parameter insertion at the owning task graph.  One
-        # serial port per task graph, accumulated arithmetically: the
-        # reservation is start = max(visible, next_free), end = start +
-        # occupancy, exactly what SerialResource.reserve computes.
-        fwd_us = self._fwd_us
-        fifo_us = self._args_fifo_us
-        plain_us = self._insert_us
-        conflict_us = self._insert_conflict_us
-        tg_next_free = self._tg_next_free
-        tg_busy_us = self._tg_busy_us
-        insert_ends: List[float] = []
-        append_end = insert_ends.append
-        index = 0
-        for access in accesses:
-            visible_us = ip_start + fwd_us[index] + fifo_us
-            index += 1
-            occupancy_us = conflict_us if access.set_conflict else plain_us
-            port = access.table_index
-            next_free = tg_next_free[port]
-            start = visible_us if visible_us > next_free else next_free
-            tg_end = start + occupancy_us
-            tg_next_free[port] = tg_end
-            tg_busy_us[port] += occupancy_us
-            append_end(tg_end)
+            # Stage 3: the arbiter gathers one result per parameter, in the
+            # order the task graphs produce them.
+            insert_ends.sort()
+            concluded = self._arbiter.gather(insert_ends)
+            if dependence_count:
+                return SubmitOutcome(ip_end, ())
 
-        # Stage 3: the arbiter gathers one result per parameter, in the
-        # order the task graphs produce them.
-        insert_ends.sort()
-        concluded = self._arbiter.gather(insert_ends)
-        ready: tuple[ReadyNotification, ...] = ()
-        if result.ready:
-            ready = (self._write_back_ready(task.task_id, concluded, time_us),)
-
-        return SubmitOutcome(accept_time_us=ip_end, ready=ready)
+        # Stage 4: the ready task passes the Internal Ready Tasks buffer
+        # and the Write Back stage (serial reservation inlined).
+        write_back = self._write_back
+        wb_available = concluded + self._ready_fifo_us
+        next_free = write_back._next_free
+        start = wb_available if wb_available > next_free else next_free
+        wb_end = start + self._writeback_us
+        write_back._next_free = wb_end
+        wb_stats = write_back.stats
+        wb_stats.reservations += 1
+        wb_stats.busy_time += self._writeback_us
+        wb_stats.total_wait += start - wb_available
+        wb_stats.last_busy_until = wb_end
+        self._ready_latency_total_us += wb_end - time_us
+        self._ready_count += 1
+        return SubmitOutcome(ip_end, ((task.task_id, wb_end),))
 
     def finish(self, task_id: int, time_us: float) -> FinishOutcome:
-        timing = self.config.timing
-        result = self._tracker.finish_task(task_id)
-        accesses = result.accesses
-        num_params = len(accesses)
-        if num_params < 1:
-            num_params = 1
+        rows, released, newly_ready, _ = self._tracker.finish_task(task_id)
+        num_accesses = len(rows)
+        num_params = num_accesses if num_accesses > 1 else 1
         fin_input_us = self._fin_input_us
-        if num_params >= len(fin_input_us) or len(accesses) > len(self._fin_fwd_us):
-            self._grow_finish_tables(max(num_params, len(accesses)))
-            fin_input_us = self._fin_input_us
+        if num_params >= len(fin_input_us) or num_accesses > len(self._fin_fwd_us):
+            self._tables.grow_sharp_finish(num_params)
 
         # The Input Parser reads the finished task's I/O list from the Task
         # Pool and redistributes the addresses to the Finished Args
@@ -301,37 +297,60 @@ class NexusSharpManager(TaskManagerModel):
 
         # Each owning task graph updates its entry and emits the kicked-off
         # waiters; the arbiter then decrements their dependence counts.
+        # The last decrement of a waiter is only needed when some waiter
+        # becomes ready.
         fwd_us = self._fin_fwd_us
         fifo_us = self._args_fifo_us
         cycle_us = self._cycle_us
+        timing = self.config.timing
         update_cycles_base = timing.finish_update_cycles_per_param
         kickoff_cycles = timing.kickoff_cycles_per_waiter
         tg_next_free = self._tg_next_free
         tg_busy_us = self._tg_busy_us
         decrement_many = self._arbiter.decrement_many
-        last_decrement: Dict[int, float] = {}
+        last_decrement: Optional[Dict[int, float]] = {} if newly_ready else None
         index = 0
-        for access in accesses:
+        for row in rows:
             visible_us = fp_start + fwd_us[index] + fifo_us
+            kicked = released[index]
             index += 1
-            kicked = access.kicked_off
             occupancy_us = (update_cycles_base + kickoff_cycles * len(kicked)) * cycle_us
-            port = access.table_index
+            port = row[4]
             next_free = tg_next_free[port]
             start = visible_us if visible_us > next_free else next_free
             tg_end = start + occupancy_us
             tg_next_free[port] = tg_end
             tg_busy_us[port] += occupancy_us
             if kicked:
-                for waiter, decrement_end in zip(kicked, decrement_many(tg_end, len(kicked))):
-                    previous = last_decrement.get(waiter, 0.0)
-                    if decrement_end > previous:
-                        last_decrement[waiter] = decrement_end
-        notifications: List[ReadyNotification] = []
-        for ready_task in result.newly_ready:
-            concluded = last_decrement.get(ready_task, fp_end)
-            notifications.append(self._write_back_ready(ready_task, concluded, time_us))
-        return FinishOutcome(ready=tuple(notifications), notify_done_us=fp_end)
+                ends = decrement_many(tg_end, len(kicked))
+                if last_decrement is not None:
+                    for waiter, decrement_end in zip(kicked, ends):
+                        if decrement_end > last_decrement.get(waiter, 0.0):
+                            last_decrement[waiter] = decrement_end
+        if last_decrement is None:
+            return FinishOutcome((), fp_end)
+
+        # Ready waiters pass the Internal Ready Tasks buffer and the Write
+        # Back stage in order (serial reservations inlined).
+        write_back = self._write_back
+        wb_stats = write_back.stats
+        ready_fifo_us = self._ready_fifo_us
+        writeback_us = self._writeback_us
+        next_free = write_back._next_free
+        ready = []
+        for ready_task in newly_ready:
+            wb_available = last_decrement.get(ready_task, fp_end) + ready_fifo_us
+            start = wb_available if wb_available > next_free else next_free
+            next_free = start + writeback_us
+            wb_stats.reservations += 1
+            wb_stats.busy_time += writeback_us
+            wb_stats.total_wait += start - wb_available
+            self._ready_latency_total_us += next_free - time_us
+            ready.append((ready_task, next_free))
+        write_back._next_free = next_free
+        wb_stats.last_busy_until = next_free
+        self._ready_count += len(newly_ready)
+        return FinishOutcome(tuple(ready), fp_end)
 
     def lane_kernel(self) -> None:
         """Nexus# declines the fast replay kernel.

@@ -194,15 +194,12 @@ def run_engine(
             writes_of[task_id] = write_addrs
             for address in write_addrs:
                 last_writer[address] = task_id
-        outcome = manager_submit(task, time)
-        for notification in outcome.ready:
-            ready_id = notification.task_id
-            ready_time = notification.time_us
+        accept, ready = manager_submit(task, time)
+        for ready_id, ready_time in ready:
             if collect:
                 timeline.ready[runs[ready_id].slot] = ready_time
             push(ready_time if ready_time > time else time,
                  _KIND_READY, ready_id, _PRIORITY_READY)
-        accept = outcome.accept_time_us
         if accept < time:
             raise SimulationError(
                 f"manager {manager.name} accepted task {task_id} in the past")
@@ -307,10 +304,7 @@ def run_engine(
             for address in write_addrs:
                 if last_writer.get(address) == task_id:
                     del last_writer[address]
-        outcome = manager_finish(task_id, now)
-        for notification in outcome.ready:
-            ready_id = notification.task_id
-            ready_time = notification.time_us
+        for ready_id, ready_time in manager_finish(task_id, now)[0]:
             if collect:
                 timeline.ready[runs[ready_id].slot] = ready_time
             push(ready_time if ready_time > now else now,

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.common.errors import SimulationError
-from repro.common.validation import check_positive
+from repro.common.validation import check_positive_int
 from repro.managers.base import TaskManagerModel
 from repro.sim.engine import Simulator
 from repro.system.dynamic import run_engine
@@ -189,7 +189,7 @@ class MachineConfig:
     taskwait_holds_core: bool = False
 
     def __post_init__(self) -> None:
-        check_positive("num_cores", self.num_cores)
+        check_positive_int("num_cores", self.num_cores)
 
 
 class Machine:
@@ -377,17 +377,15 @@ class Machine:
                     for address in op_write_addrs[event_index]:
                         last_writer[address] = task_id
                     event_index += 1
-                    outcome = manager_submit(task, master_time)
-                    for notification in outcome.ready:
-                        ready_id = notification.task_id
-                        ready_time = notification.time_us
+                    accept_time, ready = manager_submit(task, master_time)
+                    for ready_id, ready_time in ready:
                         if collect:
                             ready_arr[ready_id if slot_of is None else slot_of[ready_id]] = ready_time
                         push(ready_time if ready_time > master_time else master_time,
                              _KIND_READY, ready_id, _PRIORITY_READY)
                     next_time = master_time + task.creation_overhead_us
-                    if outcome.accept_time_us > next_time:
-                        next_time = outcome.accept_time_us
+                    if accept_time > next_time:
+                        next_time = accept_time
                     if next_time < master_time:
                         raise SimulationError(
                             f"manager {manager.name} accepted task {task_id} in the past"
@@ -454,10 +452,7 @@ class Machine:
             outstanding -= 1
             finished[slot] = 1
             finished_count += 1
-            outcome = manager_finish(task_id, now)
-            for notification in outcome.ready:
-                ready_id = notification.task_id
-                ready_time = notification.time_us
+            for ready_id, ready_time in manager_finish(task_id, now)[0]:
                 if collect:
                     ready_arr[ready_id if slot_of is None else slot_of[ready_id]] = ready_time
                 push(ready_time if ready_time > now else now,

@@ -32,7 +32,7 @@ from repro.taskgraph.dep_counts import DependenceCountsTable
 from repro.taskgraph.function_table import FunctionTable
 from repro.taskgraph.table import AddressTable, TableStats
 from repro.taskgraph.task_pool import TaskPool
-from repro.taskgraph.tracker import DependencyTracker, InsertResult
+from repro.taskgraph.tracker import DependencyTracker
 
 __all__ = [
     "AccessMode",
@@ -44,5 +44,4 @@ __all__ = [
     "TableStats",
     "TaskPool",
     "DependencyTracker",
-    "InsertResult",
 ]

@@ -7,12 +7,17 @@ identical.  :class:`DependencyTracker` implements that bookkeeping over a
 configurable number of :class:`~repro.taskgraph.table.AddressTable`
 instances:
 
-* :meth:`insert_task` registers a new task's accesses and reports, per
-  parameter, which task graph it went to and whether it had to wait;
+* :meth:`insert_task` registers a new task's accesses and returns
+  ``(rows, dependence_count, wait_mask, conflict_mask)``: the task's
+  preresolved rows (which carry each access's task-graph index) and, per
+  mask, bit *i* set when row *i* had to wait / hit a full set;
 * :meth:`finish_task` replays a finished task's accesses, kicks off
-  waiting tasks and reports which tasks became ready.
+  waiting tasks and returns ``(rows, released, newly_ready,
+  kickoff_count)``: ``released[i]`` lists the waiters row *i* kicked off
+  and ``newly_ready`` the tasks whose count reached zero, in order.
 
-The timing layers in :mod:`repro.nexus` translate these reports into
+Both return flat tuples of ints and plain lists — no per-access or
+per-task record objects on the simulation hot path.  The timing layers in :mod:`repro.nexus` translate these results into
 pipeline occupancy; the functional result (who waits for whom) is
 identical for every hardware configuration, which the property-based
 tests assert against the reference DAG.
@@ -44,7 +49,7 @@ tracker-equivalence suite.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.taskgraph.address_state import AccessMode, AddressCell, MODE_OF_FLAGS
@@ -54,83 +59,6 @@ from repro.taskgraph.table import AddressTable, ways_for
 from repro.taskgraph.task_pool import TaskPool
 from repro.trace.compiled import CompiledAccessProgram, merge_flags
 from repro.trace.task import TaskDescriptor
-
-# The result records below are NamedTuples, not dataclasses: two of them
-# are created per task on the simulation hot path, and tuple construction
-# is several times cheaper than a frozen-dataclass __init__.
-
-
-class AccessRecord(NamedTuple):
-    """One deduplicated address access of a task."""
-
-    address: int
-    mode: AccessMode
-    table_index: int
-    must_wait: bool
-    set_conflict: bool
-
-
-class InsertResult(NamedTuple):
-    """Outcome of inserting one task into the task graph(s)."""
-
-    task_id: int
-    accesses: Tuple[AccessRecord, ...]
-    dependence_count: int
-    ready: bool
-    pool_was_full: bool
-    #: Number of accesses that hit a structurally full set (precounted so
-    #: the timing layers do not re-scan the access list per task).
-    set_conflict_count: int = 0
-
-    @property
-    def num_accesses(self) -> int:
-        return len(self.accesses)
-
-    @property
-    def num_set_conflicts(self) -> int:
-        """Number of accesses that hit a structurally full set."""
-        return self.set_conflict_count
-
-    def accesses_per_table(self) -> Dict[int, int]:
-        """Number of accesses routed to each task graph."""
-        counts: Dict[int, int] = {}
-        for access in self.accesses:
-            counts[access.table_index] = counts.get(access.table_index, 0) + 1
-        return counts
-
-
-class FinishAccessRecord(NamedTuple):
-    """Cleanup of one address access when its task finishes."""
-
-    address: int
-    table_index: int
-    kicked_off: Tuple[int, ...]
-
-
-class FinishResult(NamedTuple):
-    """Outcome of retiring one finished task."""
-
-    task_id: int
-    accesses: Tuple[FinishAccessRecord, ...]
-    newly_ready: Tuple[int, ...]
-    #: Total kicked-off waiters over all accesses (precounted so the
-    #: timing layers do not re-scan the access list per task).
-    kickoff_count: int = 0
-
-    @property
-    def num_accesses(self) -> int:
-        return len(self.accesses)
-
-    @property
-    def num_kickoffs(self) -> int:
-        return self.kickoff_count
-
-    def accesses_per_table(self) -> Dict[int, int]:
-        counts: Dict[int, int] = {}
-        for access in self.accesses:
-            counts[access.table_index] = counts.get(access.table_index, 0) + 1
-        return counts
-
 
 #: One preresolved access: (address id, raw address, mode, flags, table, set).
 Row = Tuple[int, int, AccessMode, int, int, int]
@@ -215,8 +143,12 @@ class DependencyTracker:
         self.dep_counts = DependenceCountsTable()
         self.task_pool = task_pool or TaskPool()
         self.function_table = function_table or FunctionTable()
-        #: tasks that were reported ready and are waiting to run or running
-        self._in_flight: Dict[int, TaskDescriptor] = {}
+        # The hot paths work on these dicts directly; both structures
+        # clear them in place on reset, so the aliases stay valid.
+        self._pending = self.dep_counts._pending
+        self._pool_tasks = self.task_pool._tasks
+        #: rows of each in-flight task (inserted, not yet finished)
+        self._rows_of: Dict[int, Tuple[Row, ...]] = {}
         self._resolved: Optional[_ResolvedProgram] = None
         #: dense address id -> live cell
         self._cells: List[Optional[AddressCell]] = []
@@ -227,8 +159,6 @@ class DependencyTracker:
         self._live: Dict[int, Tuple[int, int, int]] = {}
         #: dense ids of evicted addresses, reused before the array grows
         self._free_ids: List[int] = []
-        #: rows of each in-flight task, dropped when it finishes
-        self._rows_of: Dict[int, Tuple[Row, ...]] = {}
         self._prefetch_tables()
         self.total_inserted = 0
         self.total_finished = 0
@@ -264,7 +194,7 @@ class DependencyTracker:
     @property
     def in_flight_tasks(self) -> int:
         """Number of tasks inserted but not yet finished."""
-        return len(self._in_flight)
+        return len(self._rows_of)
 
     @property
     def bound_program(self) -> Optional[CompiledAccessProgram]:
@@ -282,7 +212,7 @@ class DependencyTracker:
         resolved at insert.  Binding requires an empty tracker (call
         :meth:`reset` first): dense ids of two numberings must not mix.
         """
-        if self._in_flight:
+        if self._rows_of:
             raise SimulationError(
                 "cannot (re)bind an access program while tasks are in flight"
             )
@@ -336,29 +266,48 @@ class DependencyTracker:
         return tuple(rows)
 
     # -- main interface ---------------------------------------------------------
-    def insert_task(self, task: TaskDescriptor) -> InsertResult:
-        """Insert ``task`` into the task graph(s) and compute its readiness."""
+    def insert_task(
+        self, task: TaskDescriptor,
+    ) -> Tuple[Tuple[Row, ...], int, int, int]:
+        """Insert ``task`` into the task graph(s) and compute its readiness.
+
+        Returns ``(rows, dependence_count, wait_mask, conflict_mask)``:
+        the task's preresolved rows (:data:`Row`), the number of accesses
+        that must wait (the task is ready when it is zero), and two
+        bit masks in which bit *i* refers to ``rows[i]`` — it had to
+        wait, or it hit a structurally full set.
+        """
         task_id = task.task_id
-        if task_id in self._in_flight:
+        rows_of = self._rows_of
+        if task_id in rows_of:
             raise SimulationError(f"task {task_id} inserted twice")
         resolved = self._resolved
         if resolved is None:
-            rows = self._rows_of[task_id] = self._resolve_task(task)
-            return self._insert_rows(task, rows)
-        slot = resolved.program.slot(task_id)
-        if slot < 0:
-            raise SimulationError(
-                f"task {task_id} is not in the bound access program; reset "
-                "the tracker or bind the right trace first"
-            )
-        return self._insert_rows(task, resolved.rows[slot])
+            rows = self._resolve_task(task)
+        else:
+            slot = resolved.program.slot(task_id)
+            if slot < 0:
+                raise SimulationError(
+                    f"task {task_id} is not in the bound access program; reset "
+                    "the tracker or bind the right trace first"
+                )
+            rows = resolved.rows[slot]
+        rows_of[task_id] = rows
+        # Task pool and function table (TaskPool.insert /
+        # FunctionTable.intern inlined).
+        pool = self.task_pool
+        pool_tasks = self._pool_tasks
+        pool_stats = pool.stats
+        if len(pool_tasks) >= pool.capacity:
+            pool_stats.full_events += 1
+        pool_tasks[task_id] = task
+        pool_stats.inserts += 1
+        if len(pool_tasks) > pool_stats.peak_occupancy:
+            pool_stats.peak_occupancy = len(pool_tasks)
+        functions = self.function_table
+        if task.function not in functions._name_to_id:
+            functions.intern(task.function)
 
-    def _insert_rows(self, task: TaskDescriptor, rows) -> InsertResult:
-        """Insertion over preresolved access rows."""
-        task_id = task.task_id
-        self._in_flight[task_id] = task
-        pool_was_full = self.task_pool.insert(task)
-        self.function_table.intern(task.function)
         cells = self._cells
         free = self._free_cells
         tables = self.tables
@@ -367,15 +316,13 @@ class DependencyTracker:
         ways_by = self._ways_by
         cap_by = self._cap_by
         dependence_count = 0
-        conflict_count = 0
-        accesses: List[AccessRecord] = []
-        append = accesses.append
-        record = AccessRecord
-        for aid, address, mode, flag, table_index, set_idx in rows:
+        wait_mask = 0
+        conflict_mask = 0
+        bit = 1
+        for aid, address, _mode, flag, table_index, set_idx in rows:
             cell = cells[aid]
             stats = stats_by[table_index]
             stats.lookups += 1
-            set_conflict = False
             if cell is None:
                 occupancy = occ_by[table_index]
                 ways_in_use = occupancy[set_idx]
@@ -384,8 +331,7 @@ class DependencyTracker:
                     # frees up; functionally the address is still tracked
                     # (dummy entries guarantee forward progress) and the
                     # conflict is reported so timing can charge for it.
-                    set_conflict = True
-                    conflict_count += 1
+                    conflict_mask |= bit
                     stats.set_conflicts += 1
                 if free:
                     cell = free.pop()
@@ -406,12 +352,11 @@ class DependencyTracker:
                     cell.writer = task_id
                 else:
                     cell.readers.add(task_id)
-                must_wait = False
             else:
                 length_before = cell.klen
-                must_wait = cell.insert(task_id, flag)
-                if must_wait:
+                if cell.insert(task_id, flag):
                     dependence_count += 1
+                    wait_mask |= bit
                     capacity = cap_by[table_index]
                     if length_before + 1 > capacity:
                         before_ways = ways_for(length_before, capacity)
@@ -420,41 +365,42 @@ class DependencyTracker:
                             occ_by[table_index][set_idx] += after_ways - before_ways
                             if after_ways - 1 > stats.dummy_entries_peak:
                                 stats.dummy_entries_peak = after_ways - 1
-            append(record(address, mode, table_index, must_wait, set_conflict))
-        self.dep_counts.register(task_id, dependence_count)
-        self.total_inserted += 1
-        return InsertResult(
-            task_id,
-            tuple(accesses),
-            dependence_count,
-            dependence_count == 0,
-            pool_was_full,
-            conflict_count,
-        )
-
-    def finish_task(self, task_id: int) -> FinishResult:
-        """Retire ``task_id``: release its addresses and kick off waiters."""
-        task = self._in_flight.pop(task_id, None)
-        if task is None:
-            raise SimulationError(f"finish for unknown or already finished task {task_id}")
+            bit <<= 1
+        # Dependence-counts entry (DependenceCountsTable.register inlined).
+        pending = self._pending
+        pending[task_id] = dependence_count
         dep_counts = self.dep_counts
-        if dep_counts.pending(task_id) != 0:
+        if len(pending) > dep_counts.peak_entries:
+            dep_counts.peak_entries = len(pending)
+        self.total_inserted += 1
+        return rows, dependence_count, wait_mask, conflict_mask
+
+    def finish_task(
+        self, task_id: int,
+    ) -> Tuple[Tuple[Row, ...], List[List[int]], List[int], int]:
+        """Retire ``task_id``: release its addresses and kick off waiters.
+
+        Returns ``(rows, released, newly_ready, kickoff_count)``:
+        ``released[i]`` lists the waiters ``rows[i]`` kicked off, in
+        order; ``newly_ready`` the tasks whose dependence count reached
+        zero, in order; ``kickoff_count`` the total over ``released``.
+        """
+        pending = self._pending
+        count = pending.get(task_id)
+        if count is None:
+            raise SimulationError(f"finish for unknown or already finished task {task_id}")
+        if count != 0:
             raise SimulationError(
                 f"task {task_id} finished while still having "
-                f"{dep_counts.pending(task_id)} unresolved dependencies"
+                f"{count} unresolved dependencies"
             )
-        self.task_pool.remove(task_id)
-        resolved = self._resolved
-        if resolved is None:
-            return self._finish_rows(task_id, self._rows_of.pop(task_id), self._live)
-        return self._finish_rows(task_id, resolved.rows[resolved.program.slot(task_id)], None)
-
-    def _finish_rows(self, task_id: int, rows, live) -> FinishResult:
-        """Retirement over preresolved access rows.
-
-        ``live`` is the live-address map when the rows were resolved at
-        insert: an evicted address then also gives its dense id back.
-        """
+        del pending[task_id]
+        rows = self._rows_of.pop(task_id)
+        # TaskPool.remove inlined.
+        del self._pool_tasks[task_id]
+        self.task_pool.stats.removals += 1
+        # Rows resolved at insert also hand back the evicted address's id.
+        live = self._live if self._resolved is None else None
         cells = self._cells
         free = self._free_cells
         free_ids = self._free_ids
@@ -462,11 +408,8 @@ class DependencyTracker:
         occ_by = self._occ_by
         cap_by = self._cap_by
         stats_by = self._stats_by
-        pending = self.dep_counts._pending
-        accesses: List[FinishAccessRecord] = []
-        append = accesses.append
+        released: List[List[int]] = []
         newly_ready: List[int] = []
-        record = FinishAccessRecord
         kickoff_count = 0
         for aid, address, _mode, _flag, table_index, set_idx in rows:
             cell = cells[aid]
@@ -475,17 +418,15 @@ class DependencyTracker:
                     f"{tables[table_index].name}: finish on untracked address {address:#x}"
                 )
             length_before = cell.klen
-            released = cell.finish(task_id)
-            if released:
-                kickoff_count += len(released)
-                for waiter_id in released:
+            kicked = cell.finish(task_id)
+            released.append(kicked)
+            if kicked:
+                kickoff_count += len(kicked)
+                for waiter_id in kicked:
                     count = pending[waiter_id] - 1
                     pending[waiter_id] = count
                     if count == 0:
                         newly_ready.append(waiter_id)
-                kicked = tuple(released)
-            else:
-                kicked = ()
             if cell.writer < 0 and cell.klen == 0 and not cell.readers:
                 # Idle: evict the cell, free its way(s), recycle it.
                 cells[aid] = None
@@ -509,10 +450,8 @@ class DependencyTracker:
                         occupancy = occ_by[table_index]
                         remaining = occupancy[set_idx] + (after_ways - before_ways)
                         occupancy[set_idx] = remaining if remaining > 0 else 0
-            append(record(address, table_index, kicked))
-        self.dep_counts.remove(task_id)
         self.total_finished += 1
-        return FinishResult(task_id, tuple(accesses), tuple(newly_ready), kickoff_count)
+        return rows, released, newly_ready, kickoff_count
 
     def reset(self) -> None:
         """Return the tracker to its initial empty state (and unbind)."""
@@ -522,7 +461,6 @@ class DependencyTracker:
         self.dep_counts.reset()
         self.task_pool.reset()
         self.function_table.reset()
-        self._in_flight.clear()
         self._resolved = None
         self._recycle_cells()
         self.total_inserted = 0

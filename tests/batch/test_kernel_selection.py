@@ -246,7 +246,7 @@ class TestOverridesKeepTheScalarLoop:
             def finish(self, task_id, time_us):
                 outcome = super().finish(task_id, time_us)
                 return outcome._replace(ready=tuple(
-                    note._replace(time_us=note.time_us + 3.0) for note in outcome.ready))
+                    (task_id, ready_us + 3.0) for task_id, ready_us in outcome.ready))
 
         builder = TraceBuilder("chain")
         builder.add_task("a", duration_us=10.0, outputs=[0x1000])

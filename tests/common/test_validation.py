@@ -1,5 +1,7 @@
 """Tests for repro.common.validation."""
 
+import math
+
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -8,9 +10,13 @@ from repro.common.validation import (
     check_in_range,
     check_non_negative,
     check_positive,
+    check_positive_int,
     check_power_of_two,
     check_probability,
 )
+from repro.nexus.nexuspp import NexusPlusPlusConfig
+from repro.nexus.nexussharp import NexusSharpConfig
+from repro.system.machine import MachineConfig
 
 
 class TestCheckPositive:
@@ -26,6 +32,14 @@ class TestCheckPositive:
             check_positive("x", -1.5)
 
 
+    def test_rejects_infinity(self):
+        with pytest.raises(ConfigurationError):
+            check_positive("x", math.inf)
+
+    def test_accepts_huge_int(self):
+        assert check_positive("x", 10**400) == 10**400
+
+
 class TestCheckNonNegative:
     def test_accepts_zero(self):
         assert check_non_negative("x", 0) == 0
@@ -33,6 +47,53 @@ class TestCheckNonNegative:
     def test_rejects_negative(self):
         with pytest.raises(ConfigurationError):
             check_non_negative("x", -0.001)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ConfigurationError):
+            check_non_negative("x", math.nan)
+
+
+class TestCheckPositiveInt:
+    def test_accepts_positive_int(self):
+        assert check_positive_int("n", 7) == 7
+
+    @pytest.mark.parametrize("value", [0, -3, 2.0, 2.5, True, math.inf, "4"])
+    def test_rejects_non_positive_and_non_integers(self, value):
+        with pytest.raises(ConfigurationError):
+            check_positive_int("n", value)
+
+
+class TestClosedConfigDomains:
+    """The count and frequency fields of the configs on the simulation
+    hot path reject values outside their domain."""
+
+    @pytest.mark.parametrize("num_cores", [math.inf, 2.5, True])
+    def test_machine_config_num_cores(self, num_cores):
+        with pytest.raises(ConfigurationError):
+            MachineConfig(num_cores=num_cores)
+
+    def test_nexus_sharp_infinite_frequency(self):
+        with pytest.raises(ConfigurationError):
+            NexusSharpConfig(frequency_mhz=math.inf)
+
+    def test_nexus_sharp_bool_task_graph_count(self):
+        with pytest.raises(ConfigurationError):
+            NexusSharpConfig(num_task_graphs=True)
+
+    def test_nexus_sharp_float_table_sets(self):
+        with pytest.raises(ConfigurationError):
+            NexusSharpConfig(table_sets=2.0)
+
+    def test_nexus_plus_plus_infinite_frequency(self):
+        with pytest.raises(ConfigurationError):
+            NexusPlusPlusConfig(frequency_mhz=math.inf)
+
+    @pytest.mark.parametrize("field", ["table_sets", "table_ways", "kickoff_capacity",
+                                       "task_pool_entries"])
+    @pytest.mark.parametrize("config", [NexusSharpConfig, NexusPlusPlusConfig])
+    def test_nexus_count_fields_reject_floats(self, config, field):
+        with pytest.raises(ConfigurationError):
+            config(**{field: 4.0})
 
 
 class TestCheckProbability:

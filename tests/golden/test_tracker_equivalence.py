@@ -7,12 +7,14 @@ Replays every committed golden trace through three dependency engines:
 * the live tracker **unbound** (each task resolved at insert);
 * the live tracker **bound** to the trace's access program.
 
-and asserts that the ``InsertResult`` / ``FinishResult`` sequences are
-*identical* — every access record (address, mode, table index, must-wait,
-set-conflict), every dependence count, every kick-off list and the
+and asserts that their insert / finish sequences are *identical* — every
+access (address, mode, table index, must-wait, set-conflict), every
+dependence count, readiness, pool-full flag, every kick-off list and the
 ready order — under central and distributed table configurations,
 including a deliberately tiny geometry that forces set conflicts and
-dummy-entry chaining.
+dummy-entry chaining.  The legacy engine returns per-access records and
+the live one flat tuples, so a test-side projection maps both onto the
+same plain log.
 
 Finish order is the FIFO ready order (tasks retire in the order they
 become ready), which exercises the same interleaving the machine loop
@@ -59,48 +61,68 @@ def _distribute_for(num_tables):
     return lambda address: nexus_hash(address, num_tables)
 
 
+def _legacy_insert(tracker, task):
+    """Project a legacy ``insert_task`` record onto the common log entry."""
+    result = tracker.insert_task(task)
+    accesses = tuple(
+        (a.address, a.mode, a.table_index, a.must_wait, a.set_conflict)
+        for a in result.accesses
+    )
+    return accesses, result.dependence_count, result.ready, result.pool_was_full
+
+
+def _legacy_finish(tracker, task_id):
+    result = tracker.finish_task(task_id)
+    accesses = tuple((a.address, a.table_index, a.kicked_off) for a in result.accesses)
+    return accesses, result.newly_ready, sum(len(a.kicked_off) for a in result.accesses)
+
+
+def _live_insert(tracker, task):
+    """Project the live ``(rows, count, wait_mask, conflict_mask)`` tuple;
+    pool-full comes from the pool's ``full_events`` counter."""
+    full_before = tracker.task_pool.stats.full_events
+    rows, dependence_count, wait_mask, conflict_mask = tracker.insert_task(task)
+    accesses = tuple(
+        (row[1], row[2], row[4], bool(wait_mask >> i & 1), bool(conflict_mask >> i & 1))
+        for i, row in enumerate(rows)
+    )
+    assert wait_mask >> len(rows) == 0 and conflict_mask >> len(rows) == 0
+    assert dependence_count == bin(wait_mask).count("1")
+    pool_was_full = tracker.task_pool.stats.full_events != full_before
+    return accesses, dependence_count, dependence_count == 0, pool_was_full
+
+
+def _live_finish(tracker, task_id):
+    rows, released, newly_ready, kickoff_count = tracker.finish_task(task_id)
+    assert len(released) == len(rows)
+    accesses = tuple((row[1], row[4], tuple(kicked)) for row, kicked in zip(rows, released))
+    assert kickoff_count == sum(len(kicked) for kicked in released)
+    return accesses, tuple(newly_ready), kickoff_count
+
+
 def _replay(tracker, trace):
     """Insert in submission order, finish in FIFO ready order; log results.
 
-    The log normalises both engines' result records to plain tuples so
-    the legacy and live NamedTuple types compare by value.
+    Both engines' results are projected to plain tuples (see
+    ``_legacy_insert`` / ``_live_insert``) so they compare by value.
     """
+    legacy = isinstance(tracker, LegacyDependencyTracker)
+    insert = _legacy_insert if legacy else _live_insert
+    finish = _legacy_finish if legacy else _live_finish
     log = []
     ready = deque()
     for task in trace.tasks():
-        result = tracker.insert_task(task)
-        conflicts = sum(1 for a in result.accesses if a.set_conflict)
-        # The live engine precounts conflicts; assert the shortcut agrees
-        # with the per-access records it summarises.
-        shortcut = getattr(result, "num_set_conflicts", conflicts)
-        assert shortcut == conflicts
-        log.append((
-            "insert",
-            result.task_id,
-            tuple(
-                (a.address, a.mode, a.table_index, a.must_wait, a.set_conflict)
-                for a in result.accesses
-            ),
-            result.dependence_count,
-            result.ready,
-            result.pool_was_full,
-            conflicts,
-        ))
-        if result.ready:
-            ready.append(result.task_id)
+        accesses, dependence_count, is_ready, pool_was_full = insert(tracker, task)
+        conflicts = sum(1 for access in accesses if access[4])
+        log.append(("insert", task.task_id, accesses, dependence_count, is_ready,
+                    pool_was_full, conflicts))
+        if is_ready:
+            ready.append(task.task_id)
     while ready:
         task_id = ready.popleft()
-        result = tracker.finish_task(task_id)
-        kickoffs = sum(len(a.kicked_off) for a in result.accesses)
-        assert result.num_kickoffs == kickoffs
-        log.append((
-            "finish",
-            result.task_id,
-            tuple((a.address, a.table_index, a.kicked_off) for a in result.accesses),
-            result.newly_ready,
-            kickoffs,
-        ))
-        ready.extend(result.newly_ready)
+        accesses, newly_ready, kickoffs = finish(tracker, task_id)
+        log.append(("finish", task_id, accesses, newly_ready, kickoffs))
+        ready.extend(newly_ready)
     return log
 
 

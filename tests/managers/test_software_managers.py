@@ -23,14 +23,14 @@ class TestIdealManager:
         manager = IdealManager()
         outcome = manager.submit(make_task(0, outputs=[0x40]), 5.0)
         assert outcome.accept_time_us == 5.0
-        assert outcome.ready[0].time_us == 5.0
+        assert outcome.ready[0][1] == 5.0
 
     def test_zero_cost_release(self):
         manager = IdealManager()
         manager.submit(make_task(0, outputs=[0x40]), 0.0)
         manager.submit(make_task(1, inputs=[0x40]), 0.0)
         finish = manager.finish(0, 42.0)
-        assert finish.ready[0].time_us == 42.0
+        assert finish.ready[0][1] == 42.0
 
     def test_no_worker_overhead(self):
         assert IdealManager().worker_overhead_us == 0.0
@@ -52,7 +52,7 @@ class TestIdealManager:
         manager.reset()
         # Same task id can be submitted again after a reset.
         outcome = manager.submit(make_task(0, outputs=[0x40]), 0.0)
-        assert outcome.ready[0].task_id == 0
+        assert outcome.ready[0][0] == 0
 
 
 class TestNanosManager:
@@ -73,7 +73,7 @@ class TestNanosManager:
         manager.submit(make_task(0, outputs=[0x40]), 0.0)
         manager.submit(make_task(1, inputs=[0x40]), 0.0)
         finish = manager.finish(0, 100.0)
-        assert finish.ready[0].time_us > 100.0
+        assert finish.ready[0][1] > 100.0
 
     def test_lock_contention_serialises_finishes(self):
         manager = NanosManager()
@@ -133,7 +133,7 @@ class TestVandierendonckManager:
         manager.submit(make_task(0, outputs=[0x40]), 0.0)
         manager.submit(make_task(1, inputs=[0x40]), 0.0)
         finish = manager.finish(0, 50.0)
-        assert [n.task_id for n in finish.ready] == [1]
+        assert [task_id for task_id, _ in finish.ready] == [1]
 
     def test_invalid_config(self):
         with pytest.raises(ConfigurationError):

@@ -24,8 +24,8 @@ class TestBasicBehaviour:
         manager = NexusPlusPlusManager()
         outcome = manager.submit(make_task(0, outputs=[0x40]), 0.0)
         assert len(outcome.ready) == 1
-        assert outcome.ready[0].task_id == 0
-        assert outcome.ready[0].time_us > 0.0
+        assert outcome.ready[0][0] == 0
+        assert outcome.ready[0][1] > 0.0
 
     def test_dependent_task_released_after_finish(self):
         manager = NexusPlusPlusManager()
@@ -33,8 +33,8 @@ class TestBasicBehaviour:
         outcome = manager.submit(make_task(1, inputs=[0x40]), 0.0)
         assert outcome.ready == ()
         finish = manager.finish(0, 100.0)
-        assert [n.task_id for n in finish.ready] == [1]
-        assert finish.ready[0].time_us > 100.0
+        assert [task_id for task_id, _ in finish.ready] == [1]
+        assert finish.ready[0][1] > 100.0
 
     def test_accept_time_reflects_input_parser_occupancy(self):
         config = NexusPlusPlusConfig(frequency_mhz=100.0)
@@ -54,14 +54,14 @@ class TestBasicBehaviour:
         manager = NexusPlusPlusManager(config)
         outcome = manager.submit(make_task(0, outputs=[0x40, 0x80, 0xC0, 0x100]), 0.0)
         # input 12 + fifo 3 + insert 18 + fifo 3 + write-back 3 = 39 cycles.
-        assert outcome.ready[0].time_us == pytest.approx(0.39)
+        assert outcome.ready[0][1] == pytest.approx(0.39)
 
     def test_lower_frequency_scales_latency(self):
         fast = NexusPlusPlusManager(NexusPlusPlusConfig(frequency_mhz=100.0))
         slow = NexusPlusPlusManager(NexusPlusPlusConfig(frequency_mhz=50.0))
         task = make_task(0, outputs=[0x40])
-        ready_fast = fast.submit(task, 0.0).ready[0].time_us
-        ready_slow = slow.submit(task, 0.0).ready[0].time_us
+        ready_fast = fast.submit(task, 0.0).ready[0][1]
+        ready_slow = slow.submit(task, 0.0).ready[0][1]
         assert ready_slow == pytest.approx(2.0 * ready_fast)
 
     def test_reset_clears_pipeline_state(self):
@@ -105,7 +105,7 @@ class TestThroughput:
         for i in range(20):
             outcome = manager.submit(make_task(i, outputs=[0x40 * (i + 1) * 7]), accept)
             accept = outcome.accept_time_us
-            ready_times.extend(n.time_us for n in outcome.ready)
+            ready_times.extend(time_us for _, time_us in outcome.ready)
         gaps = [b - a for a, b in zip(ready_times, ready_times[1:])]
         insert_stage_us = config.timing.insert_cycles(1) / config.frequency_mhz
         # Steady-state spacing equals the dominant stage occupancy.

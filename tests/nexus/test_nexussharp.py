@@ -50,7 +50,7 @@ class TestFunctionalBehaviour:
     def test_independent_task_ready(self):
         manager = sharp()
         outcome = manager.submit(make_task(0, outputs=[0x40]), 0.0)
-        assert [n.task_id for n in outcome.ready] == [0]
+        assert [task_id for task_id, _ in outcome.ready] == [0]
 
     def test_dependency_resolution_across_task_graphs(self):
         manager = sharp(num_tg=6)
@@ -58,7 +58,7 @@ class TestFunctionalBehaviour:
         outcome = manager.submit(make_task(1, inputs=[0x40, 0xC0]), 0.0)
         assert outcome.ready == ()
         finish = manager.finish(0, 50.0)
-        assert [n.task_id for n in finish.ready] == [1]
+        assert [task_id for task_id, _ in finish.ready] == [1]
 
     def test_same_functional_result_for_any_task_graph_count(self):
         released = {}
@@ -68,8 +68,8 @@ class TestFunctionalBehaviour:
             manager.submit(make_task(1, inputs=[0x40], outputs=[0x80]), 0.0)
             manager.submit(make_task(2, inputs=[0x80]), 0.0)
             order = []
-            order.extend(n.task_id for n in manager.finish(0, 100.0).ready)
-            order.extend(n.task_id for n in manager.finish(1, 200.0).ready)
+            order.extend(task_id for task_id, _ in manager.finish(0, 100.0).ready)
+            order.extend(task_id for task_id, _ in manager.finish(1, 200.0).ready)
             released[num_tg] = order
         assert len(set(map(tuple, released.values()))) == 1
 
@@ -77,7 +77,7 @@ class TestFunctionalBehaviour:
         manager = sharp()
         task = TaskDescriptor(task_id=0, function="f", params=(), duration_us=1.0)
         outcome = manager.submit(task, 0.0)
-        assert [n.task_id for n in outcome.ready] == [0]
+        assert [task_id for task_id, _ in outcome.ready] == [0]
 
     def test_statistics_structure(self):
         manager = sharp(num_tg=3)
@@ -109,8 +109,8 @@ class TestTiming:
         """With parameters spread over many task graphs the task is
         reported ready earlier than with a single task graph."""
         addresses = [0x40, 0x80, 0xC0, 0x100]
-        single = sharp(num_tg=1).submit(make_task(0, outputs=addresses), 0.0).ready[0].time_us
-        distributed = sharp(num_tg=8).submit(make_task(0, outputs=addresses), 0.0).ready[0].time_us
+        single = sharp(num_tg=1).submit(make_task(0, outputs=addresses), 0.0).ready[0][1]
+        distributed = sharp(num_tg=8).submit(make_task(0, outputs=addresses), 0.0).ready[0][1]
         assert distributed < single
 
     def test_ready_rate_improves_with_task_graphs(self):
@@ -126,16 +126,16 @@ class TestTiming:
                     make_task(i, outputs=[base, base + 0x40, base + 0x80, base + 0xC0]), accept
                 )
                 accept = outcome.accept_time_us
-                for n in outcome.ready:
-                    last = max(last, n.time_us)
+                for _, ready_us in outcome.ready:
+                    last = max(last, ready_us)
             return last
 
         assert last_ready(6) < last_ready(1)
 
     def test_lower_frequency_scales_latency(self):
         task = make_task(0, outputs=[0x40])
-        fast = sharp(num_tg=2, frequency=100.0).submit(task, 0.0).ready[0].time_us
-        slow = sharp(num_tg=2, frequency=50.0).submit(task, 0.0).ready[0].time_us
+        fast = sharp(num_tg=2, frequency=100.0).submit(task, 0.0).ready[0][1]
+        slow = sharp(num_tg=2, frequency=50.0).submit(task, 0.0).ready[0][1]
         assert slow == pytest.approx(2.0 * fast)
 
     def test_microbenchmark_cycle_count_near_paper(self):
@@ -148,16 +148,16 @@ class TestTiming:
         for task in trace.tasks():
             outcome = manager.submit(task, accept)
             accept = outcome.accept_time_us
-            for n in outcome.ready:
-                last = max(last, n.time_us)
+            for _, ready_us in outcome.ready:
+                last = max(last, ready_us)
         cycles = last * 100.0
         assert 40 <= cycles <= 110
         assert cycles < 172
 
     def test_tightly_coupled_timing_is_faster(self):
         task = make_task(0, outputs=[0x40, 0x80])
-        full = sharp(num_tg=2, frequency=100.0).submit(task, 0.0).ready[0].time_us
+        full = sharp(num_tg=2, frequency=100.0).submit(task, 0.0).ready[0][1]
         tight = NexusSharpManager(
             NexusSharpConfig(num_task_graphs=2, frequency_mhz=100.0, timing=NexusSharpTiming.tightly_coupled())
-        ).submit(task, 0.0).ready[0].time_us
+        ).submit(task, 0.0).ready[0][1]
         assert tight < full

@@ -151,11 +151,11 @@ class TestTrackerProperties:
         graph = build_dependency_graph(trace)
         released = set()
         for task in trace.tasks():
-            if tracker.insert_task(task).ready:
+            if tracker.insert_task(task)[1] == 0:
                 released.add(task.task_id)
         for task_id in graph.submission_order:
             assert task_id in released
-            for newly in tracker.finish_task(task_id).newly_ready:
+            for newly in tracker.finish_task(task_id)[2]:
                 assert newly not in released
                 released.add(newly)
         assert released == set(graph.submission_order)
@@ -168,11 +168,11 @@ class TestTrackerProperties:
         tracker = DependencyTracker()
         order = []
         for task in trace.tasks():
-            if tracker.insert_task(task).ready:
+            if tracker.insert_task(task)[1] == 0:
                 order.append(task.task_id)
         index = 0
         while index < len(order):
-            for newly in tracker.finish_task(order[index]).newly_ready:
+            for newly in tracker.finish_task(order[index])[2]:
                 order.append(newly)
             index += 1
         assert len(order) == trace.num_tasks

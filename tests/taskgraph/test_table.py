@@ -40,26 +40,26 @@ def one_table(**geometry):
 
 
 def access(tracker, task_id, address, direction):
-    """Insert a task with a single access; return its access record."""
+    """Insert a task with a single access; return ``(must_wait, set_conflict)``."""
     task = TaskDescriptor(task_id=task_id, function="f",
                           params=(Parameter(address=address, direction=direction),),
                           duration_us=1.0)
-    (record,) = tracker.insert_task(task).accesses
-    return record
+    (row,), _, wait_mask, conflict_mask = tracker.insert_task(task)
+    assert row[1] == address
+    return bool(wait_mask & 1), bool(conflict_mask & 1)
 
 
 def kicked(tracker, task_id):
     """Finish a single-access task; return the ids its access kicked off."""
-    (record,) = tracker.finish_task(task_id).accesses
-    return record.kicked_off
+    _, (released,), _, _ = tracker.finish_task(task_id)
+    return released
 
 
 class TestInsertAndFinish:
     def test_insert_then_finish_evicts_entry(self):
         tracker = one_table(num_sets=16, ways=2)
         table = tracker.tables[0]
-        record = access(tracker, 1, 0x40, WRITE)
-        assert (record.must_wait, record.set_conflict) == (False, False)
+        assert access(tracker, 1, 0x40, WRITE) == (False, False)
         assert table.live_entries == 1
         kicked(tracker, 1)
         assert table.live_entries == 0
@@ -68,13 +68,13 @@ class TestInsertAndFinish:
     def test_dependent_task_waits(self):
         tracker = one_table()
         access(tracker, 1, 0x40, WRITE)
-        assert access(tracker, 2, 0x40, READ).must_wait is True
+        assert access(tracker, 2, 0x40, READ)[0] is True
 
     def test_finish_returns_kicked_waiters(self):
         tracker = one_table()
         access(tracker, 1, 0x40, WRITE)
         access(tracker, 2, 0x40, READ)
-        assert kicked(tracker, 1) == (2,)
+        assert kicked(tracker, 1) == [2]
 
     def test_finish_untracked_task_raises(self):
         with pytest.raises(SimulationError):
@@ -83,9 +83,9 @@ class TestInsertAndFinish:
     def test_set_conflict_detected(self):
         tracker = one_table(num_sets=1, ways=2)
         # Three distinct addresses in the single set: third insert conflicts.
-        assert access(tracker, 1, 0x40, WRITE).set_conflict is False
-        assert access(tracker, 2, 0x80, WRITE).set_conflict is False
-        assert access(tracker, 3, 0xC0, WRITE).set_conflict is True
+        assert access(tracker, 1, 0x40, WRITE)[1] is False
+        assert access(tracker, 2, 0x80, WRITE)[1] is False
+        assert access(tracker, 3, 0xC0, WRITE)[1] is True
         assert tracker.tables[0].stats.set_conflicts == 1
 
     def test_conflict_entry_is_still_tracked(self):
@@ -94,7 +94,7 @@ class TestInsertAndFinish:
         access(tracker, 2, 0x80, WRITE)
         # Functional behaviour unaffected: dependencies on the overflowing
         # address still resolve.
-        assert access(tracker, 3, 0x80, READ).must_wait is True
+        assert access(tracker, 3, 0x80, READ)[0] is True
 
     def test_occupancy_released_on_eviction(self):
         tracker = one_table(num_sets=1, ways=2)
@@ -122,8 +122,8 @@ class TestDummyEntries:
         tracker = one_table(num_sets=4, ways=2, kickoff_capacity=4)
         access(tracker, 0, 0x40, WRITE)
         for task in range(1, 300):
-            assert access(tracker, task, 0x40, READ).must_wait is True
-        assert kicked(tracker, 0) == tuple(range(1, 300))
+            assert access(tracker, task, 0x40, READ)[0] is True
+        assert kicked(tracker, 0) == list(range(1, 300))
 
     def test_reset(self):
         tracker = one_table()

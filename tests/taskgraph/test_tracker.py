@@ -21,8 +21,8 @@ def make_task(task_id, inputs=(), outputs=(), inouts=()):
 
 def merged_modes(task):
     """``(address, mode)`` per deduplicated access, as insert reports it."""
-    result = DependencyTracker().insert_task(task)
-    return [(access.address, access.mode) for access in result.accesses]
+    rows = DependencyTracker().insert_task(task)[0]
+    return [(row[1], row[2]) for row in rows]
 
 
 class TestMergeAccessModes:
@@ -58,26 +58,40 @@ class TestMergeAccessModes:
 class TestInsertFinish:
     def test_independent_task_ready(self):
         tracker = DependencyTracker()
-        result = tracker.insert_task(make_task(0, outputs=[0x1]))
-        assert result.ready is True
-        assert result.dependence_count == 0
+        rows, dependence_count, wait_mask, conflict_mask = tracker.insert_task(
+            make_task(0, outputs=[0x1]))
+        assert len(rows) == 1
+        assert (dependence_count, wait_mask, conflict_mask) == (0, 0, 0)
 
     def test_dependent_task_not_ready_until_producer_finishes(self):
         tracker = DependencyTracker()
         tracker.insert_task(make_task(0, outputs=[0x1]))
-        result = tracker.insert_task(make_task(1, inputs=[0x1]))
-        assert result.ready is False
-        finish = tracker.finish_task(0)
-        assert finish.newly_ready == (1,)
+        _, dependence_count, wait_mask, _ = tracker.insert_task(make_task(1, inputs=[0x1]))
+        assert (dependence_count, wait_mask) == (1, 0b1)
+        rows, released, newly_ready, kickoff_count = tracker.finish_task(0)
+        assert (len(rows), released, newly_ready, kickoff_count) == (1, [[1]], [1], 1)
 
     def test_multi_dependency_requires_all_producers(self):
         tracker = DependencyTracker()
         tracker.insert_task(make_task(0, outputs=[0x1]))
         tracker.insert_task(make_task(1, outputs=[0x2]))
-        result = tracker.insert_task(make_task(2, inputs=[0x1, 0x2]))
-        assert result.dependence_count == 2
-        assert tracker.finish_task(0).newly_ready == ()
-        assert tracker.finish_task(1).newly_ready == (2,)
+        _, dependence_count, wait_mask, _ = tracker.insert_task(make_task(2, inputs=[0x1, 0x2]))
+        assert (dependence_count, wait_mask) == (2, 0b11)
+        assert tracker.finish_task(0)[1:] == ([[2]], [], 1)
+        assert tracker.finish_task(1)[1:] == ([[2]], [2], 1)
+
+    def test_masks_index_rows(self):
+        """Bit *i* of each mask and ``released[i]`` refer to ``rows[i]``."""
+        tracker = DependencyTracker()
+        tracker.insert_task(make_task(0, outputs=[0x2]))
+        rows, dependence_count, wait_mask, _ = tracker.insert_task(
+            make_task(1, inputs=[0x1, 0x2, 0x3]))
+        assert [row[1] for row in rows] == [0x1, 0x2, 0x3]
+        assert (dependence_count, wait_mask) == (1, 0b010)
+        assert tracker.finish_task(0)[1:] == ([[1]], [1], 1)
+        rows, released, newly_ready, kickoff_count = tracker.finish_task(1)
+        assert [row[1] for row in rows] == [0x1, 0x2, 0x3]
+        assert (released, newly_ready, kickoff_count) == ([[], [], []], [], 0)
 
     def test_finish_before_ready_raises(self):
         tracker = DependencyTracker()
@@ -115,8 +129,8 @@ class TestInsertFinish:
 class TestDistribution:
     def test_accesses_routed_by_distribution_function(self):
         tracker = DependencyTracker(num_tables=4, distribute=lambda a: a % 4)
-        result = tracker.insert_task(make_task(0, outputs=[0, 1, 2, 3]))
-        assert sorted(a.table_index for a in result.accesses) == [0, 1, 2, 3]
+        rows = tracker.insert_task(make_task(0, outputs=[0, 1, 2, 3]))[0]
+        assert sorted(row[4] for row in rows) == [0, 1, 2, 3]
 
     def test_out_of_range_distribution_rejected(self):
         tracker = DependencyTracker(num_tables=2, distribute=lambda a: 5)
@@ -127,10 +141,10 @@ class TestDistribution:
         with pytest.raises(ConfigurationError):
             DependencyTracker(num_tables=0)
 
-    def test_accesses_per_table(self):
+    def test_rows_carry_table_index(self):
         tracker = DependencyTracker(num_tables=2, distribute=lambda a: a % 2)
-        result = tracker.insert_task(make_task(0, outputs=[0, 2, 1]))
-        assert result.accesses_per_table() == {0: 2, 1: 1}
+        rows = tracker.insert_task(make_task(0, outputs=[0, 2, 1]))[0]
+        assert [row[4] for row in rows] == [0, 0, 1]
 
 
 class TestAgainstReferenceDag:
@@ -143,20 +157,20 @@ class TestAgainstReferenceDag:
         tracker = DependencyTracker(num_tables=num_tables, distribute=lambda a: a % num_tables)
         ready = set()
         for task in trace.tasks():
-            result = tracker.insert_task(task)
+            dependence_count = tracker.insert_task(task)[1]
             # Nothing has finished yet, so a task is ready exactly when the
             # reference DAG gives it no predecessors.
-            assert result.ready == (len(graph.predecessors[task.task_id]) == 0)
-            if result.ready:
+            assert (dependence_count == 0) == (len(graph.predecessors[task.task_id]) == 0)
+            if dependence_count == 0:
                 ready.add(task.task_id)
         # Finish tasks in submission order (a valid topological order);
         # every task must eventually be released exactly once.
         finished = set()
         for task_id in graph.submission_order:
             assert task_id in ready, f"task {task_id} was never released"
-            result = tracker.finish_task(task_id)
+            newly_ready = tracker.finish_task(task_id)[2]
             finished.add(task_id)
-            for released in result.newly_ready:
+            for released in newly_ready:
                 assert released not in ready
                 ready.add(released)
                 # All DAG predecessors must have finished by now.
@@ -181,8 +195,10 @@ class TestResolutionAtInsert:
         tracker.insert_task(make_task(0, outputs=[0x40]))
         tracker.insert_task(make_task(1, outputs=[0x80]))
         tracker.finish_task(0)  # 0x40 is evicted and gives its id back
-        result = tracker.insert_task(make_task(2, inputs=[0x80], outputs=[0x40]))
+        rows, _, wait_mask, _ = tracker.insert_task(
+            make_task(2, inputs=[0x80], outputs=[0x40]))
         # 0x40 takes the freed id; 0x80 keeps its own and its writer.
-        assert [a.must_wait for a in result.accesses] == [True, False]
+        assert [row[1] for row in rows] == [0x80, 0x40]
+        assert wait_mask == 0b01
         assert len(tracker._cells) == 2
-        assert tracker.finish_task(1).newly_ready == (2,)
+        assert tracker.finish_task(1)[2] == [2]

@@ -49,9 +49,9 @@ class TestCompilation:
         )
         program = CompiledAccessProgram([task])
         assert program.task_accesses(0) == [(0, FLAG_READWRITE), (1, FLAG_READS)]
-        inserted = DependencyTracker().insert_task(task).accesses
+        rows = DependencyTracker().insert_task(task)[0]
         assert [(program.addresses[aid], MODE_OF_FLAGS[flag]) for aid, flag in
-                program.task_accesses(0)] == [(a.address, a.mode) for a in inserted]
+                program.task_accesses(0)] == [(row[1], row[2]) for row in rows]
 
     def test_flags_agree_with_access_mode_members(self):
         assert AccessMode.READ.flags == FLAG_READS
@@ -135,8 +135,7 @@ class TestBindingSemantics:
             params=(Parameter(address=0x9000, direction=Direction.OUT),),
             duration_us=1.0,
         )
-        result = tracker.insert_task(foreign)
-        assert result.ready is True
+        assert tracker.insert_task(foreign)[1] == 0
 
     def test_out_of_range_distribution_rejected_at_bind(self):
         from repro.common.errors import SimulationError
