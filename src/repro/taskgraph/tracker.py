@@ -17,10 +17,11 @@ instances:
   and ``newly_ready`` the tasks whose count reached zero, in order.
 
 Both return flat tuples of ints and plain lists — no per-access or
-per-task record objects on the simulation hot path.  The timing layers in :mod:`repro.nexus` translate these results into
-pipeline occupancy; the functional result (who waits for whom) is
-identical for every hardware configuration, which the property-based
-tests assert against the reference DAG.
+per-task record objects on the simulation hot path.  The timing layers
+in :mod:`repro.nexus` translate these results into pipeline occupancy;
+the functional result (who waits for whom) is identical for every
+hardware configuration, which the property-based tests assert against
+the reference DAG.
 
 Every task runs through one pair of row loops over preresolved
 ``(address_id, raw address, mode, flags, table_index, set_index)``
@@ -39,9 +40,11 @@ through a free list.  The rows come from one of two places:
   task's accesses itself.  Live addresses get dense ids from a map with
   a free list; an id is freed when its cell is evicted, which only
   happens once no in-flight task references the address, so a freed id
-  never aliases a live one.  The task's rows are dropped at
-  :meth:`finish_task`, keeping memory O(live addresses + in-flight
-  tasks).
+  never aliases a live one.
+
+Either way a task's rows stay in the in-flight map from insert to
+:meth:`finish_task` (one program-slot lookup per task) and are dropped
+there, keeping memory O(live addresses + in-flight tasks).
 
 Both are pinned against the frozen pre-compiled engine by the golden
 tracker-equivalence suite.
