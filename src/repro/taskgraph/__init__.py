@@ -20,7 +20,6 @@ Modules
   resolution).
 * :mod:`repro.taskgraph.table` — the set-associative container with
   way-conflict accounting.
-* :mod:`repro.taskgraph.dep_counts` — the dependence-counts table.
 * :mod:`repro.taskgraph.task_pool` — in-flight task descriptor storage.
 * :mod:`repro.taskgraph.function_table` — function-pointer table.
 * :mod:`repro.taskgraph.tracker` — :class:`DependencyTracker`, the
@@ -28,7 +27,6 @@ Modules
 """
 
 from repro.taskgraph.address_state import AccessMode, AddressCell, Waiter
-from repro.taskgraph.dep_counts import DependenceCountsTable
 from repro.taskgraph.function_table import FunctionTable
 from repro.taskgraph.table import AddressTable, TableStats
 from repro.taskgraph.task_pool import TaskPool
@@ -38,7 +36,6 @@ __all__ = [
     "AccessMode",
     "AddressCell",
     "Waiter",
-    "DependenceCountsTable",
     "FunctionTable",
     "AddressTable",
     "TableStats",

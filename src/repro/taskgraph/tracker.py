@@ -56,7 +56,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.taskgraph.address_state import AccessMode, AddressCell, MODE_OF_FLAGS
-from repro.taskgraph.dep_counts import DependenceCountsTable
 from repro.taskgraph.function_table import FunctionTable
 from repro.taskgraph.table import AddressTable, ways_for
 from repro.taskgraph.task_pool import TaskPool
@@ -143,12 +142,12 @@ class DependencyTracker:
         self._distribution_key = distribution_key
         factory = table_factory or (lambda index: AddressTable(name=f"TG{index}"))
         self.tables: List[AddressTable] = [factory(i) for i in range(num_tables)]
-        self.dep_counts = DependenceCountsTable()
         self.task_pool = task_pool or TaskPool()
         self.function_table = function_table or FunctionTable()
-        # The hot paths work on these dicts directly; both structures
-        # clear them in place on reset, so the aliases stay valid.
-        self._pending = self.dep_counts._pending
+        #: the Dependence Counts table: unresolved accesses per in-flight task
+        self._pending: Dict[int, int] = {}
+        # The hot paths work on the pool's dict directly; the pool clears
+        # it in place on reset, so the alias stays valid.
         self._pool_tasks = self.task_pool._tasks
         #: rows of each in-flight task (inserted, not yet finished)
         self._rows_of: Dict[int, Tuple[Row, ...]] = {}
@@ -369,12 +368,7 @@ class DependencyTracker:
                             if after_ways - 1 > stats.dummy_entries_peak:
                                 stats.dummy_entries_peak = after_ways - 1
             bit <<= 1
-        # Dependence-counts entry (DependenceCountsTable.register inlined).
-        pending = self._pending
-        pending[task_id] = dependence_count
-        dep_counts = self.dep_counts
-        if len(pending) > dep_counts.peak_entries:
-            dep_counts.peak_entries = len(pending)
+        self._pending[task_id] = dependence_count
         self.total_inserted += 1
         return rows, dependence_count, wait_mask, conflict_mask
 
@@ -461,7 +455,7 @@ class DependencyTracker:
         for table in self.tables:
             table.reset()
         self._prefetch_tables()
-        self.dep_counts.reset()
+        self._pending.clear()
         self.task_pool.reset()
         self.function_table.reset()
         self._resolved = None

@@ -163,8 +163,9 @@ class TestTrackerProperties:
     @given(trace=small_task_program())
     @settings(**COMMON_SETTINGS)
     def test_dependence_counts_never_negative(self, trace):
-        # DependenceCountsTable raises SimulationError internally if a
-        # count ever went below zero; running the whole trace is the test.
+        # A count driven below zero passes zero first, so its task is
+        # reported ready and then finish_task raises on the nonzero
+        # count; running the whole trace is the test.
         tracker = DependencyTracker()
         order = []
         for task in trace.tasks():

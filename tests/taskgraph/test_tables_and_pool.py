@@ -1,9 +1,8 @@
-"""Tests for the dependence-counts table, task pool and function table."""
+"""Tests for the task pool and function table."""
 
 import pytest
 
 from repro.common.errors import CapacityError, SimulationError
-from repro.taskgraph.dep_counts import DependenceCountsTable
 from repro.taskgraph.function_table import FunctionTable
 from repro.taskgraph.task_pool import TaskPool
 from repro.trace.task import TaskDescriptor, make_params
@@ -16,56 +15,6 @@ def task(task_id, n_params=1):
         params=make_params(outputs=[0x40 * (i + 1) for i in range(n_params)]),
         duration_us=1.0,
     )
-
-
-class TestDependenceCountsTable:
-    def test_register_and_ready(self):
-        table = DependenceCountsTable()
-        table.register(1, 0)
-        table.register(2, 3)
-        assert table.ready_tasks() == [1]
-        assert table.pending(2) == 3
-
-    def test_decrement_to_zero(self):
-        table = DependenceCountsTable()
-        table.register(1, 2)
-        assert table.decrement(1) is False
-        assert table.decrement(1) is True
-
-    def test_negative_count_raises(self):
-        table = DependenceCountsTable()
-        table.register(1, 0)
-        with pytest.raises(SimulationError):
-            table.decrement(1)
-
-    def test_double_register_raises(self):
-        table = DependenceCountsTable()
-        table.register(1, 0)
-        with pytest.raises(SimulationError):
-            table.register(1, 0)
-
-    def test_unknown_task_raises(self):
-        table = DependenceCountsTable()
-        with pytest.raises(SimulationError):
-            table.pending(7)
-        with pytest.raises(SimulationError):
-            table.decrement(7)
-        with pytest.raises(SimulationError):
-            table.remove(7)
-
-    def test_remove_and_peak(self):
-        table = DependenceCountsTable()
-        table.register(1, 0)
-        table.register(2, 1)
-        table.remove(1)
-        assert len(table) == 1
-        assert table.peak_entries == 2
-
-    def test_reset(self):
-        table = DependenceCountsTable()
-        table.register(1, 0)
-        table.reset()
-        assert len(table) == 0
 
 
 class TestTaskPool:

@@ -125,6 +125,15 @@ class TestInsertFinish:
         assert tracker.in_flight_tasks == 0
         assert tracker.total_inserted == 0
 
+    def test_reset_forgets_dependence_counts(self):
+        tracker = DependencyTracker()
+        tracker.insert_task(make_task(0, outputs=[0x1]))
+        assert tracker.insert_task(make_task(1, inputs=[0x1]))[1] == 1
+        tracker.reset()
+        # Task 1 re-enters with no producer, so its count starts at zero.
+        assert tracker.insert_task(make_task(1, inputs=[0x1]))[1] == 0
+        assert tracker.finish_task(1)[2] == []
+
 
 class TestDistribution:
     def test_accesses_routed_by_distribution_function(self):
