@@ -8,7 +8,7 @@ import from here so they can never drift apart.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Mapping, Tuple
 
 from repro.analysis.factories import (
     ManagerFactory,
@@ -17,8 +17,11 @@ from repro.analysis.factories import (
     nexus_pp_factory,
     nexus_sharp_factory,
 )
+from repro.system.machine import Machine, MachineConfig
 from repro.trace.dynamic import DynamicProgram
-from repro.trace.trace import Trace
+from repro.trace.events import TaskSubmitEvent
+from repro.trace.serialization import json_digest, result_to_json
+from repro.trace.trace import Trace, TraceBuilder
 from repro.workloads.cray import generate_cray
 from repro.workloads.gaussian import generate_gaussian_elimination
 from repro.workloads.h264dec import generate_h264dec
@@ -36,6 +39,13 @@ from repro.workloads.synthetic import generate_random_dag
 
 #: Seed used for every seeded golden trace.
 GOLDEN_SEED = 20150525
+
+#: Core count of every golden replay.
+GOLDEN_CORES = 8
+
+#: Dispatch policies and core topologies the config digests cover.
+CONFIG_SCHEDULERS = ("fifo", "sjf", "ljf", "locality")
+CONFIG_TOPOLOGIES = ("homogeneous", "biglittle:0.5")
 
 #: The four managers the golden makespans are pinned for.
 GOLDEN_MANAGERS: Dict[str, ManagerFactory] = {
@@ -70,3 +80,74 @@ def golden_dynamic_programs() -> Dict[str, DynamicProgram]:
         "recursive_sort": recursive_sort_program(16, seed=GOLDEN_SEED),
         "strassen": strassen_program(2, seed=GOLDEN_SEED),
     }
+
+
+def sparse_id_trace(trace: Trace) -> Trace:
+    """``trace`` with every task id mapped to ``3 * id + 7`` (sparse ids)."""
+    events = tuple(
+        TaskSubmitEvent(event.task.with_id(3 * event.task.task_id + 7))
+        if isinstance(event, TaskSubmitEvent) else event
+        for event in trace.events
+    )
+    return Trace(name=f"{trace.name}-sparse-ids", events=events,
+                 metadata=dict(trace.metadata))
+
+
+def taskwait_on_trace() -> Trace:
+    """Producers, ``taskwait on`` barriers, then consumers: Nexus++
+    degrades each ``taskwait on`` to a full ``taskwait``."""
+    builder = TraceBuilder("taskwait-on")
+    for index in range(6):
+        builder.add_task("produce", duration_us=10.0 + index, outputs=[0x1000 + 64 * index])
+    builder.add_taskwait_on(0x1000)
+    for index in range(6):
+        builder.add_task("consume", duration_us=5.0, inputs=[0x1000 + 64 * index],
+                         outputs=[0x2000 + 64 * index])
+    builder.add_taskwait_on(0x2000 + 64 * 5)
+    builder.add_task("tail", duration_us=3.0, inputs=[0x2000])
+    builder.add_taskwait()
+    return builder.build()
+
+
+ConfigCase = Tuple[Trace, str, Mapping[str, object]]
+
+
+def config_digest_cases(traces: Mapping[str, Trace]) -> Dict[str, ConfigCase]:
+    """Every pinned machine configuration: ``key -> (trace, manager key,
+    MachineConfig options)``.
+
+    ``traces`` are the golden traces (generated or loaded).  The grid is
+    each golden × manager × scheduler × topology, plus each golden ×
+    manager with ``keep_schedule=False`` and with ``validate=True``, a
+    sparse-id trace and the ``taskwait on`` degradation trace.
+    """
+    cases: Dict[str, ConfigCase] = {}
+    for key, trace in traces.items():
+        for manager_key in GOLDEN_MANAGERS:
+            for scheduler in CONFIG_SCHEDULERS:
+                for topology in CONFIG_TOPOLOGIES:
+                    cases[f"{key}/{manager_key}/{scheduler}/{topology}"] = (
+                        trace, manager_key, {"scheduler": scheduler, "topology": topology})
+            cases[f"{key}/{manager_key}/keep_schedule=False"] = (
+                trace, manager_key, {"keep_schedule": False})
+            cases[f"{key}/{manager_key}/validate=True"] = (
+                trace, manager_key, {"validate": True})
+    sparse = sparse_id_trace(traces["synthetic"])
+    waits = taskwait_on_trace()
+    for manager_key in GOLDEN_MANAGERS:
+        cases[f"sparse_ids/{manager_key}/fifo/homogeneous"] = (sparse, manager_key, {})
+        cases[f"sparse_ids/{manager_key}/locality/biglittle:0.5"] = (
+            sparse, manager_key, {"scheduler": "locality", "topology": "biglittle:0.5"})
+        cases[f"taskwait_on/{manager_key}/fifo/homogeneous"] = (waits, manager_key, {})
+    return cases
+
+
+def config_digest(case: ConfigCase) -> Dict[str, object]:
+    """Replay one case on ``Machine.run_scalar``: the ``result_to_json``
+    digest and the number of events processed."""
+    trace, manager_key, options = case
+    machine = Machine(GOLDEN_MANAGERS[manager_key](),
+                      MachineConfig(num_cores=GOLDEN_CORES, **options))
+    result = machine.run_scalar(trace)
+    return {"digest": json_digest(result_to_json(result)),
+            "events": machine.last_events_processed}

@@ -20,6 +20,12 @@ The same replays also pin every manager's ``statistics()`` (the
 floats stored by ``repr`` so a last-bit drift shows as a string diff
 (``test_manager_stats.py`` compares them exactly).
 
+``expected_config_digests.json`` pins whole results beyond the default
+configuration: the ``result_to_json`` digest and processed-event count
+of each golden under every manager × scheduler × topology, with
+``keep_schedule`` off and ``validate`` on, plus a sparse-id trace and
+the Nexus++ ``taskwait on`` degradation (``test_config_digests.py``).
+
 ``--check`` recomputes everything in memory and compares against the
 committed files without writing, exiting non-zero on any drift — the CI
 guard that the committed goldens and the generators cannot diverge
@@ -39,8 +45,11 @@ from repro.system.machine import Machine, MachineConfig, simulate
 from repro.trace.serialization import save_trace, trace_digest
 
 from golden_config import (
+    GOLDEN_CORES,
     GOLDEN_MANAGERS,
     GOLDEN_SEED,
+    config_digest,
+    config_digest_cases,
     golden_dynamic_programs,
     golden_traces,
 )
@@ -48,7 +57,7 @@ from golden_config import (
 DATA_DIR = Path(__file__).parent / "data"
 EXPECTED_PATH = Path(__file__).parent / "expected_makespans.json"
 STATS_PATH = Path(__file__).parent / "expected_manager_stats.json"
-GOLDEN_CORES = 8
+CONFIG_DIGESTS_PATH = Path(__file__).parent / "expected_config_digests.json"
 
 
 def pin_stats(value):
@@ -100,6 +109,13 @@ def compute_expected() -> tuple[dict, dict]:
     return {**header, "traces": traces, "dynamic": dynamic}, {**header, **stats}
 
 
+def compute_config_digests() -> dict:
+    """The expected-config-digests document (see the module docstring)."""
+    cases = config_digest_cases(golden_traces())
+    return {"seed": GOLDEN_SEED, "cores": GOLDEN_CORES,
+            "configs": {key: config_digest(case) for key, case in cases.items()}}
+
+
 def write_json(path: Path, document: dict) -> None:
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
@@ -117,7 +133,8 @@ def regenerate() -> int:
     makespans, stats = compute_expected()
     write_json(EXPECTED_PATH, makespans)
     write_json(STATS_PATH, stats)
-    print(f"wrote {EXPECTED_PATH} and {STATS_PATH}")
+    write_json(CONFIG_DIGESTS_PATH, compute_config_digests())
+    print(f"wrote {EXPECTED_PATH}, {STATS_PATH} and {CONFIG_DIGESTS_PATH}")
     return 0
 
 
@@ -145,7 +162,7 @@ def check_scalar_equivalence(computed: dict) -> list[str]:
 def diff_document(name: str, expected: dict, computed: dict) -> list[str]:
     """One failure line per golden entry of ``computed`` that drifted."""
     failures: list[str] = []
-    for section in ("traces", "dynamic"):
+    for section in ("traces", "dynamic", "configs"):
         want, got = expected.get(section, {}), computed.get(section, {})
         for key in sorted(set(want) | set(got)):
             if want.get(key) != got.get(key):
@@ -164,7 +181,8 @@ def check() -> int:
 
     failures: list[str] = []
     computed, computed_stats = compute_expected()
-    for path, fresh in ((EXPECTED_PATH, computed), (STATS_PATH, computed_stats)):
+    for path, fresh in ((EXPECTED_PATH, computed), (STATS_PATH, computed_stats),
+                        (CONFIG_DIGESTS_PATH, compute_config_digests())):
         if not path.exists():
             failures.append(f"missing committed {path.name}")
             continue
@@ -192,8 +210,8 @@ def check() -> int:
         return 1
     print(f"goldens clean: {len(committed_files)} traces, "
           f"{len(computed['traces'])} static + {len(computed['dynamic'])} dynamic "
-          "makespan and manager-stats sets match; kernel and scalar replay identical under "
-          f"{len(GOLDEN_MANAGERS)} managers")
+          "makespan and manager-stats sets and the config digests match; kernel and "
+          f"scalar replay identical under {len(GOLDEN_MANAGERS)} managers")
     return 0
 
 
