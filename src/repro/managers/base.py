@@ -93,7 +93,7 @@ class LaneKernelSpec(NamedTuple):
     The hardware managers (Nexus++/Nexus#) model history-dependent
     pipeline contention (per-task-graph ports, arbiters, set-conflict
     stalls) that has no constant folding; they return ``None`` from
-    :meth:`TaskManagerModel.lane_kernel` and their runs use the scalar
+    :meth:`TaskManagerModel.lane_kernel` and their runs use the general
     engine instead (see ``repro.sim.batch.lane_fallback_reason``).
     """
 
@@ -158,9 +158,13 @@ class TaskManagerModel(abc.ABC):
     def prepare_trace(self, trace) -> None:
         """Optional hook: the machine announces the trace it will replay.
 
-        Called by :meth:`repro.system.machine.Machine.run_scalar` after
-        :meth:`reset` and before the first :meth:`submit`.  The default
-        forwards the trace's compiled access program to
+        Called by the general engine (:func:`repro.system.dynamic.
+        run_engine`) after :meth:`reset` and before the first
+        :meth:`submit` whenever its source is a materialised
+        :class:`~repro.trace.trace.Trace` — every non-kernel static run,
+        including :meth:`~repro.system.machine.Machine.run_scalar` and
+        :meth:`~repro.system.machine.Machine.run_stream` over a trace.
+        The default forwards the trace's compiled access program to
         :meth:`prepare_program`; managers that run a
         :class:`~repro.taskgraph.tracker.DependencyTracker` bind it there
         so dependency resolution runs over the program's preresolved
@@ -188,11 +192,11 @@ class TaskManagerModel(abc.ABC):
         traces on the kernel in :mod:`repro.sim.batch` instead of calling
         :meth:`submit`/:meth:`finish` per event.  A subclass that
         overrides :meth:`submit`, :meth:`finish` or :meth:`statistics`
-        without redeclaring ``lane_kernel`` keeps the scalar engine.  The
-        kernel must be **byte-identical** to the scalar path — the golden
+        without redeclaring ``lane_kernel`` keeps the general engine.  The
+        kernel must be **byte-identical** to the engine — the golden
         kernel-vs-scalar suite and the differential tests in
         ``tests/batch/`` pin this.  The default ``None`` routes every run
-        through the scalar engine, which is always correct.
+        through the general engine, which is always correct.
         """
         return None
 

@@ -275,7 +275,7 @@ class NexusPlusPlusManager(TaskManagerModel):
         task graph's single port, Write Back) interleave submit- and
         finish-side reservations, and the set-associative address table
         adds occupancy-dependent conflict stalls.  Its runs use the
-        scalar engine; they still benefit from the process-shared
+        general engine; they still benefit from the process-shared
         latency tables (:func:`repro.nexus.timing.shared_offset_tables`).
         """
         return None

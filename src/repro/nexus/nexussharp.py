@@ -359,7 +359,7 @@ class NexusSharpManager(TaskManagerModel):
         constant-fold: per-task-graph insertion ports, the Dependence
         Counts Arbiter's result interleaving, set-conflict stalls and
         dummy-entry occupancy all couple a task's cost to every earlier
-        task's placement.  Its runs use the scalar engine; they still
+        task's placement.  Its runs use the general engine; they still
         benefit from the process-shared latency tables
         (:func:`repro.nexus.timing.shared_offset_tables`).
         """

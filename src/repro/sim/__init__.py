@@ -16,7 +16,7 @@ provides a *cycle-approximate*, event-driven substrate instead:
   compute when a task becomes ready.
 * :mod:`repro.sim.batch` — the fast replay kernel that
   :meth:`repro.system.machine.Machine.run` picks for constant-foldable
-  managers, byte-identical to the scalar engine (exposed lazily below to
+  managers, byte-identical to the general engine (exposed lazily below to
   keep the engine import light; the kernel module pulls in the system
   layer and numpy).
 """

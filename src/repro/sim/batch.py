@@ -1,13 +1,15 @@
 """The fast replay kernel for constant-foldable managers.
 
 :meth:`repro.system.machine.Machine.run` sends every static replay the
-kernel covers here (:func:`lane_fallback_reason` decides) and keeps the
-scalar event loop for the rest.  The kernel is one specialized, inlined
-event loop per run, and its speed comes from three things:
+kernel covers here (:func:`lane_fallback_reason` decides) and replays the
+rest on the general engine of :mod:`repro.system.dynamic`.  The kernel is
+one specialized, inlined event loop per run, and its speed comes from
+three things:
 
 * **structural compilation cached on the trace.**  A trace is compiled
-  once into a :class:`LaneProgram`: per-task access rows from the
-  existing :class:`~repro.trace.compiled.CompiledAccessProgram`,
+  once into a :class:`LaneProgram`: the event columns the engine's trace
+  master also walks, per-task access rows from the existing
+  :class:`~repro.trace.compiled.CompiledAccessProgram`,
   augmented (with numpy) by an address-major CSR of each address's
   program-order access sequence and every access's position within it.
   Because the master thread submits tasks in trace order, the per-address
@@ -20,20 +22,20 @@ event loop per run, and its speed comes from three things:
   columns (worker-overhead-inclusive nominal durations, Nanos
   creation/lock-insertion costs) are computed once per ``(program,
   kernel)`` with numpy elementwise arithmetic — IEEE-identical to the
-  scalar per-event expressions — and reused by every run of that kernel.
+  engine's per-event expressions — and reused by every run of that kernel.
 * **flat run state**: a plain-tuple heap replicating the
   :class:`~repro.sim.engine.EventQueue` ``(time, priority, sequence)``
   discipline, flat per-task dependence-count/finished/dispatched state,
   an int heap of idle cores and a deque of queued ready tasks.
 
-The scalar engine stays the reference oracle: kernels exist only for
-managers whose behaviour constant-folds (see
+The engine stays the reference oracle: kernels exist only for managers
+whose behaviour constant-folds (see
 :meth:`repro.managers.base.TaskManagerModel.lane_kernel` — ideal and
 Nanos today).  Hardware managers with history-dependent pipeline
 contention, non-FIFO schedulers, heterogeneous topologies and sparse
-task ids keep the scalar loop.  Kernel results are byte-identical to
-:meth:`~repro.system.machine.Machine.run_scalar`, pinned by the
-kernel-vs-scalar suites (``tests/batch/``,
+task ids stay on the engine.  Kernel results are byte-identical to
+:meth:`~repro.system.machine.Machine.run_scalar`, the engine replay,
+pinned by the kernel-vs-scalar suites (``tests/batch/``,
 ``tests/golden/test_batch_equivalence.py``).
 """
 
@@ -52,16 +54,18 @@ from repro.system.results import MachineResult
 from repro.system.scheduling import FifoPolicy
 from repro.system.timeline import TaskTimeline
 from repro.trace.dag import validate_schedule
+from repro.trace.events import TaskSubmitEvent, TaskwaitEvent, TaskwaitOnEvent
+from repro.trace.task import TaskDescriptor
 from repro.trace.trace import Trace
 
 #: Attribute under which a trace caches its lane program (``_compiled*``
 #: prefixed, so ``Trace.__getstate__`` excludes it from pickles).
 _LANE_PROGRAM_ATTR = "_compiled_lane_program"
 
-# Event op codes, mirroring repro.system.machine's compiled trace.
-_OP_SUBMIT = 0
-_OP_WAIT = 1
-_OP_WAIT_ON = 2
+#: Trace event op codes of :attr:`LaneProgram.ops`.
+OP_SUBMIT = 0
+OP_WAIT = 1
+OP_WAIT_ON = 2
 
 
 @dataclass(frozen=True)
@@ -74,76 +78,83 @@ class LaneSpec:
 
 
 class LaneProgram:
-    """Run-invariant structural compilation of one trace.
+    """Run-invariant compilation of one trace, cached on the trace.
 
     Everything here depends only on the trace — never on the manager,
-    core count or seed of a run — so one program is shared by all runs
-    (and cached on the trace object like the machine's compiled form).
+    core count or seed of a run — so one program is shared by all runs.
+    The event columns drive the master thread of both the kernel and the
+    general engine (:mod:`repro.system.dynamic`): one op code per trace
+    event (:data:`OP_SUBMIT`, :data:`OP_WAIT`, :data:`OP_WAIT_ON`), the
+    submitted task's slot, and the ``taskwait on`` target.  The access
+    rows and duration columns serve the kernel alone.
     """
 
     __slots__ = (
-        "num_tasks", "num_events", "num_addresses",
-        "ops", "op_slot", "op_wait_task",
-        "acc_off", "acc_aid", "acc_flags",
+        "num_tasks", "num_events", "ops", "op_slot", "op_wait",
+        "tasks", "task_ids", "slot_of", "has_wait_on", "total_work_us",
+        "num_addresses", "acc_off", "acc_aid", "acc_flags",
         "addr_off", "addr_task", "addr_flags",
-        "duration", "creation", "num_params_eff", "total_work_us",
-        "has_wait_on", "dense_ids", "_kernel_cache",
+        "duration", "creation", "num_params_eff", "_kernel_cache",
     )
 
     def __init__(self, trace: Trace) -> None:
-        from repro.system.machine import _compile_trace
-
-        compiled = _compile_trace(trace)
-        program = trace.access_program()
-        self.dense_ids = compiled.slot_of is None and program._slot_of is None
-        self.num_tasks = compiled.num_tasks
-        self.num_events = len(compiled.ops)
-        self.num_addresses = program.num_addresses
-        self.ops = compiled.ops
-        # Per-event operands: the submitted task's slot, and the
-        # structurally-precomputed `taskwait on` wait target (the last
-        # preceding writer of the address in trace order, or -1).  The
-        # scalar loop resolves the latter from a live last-writer dict,
-        # but the dict is only ever *grown* in trace order, so the
-        # resolution is static.
-        op_slot = [0] * self.num_events
-        op_wait_task = [-1] * self.num_events
-        self.has_wait_on = _OP_WAIT_ON in self.ops
+        ops: List[int] = []
+        op_slot: List[int] = []
+        tasks: List[TaskDescriptor] = []
+        wait_addresses: Dict[int, int] = {}  # event index -> taskwait-on address
+        for event in trace.events:
+            if isinstance(event, TaskSubmitEvent):
+                ops.append(OP_SUBMIT)
+                op_slot.append(len(tasks))
+                tasks.append(event.task)
+                continue
+            if isinstance(event, TaskwaitEvent):
+                ops.append(OP_WAIT)
+            elif isinstance(event, TaskwaitOnEvent):
+                wait_addresses[len(ops)] = event.address
+                ops.append(OP_WAIT_ON)
+            else:
+                raise SimulationError(f"unknown trace event {event!r}")
+            op_slot.append(-1)
+        self.num_tasks = len(tasks)
+        self.num_events = len(ops)
+        self.ops = ops
+        self.op_slot = op_slot
+        self.tasks = tasks
+        self.task_ids = [task.task_id for task in tasks]
+        # Dense ids (TraceBuilder's invariant) are slots; sparse ids
+        # (hand-extended traces) go through an explicit map.
+        if self.task_ids == list(range(self.num_tasks)):
+            self.slot_of: Optional[Dict[int, int]] = None
+        else:
+            self.slot_of = {task_id: slot for slot, task_id in enumerate(self.task_ids)}
+        # The `taskwait on` target of each event: the slot of the last
+        # writer of the address before it in trace order, or -1.  The
+        # master submits in trace order, so the target is static.
+        self.has_wait_on = bool(wait_addresses)
+        self.op_wait = [-1] * self.num_events
         if self.has_wait_on:
             last_writer: Dict[int, int] = {}
-            slot = 0
-            for index, op in enumerate(self.ops):
-                if op == _OP_SUBMIT:
-                    task = compiled.tasks[index]
-                    op_slot[index] = slot
-                    slot += 1
-                    for address in compiled.write_addrs[index]:
-                        last_writer[address] = task.task_id
-                elif op == _OP_WAIT_ON:
-                    op_wait_task[index] = last_writer.get(compiled.wait_addrs[index], -1)
-        else:
-            # No `taskwait on` anywhere: slots are assignable without
-            # walking write sets (a C-speed membership test above saves
-            # the per-task last-writer bookkeeping entirely).
-            slot = 0
-            for index, op in enumerate(self.ops):
-                if op == _OP_SUBMIT:
-                    op_slot[index] = slot
-                    slot += 1
-        self.op_slot = op_slot
-        self.op_wait_task = op_wait_task
+            for index, op in enumerate(ops):
+                if op == OP_SUBMIT:
+                    slot = op_slot[index]
+                    for address in tasks[slot].output_addresses:
+                        last_writer[address] = slot
+                elif op == OP_WAIT_ON:
+                    self.op_wait[index] = last_writer.get(wait_addresses[index], -1)
+        # Same left-to-right float sum as Trace.total_work_us.
+        self.total_work_us = sum(task.duration_us for task in tasks)
 
         # Task-major access rows (straight from the compiled program).
+        program = trace.access_program()
+        self.num_addresses = program.num_addresses
         self.acc_off = program.offsets
         self.acc_aid = program.addr_ids
         self.acc_flags = program.flags
-
-        # Address-major CSR: each address's accesses in program order.
-        # Built with numpy once per trace; a stable argsort groups the
-        # flat task-major accesses by address while preserving the
-        # submission order within each address.
-        num_accesses = len(program.addr_ids)
-        if num_accesses:
+        # Address-major CSR: each address's accesses in program order.  A
+        # stable argsort groups the flat task-major accesses by address
+        # while preserving the submission order within each address.
+        if program.addr_ids:
             aid = np.asarray(program.addr_ids, dtype=np.int64)
             offsets = np.asarray(program.offsets, dtype=np.int64)
             counts = np.bincount(aid, minlength=self.num_addresses)
@@ -157,20 +168,14 @@ class LaneProgram:
             self.addr_off = addr_off.tolist()
             self.addr_task = slot_of_access[order].tolist()
             self.addr_flags = flags[order].tolist()
-            num_params_eff = np.maximum(np.diff(offsets), 1)
+            self.num_params_eff = np.maximum(np.diff(offsets), 1)
         else:
             self.addr_off = [0] * (self.num_addresses + 1)
             self.addr_task = []
             self.addr_flags = []
-            num_params_eff = np.ones(self.num_tasks, dtype=np.int64)
-        self.num_params_eff = num_params_eff
-
-        tasks = compiled.task_by_slot
+            self.num_params_eff = np.ones(self.num_tasks, dtype=np.int64)
         self.duration = [task.duration_us for task in tasks]
         self.creation = [task.creation_overhead_us for task in tasks]
-        # Cached once per trace; every kernel MachineResult repeats it
-        # (same left-to-right float sum as Trace.total_work_us).
-        self.total_work_us = trace.total_work_us
         self._kernel_cache: Dict[LaneKernelSpec, Tuple[list, ...]] = {}
 
     def kernel_columns(self, kern: LaneKernelSpec) -> Tuple[list, list, list]:
@@ -184,12 +189,12 @@ class LaneProgram:
         * ``creation_pp[s]`` — the Nanos per-parameter creation term
           ``creation_per_param_us * max(1, num_accesses)``, kept as a
           separate addend so the runtime sum ``(time + base) + pp``
-          associates exactly like the scalar expression;
+          associates exactly like the engine's expression;
         * ``insert_cost[s]`` — the full Nanos locked-insertion cost
           ``insert_lock_us + insert_lock_per_param_us * max(1, n)``.
 
         All three are numpy float64 elementwise expressions — the same
-        IEEE operations, in the same order, as the scalar per-event
+        IEEE operations, in the same order, as the engine's per-event
         arithmetic, hence byte-identical values.
         """
         cached = self._kernel_cache.get(kern)
@@ -236,7 +241,7 @@ def _kernel_methods_overridden(manager: TaskManagerModel) -> bool:
 
 
 def lane_fallback_reason(machine: "Machine", trace: object) -> Optional[str]:  # noqa: F821
-    """Why ``machine`` must replay ``trace`` on the scalar loop, or
+    """Why ``machine`` must replay ``trace`` on the general engine, or
     ``None`` when the kernel applies.
 
     The kernel-selection rules (documented in ``docs/performance.md``):
@@ -261,17 +266,17 @@ def lane_fallback_reason(machine: "Machine", trace: object) -> Optional[str]:  #
     if any(speed != 1.0 for speed in machine.topology.speed_factors):
         return "non-unit core speeds"
     prog = lane_program(trace)
-    if not prog.dense_ids:
+    if prog.slot_of is not None:
         return "sparse task ids"
     if prog.has_wait_on and not manager.supports_taskwait_on:
-        return "taskwait-on degradation requires the scalar master loop"
+        return "taskwait-on degradation requires the engine's master"
     return None
 
 
 def run_lanes(lanes: Sequence[LaneSpec]) -> List[MachineResult]:
     """Run every lane to completion through :meth:`Machine.run`, in order.
 
-    :meth:`Machine.run` picks the kernel or the scalar loop per lane, so
+    :meth:`Machine.run` picks the kernel or the engine per lane, so
     this is a plain loop; the function keeps its name because layer
     probes (the repository benchmark's tracer) bind to it.
     """
@@ -284,19 +289,19 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
     """Replay ``trace`` on ``machine`` through the specialized kernel.
 
     Only valid when :func:`lane_fallback_reason` returns ``None``.  This
-    inlines — in replicated order — the scalar stack for the FIFO /
-    homogeneous / dense-ids configuration: ``Machine.run_scalar``'s
-    master loop and event handlers, ``EventQueue``'s ``(time, priority,
-    sequence)`` heap discipline, ``CorePool``'s lowest-id idle-core heap,
-    ``FifoPolicy``'s deque, the compiled ``DependencyTracker`` insert /
+    inlines — in replicated order — the engine stack for the FIFO /
+    homogeneous / dense-ids configuration: the trace master and event
+    handlers of :func:`repro.system.dynamic.run_engine`,
+    ``EventQueue``'s ``(time, priority, sequence)`` heap discipline,
+    ``CorePool``'s lowest-id idle-core heap, ``FifoPolicy``'s deque, the compiled ``DependencyTracker`` insert /
     finish semantics reduced to per-address cursors, and the lane
     kernel's manager arithmetic (including exact
     :meth:`~repro.sim.resource.SerialResource.reserve` replication for
-    the Nanos lock).  Schedules are byte-identical to the scalar engine;
-    any behavioural change there must land here too (the kernel-vs-scalar
+    the Nanos lock).  Schedules are byte-identical to the engine's; any
+    behavioural change there must land here too (the kernel-vs-scalar
     golden and differential suites guard the pairing).  The number of
     events processed lands in ``machine.last_events_processed``, equal to
-    the scalar loop's ``Simulator.processed_events``.
+    the engine's ``Simulator.processed_events``.
     """
     manager = machine.manager
     config = machine.config
@@ -310,7 +315,7 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
     num_cores = config.num_cores
     ops = prog.ops
     op_slot = prog.op_slot
-    op_wait_task = prog.op_wait_task
+    op_wait = prog.op_wait
     acc_off = prog.acc_off
     acc_aid = prog.acc_aid
     acc_flags = prog.acc_flags
@@ -359,13 +364,13 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
     now = 0.0
 
     collect = config.keep_schedule or config.validate
+    timeline = TaskTimeline(num_tasks) if collect else None
     if collect:
-        nan = float("nan")
-        submit_arr = [nan] * num_tasks
-        ready_arr = [nan] * num_tasks
-        start_arr = [nan] * num_tasks
-        finish_arr = [nan] * num_tasks
-        core_arr = [-1] * num_tasks
+        submit_arr = timeline.submit
+        ready_arr = timeline.ready
+        start_arr = timeline.start
+        finish_arr = timeline.finish
+        core_arr = timeline.core
 
     # --- main loop ----------------------------------------------------------
     # The master advance is inlined into the loop body rather than kept
@@ -380,7 +385,7 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
             do_master = False
             while event_index < num_events:
                 op = ops[event_index]
-                if op == _OP_SUBMIT:
+                if op == OP_SUBMIT:
                     slot = op_slot[event_index]
                     outstanding += 1
                     if collect:
@@ -450,18 +455,18 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
                         heappush(heap, (master_time, 2, seq, -1, -1))
                         seq += 1
                         break
-                    # Inline-submission fast path, exactly as in the scalar
+                    # Inline-submission fast path, exactly as in the engine's
                     # master loop: no pending event sorts before the next
                     # master step, so skip the queue bounce.
                     continue
-                if op == _OP_WAIT:
+                if op == OP_WAIT:
                     if outstanding == 0:
                         event_index += 1
                         continue
                     blocked_kind = 1
                     break
-                # op == _OP_WAIT_ON (manager support checked by lane_fallback_reason)
-                waited = op_wait_task[event_index]
+                # op == OP_WAIT_ON (manager support checked by lane_fallback_reason)
+                waited = op_wait[event_index]
                 if waited < 0 or finished[waited]:
                     event_index += 1
                     continue
@@ -593,12 +598,12 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
                 do_master = True
 
     # The loop only ends on an empty heap, so every pushed event was
-    # popped: the sequence counter is the scalar loop's processed_events.
+    # popped: the sequence counter is the engine's processed_events.
     machine.last_events_processed = seq
     machine.last_ready_order = ()
     makespan = now if now > master_time else master_time
 
-    # --- consistency checks (mirroring the scalar engine) --------------------
+    # --- consistency checks (mirroring the engine) ---------------------------
     if finished_count != num_tasks:
         missing = num_tasks - finished_count
         raise SimulationError(
@@ -609,10 +614,6 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
         raise SimulationError(
             f"{manager.name} on {trace.name}: master thread did not reach the end of the trace"
         )
-
-    timeline = TaskTimeline.from_columns(
-        submit_arr, ready_arr, start_arr, finish_arr, core_arr
-    ) if collect else None
 
     if config.validate:
         assert timeline is not None
@@ -631,23 +632,8 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
             "tasks_finished": finished_count,
         }
 
-    keep = config.keep_schedule and timeline is not None
-    return MachineResult(
-        trace_name=trace.name,
-        manager_name=manager.name,
-        num_cores=num_cores,
-        makespan_us=makespan,
-        total_work_us=prog.total_work_us,
-        num_tasks=num_tasks,
-        submit_times=timeline.submit_dict() if keep else {},
-        ready_times=timeline.ready_dict() if keep else {},
-        start_times=timeline.start_dict() if keep else {},
-        finish_times=timeline.finish_dict() if keep else {},
-        master_finish_us=master_time,
-        core_busy_us=core_busy_us,
-        manager_stats=manager_stats,
-        scheduler=machine.policy.name,
-        topology=machine.topology.describe(),
-        per_core_busy_us=tuple(busy_us),
-        task_cores=timeline.core_dict() if keep else {},
+    return MachineResult.of_run(
+        machine, trace.name, timeline, makespan_us=makespan, total_work_us=prog.total_work_us,
+        num_tasks=num_tasks, master_finish_us=master_time, core_busy_us=core_busy_us,
+        manager_stats=manager_stats, per_core_busy_us=tuple(busy_us),
     )

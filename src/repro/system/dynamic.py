@@ -1,17 +1,26 @@
-"""The insert-while-running engine: streams and dynamic programs.
+"""The general replay engine: static traces, streams and dynamic programs.
 
-This is the engine behind :meth:`repro.system.machine.Machine.run_stream`
-and :meth:`~repro.system.machine.Machine.run_dynamic` (and the
-``Machine.run`` dispatch for :class:`~repro.trace.dynamic.DynamicProgram`
-sources).  It simulates the regime the paper's hardware actually serves:
-tasks arrive while the machine runs, so nothing about the task set is
-known at t=0.  Two kinds of source drive the master thread:
+This is the engine behind every replay the fast kernel of
+:mod:`repro.sim.batch` does not cover: the static runs
+:meth:`Machine.run <repro.system.machine.Machine.run>` does not route to
+the kernel, :meth:`~repro.system.machine.Machine.run_scalar` (the
+reference the kernel is checked against),
+:meth:`~repro.system.machine.Machine.run_stream` and
+:meth:`~repro.system.machine.Machine.run_dynamic`.  Three kinds of source
+drive the master thread:
 
-* a :class:`~repro.trace.stream.TaskStream` (or a materialised trace
-  replayed as one): each ``TaskSubmitEvent`` submits the stream's own
-  descriptor under its own id, ``taskwait`` / ``taskwait on`` events are
-  master barriers.  Only in-flight tasks are held, so live state is
-  O(in-flight tasks + live addresses), never O(total tasks);
+* a materialised :class:`~repro.trace.trace.Trace`: the manager binds the
+  trace's compiled access program (``prepare_trace``), so its tracker
+  runs over preresolved rows, and the master walks the trace's
+  :class:`~repro.sim.batch.LaneProgram` — op codes, task slots and
+  statically resolved ``taskwait on`` targets — with submission inlined.
+  Per-task state lives in slot-indexed lists and the timeline is
+  preallocated;
+* a :class:`~repro.trace.stream.TaskStream`: each ``TaskSubmitEvent``
+  submits the stream's own descriptor under its own id, ``taskwait`` /
+  ``taskwait on`` events are master barriers.  Only in-flight tasks are
+  held, so live state is O(in-flight tasks + live addresses), never
+  O(total tasks), and the tracker resolves each task at insert;
 * a :class:`~repro.trace.dynamic.DynamicProgram`: the master thread *and*
   executing tasks may spawn new tasks and issue ``taskwait``.
 
@@ -32,19 +41,20 @@ Semantics
   instead — faithful to a naive tied-task runtime, but recursion deeper
   than the core count then deadlocks, which the engine reports as a
   :class:`~repro.common.errors.SimulationError` naming the stuck tasks.
-* **Master taskwait / taskwait on** — identical to the static machine:
-  a full barrier over every in-flight task, and the last-writer barrier
-  with the Nexus++ degradation when the manager lacks the pragma.
+* **Master taskwait / taskwait on** — a full barrier over every in-flight
+  task, and the last-writer barrier; a manager without the ``taskwait
+  on`` pragma (Nexus++) degrades it to a full taskwait, as Section III
+  of the paper describes.
 * **Worker overhead** — charged once per task, on its first compute
   segment (a pure control body with no :class:`~repro.trace.dynamic.
   Compute` op pays none).
 
-The manager's dependency tracker resolves every task's accesses at
-insert (no access program is bound), the same row loops a bound static
-trace uses.  On a static trace the engine's schedule, manager statistics
-and event count equal :meth:`Machine.run_scalar
-<repro.system.machine.Machine.run_scalar>`'s (pinned by
-``tests/golden/test_stream_equivalence.py``).
+Per-task state is keyed by the task's *slot*: its trace slot, its
+submission ordinal in a stream that keeps its schedule (the timeline's
+slot), and otherwise its task id (a program's ids are its ordinals).  A
+leaf task — every trace or stream task and every spawned request
+without a body — is just its descriptor and a dispatched flag; only
+tasks with a body get a :class:`_TaskRun` record.
 
 Determinism: given a deterministic source, the engine is fully
 deterministic — the event queue orders ties by ``(time, priority,
@@ -62,6 +72,7 @@ from repro.sim.engine import Simulator
 from repro.system.results import MachineResult
 from repro.system.timeline import TaskTimeline
 from repro.system.topology import CorePool
+from repro.trace.dag import validate_schedule
 from repro.trace.dynamic import Compute, DynamicProgram, Spawn, Taskwait, TaskwaitOn
 from repro.trace.events import (
     SpawnEvent,
@@ -73,8 +84,9 @@ from repro.trace.events import (
 from repro.trace.stream import TaskStream
 from repro.trace.trace import Trace
 
-# Event kinds / priorities (completions before readies before the master,
-# matching the static machine loop).
+# Event priorities at equal timestamps: task completions first (they
+# free cores and resolve barriers), then ready notifications, then
+# master progress.
 _PRIORITY_DONE = 0
 _PRIORITY_READY = 1
 _PRIORITY_MASTER = 2
@@ -85,31 +97,26 @@ _KIND_MASTER = "master-step"
 
 
 class _TaskRun:
-    """Live state of one submitted task (from submission to retirement)."""
+    """Live state of one task with a body (from submission to retirement)."""
 
-    __slots__ = ("task", "body", "gen", "parent_id", "slot", "core",
-                 "children", "waiting", "first_segment", "dispatched")
+    __slots__ = ("body", "gen", "core", "children", "waiting", "first_segment")
 
-    def __init__(self, task, body, parent_id: Optional[int], slot: int) -> None:
-        self.task = task
+    def __init__(self, body) -> None:
         self.body = body
         self.gen = None          # instantiated when the task starts
-        self.parent_id = parent_id
-        self.slot = slot         # timeline slot (-1 when not collecting)
         self.core: int = -1      # -1 = not on a core (queued / suspended)
         self.children = 0        # direct children still in flight
         self.waiting = False     # suspended in a task-level taskwait
         self.first_segment = True
-        self.dispatched = False  # ready notification already delivered
 
 
 def run_engine(
     machine,
-    source: Union[DynamicProgram, TaskStream],
+    source: Union[Trace, TaskStream, DynamicProgram],
     *,
     max_in_flight: Optional[int] = None,
 ) -> MachineResult:
-    """Replay a dynamic program or a task stream on ``machine``.
+    """Replay a static trace, a task stream or a dynamic program on ``machine``.
 
     See the module docstring.  ``max_in_flight`` stalls the master once
     that many submitted tasks are outstanding (back-pressure).
@@ -119,6 +126,9 @@ def run_engine(
     config = machine.config
     manager = machine.manager
     manager.reset()
+    static = isinstance(source, Trace)
+    if static:
+        manager.prepare_trace(source)
     policy = machine.policy
     policy.reset()
     pool = CorePool(machine.topology)
@@ -135,21 +145,45 @@ def run_engine(
     master_send: object = None       # value delivered to the master's next yield
     master_barrier_resuming = False  # next advance sends master_time instead
     outstanding = 0
-    num_tasks = 0
-    next_task_id = 0
-    total_work_us = 0.0
     finished_count = 0
     core_busy_us = 0.0
 
-    #: every submitted, unfinished task
-    runs: Dict[int, _TaskRun] = {}
-    writes_of: Dict[int, Tuple[int, ...]] = {}
-    last_writer: Dict[int, int] = {}
-    resume_queue: deque = deque()    # parents whose children drained, awaiting a core
-
     validate = config.validate
     collect = config.keep_schedule or validate
-    timeline = TaskTimeline.growable() if collect else None
+    if static:
+        from repro.sim.batch import OP_SUBMIT, OP_WAIT, lane_program
+
+        prog = lane_program(source)
+        tasks = prog.tasks           # descriptor by slot
+        key_of = prog.slot_of        # task id -> slot (None: dense ids)
+        num_tasks = prog.num_tasks
+        total_work_us = prog.total_work_us
+        dispatched = bytearray(num_tasks)
+        finished = bytearray(num_tasks)
+        timeline = TaskTimeline(
+            num_tasks, task_ids=None if key_of is None else prog.task_ids,
+        ) if collect else None
+    else:
+        tasks = {}                   # in-flight descriptors by slot
+        # A stream may reuse an id once its task finished, so a collected
+        # stream maps ids to submission ordinals (the timeline's slots);
+        # otherwise the slot is the id (a program's ids are its ordinals).
+        key_of = {} if collect and not isinstance(source, DynamicProgram) else None
+        num_tasks = 0
+        total_work_us = 0.0
+        dispatched = {}
+        timeline = TaskTimeline.growable() if collect else None
+    if collect:
+        submit_arr = timeline.submit
+        ready_arr = timeline.ready
+        start_arr = timeline.start
+        finish_arr = timeline.finish
+        core_arr = timeline.core
+    runs: Dict[int, _TaskRun] = {}   # tasks with a body, by slot
+    parent_of: Dict[int, int] = {}   # spawned task slot -> parent slot
+    writes_of: Dict[int, Tuple[int, ...]] = {}
+    last_writer: Dict[int, int] = {}  # address -> slot of its in-flight last writer
+    resume_queue: deque = deque()    # parents whose children drained, awaiting a core
     ready_order: List[int] = []      # fed only when collecting
     recorded_events: List[TraceEvent] = []  # submission order (validate)
 
@@ -167,8 +201,8 @@ def run_engine(
     manager_submit = manager.submit
     manager_finish = manager.finish
 
-    # --- submission (shared by the master and spawning tasks) ---------------
-    def submit_task(task, body, parent: Optional[_TaskRun], time: float) -> float:
+    # --- submission (streams and dynamic programs) ----------------------------
+    def submit_task(task, body, parent_key: Optional[int], time: float) -> float:
         """Hand ``task`` to the manager at ``time``; return when the submitter resumes.
 
         The submitter is throttled like the static master: it resumes at
@@ -176,28 +210,33 @@ def run_engine(
         """
         nonlocal outstanding, num_tasks, total_work_us
         task_id = task.task_id
-        parent_id = None if parent is None else parent.task.task_id
-        slot = -1
-        if collect:
-            slot = timeline.add_task(task_id)
-            timeline.submit[slot] = time
-            if validate:
-                recorded_events.append(SpawnEvent(task, parent_id=parent_id))
-        runs[task_id] = _TaskRun(task, body, parent_id, slot)
-        outstanding += 1
+        key = task_id
+        if key_of is not None:
+            key = key_of[task_id] = num_tasks
         num_tasks += 1
+        tasks[key] = task
+        dispatched[key] = 0
+        if body is not None:
+            runs[key] = _TaskRun(body)
+        if parent_key is not None:
+            parent_of[key] = parent_key
+            runs[parent_key].children += 1
+        if collect:
+            timeline.add_task(task_id)
+            submit_arr[key] = time
+            if validate:
+                recorded_events.append(SpawnEvent(task, parent_id=parent_key))
+        outstanding += 1
         total_work_us += task.duration_us
-        if parent is not None:
-            parent.children += 1
         write_addrs = task.output_addresses
         if write_addrs:
-            writes_of[task_id] = write_addrs
+            writes_of[key] = write_addrs
             for address in write_addrs:
-                last_writer[address] = task_id
+                last_writer[address] = key
         accept, ready = manager_submit(task, time)
         for ready_id, ready_time in ready:
             if collect:
-                timeline.ready[runs[ready_id].slot] = ready_time
+                ready_arr[ready_id if key_of is None else key_of[ready_id]] = ready_time
             push(ready_time if ready_time > time else time,
                  _KIND_READY, ready_id, _PRIORITY_READY)
         if accept < time:
@@ -206,73 +245,76 @@ def run_engine(
         resume = time + task.creation_overhead_us
         return accept if accept > resume else resume
 
-    def spawn(request, parent: Optional[_TaskRun], time: float) -> Tuple[int, float]:
-        """Submit a program's spawn request; return ``(task id, resume time)``."""
-        nonlocal next_task_id
-        task_id = next_task_id
-        next_task_id = task_id + 1
-        return task_id, submit_task(request.descriptor(task_id), request.body, parent, time)
-
     # --- core dispatch -------------------------------------------------------
     def fill_cores(now: float) -> None:
         """Hand idle cores to resuming parents first, then queued ready tasks."""
         while idle_ranks:
             if resume_queue:
-                rec = runs[resume_queue.popleft()]
+                key = resume_queue.popleft()
+                rec = runs[key]
                 rec.core = acquire()
-                advance_body(rec, now, now)
+                advance_body(rec, key, now, now)
             elif policy_pending():
                 core = acquire()
                 task_id = select(core, now)
                 if task_id is None:
                     release(core)
                     break
-                start_task(task_id, now, core)
+                start_task(task_id if key_of is None else key_of[task_id], now, core)
             else:
                 break
 
-    def start_task(task_id: int, now: float, core: int) -> None:
-        rec = runs[task_id]
-        rec.core = core
+    def start_task(key: int, now: float, core: int) -> None:
+        nonlocal core_busy_us
+        task = tasks[key]
         if collect:
-            timeline.start[rec.slot] = now
-            timeline.core[rec.slot] = core
+            start_arr[key] = now
+            core_arr[key] = core
         if wants_start_events:
-            policy.on_start(task_id, rec.task, core, now)
-        if rec.body is None:
-            schedule_segment(rec, now, rec.task.duration_us)
-        else:
-            rec.gen = rec.body()
-            advance_body(rec, now, None)
+            policy.on_start(task.task_id, task, core, now)
+        if runs:
+            rec = runs.get(key)
+            if rec is not None:
+                rec.core = core
+                rec.gen = rec.body()
+                advance_body(rec, key, now, None)
+                return
+        # A leaf: one segment of worker overhead plus the task body.
+        nominal = worker_overhead + task.duration_us
+        speed = speeds[core]
+        duration = nominal if speed == 1.0 else nominal / speed
+        core_busy_us += duration
+        busy_us[core] += duration
+        push(now + duration, _KIND_SEGMENT, (task.task_id, core), _PRIORITY_DONE)
 
-    def schedule_segment(rec: _TaskRun, now: float, duration_us: float) -> None:
+    def schedule_segment(rec: _TaskRun, key: int, now: float, duration_us: float) -> None:
         nonlocal core_busy_us
         nominal = duration_us
         if rec.first_segment:
             nominal += worker_overhead
             rec.first_segment = False
-        speed = speeds[rec.core]
+        core = rec.core
+        speed = speeds[core]
         real = nominal if speed == 1.0 else nominal / speed
-        end = now + real
         core_busy_us += real
-        busy_us[rec.core] += real
-        push(end, _KIND_SEGMENT, rec.task.task_id, _PRIORITY_DONE)
+        busy_us[core] += real
+        push(now + real, _KIND_SEGMENT, (key, core), _PRIORITY_DONE)
 
-    def advance_body(rec: _TaskRun, now: float, send: object) -> None:
+    def advance_body(rec: _TaskRun, key: int, now: float, send: object) -> None:
         """Drive ``rec``'s body until it computes, suspends, or finishes."""
         gen = rec.gen
-        task_id = rec.task.task_id
         while True:
             try:
                 op = gen.send(send)
             except StopIteration:
-                finish_task(rec, now)
+                finish_task(key, rec.core, now)
                 return
             if isinstance(op, Compute):
-                schedule_segment(rec, now, op.duration_us)
+                schedule_segment(rec, key, now, op.duration_us)
                 return
             if isinstance(op, Spawn):
-                send, now = spawn(op.request, rec, now)
+                send = num_tasks  # the child's task id
+                now = submit_task(op.request.descriptor(send), op.request.body, key, now)
                 continue
             if isinstance(op, Taskwait):
                 if rec.children == 0:
@@ -287,32 +329,35 @@ def run_engine(
                 return
             if isinstance(op, TaskwaitOn):
                 raise SimulationError(
-                    f"task {task_id} ({source.name}): TaskwaitOn is a "
+                    f"task {key} ({source.name}): TaskwaitOn is a "
                     "master-only op; task bodies join children with Taskwait")
             raise SimulationError(
-                f"task {task_id} ({source.name}): unknown dynamic op {op!r}")
+                f"task {key} ({source.name}): unknown dynamic op {op!r}")
 
-    def finish_task(rec: _TaskRun, now: float) -> None:
+    def finish_task(task_id: int, core: int, now: float) -> None:
         nonlocal outstanding, finished_count
-        task_id = rec.task.task_id
+        key = task_id if key_of is None else key_of[task_id]
         outstanding -= 1
         finished_count += 1
         if collect:
-            timeline.finish[rec.slot] = now
-        write_addrs = writes_of.pop(task_id, None)
-        if write_addrs:
-            for address in write_addrs:
-                if last_writer.get(address) == task_id:
-                    del last_writer[address]
+            finish_arr[key] = now
+        if static:
+            finished[key] = 1
+        elif writes_of:
+            write_addrs = writes_of.pop(key, None)
+            if write_addrs:
+                for address in write_addrs:
+                    if last_writer.get(address) == key:
+                        del last_writer[address]
         for ready_id, ready_time in manager_finish(task_id, now)[0]:
             if collect:
-                timeline.ready[runs[ready_id].slot] = ready_time
+                ready_arr[ready_id if key_of is None else key_of[ready_id]] = ready_time
             push(ready_time if ready_time > now else now,
                  _KIND_READY, ready_id, _PRIORITY_READY)
-        # Wake the parent when this was its last in-flight child.
-        parent_id = rec.parent_id
-        if parent_id is not None:
-            parent = runs.get(parent_id)
+        if parent_of:
+            # Wake the parent when this was its last in-flight child.
+            parent_key = parent_of.pop(key, None)
+            parent = None if parent_key is None else runs.get(parent_key)
             if parent is not None:
                 parent.children -= 1
                 if parent.children == 0 and parent.waiting:
@@ -320,55 +365,47 @@ def run_engine(
                     if holds_core:
                         # The parent never released its core: it resumes
                         # in place, at its child's completion time.
-                        advance_body(parent, now, now)
+                        advance_body(parent, parent_key, now, now)
                     else:
-                        resume_queue.append(parent_id)
-        core = rec.core
-        del runs[task_id]
+                        resume_queue.append(parent_key)
+        if not static:
+            del tasks[key]
+            del dispatched[key]
+            if key_of is not None:
+                del key_of[task_id]
+            if runs:
+                runs.pop(key, None)
         release(core)
-        fill_cores(now)
+        if resume_queue:
+            fill_cores(now)
+        elif policy_pending():
+            # No core idles while tasks queue, so the freed core is the
+            # only one to fill: fill_cores' first step, inlined.
+            core = acquire()
+            next_id = select(core, now)
+            if next_id is None:
+                release(core)
+            else:
+                start_task(next_id if key_of is None else key_of[next_id], now, core)
         if master_blocked is not None and barrier_satisfied(now) and not master_done:
             push(master_time, _KIND_MASTER, None, _PRIORITY_MASTER)
 
     # --- master ------------------------------------------------------------
     def barrier_satisfied(now: float) -> bool:
+        """Clear the master's barrier if it is resolved."""
         nonlocal master_blocked, master_time
-        if master_blocked is None:
-            return False
-        kind, waited_task = master_blocked
+        kind, waited = master_blocked
         if kind == "all":
             if outstanding != 0:
                 return False
         elif kind == "task":
-            if waited_task in runs:
+            if (not finished[waited]) if static else waited in tasks:
                 return False
-        else:  # kind == "window": back-pressure stall
-            assert max_in_flight is not None
-            if outstanding >= max_in_flight:
-                return False
+        elif outstanding >= max_in_flight:  # kind == "window": back-pressure stall
+            return False
         master_blocked = None
         if now > master_time:
             master_time = now
-        return True
-
-    def block_on(address: Optional[int]) -> bool:
-        """Block the master on a barrier; False when it is already resolved.
-
-        ``None`` is a full taskwait; an address is a ``taskwait on`` —
-        degraded to a full taskwait when the manager lacks the pragma
-        (Nexus++, Section III of the paper).
-        """
-        nonlocal master_blocked
-        if address is None or not supports_taskwait_on:
-            if outstanding == 0:
-                return False
-            master_blocked = ("all", None)
-            return True
-        writer = last_writer.get(address)
-        if writer is None:
-            # Never written, or the writer already finished (pruned).
-            return False
-        master_blocked = ("task", writer)
         return True
 
     def yield_to_pending() -> bool:
@@ -393,44 +430,72 @@ def run_engine(
             return True
         return False
 
-    def advance_program(now: float) -> None:
-        """Run the program's master generator until it blocks or ends."""
-        nonlocal master_time, master_done, master_send, master_barrier_resuming
+    def block_on(address: Optional[int]) -> bool:
+        """Block the master on a barrier; False when it is already resolved.
+
+        ``None`` is a full taskwait; an address is a ``taskwait on`` —
+        degraded to a full taskwait when the manager lacks the pragma.
+        """
+        nonlocal master_blocked
+        if address is None or not supports_taskwait_on:
+            if outstanding == 0:
+                return False
+            master_blocked = ("all", None)
+            return True
+        writer = last_writer.get(address)
+        if writer is None:
+            # Never written, or the writer already finished (pruned).
+            return False
+        master_blocked = ("task", writer)
+        return True
+
+    def advance_trace(now: float) -> None:
+        """Walk the trace until a submission yields, a block, or the end."""
+        nonlocal event_index, master_time, master_blocked, master_done, outstanding
         if now > master_time:
             master_time = now
-        if master_barrier_resuming:
-            master_send = master_time
-            master_barrier_resuming = False
-        while True:
-            # Window stalls keep master_send: the pending response belongs
-            # to the op consumed before the stall.
+        while event_index < num_events:
             if window_full():
                 return
-            try:
-                op = master_gen.send(master_send)
-            except StopIteration:
-                master_done = True
-                return
-            if isinstance(op, Spawn):
-                master_send, master_time = spawn(op.request, None, master_time)
-                if yield_to_pending():
+            op = ops[event_index]
+            if op == OP_SUBMIT:
+                slot = op_slot[event_index]
+                task = tasks[slot]
+                outstanding += 1
+                if collect:
+                    submit_arr[slot] = master_time
+                event_index += 1
+                accept, ready = manager_submit(task, master_time)
+                for ready_id, ready_time in ready:
+                    if collect:
+                        ready_arr[ready_id if key_of is None else key_of[ready_id]] = ready_time
+                    push(ready_time if ready_time > master_time else master_time,
+                         _KIND_READY, ready_id, _PRIORITY_READY)
+                if accept < master_time:
+                    raise SimulationError(
+                        f"manager {manager.name} accepted task {task.task_id} in the past")
+                resume = master_time + task.creation_overhead_us
+                master_time = accept if accept > resume else resume
+                if event_index >= num_events:
+                    break
+                pending = queue.next_time
+                if pending is not None and pending <= master_time:
+                    push(master_time, _KIND_MASTER, None, _PRIORITY_MASTER)
                     return
-                continue
-            if isinstance(op, Compute):
-                # A serial section on the master thread.
-                master_time += op.duration_us
-                master_send = master_time
-                continue
-            if isinstance(op, Taskwait):
-                address = None
-            elif isinstance(op, TaskwaitOn):
-                address = op.address
-            else:
-                raise SimulationError(f"{source.name}: unknown master op {op!r}")
-            if block_on(address):
-                master_barrier_resuming = True
+                continue  # see yield_to_pending
+            if op == OP_WAIT or not supports_taskwait_on:
+                if outstanding == 0:
+                    event_index += 1
+                    continue
+                master_blocked = ("all", None)
                 return
-            master_send = master_time
+            waited = op_wait[event_index]
+            if waited < 0 or finished[waited]:
+                event_index += 1
+                continue
+            master_blocked = ("task", waited)
+            return
+        master_done = True
 
     def advance_stream(now: float) -> None:
         """Consume stream events until a submission stalls, a block, or the end."""
@@ -445,11 +510,11 @@ def run_engine(
                 master_done = True
                 return
             # Read one event ahead, so the master knows the stream ended
-            # right after its last submission, like the static loop.
+            # right after its last submission, like the trace master.
             next_event = next(events, None)
             if isinstance(event, TaskSubmitEvent):
                 task = event.task
-                if task.task_id in runs:
+                if task.task_id in (tasks if key_of is None else key_of):
                     raise SimulationError(
                         f"task id {task.task_id} submitted while still in flight "
                         f"in stream {source.name!r}")
@@ -469,7 +534,55 @@ def run_engine(
             if block_on(address):
                 return
 
-    if isinstance(source, DynamicProgram):
+    def advance_program(now: float) -> None:
+        """Run the program's master generator until it blocks or ends."""
+        nonlocal master_time, master_done, master_send, master_barrier_resuming
+        if now > master_time:
+            master_time = now
+        if master_barrier_resuming:
+            master_send = master_time
+            master_barrier_resuming = False
+        while True:
+            # Window stalls keep master_send: the pending response belongs
+            # to the op consumed before the stall.
+            if window_full():
+                return
+            try:
+                op = master_gen.send(master_send)
+            except StopIteration:
+                master_done = True
+                return
+            if isinstance(op, Spawn):
+                master_send = num_tasks  # the child's task id
+                master_time = submit_task(op.request.descriptor(master_send), op.request.body,
+                                          None, master_time)
+                if yield_to_pending():
+                    return
+                continue
+            if isinstance(op, Compute):
+                # A serial section on the master thread.
+                master_time += op.duration_us
+                master_send = master_time
+                continue
+            if isinstance(op, Taskwait):
+                address = None
+            elif isinstance(op, TaskwaitOn):
+                address = op.address
+            else:
+                raise SimulationError(f"{source.name}: unknown master op {op!r}")
+            if block_on(address):
+                master_barrier_resuming = True
+                return
+            master_send = master_time
+
+    if static:
+        ops = prog.ops
+        op_slot = prog.op_slot
+        op_wait = prog.op_wait
+        num_events = prog.num_events
+        event_index = 0
+        advance_master = advance_trace
+    elif isinstance(source, DynamicProgram):
         master_gen = source.master()
         advance_master = advance_program
     else:
@@ -484,25 +597,26 @@ def run_engine(
 
     def on_ready(sim: Simulator, event) -> None:
         task_id = event[4]
-        rec = runs[task_id]
-        if rec.dispatched:
+        key = task_id if key_of is None else key_of[task_id]
+        if dispatched[key]:
             raise SimulationError(f"task {task_id} reported ready twice")
-        rec.dispatched = True
+        dispatched[key] = 1
         if collect:
             ready_order.append(task_id)
         now = event[0]
         if idle_ranks:
-            start_task(task_id, now, acquire())
+            start_task(key, now, acquire())
         else:
-            enqueue(task_id, rec.task, now)
+            enqueue(task_id, tasks[key], now)
 
     def on_segment(sim: Simulator, event) -> None:
-        rec = runs[event[4]]
-        now = event[0]
-        if rec.gen is None:
-            finish_task(rec, now)
-        else:
-            advance_body(rec, now, now)
+        task_id, core = event[4]
+        if runs:
+            rec = runs.get(task_id)
+            if rec is not None:
+                advance_body(rec, task_id, event[0], event[0])
+                return
+        finish_task(task_id, core, event[0])
 
     sim.on(_KIND_MASTER, on_master)
     sim.on(_KIND_READY, on_ready)
@@ -511,13 +625,17 @@ def run_engine(
     # --- main loop ------------------------------------------------------------
     advance_master(0.0)
     sim.run()
+    # Every reference cycle among the nested functions runs through
+    # advance_body: break it, so the run's state (the source included)
+    # is freed when this call returns, not at the next cyclic collection.
+    advance_body = None
     machine.last_events_processed = sim.processed_events
     machine.last_ready_order = tuple(ready_order)
     makespan = sim.now if sim.now > master_time else master_time
 
     # --- consistency checks -----------------------------------------------------
     if finished_count != num_tasks or not master_done or master_blocked is not None:
-        blocked = sorted(tid for tid, rec in runs.items() if rec.waiting)
+        blocked = sorted(key for key, rec in runs.items() if rec.waiting)
         missing = num_tasks - finished_count
         raise SimulationError(
             f"{manager.name} on {source.name}: {missing} of {num_tasks} tasks never "
@@ -529,29 +647,13 @@ def run_engine(
         )
 
     if validate:
-        replayed = Trace(name=source.name, events=tuple(recorded_events),
-                         metadata=dict(source.metadata))
-        from repro.trace.dag import validate_schedule
+        validate_schedule(
+            source if static else Trace(name=source.name, events=tuple(recorded_events),
+                                        metadata=dict(source.metadata)),
+            timeline.start_dict(), timeline.finish_dict())
 
-        validate_schedule(replayed, timeline.start_dict(), timeline.finish_dict())
-
-    keep = config.keep_schedule and timeline is not None
-    return MachineResult(
-        trace_name=source.name,
-        manager_name=manager.name,
-        num_cores=config.num_cores,
-        makespan_us=makespan,
-        total_work_us=total_work_us,
-        num_tasks=num_tasks,
-        submit_times=timeline.submit_dict() if keep else {},
-        ready_times=timeline.ready_dict() if keep else {},
-        start_times=timeline.start_dict() if keep else {},
-        finish_times=timeline.finish_dict() if keep else {},
-        master_finish_us=master_time,
-        core_busy_us=core_busy_us,
-        manager_stats=dict(manager.statistics()),
-        scheduler=policy.name,
-        topology=machine.topology.describe(),
-        per_core_busy_us=tuple(pool.busy_us),
-        task_cores=timeline.core_dict() if keep else {},
+    return MachineResult.of_run(
+        machine, source.name, timeline, makespan_us=makespan, total_work_us=total_work_us,
+        num_tasks=num_tasks, master_finish_us=master_time, core_busy_us=core_busy_us,
+        manager_stats=dict(manager.statistics()), per_core_busy_us=tuple(pool.busy_us),
     )

@@ -38,6 +38,31 @@ class MachineResult:
     #: Core that executed each task (kept only with ``keep_schedule``).
     task_cores: Dict[int, int] = field(default_factory=dict)
 
+    @classmethod
+    def of_run(cls, machine, trace_name: str, timeline, **measures) -> "MachineResult":
+        """Assemble the result of one run of ``machine`` (kernel or engine).
+
+        ``timeline`` is the run's :class:`~repro.system.timeline.
+        TaskTimeline`, or ``None`` when it collected none; its columns are
+        kept when the config keeps the schedule.  ``measures`` are the
+        remaining fields: makespan, work, task count, master finish, busy
+        times and manager statistics.
+        """
+        keep = machine.config.keep_schedule and timeline is not None
+        return cls(
+            trace_name=trace_name,
+            manager_name=machine.manager.name,
+            num_cores=machine.config.num_cores,
+            submit_times=timeline.submit_dict() if keep else {},
+            ready_times=timeline.ready_dict() if keep else {},
+            start_times=timeline.start_dict() if keep else {},
+            finish_times=timeline.finish_dict() if keep else {},
+            scheduler=machine.policy.name,
+            topology=machine.topology.describe(),
+            task_cores=timeline.core_dict() if keep else {},
+            **measures,
+        )
+
     # -- derived metrics -----------------------------------------------------
     @property
     def speedup_vs_serial(self) -> float:

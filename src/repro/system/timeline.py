@@ -8,8 +8,8 @@ arrays indexed by task id — no hashing on the hot path, better locality,
 and one bulk conversion to the dict form the result layer serialises.
 
 Traces whose ids are *not* dense (hand-built via ``TraceBuilder.extend``)
-are handled by an explicit slot map; the machine compiles it once per
-trace, so the hot loop never branches on density per event.
+are handled by an explicit slot map, compiled once per trace into its
+:class:`~repro.sim.batch.LaneProgram`.
 """
 
 from __future__ import annotations
@@ -47,38 +47,6 @@ class TaskTimeline:
     def growable(cls) -> "TaskTimeline":
         """An empty timeline that grows one slot per :meth:`add_task`."""
         return cls(0, task_ids=())
-
-    @classmethod
-    def from_columns(
-        cls,
-        submit: List[float],
-        ready: List[float],
-        start: List[float],
-        finish: List[float],
-        core: List[int],
-        task_ids: Optional[Sequence[int]] = None,
-    ) -> "TaskTimeline":
-        """Adopt already-filled per-task columns without copying.
-
-        The batch lane engine (:mod:`repro.sim.batch`) collects each
-        lane's schedule into plain local lists inside its kernel loop —
-        cheaper than attribute writes on a shared object — and wraps
-        them into a timeline here once the lane completes.  The columns
-        must all have the same length; never-scheduled slots follow the
-        same conventions as the preallocated form (``NaN`` times, core
-        ``-1``).
-        """
-        num_tasks = len(submit)
-        if not (len(ready) == len(start) == len(finish) == len(core) == num_tasks):
-            raise ValueError("timeline columns must have equal lengths")
-        timeline = cls(0, task_ids=task_ids)
-        timeline.num_tasks = num_tasks
-        timeline.submit = submit
-        timeline.ready = ready
-        timeline.start = start
-        timeline.finish = finish
-        timeline.core = core
-        return timeline
 
     def add_task(self, task_id: int) -> int:
         """Append a slot for ``task_id`` (submission order); return it."""

@@ -2,16 +2,19 @@
 
 The streaming replay path (`Machine.run_stream`) must produce
 **byte-identical** makespans to the materialised path (`Machine.run`)
-— the golden-trace guarantee extended to streaming.  Every committed
-golden trace is replayed three ways under all four golden managers:
+— the golden-trace guarantee extended to streaming.  A materialised
+trace replays on the same engine either way, so the streams here are
+the paths that still differ: an unbound stream whose tracker resolves
+each task at insert.  Every committed golden trace is replayed three
+ways under all four golden managers:
 
 * materialised (the classic pinned numbers),
-* streamed straight from the in-memory trace,
+* streamed lazily from the in-memory events (``as_stream(iter(...))``),
 * streamed from a chunked JSONL file on disk,
 
 and all three must equal the committed expected makespans exactly.  The
-in-memory stream must also match ``Machine.run_scalar`` in manager
-statistics and processed-event count.
+lazy stream must also match the bound ``Machine.run_scalar`` replay in
+manager statistics and processed-event count.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import pytest
 
 from repro.system.machine import Machine, MachineConfig, simulate_stream
 from repro.trace.serialization import load_trace, open_trace_stream, write_trace_stream
+from repro.trace.stream import as_stream
 from repro.workloads.registry import STREAMS
 
 from golden_config import GOLDEN_MANAGERS
@@ -41,7 +45,8 @@ def test_streamed_replay_matches_golden_makespans(key, manager_key):
     trace = load_trace(DATA_DIR / f"{key}.json.gz")
     expected = EXPECTED["traces"][key]["makespans_us"][manager_key]
     factory = GOLDEN_MANAGERS[manager_key]
-    result = simulate_stream(trace, factory(), num_cores=EXPECTED["cores"])
+    result = simulate_stream(as_stream(iter(trace.events)), factory(),
+                             num_cores=EXPECTED["cores"])
     assert result.makespan_us == expected, (
         f"{manager_key} on golden {key}: streamed makespan {result.makespan_us!r} != "
         f"materialised golden {expected!r} — the streaming path diverged from run()"
@@ -64,8 +69,8 @@ def test_chunked_disk_replay_matches_golden_makespans(key, tmp_path):
 @pytest.mark.parametrize("manager_key", MANAGER_KEYS)
 @pytest.mark.parametrize("key", TRACE_KEYS)
 def test_streamed_replay_matches_scalar_stats_and_event_count(key, manager_key):
-    """The stream engine is the scalar loop's twin, not just its makespan:
-    the manager sees the same calls (identical statistics) and the event
+    """Resolving at insert is binding's twin, not just in makespan: the
+    manager sees the same calls (identical statistics) and the event
     queue dispatches the same number of events."""
     trace = load_trace(DATA_DIR / f"{key}.json.gz")
     factory = GOLDEN_MANAGERS[manager_key]
@@ -73,7 +78,7 @@ def test_streamed_replay_matches_scalar_stats_and_event_count(key, manager_key):
     scalar_machine = Machine(factory(), config)
     scalar = scalar_machine.run_scalar(trace)
     stream_machine = Machine(factory(), config)
-    streamed = stream_machine.run_stream(trace)
+    streamed = stream_machine.run_stream(as_stream(iter(trace.events)))
     assert streamed.makespan_us == scalar.makespan_us
     assert streamed.master_finish_us == scalar.master_finish_us
     assert streamed.manager_stats == scalar.manager_stats

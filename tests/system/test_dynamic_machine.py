@@ -379,15 +379,26 @@ class TestDynamicStaticEquivalence:
 
 
 class TestLastReadyOrder:
-    """``Machine.last_ready_order`` always describes the most recent run."""
+    """``Machine.last_ready_order`` always describes the most recent run:
+    every engine run that keeps its schedule records its order, and a
+    kernel run leaves ``()``."""
 
-    @pytest.mark.parametrize("replay", ["run", "run_scalar"])
-    def test_static_replay_after_dynamic_run_clears_order(self, replay):
+    def test_kernel_replay_after_dynamic_run_clears_order(self):
         machine = Machine(IdealManager(), MachineConfig(num_cores=4))
         machine.run(fib_program(5, seed=1))
         assert machine.last_ready_order
-        getattr(machine, replay)(generate_random_dag(30, seed=3))
+        machine.run(generate_random_dag(30, seed=3))  # ideal under FIFO: the kernel
         assert machine.last_ready_order == ()
+
+    def test_engine_static_replay_records_its_own_order(self):
+        machine = Machine(IdealManager(), MachineConfig(num_cores=4))
+        machine.run(fib_program(5, seed=1))
+        trace = generate_random_dag(30, seed=3)
+        machine.run_scalar(trace)
+        assert sorted(machine.last_ready_order) == [task.task_id for task in trace.tasks()]
+        stream_machine = Machine(IdealManager(), MachineConfig(num_cores=4))
+        stream_machine.run_stream(iter(trace.events))
+        assert machine.last_ready_order == stream_machine.last_ready_order
 
     def test_stream_after_dynamic_run_records_its_own_order(self):
         machine = Machine(IdealManager(), MachineConfig(num_cores=4))

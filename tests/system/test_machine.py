@@ -274,17 +274,21 @@ class TestHeterogeneousTopologies:
 
 class TestKeepScheduleCollection:
     def test_keep_schedule_false_allocates_no_timeline(self, monkeypatch, independent_trace):
-        """With keep_schedule=False the machine must not collect at all."""
-        import repro.system.machine as machine_module
+        """With keep_schedule=False neither the kernel nor the engine collects."""
+        import repro.sim.batch as batch_module
+        import repro.system.dynamic as engine_module
 
         def forbidden(*args, **kwargs):
             raise AssertionError("TaskTimeline allocated despite keep_schedule=False")
 
-        monkeypatch.setattr(machine_module, "TaskTimeline", forbidden)
+        monkeypatch.setattr(batch_module, "TaskTimeline", forbidden)
+        monkeypatch.setattr(engine_module, "TaskTimeline", forbidden)
         result = simulate(independent_trace, IdealManager(), 2, keep_schedule=False)
         assert result.start_times == {}
         assert result.task_cores == {}
         assert result.makespan_us > 0
+        machine = Machine(IdealManager(), MachineConfig(num_cores=2, keep_schedule=False))
+        assert machine.run_scalar(independent_trace).makespan_us == result.makespan_us
 
     def test_validate_forces_collection_even_without_keep(self, independent_trace):
         result = simulate(independent_trace, IdealManager(), 2,

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.common.errors import SimulationError
@@ -9,14 +12,16 @@ from repro.managers.ideal import IdealManager
 from repro.managers.nanos import NanosManager
 from repro.nexus.nexuspp import NexusPlusPlusManager
 from repro.system.machine import Machine, MachineConfig, simulate, simulate_stream
-from repro.trace.stream import EventEmitter, TraceStream
+from repro.trace.serialization import json_digest, load_trace, result_to_json
+from repro.trace.stream import EventEmitter, TraceStream, as_stream
 from repro.workloads.synthetic import (
     generate_chain,
-    generate_fork_join,
     generate_independent,
     generate_random_dag,
     stream_independent,
 )
+
+GOLDEN_DIR = Path(__file__).parents[1] / "golden"
 
 
 class TestResultParity:
@@ -40,14 +45,22 @@ class TestResultParity:
         assert streamed.per_core_busy_us == materialised.per_core_busy_us
 
     def test_parity_across_schedulers_and_topologies(self):
-        trace = generate_fork_join(3, 6, seed=7)
-        for scheduler in ("fifo", "sjf", "locality"):
-            for topology in ("homogeneous", "biglittle:0.5"):
-                materialised = simulate(trace, IdealManager(), num_cores=4,
-                                        scheduler=scheduler, topology=topology)
-                streamed = simulate_stream(trace, IdealManager(), num_cores=4,
-                                           scheduler=scheduler, topology=topology)
-                assert streamed.makespan_us == materialised.makespan_us, (scheduler, topology)
+        """An unbound stream (its tracker resolves each task at insert)
+        reproduces the pinned whole-result digest and event count of the
+        golden h264dec trace under every scheduler and topology."""
+        expected = json.loads(
+            (GOLDEN_DIR / "expected_config_digests.json").read_text(encoding="utf-8"))
+        trace = load_trace(GOLDEN_DIR / "data" / "h264dec.json.gz")
+        for key, make_manager in (("ideal", IdealManager), ("nexuspp", NexusPlusPlusManager)):
+            for scheduler in ("fifo", "sjf", "ljf", "locality"):
+                for topology in ("homogeneous", "biglittle:0.5"):
+                    machine = Machine(make_manager(), MachineConfig(
+                        num_cores=expected["cores"], scheduler=scheduler, topology=topology))
+                    result = machine.run_stream(as_stream(iter(trace.events), name=trace.name))
+                    pinned = expected["configs"][f"h264dec/{key}/{scheduler}/{topology}"]
+                    assert json_digest(result_to_json(result)) == pinned["digest"], (
+                        key, scheduler, topology)
+                    assert machine.last_events_processed == pinned["events"]
 
     def test_keep_schedule_false_drops_times(self):
         trace = generate_chain(10, seed=3)
