@@ -429,7 +429,7 @@ class Server:
             "trace_id": trace_id,
             "name": trace.name,
             "num_tasks": trace.num_tasks,
-            "num_events": len(trace.events),
+            "num_events": len(trace),
         }
 
     def _resolve_workload(self, entry: Any, *, scale: float,

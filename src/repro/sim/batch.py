@@ -53,9 +53,9 @@ from repro.managers.base import LaneKernelSpec, TaskManagerModel
 from repro.system.results import MachineResult
 from repro.system.scheduling import FifoPolicy
 from repro.system.timeline import TaskTimeline
+from repro.trace.columns import FULL_TASKWAIT
 from repro.trace.dag import validate_schedule
-from repro.trace.events import TaskSubmitEvent, TaskwaitEvent, TaskwaitOnEvent
-from repro.trace.task import TaskDescriptor
+from repro.trace.task import FLAG_WRITES
 from repro.trace.trace import Trace
 
 #: Attribute under which a trace caches its lane program (``_compiled*``
@@ -82,49 +82,49 @@ class LaneProgram:
 
     Everything here depends only on the trace — never on the manager,
     core count or seed of a run — so one program is shared by all runs.
-    The event columns drive the master thread of both the kernel and the
-    general engine (:mod:`repro.system.dynamic`): one op code per trace
-    event (:data:`OP_SUBMIT`, :data:`OP_WAIT`, :data:`OP_WAIT_ON`), the
+    It is built from the trace's columns and its compiled access program,
+    never from event or descriptor objects.  The event columns drive the
+    master thread of both the kernel and the general engine
+    (:mod:`repro.system.dynamic`): one op code per trace event
+    (:data:`OP_SUBMIT`, :data:`OP_WAIT`, :data:`OP_WAIT_ON`), the
     submitted task's slot, and the ``taskwait on`` target.  The access
     rows and duration columns serve the kernel alone.
     """
 
     __slots__ = (
         "num_tasks", "num_events", "ops", "op_slot", "op_wait",
-        "tasks", "task_ids", "slot_of", "has_wait_on", "total_work_us",
+        "task_ids", "slot_of", "has_wait_on", "total_work_us",
         "num_addresses", "acc_off", "acc_aid", "acc_flags",
         "addr_off", "addr_task", "addr_flags",
         "duration", "creation", "num_params_eff", "_kernel_cache",
     )
 
     def __init__(self, trace: Trace) -> None:
+        columns = trace.columns
+        num_tasks = columns.num_tasks
+        # One op per event: runs of submissions between barriers.
         ops: List[int] = []
         op_slot: List[int] = []
-        tasks: List[TaskDescriptor] = []
         wait_addresses: Dict[int, int] = {}  # event index -> taskwait-on address
-        for event in trace.events:
-            if isinstance(event, TaskSubmitEvent):
-                ops.append(OP_SUBMIT)
-                op_slot.append(len(tasks))
-                tasks.append(event.task)
-                continue
-            if isinstance(event, TaskwaitEvent):
+        for start, end, barrier in columns.segments():
+            ops.extend([OP_SUBMIT] * (end - start))
+            op_slot.extend(range(start, end))
+            if barrier is None:
+                break
+            if barrier == FULL_TASKWAIT:
                 ops.append(OP_WAIT)
-            elif isinstance(event, TaskwaitOnEvent):
-                wait_addresses[len(ops)] = event.address
-                ops.append(OP_WAIT_ON)
             else:
-                raise SimulationError(f"unknown trace event {event!r}")
+                wait_addresses[len(ops)] = barrier
+                ops.append(OP_WAIT_ON)
             op_slot.append(-1)
-        self.num_tasks = len(tasks)
+        self.num_tasks = num_tasks
         self.num_events = len(ops)
         self.ops = ops
         self.op_slot = op_slot
-        self.tasks = tasks
-        self.task_ids = [task.task_id for task in tasks]
+        self.task_ids = list(columns.task_ids)
         # Dense ids (TraceBuilder's invariant) are slots; sparse ids
         # (hand-extended traces) go through an explicit map.
-        if self.task_ids == list(range(self.num_tasks)):
+        if columns.task_ids == tuple(range(num_tasks)):
             self.slot_of: Optional[Dict[int, int]] = None
         else:
             self.slot_of = {task_id: slot for slot, task_id in enumerate(self.task_ids)}
@@ -134,16 +134,20 @@ class LaneProgram:
         self.has_wait_on = bool(wait_addresses)
         self.op_wait = [-1] * self.num_events
         if self.has_wait_on:
+            offsets = columns.offsets
+            addresses = columns.addresses
+            flags = columns.flags
             last_writer: Dict[int, int] = {}
             for index, op in enumerate(ops):
                 if op == OP_SUBMIT:
                     slot = op_slot[index]
-                    for address in tasks[slot].output_addresses:
-                        last_writer[address] = slot
+                    for access in range(offsets[slot], offsets[slot + 1]):
+                        if flags[access] & FLAG_WRITES:
+                            last_writer[addresses[access]] = slot
                 elif op == OP_WAIT_ON:
                     self.op_wait[index] = last_writer.get(wait_addresses[index], -1)
-        # Same left-to-right float sum as Trace.total_work_us.
-        self.total_work_us = sum(task.duration_us for task in tasks)
+        # The columns' left-to-right float sum (Trace.total_work_us).
+        self.total_work_us = columns.total_work_us
 
         # Task-major access rows (straight from the compiled program).
         program = trace.access_program()
@@ -174,8 +178,8 @@ class LaneProgram:
             self.addr_task = []
             self.addr_flags = []
             self.num_params_eff = np.ones(self.num_tasks, dtype=np.int64)
-        self.duration = [task.duration_us for task in tasks]
-        self.creation = [task.creation_overhead_us for task in tasks]
+        self.duration = columns.durations
+        self.creation = columns.creations
         self._kernel_cache: Dict[LaneKernelSpec, Tuple[list, ...]] = {}
 
     def kernel_columns(self, kern: LaneKernelSpec) -> Tuple[list, list, list]:

@@ -154,7 +154,7 @@ def run_engine(
         from repro.sim.batch import OP_SUBMIT, OP_WAIT, lane_program
 
         prog = lane_program(source)
-        tasks = prog.tasks           # descriptor by slot
+        tasks = source.descriptors()  # descriptor by slot, from the columns
         key_of = prog.slot_of        # task id -> slot (None: dense ids)
         num_tasks = prog.num_tasks
         total_work_us = prog.total_work_us

@@ -72,13 +72,15 @@ class _ResolvedProgram:
     ``rows[slot]`` holds one preresolved :data:`Row` per deduplicated
     access of the task in that slot.  Everything the hot loops consume is
     an int (or a preresolved object), so the per-access work collapses to
-    tuple unpacking plus the state transition itself.
+    tuple unpacking plus the state transition itself.  It holds no
+    reference back to the program that caches it, so a trace's compiled
+    forms are freed by reference counting, never left to the cyclic
+    collector.
     """
 
-    __slots__ = ("program", "rows", "num_addresses")
+    __slots__ = ("rows", "num_addresses")
 
     def __init__(self, program: CompiledAccessProgram, tracker: "DependencyTracker") -> None:
-        self.program = program
         addresses = program.addresses
         resolve = tracker._resolve_address
         table_of: List[int] = []
@@ -151,6 +153,7 @@ class DependencyTracker:
         self._pool_tasks = self.task_pool._tasks
         #: rows of each in-flight task (inserted, not yet finished)
         self._rows_of: Dict[int, Tuple[Row, ...]] = {}
+        self._program: Optional[CompiledAccessProgram] = None
         self._resolved: Optional[_ResolvedProgram] = None
         #: dense address id -> live cell
         self._cells: List[Optional[AddressCell]] = []
@@ -201,7 +204,7 @@ class DependencyTracker:
     @property
     def bound_program(self) -> Optional[CompiledAccessProgram]:
         """The compiled access program currently bound, if any."""
-        return self._resolved.program if self._resolved is not None else None
+        return self._program
 
     # -- program binding --------------------------------------------------------
     def bind_program(self, program: Optional[CompiledAccessProgram]) -> None:
@@ -219,6 +222,7 @@ class DependencyTracker:
                 "cannot (re)bind an access program while tasks are in flight"
             )
         self._recycle_cells()
+        self._program = program
         if program is None:
             self._resolved = None
             return
@@ -252,7 +256,7 @@ class DependencyTracker:
         live = self._live
         modes = MODE_OF_FLAGS
         rows: List[Row] = []
-        for address, flag in merge_flags(task.params).items():
+        for address, flag in merge_flags(task.addresses, task.flags).items():
             placement = live.get(address)
             if placement is None:
                 table_index, set_idx = self._resolve_address(address)
@@ -287,7 +291,7 @@ class DependencyTracker:
         if resolved is None:
             rows = self._resolve_task(task)
         else:
-            slot = resolved.program.slot(task_id)
+            slot = self._program.slot(task_id)
             if slot < 0:
                 raise SimulationError(
                     f"task {task_id} is not in the bound access program; reset "
@@ -458,6 +462,7 @@ class DependencyTracker:
         self._pending.clear()
         self.task_pool.reset()
         self.function_table.reset()
+        self._program = None
         self._resolved = None
         self._recycle_cells()
         self.total_inserted = 0

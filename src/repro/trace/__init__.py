@@ -11,6 +11,8 @@ between task submissions.  This package defines that representation:
   — one entry of a task's input/output list.
 * :class:`repro.trace.trace.Trace` — an ordered program: task submissions
   interleaved with barrier events, exactly what the RTS testbench replays.
+  It is stored as validated columns (:class:`repro.trace.columns.
+  TraceColumns`); events and descriptors are views built on first use.
 * :mod:`repro.trace.dag` — derives the task dependency DAG from the
   parameter addresses using OmpSs semantics (RAW, WAR and WAW hazards on
   the same address), computes critical paths and checks schedules.
@@ -32,6 +34,7 @@ between task submissions.  This package defines that representation:
 
 from repro.trace.task import Direction, Parameter, TaskDescriptor
 from repro.trace.events import SpawnEvent, TaskSubmitEvent, TaskwaitEvent, TaskwaitOnEvent, TraceEvent
+from repro.trace.columns import TraceColumns
 from repro.trace.trace import Trace, TraceBuilder
 from repro.trace.dynamic import (
     Compute,
@@ -84,6 +87,7 @@ __all__ = [
     "TaskwaitOnEvent",
     "Trace",
     "TraceBuilder",
+    "TraceColumns",
     "DependencyGraph",
     "build_dependency_graph",
     "validate_schedule",

@@ -26,9 +26,12 @@ counts or hash functions.  Distribution-specific resolutions (address id
 caches them in :attr:`CompiledAccessProgram.resolution_cache` so every
 tracker with the same distribution key shares one resolved program.
 
-Programs are cached on the owning :class:`~repro.trace.trace.Trace` (see
-:meth:`Trace.access_program`) under a ``_compiled*`` attribute, which
-``Trace.__getstate__`` already excludes from pickles.
+A program is compiled straight from a trace's columns
+(:class:`~repro.trace.columns.TraceColumns`), never from event or
+parameter objects, and cached on the owning
+:class:`~repro.trace.trace.Trace` (see :meth:`Trace.access_program`)
+under a ``_compiled*`` attribute, which ``Trace.__getstate__`` keeps out
+of pickles.
 
 The same merge (:func:`merge_flags`) also runs inside the tracker for
 tasks that belong to no compiled program — streamed and dynamically
@@ -37,43 +40,31 @@ spawned tasks are merged, interned and resolved once, at insertion.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.trace.task import Direction, Parameter, TaskDescriptor
+import numpy as np
 
-#: Direction flags of one access: bit 0 = reads, bit 1 = writes.
-FLAG_READS = 1
-FLAG_WRITES = 2
-FLAG_READWRITE = FLAG_READS | FLAG_WRITES
+from repro.trace.columns import TraceColumns
+from repro.trace.task import FLAG_READS, FLAG_READWRITE, FLAG_WRITES
 
-#: Direction -> flag bits (module-level so compilation is one dict hit).
-_FLAG_OF_DIRECTION = {
-    Direction.IN: FLAG_READS,
-    Direction.OUT: FLAG_WRITES,
-    Direction.INOUT: FLAG_READWRITE,
-}
+__all__ = ["FLAG_READS", "FLAG_WRITES", "FLAG_READWRITE", "CompiledAccessProgram", "merge_flags"]
 
 
-def merge_flags(params: Iterable[Parameter]) -> Dict[int, int]:
-    """Deduplicate a parameter list into ``{address: direction flags}``.
+def merge_flags(addresses: Sequence[int], flags: Sequence[int]) -> Dict[int, int]:
+    """Deduplicate a flat access list into ``{address: direction flags}``.
 
     A task may legally list the same address several times (e.g. an
     array block passed both as ``in`` and as part of an ``inout``
     region); the hardware tracks the address once, with the union of the
-    access modes.  Any two distinct directions union to read-write.
-    First-occurrence order is preserved (dicts keep insertion order)
-    because the Input Parser distributes parameters in arrival order.
+    access modes.  Any two distinct directions union to read-write, which
+    is the OR of their flag bits.  First-occurrence order is preserved
+    (dicts keep insertion order) because the Input Parser distributes
+    parameters in arrival order.
     """
     merged: Dict[int, int] = {}
-    flag_of = _FLAG_OF_DIRECTION
-    for param in params:
-        address = param.address
-        flag = flag_of[param.direction]
+    for address, flag in zip(addresses, flags):
         previous = merged.get(address)
-        if previous is None:
-            merged[address] = flag
-        elif previous != flag:
-            merged[address] = FLAG_READWRITE
+        merged[address] = flag if previous is None else previous | flag
     return merged
 
 
@@ -103,35 +94,37 @@ class CompiledAccessProgram:
     __slots__ = ("addresses", "id_of", "task_ids", "offsets", "addr_ids",
                  "flags", "_slot_of", "resolution_cache")
 
-    def __init__(self, tasks: Iterable[TaskDescriptor] = ()) -> None:
-        # A tight local-variable loop: this runs once per trace on the
-        # static hot path (Trace already guarantees unique ids).
-        addresses: List[int] = []
-        id_of: Dict[int, int] = {}
-        task_ids: List[int] = []
-        offsets: List[int] = [0]
-        addr_ids: List[int] = []
-        flags: List[int] = []
-        for task in tasks:
-            task_ids.append(task.task_id)
-            for address, flag in merge_flags(task.params).items():
-                dense = id_of.get(address)
-                if dense is None:
-                    dense = len(addresses)
-                    id_of[address] = dense
-                    addresses.append(address)
-                addr_ids.append(dense)
-                flags.append(flag)
-            offsets.append(len(addr_ids))
-        self.addresses = addresses
+    def __init__(self, columns: TraceColumns) -> None:
+        # Runs once per trace on the static hot path: intern every raw
+        # parameter address in one pass (first appearance over the raw
+        # parameters is first appearance over the merged accesses, since a
+        # duplicate follows its first occurrence within the task).
+        first_seen = dict.fromkeys(columns.addresses)
+        id_of: Dict[int, int] = dict(zip(first_seen, range(len(first_seen))))
+        raw_ids = list(map(id_of.__getitem__, columns.addresses))
+        offsets = list(columns.offsets)
+        flags = list(columns.flags)
+        num_tasks = columns.num_tasks
+        if raw_ids and _has_duplicate_accesses(raw_ids, offsets, len(id_of)):
+            addr_ids: List[int] = []
+            merged_flags: List[int] = []
+            merged_offsets = [0]
+            for slot in range(num_tasks):
+                start, end = offsets[slot], offsets[slot + 1]
+                merged = merge_flags(raw_ids[start:end], flags[start:end])
+                addr_ids.extend(merged)
+                merged_flags.extend(merged.values())
+                merged_offsets.append(len(addr_ids))
+            raw_ids, flags, offsets = addr_ids, merged_flags, merged_offsets
+        self.addresses = list(id_of)
         self.id_of = id_of
-        self.task_ids = task_ids
+        self.task_ids = task_ids = list(columns.task_ids)
         self.offsets = offsets
-        self.addr_ids = addr_ids
+        self.addr_ids = raw_ids
         self.flags = flags
         # Dense task ids (the TraceBuilder invariant) index slots directly;
         # sparse ids go through an explicit map.
-        if task_ids == list(range(len(task_ids))):
+        if columns.task_ids == tuple(range(num_tasks)):
             self._slot_of: Optional[Dict[int, int]] = None
         else:
             self._slot_of = {task_id: slot for slot, task_id in enumerate(task_ids)}
@@ -175,6 +168,9 @@ class CompiledAccessProgram:
         )
 
 
-def compile_access_program(tasks: Iterable[TaskDescriptor]) -> CompiledAccessProgram:
-    """Compile an iterable of task descriptors into an access program."""
-    return CompiledAccessProgram(tasks)
+def _has_duplicate_accesses(addr_ids: List[int], offsets: List[int], num_addresses: int) -> bool:
+    """Whether any task lists one address twice (one vectorised pass)."""
+    ids = np.asarray(addr_ids, dtype=np.int64)
+    slots = np.repeat(np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets))
+    keys = np.sort(slots * num_addresses + ids)
+    return bool((keys[1:] == keys[:-1]).any())

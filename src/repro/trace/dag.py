@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import SimulationError, TraceError
 from repro.trace.events import TaskSubmitEvent, TaskwaitEvent, TaskwaitOnEvent
-from repro.trace.task import TaskDescriptor
+from repro.trace.task import FLAG_READS, FLAG_READWRITE, FLAG_WRITES, TaskDescriptor
 from repro.trace.trace import Trace
 
 
@@ -138,21 +138,18 @@ def build_dependency_graph(trace: Trace) -> DependencyGraph:
     last_writer: Dict[int, int] = {}
     readers_since_write: Dict[int, List[int]] = defaultdict(list)
 
-    for event in trace.events:
-        if not isinstance(event, TaskSubmitEvent):
-            continue
-        task = event.task
+    for task in trace.tasks():
         task_id = task.task_id
         graph.submission_order.append(task_id)
         graph.durations[task_id] = task.duration_us
         preds: Set[int] = set()
+        accesses = tuple(zip(task.addresses, task.flags))
         # First pass: collect dependencies from all parameters.
-        for param in task.params:
-            addr = param.address
-            if param.direction.reads:
+        for addr, flag in accesses:
+            if flag & FLAG_READS:
                 if addr in last_writer:
                     preds.add(last_writer[addr])
-            if param.direction.writes:
+            if flag & FLAG_WRITES:
                 if addr in last_writer:
                     preds.add(last_writer[addr])
                 preds.update(readers_since_write[addr])
@@ -162,14 +159,13 @@ def build_dependency_graph(trace: Trace) -> DependencyGraph:
         for pred in preds:
             graph.successors.setdefault(pred, set()).add(task_id)
         # Second pass: update the address state with this task's accesses.
-        for param in task.params:
-            addr = param.address
-            if param.direction.writes:
+        for addr, flag in accesses:
+            if flag & FLAG_WRITES:
                 last_writer[addr] = task_id
                 readers_since_write[addr] = []
-            if param.direction.reads and not param.direction.writes:
+            if flag == FLAG_READS:
                 readers_since_write[addr].append(task_id)
-            elif param.direction.writes and param.direction.reads:
+            elif flag == FLAG_READWRITE:
                 # inout: the task is both the new last writer and the sole
                 # reader "since" its own write (no extra bookkeeping
                 # needed — future readers depend on it via last_writer).
@@ -188,9 +184,9 @@ def last_writer_map(trace: Trace) -> Dict[int, Optional[int]]:
     last_writer: Dict[int, int] = {}
     for index, event in enumerate(trace.events):
         if isinstance(event, TaskSubmitEvent):
-            for param in event.task.params:
-                if param.direction.writes:
-                    last_writer[param.address] = event.task.task_id
+            task = event.task
+            for address in task.output_addresses:
+                last_writer[address] = task.task_id
         elif isinstance(event, TaskwaitOnEvent):
             result[index] = last_writer.get(event.address)
     return result

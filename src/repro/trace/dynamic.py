@@ -60,12 +60,18 @@ elaboration and the dynamic-run makespans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Generator, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, Generator, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.common.errors import TraceError
 from repro.trace.events import SpawnEvent, TaskwaitEvent, TaskwaitOnEvent, TraceEvent
-from repro.trace.task import Parameter, TaskDescriptor, check_duration, make_params
+from repro.trace.task import (
+    Parameter,
+    TaskDescriptor,
+    check_duration,
+    check_task,
+    make_task,
+    task_accesses,
+)
 from repro.trace.trace import Trace
 
 
@@ -143,7 +149,6 @@ DynamicOp = Union[Compute, Spawn, Taskwait, TaskwaitOn]
 BodyFactory = Callable[[], Generator[DynamicOp, object, None]]
 
 
-@dataclass(frozen=True)
 class TaskRequest:
     """Blueprint of one task to be spawned at runtime.
 
@@ -152,31 +157,47 @@ class TaskRequest:
     a static task; for a task with a body it must equal the sum of the
     body's :class:`Compute` durations (scheduler policies and work
     accounting read the declared value, the machine times the body ops).
+
+    The request holds its task as a checked prototype descriptor, so each
+    spawn copies it under a new id without checks or new objects.
     """
 
-    function: str
-    duration_us: float
-    params: tuple[Parameter, ...] = ()
-    body: Optional[BodyFactory] = None
-    creation_overhead_us: float = 0.0
+    __slots__ = ("body", "_task")
 
-    def __post_init__(self) -> None:
-        if not self.function:
-            raise TraceError("task function name must be non-empty")
-        check_duration("duration_us", self.duration_us)
-        check_duration("creation_overhead_us", self.creation_overhead_us)
-        if not isinstance(self.params, tuple):
-            object.__setattr__(self, "params", tuple(self.params))
+    def __init__(
+        self,
+        function: str,
+        duration_us: float,
+        params: Sequence[Parameter] = (),
+        body: Optional[BodyFactory] = None,
+        creation_overhead_us: float = 0.0,
+    ) -> None:
+        self.body = body
+        self._task = TaskDescriptor(0, function, params, duration_us, creation_overhead_us)
+
+    @property
+    def function(self) -> str:
+        return self._task.function
+
+    @property
+    def duration_us(self) -> float:
+        return self._task.duration_us
+
+    @property
+    def params(self) -> Tuple[Parameter, ...]:
+        return self._task.params
+
+    @property
+    def creation_overhead_us(self) -> float:
+        return self._task.creation_overhead_us
 
     def descriptor(self, task_id: int) -> TaskDescriptor:
         """Instantiate the request as a task with the given id."""
-        return TaskDescriptor(
-            task_id=task_id,
-            function=self.function,
-            params=self.params,
-            duration_us=self.duration_us,
-            creation_overhead_us=self.creation_overhead_us,
-        )
+        if task_id < 0:
+            raise TraceError(f"task_id must be >= 0, got {task_id}")
+        task = self._task
+        return make_task(task_id, task.function, task.addresses, task.flags, task.sizes,
+                         task.duration_us, task.creation_overhead_us, task._params)
 
 
 def task_request(
@@ -190,18 +211,15 @@ def task_request(
     body: Optional[BodyFactory] = None,
     creation_overhead_us: float = 0.0,
 ) -> TaskRequest:
-    """Convenience constructor mirroring ``TraceBuilder.add_task``."""
-    if params is not None and (inputs or outputs or inouts):
-        raise TraceError("pass either params or inputs/outputs/inouts, not both")
-    if params is None:
-        params = make_params(inputs=inputs, outputs=outputs, inouts=inouts)
-    return TaskRequest(
-        function=function,
-        duration_us=duration_us,
-        params=tuple(params),
-        body=body,
-        creation_overhead_us=creation_overhead_us,
-    )
+    """Convenience constructor mirroring ``TraceBuilder.add_task`` (no
+    :class:`Parameter` objects are built for the address-list form)."""
+    addresses, flags, sizes, given = task_accesses(inputs, outputs, inouts, params)
+    check_task(0, function, duration_us, creation_overhead_us, addresses, sizes)
+    request = TaskRequest.__new__(TaskRequest)
+    request.body = body
+    request._task = make_task(0, function, addresses, flags, sizes, duration_us,
+                              creation_overhead_us, given)
+    return request
 
 
 class DynamicProgram:

@@ -26,9 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from repro.common.constants import ADDRESS_MASK
-from repro.common.errors import TraceError
-from repro.trace.task import TaskDescriptor
+from repro.trace.task import TaskDescriptor, check_address
 
 
 @dataclass(frozen=True)
@@ -80,10 +78,7 @@ class TaskwaitOnEvent:
     address: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.address, int) or self.address < 0:
-            raise TraceError(f"taskwait on address must be a non-negative integer, got {self.address!r}")
-        if self.address != self.address & ADDRESS_MASK:
-            raise TraceError(f"taskwait on address {self.address:#x} does not fit in 48 bits")
+        check_address(self.address, "taskwait on address")
 
     @property
     def kind(self) -> str:

@@ -29,13 +29,15 @@ from __future__ import annotations
 import gzip
 import hashlib
 import json
+import math
 import re
+from itertools import repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Iterator, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Tuple, Union
 
 from repro.common.errors import TraceError
 from repro.trace.events import SpawnEvent, TaskSubmitEvent, TaskwaitEvent, TaskwaitOnEvent, TraceEvent
-from repro.trace.task import Direction, Parameter, TaskDescriptor
+from repro.trace.task import Direction, check_task, make_task
 from repro.trace.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (results layer)
@@ -59,12 +61,13 @@ DEFAULT_CHUNK_EVENTS = 1024
 RESULT_FORMAT_VERSION = 2
 
 
-def _param_to_json(param: Parameter) -> Dict[str, Any]:
-    return {"a": param.address, "d": param.direction.value, "s": param.size}
+def _reject_non_finite(token: str) -> Any:
+    """``parse_constant`` of every trace/row read: JSON has no NaN/±Infinity."""
+    raise TraceError(f"non-finite number {token} is outside the JSON domain")
 
 
-def _param_from_json(data: Dict[str, Any]) -> Parameter:
-    return Parameter(address=int(data["a"]), direction=Direction.parse(data["d"]), size=int(data.get("s", 0)))
+#: Direction flags -> serialized direction (index 0 is no direction).
+_DIRECTION_VALUE = (None, "in", "out", "inout")
 
 
 def _event_to_json(event: TraceEvent) -> Dict[str, Any]:
@@ -74,7 +77,8 @@ def _event_to_json(event: TraceEvent) -> Dict[str, Any]:
             "k": "t",
             "id": task.task_id,
             "f": task.function,
-            "p": [_param_to_json(p) for p in task.params],
+            "p": [{"a": address, "d": _DIRECTION_VALUE[flag], "s": size} for address, flag, size
+                  in zip(task.addresses, task.flags, task.sizes or repeat(0))],
             "us": task.duration_us,
             "co": task.creation_overhead_us,
         }
@@ -95,13 +99,18 @@ def _event_to_json(event: TraceEvent) -> Dict[str, Any]:
 def _event_from_json(data: Dict[str, Any]) -> TraceEvent:
     kind = data.get("k")
     if kind in ("t", "s"):
-        task = TaskDescriptor(
-            task_id=int(data["id"]),
-            function=str(data["f"]),
-            params=tuple(_param_from_json(p) for p in data["p"]),
-            duration_us=float(data["us"]),
-            creation_overhead_us=float(data.get("co", 0.0)),
-        )
+        params = data["p"]
+        task_id = int(data["id"])
+        function = str(data["f"])
+        duration_us = float(data["us"])
+        creation_overhead_us = float(data.get("co", 0.0))
+        addresses = tuple(int(param["a"]) for param in params)
+        sizes = tuple(int(param.get("s", 0)) for param in params)
+        sizes = sizes if any(sizes) else None
+        check_task(task_id, function, duration_us, creation_overhead_us, addresses, sizes)
+        task = make_task(task_id, function, addresses,
+                         tuple(Direction.parse(param["d"]).flags for param in params),
+                         sizes, duration_us, creation_overhead_us)
         if kind == "s":
             pid = data.get("pid")
             return SpawnEvent(task, parent_id=None if pid is None else int(pid))
@@ -160,11 +169,43 @@ def canonical_json_line(document: Any) -> str:
 
     Sorted keys and compact separators make the rendering a pure function
     of the document's value, so identical results produce byte-identical
-    lines regardless of which process (or cache) produced them.
+    lines regardless of which process (or cache) produced them.  NaN and
+    ±Infinity are not JSON: a document holding one raises
+    :class:`~repro.common.errors.TraceError` naming the value and where
+    it sits.
+
+    >>> canonical_json_line({"b": 1, "a": [2.5]})
+    '{"a":[2.5],"b":1}'
     """
-    return json.dumps(
-        document, sort_keys=True, separators=(",", ":"), default=_coerce_json_scalar
-    )
+    try:
+        return json.dumps(
+            document, sort_keys=True, separators=(",", ":"), default=_coerce_json_scalar,
+            allow_nan=False,
+        )
+    except ValueError:
+        found = _find_non_finite(document, "$")
+        if found is None:
+            raise
+        path, value = found
+        raise TraceError(f"{value!r} at {path} is outside the JSON domain "
+                         "(NaN and Infinity are not JSON)") from None
+
+
+def _find_non_finite(value: Any, path: str) -> Optional[Tuple[str, float]]:
+    """The path and value of the first NaN/±inf float inside ``value``."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else (path, value)
+    if isinstance(value, dict):
+        items = ((f"{path}.{key}", item) for key, item in value.items())
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{path}[{index}]", item) for index, item in enumerate(value))
+    else:
+        return None
+    for item_path, item in items:
+        found = _find_non_finite(item, item_path)
+        if found is not None:
+            return found
+    return None
 
 
 def json_digest(document: Any) -> str:
@@ -255,7 +296,7 @@ def iter_jsonl(path: Union[str, Path]) -> Iterator[Dict[str, Any]]:
             if not line:
                 continue
             try:
-                yield json.loads(line)
+                yield json.loads(line, parse_constant=_reject_non_finite)
             except json.JSONDecodeError as exc:
                 raise TraceError(f"{path}:{line_number} is not valid JSON: {exc}") from exc
 
@@ -280,7 +321,7 @@ def load_trace(path: Union[str, Path]) -> Trace:
     else:
         text = path.read_text(encoding="utf-8")
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_reject_non_finite)
     except json.JSONDecodeError as exc:
         raise TraceError(f"trace file {path} is not valid JSON: {exc}") from exc
     return trace_from_json(data)
@@ -332,7 +373,7 @@ def _is_stream_file(path: Path) -> bool:
         # trace (whose second key is "name").
         return re.match(r'\{"format_version":\d+,"kind":"trace-stream",', prefix) is not None
     try:
-        header = json.loads(prefix[:newline])
+        header = json.loads(prefix[:newline], parse_constant=_reject_non_finite)
     except json.JSONDecodeError:
         return False
     return isinstance(header, dict) and header.get("kind") == _STREAM_KIND
@@ -459,7 +500,7 @@ def read_stream_header(path: Union[str, Path]) -> Dict[str, Any]:
     with _open_text(path, "rt") as handle:
         first = handle.readline()
     try:
-        header = json.loads(first)
+        header = json.loads(first, parse_constant=_reject_non_finite)
     except json.JSONDecodeError as exc:
         raise TraceError(f"{path}: not a chunked trace stream (bad header): {exc}") from exc
     return validate_stream_header(header, source=str(path))
@@ -558,7 +599,7 @@ def trace_from_stream_text(text: str, source: str = "<stream>") -> Trace:
     except StopIteration:
         raise TraceError(f"{source}: empty trace stream") from None
     try:
-        header = json.loads(first)
+        header = json.loads(first, parse_constant=_reject_non_finite)
     except json.JSONDecodeError as exc:
         raise TraceError(f"{source}: not a chunked trace stream (bad header): {exc}") from exc
     validate_stream_header(header, source)
@@ -569,7 +610,7 @@ def trace_from_stream_text(text: str, source: str = "<stream>") -> Trace:
             if not line:
                 continue
             try:
-                yield json.loads(line)
+                yield json.loads(line, parse_constant=_reject_non_finite)
             except json.JSONDecodeError as exc:
                 raise TraceError(f"{source}: line {line_number} is not valid JSON: {exc}") from exc
 

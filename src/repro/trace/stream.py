@@ -14,14 +14,19 @@ defines the streaming counterpart of :class:`~repro.trace.trace.Trace`:
 * :class:`TraceStream` — a replayable stream built from an event-iterator
   factory; each ``iter_events()`` call starts a fresh, deterministic
   replay (generators re-seed their RNGs per replay).
-* :class:`EventEmitter` — the streaming analogue of
-  :class:`~repro.trace.trace.TraceBuilder`: assigns sequential task ids
-  and *returns* events for the caller to ``yield`` instead of
-  accumulating them.
+  :meth:`TraceStream.from_body` wraps a workload generator's one *body*,
+  which writes into whichever sink it is handed (see below).
+* :class:`EventEmitter` — the event sink: the streaming analogue of
+  :class:`~repro.trace.trace.TraceBuilder` (the column sink).  Both
+  assign sequential task ids through the same ``task`` / ``taskwait`` /
+  ``taskwait_on`` methods; the emitter *returns* events for the body to
+  ``yield`` instead of accumulating columns.
 * :func:`materialize` — collapse any stream into an immutable
   :class:`~repro.trace.trace.Trace` (the compatibility bridge: the
   classic ``generate_*`` workload APIs are exactly this, applied to
-  their ``stream_*`` counterparts).
+  their ``stream_*`` counterparts).  A body-backed stream materialises
+  by running its body into a :class:`~repro.trace.trace.TraceBuilder`,
+  so no event or parameter object is built.
 * :func:`limit_stream` / :func:`truncate_trace` — bound a stream to its
   first ``max_tasks`` submissions (the ``max_tasks`` sweep axis).
 
@@ -34,12 +39,19 @@ preserves that bound on the consumer side (see ``docs/streaming.md``).
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Protocol, Sequence, runtime_checkable
 
 from repro.common.errors import TraceError
 from repro.trace.events import TaskSubmitEvent, TaskwaitEvent, TaskwaitOnEvent, TraceEvent
-from repro.trace.task import Parameter, TaskDescriptor, make_params
-from repro.trace.trace import Trace
+from repro.trace.task import Parameter, check_task, make_task, task_accesses
+from repro.trace.trace import Trace, TraceBuilder
+
+#: A workload generator body: called with a sink (an :class:`EventEmitter`
+#: or a :class:`~repro.trace.trace.TraceBuilder`), it writes the program
+#: through the sink's ``task`` / ``taskwait`` / ``taskwait_on`` methods
+#: and yields each call's result.
+GeneratorBody = Callable[[object], Iterator[object]]
 
 
 @runtime_checkable
@@ -97,7 +109,7 @@ class TraceStream:
     (3, 1)
     """
 
-    __slots__ = ("name", "metadata", "_events_factory")
+    __slots__ = ("name", "metadata", "body", "_events_factory")
 
     def __init__(
         self,
@@ -109,7 +121,31 @@ class TraceStream:
             raise TraceError("stream name must be non-empty")
         self.name = name
         self.metadata: Dict[str, object] = dict(metadata or {})
+        #: The generator body behind the stream (``None`` for a plain
+        #: event factory); :func:`materialize` runs it into columns.
+        self.body: Optional[GeneratorBody] = None
         self._events_factory = events_factory
+
+    @classmethod
+    def from_body(cls, name: str, body: GeneratorBody,
+                  metadata: Optional[Mapping[str, object]] = None) -> "TraceStream":
+        """A stream over a generator body: events come from running it into
+        an :class:`EventEmitter`, a materialised trace from running it
+        into a :class:`~repro.trace.trace.TraceBuilder`.
+
+        >>> def body(sink):
+        ...     for i in range(3):
+        ...         yield sink.task("work", duration_us=5.0, outputs=[0x1000 + 64 * i])
+        ...     yield sink.taskwait()
+        >>> stream = TraceStream.from_body("tiny", body)
+        >>> [event.kind for event in stream.iter_events()]
+        ['submit', 'submit', 'submit', 'taskwait']
+        >>> materialize(stream).events == tuple(stream.iter_events())
+        True
+        """
+        stream = cls(name, lambda: body(EventEmitter()), metadata)
+        stream.body = body
+        return stream
 
     def iter_events(self) -> Iterator[TraceEvent]:
         """Start a fresh replay of the stream's events."""
@@ -123,15 +159,15 @@ class TraceStream:
 
 
 class EventEmitter:
-    """Sequential-id event factory for streaming workload generators.
+    """Sequential-id event sink for streaming workload generators.
 
     The streaming analogue of :class:`~repro.trace.trace.TraceBuilder`:
     the ``task`` / ``taskwait`` / ``taskwait_on`` methods construct and
     *return* events (for the generator to ``yield``) instead of
-    appending them to an in-memory list.  Task ids are assigned
-    sequentially in submission order — the same invariant TraceBuilder
-    guarantees — so a materialised stream is byte-identical to the trace
-    the equivalent builder would have produced.
+    appending them to columns.  Task ids are assigned sequentially in
+    submission order — the same invariant TraceBuilder guarantees — and
+    each task is checked as it is emitted, so a materialised stream is
+    equal to the trace the builder produces from the same body.
 
     >>> emit = EventEmitter()
     >>> event = emit.task("render", duration_us=2.0, outputs=[0x2000])
@@ -164,20 +200,13 @@ class EventEmitter:
         params: Optional[Sequence[Parameter]] = None,
         creation_overhead_us: float = 0.0,
     ) -> TaskSubmitEvent:
-        """Create the next task-submission event (mirrors ``add_task``)."""
-        if params is not None and (inputs or outputs or inouts):
-            raise TraceError("pass either params or inputs/outputs/inouts, not both")
-        if params is None:
-            params = make_params(inputs=inputs, outputs=outputs, inouts=inouts)
-        task = TaskDescriptor(
-            task_id=self._next_task_id,
-            function=function,
-            params=tuple(params),
-            duration_us=duration_us,
-            creation_overhead_us=creation_overhead_us,
-        )
-        self._next_task_id += 1
-        return TaskSubmitEvent(task)
+        """Create the next task-submission event (mirrors ``TraceBuilder.task``)."""
+        addresses, flags, sizes, given = task_accesses(inputs, outputs, inouts, params)
+        task_id = self._next_task_id
+        check_task(task_id, function, duration_us, creation_overhead_us, addresses, sizes)
+        self._next_task_id = task_id + 1
+        return TaskSubmitEvent(make_task(task_id, function, addresses, flags, sizes,
+                                         duration_us, creation_overhead_us, given))
 
     def taskwait(self) -> TaskwaitEvent:
         """Create a full ``taskwait`` barrier event."""
@@ -212,11 +241,19 @@ def materialize(stream: "TaskStream | Iterable[TraceEvent]") -> Trace:
     """Collapse a stream into an immutable :class:`~repro.trace.trace.Trace`.
 
     This is the bridge back to the classic API: every ``generate_*``
-    workload function is ``materialize(stream_*(...))``.  Duplicate task
-    ids are rejected by the Trace constructor, exactly as with
-    :meth:`TraceBuilder.build <repro.trace.trace.TraceBuilder.build>`.
+    workload function is ``materialize(stream_*(...))``.  A body-backed
+    stream (:meth:`TraceStream.from_body`) runs its body into a
+    :class:`~repro.trace.trace.TraceBuilder`; any other stream's events
+    go through the Trace constructor.  Either way duplicate task ids are
+    rejected, exactly as with :meth:`TraceBuilder.build
+    <repro.trace.trace.TraceBuilder.build>`.
     """
     stream = as_stream(stream)
+    body = getattr(stream, "body", None)
+    if body is not None:
+        builder = TraceBuilder(stream.name, stream.metadata)
+        deque(body(builder), maxlen=0)
+        return builder.build()
     return Trace(
         name=stream.name,
         events=tuple(stream.iter_events()),

@@ -1,23 +1,33 @@
 """The :class:`Trace` container and its builder.
 
-A trace is the unit the simulation consumes: an ordered list of
-:class:`~repro.trace.events.TraceEvent` objects plus metadata about the
-workload it was generated from.  Traces are immutable once built; the
-:class:`TraceBuilder` is the mutable construction helper the workload
-generators and the OmpSs-like runtime API use.
+A trace is the unit the simulation consumes: an ordered program of task
+submissions and barriers plus metadata about the workload it was
+generated from.  Traces are immutable once built and store their
+program as validated columns (:class:`~repro.trace.columns.TraceColumns`);
+the :class:`~repro.trace.events.TraceEvent` sequence and the task
+descriptors are views built on first use.  The :class:`TraceBuilder` is
+the mutable construction helper — the column sink — the workload
+generators and the OmpSs-like runtime API write into.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 from repro.common.errors import TraceError
-from repro.trace.events import TaskSubmitEvent, TaskwaitEvent, TaskwaitOnEvent, TraceEvent
-from repro.trace.task import Direction, Parameter, TaskDescriptor, make_params
+from repro.trace.columns import FULL_TASKWAIT, TraceColumns
+from repro.trace.events import SpawnEvent, TaskSubmitEvent, TaskwaitEvent, TaskwaitOnEvent, TraceEvent
+from repro.trace.task import (
+    Parameter,
+    TaskDescriptor,
+    check_address,
+    check_task,
+    make_task,
+    task_accesses,
+)
 
 
-@dataclass(frozen=True)
 class Trace:
     """An immutable, replayable task-submission program.
 
@@ -25,11 +35,18 @@ class Trace:
     ----------
     name:
         Workload name, e.g. ``"h264dec-1x1-10f"``.
+    columns:
+        The program in column form (:class:`~repro.trace.columns.TraceColumns`).
     events:
-        Master-thread program: task submissions and barriers in order.
+        Master-thread program: task submissions and barriers in order (a
+        view over the columns, built on first use).
     metadata:
         Free-form generator parameters (frame counts, matrix sizes, seed,
         scale factor, ...), recorded so experiments are self-describing.
+
+    ``Trace(name, events=...)`` builds a trace from event objects;
+    :meth:`TraceBuilder.build` builds one from columns.  Both forms are
+    equal when they describe the same program.
 
     Example
     -------
@@ -47,34 +64,82 @@ class Trace:
     """
 
     name: str
-    events: tuple[TraceEvent, ...]
-    metadata: Mapping[str, object] = field(default_factory=dict)
+    columns: TraceColumns
+    metadata: Mapping[str, object]
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(
+        self,
+        name: str,
+        events: Iterable[TraceEvent],
+        metadata: Optional[Mapping[str, object]] = None,
+    ) -> None:
+        events = tuple(events)
+        builder = TraceBuilder(name)
+        builder.extend(events)
+        self._init(name, builder.columns(), metadata)
+        self.__dict__["_events"] = events
+
+    @classmethod
+    def from_columns(
+        cls, name: str, columns: TraceColumns, metadata: Optional[Mapping[str, object]] = None,
+    ) -> "Trace":
+        """A trace over already-validated columns (no event objects built)."""
+        trace = cls.__new__(cls)
+        trace._init(name, columns, metadata)
+        return trace
+
+    def _init(self, name: str, columns: TraceColumns,
+              metadata: Optional[Mapping[str, object]]) -> None:
+        if not name:
             raise TraceError("trace name must be non-empty")
-        if not isinstance(self.events, tuple):
-            object.__setattr__(self, "events", tuple(self.events))
-        seen_ids: set[int] = set()
-        for event in self.events:
-            if isinstance(event, TaskSubmitEvent):
-                task_id = event.task.task_id
-                if task_id in seen_ids:
-                    raise TraceError(f"duplicate task id {task_id} in trace {self.name!r}")
-                seen_ids.add(task_id)
+        self.__dict__.update(name=name, columns=columns,
+                             metadata={} if metadata is None else metadata)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __getstate__(self) -> Dict[str, object]:
-        """Exclude runtime caches (e.g. the machine's compiled program) from
-        pickles, so shipping a trace to sweep workers stays lean."""
-        return {
-            key: value
-            for key, value in self.__dict__.items()
-            if not key.startswith("_compiled")
-        }
+        """Pickle the name, metadata and columns only: the lazy object
+        views and compiled programs (``_``-prefixed caches) are rebuilt on
+        demand, so shipping a trace to sweep workers stays lean."""
+        return {"name": self.name, "columns": self.columns, "metadata": self.metadata}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name == other.name and self.metadata == other.metadata
+                and self.columns == other.columns)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (f"Trace(name={self.name!r}, num_tasks={self.num_tasks}, "
+                f"num_barriers={self.num_barriers})")
+
+    # -- object views ------------------------------------------------------
+    def descriptors(self) -> List[TaskDescriptor]:
+        """The task descriptors by slot (built from the columns once)."""
+        tasks = self.__dict__.get("_descriptors")
+        if tasks is None:
+            events = self.__dict__.get("_events")
+            if events is None:
+                tasks = self.columns.descriptors()
+            else:
+                tasks = [event.task for event in events if isinstance(event, TaskSubmitEvent)]
+            self.__dict__["_descriptors"] = tasks
+        return tasks
+
+    @property
+    def events(self) -> tuple[TraceEvent, ...]:
+        """The event sequence (built from the columns on first use)."""
+        events = self.__dict__.get("_events")
+        if events is None:
+            events = self.__dict__["_events"] = self.columns.events(self.descriptors())
+        return events
 
     # -- iteration helpers -------------------------------------------------
     def __len__(self) -> int:
-        return len(self.events)
+        return self.columns.num_tasks + self.columns.num_barriers
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
@@ -87,24 +152,22 @@ class Trace:
 
     def tasks(self) -> Iterator[TaskDescriptor]:
         """Yield the task descriptors in submission order."""
-        for event in self.events:
-            if isinstance(event, TaskSubmitEvent):
-                yield event.task
+        return iter(self.descriptors())
 
     @property
     def num_tasks(self) -> int:
         """Number of task submissions in the trace."""
-        return sum(1 for _ in self.tasks())
+        return self.columns.num_tasks
 
     @property
     def num_barriers(self) -> int:
         """Number of ``taskwait`` plus ``taskwait on`` events."""
-        return sum(1 for e in self.events if not isinstance(e, TaskSubmitEvent))
+        return self.columns.num_barriers
 
     @property
     def total_work_us(self) -> float:
-        """Sum of all task execution times (micro-seconds)."""
-        return sum(task.duration_us for task in self.tasks())
+        """Sum of all task execution times (micro-seconds), left to right."""
+        return self.columns.total_work_us
 
     @property
     def avg_task_us(self) -> float:
@@ -113,26 +176,28 @@ class Trace:
         return self.total_work_us / n if n else 0.0
 
     def task_by_id(self, task_id: int) -> TaskDescriptor:
-        """Return the task with ``task_id`` (linear scan; prefer task_map)."""
-        for task in self.tasks():
-            if task.task_id == task_id:
-                return task
-        raise TraceError(f"trace {self.name!r} has no task with id {task_id}")
+        """Return the task with ``task_id``."""
+        try:
+            slot = self.columns.task_ids.index(task_id)
+        except ValueError:
+            raise TraceError(f"trace {self.name!r} has no task with id {task_id}") from None
+        return self.descriptors()[slot]
 
     def task_map(self) -> Dict[int, TaskDescriptor]:
         """Return a dict mapping task id to descriptor."""
-        return {task.task_id: task for task in self.tasks()}
+        return dict(zip(self.columns.task_ids, self.descriptors()))
 
     def functions(self) -> Dict[str, int]:
         """Return a mapping of function name to number of task instances."""
         counts: Dict[str, int] = {}
-        for task in self.tasks():
-            counts[task.function] = counts.get(task.function, 0) + 1
+        for function in self.columns.functions:
+            counts[function] = counts.get(function, 0) + 1
         return counts
 
     def param_count_range(self) -> tuple[int, int]:
         """Minimum and maximum number of parameters over all tasks."""
-        counts = [task.num_params for task in self.tasks()]
+        offsets = self.columns.offsets
+        counts = [high - low for low, high in zip(offsets, offsets[1:])]
         if not counts:
             return (0, 0)
         return (min(counts), max(counts))
@@ -141,45 +206,46 @@ class Trace:
         """The trace's compiled access program (compiled on first use).
 
         Interns every parameter address to a dense id and precomputes each
-        task's deduplicated access list into flat arrays (see
-        :mod:`repro.trace.compiled`).  The result is cached on the trace —
-        like the machine's compiled op program — under a ``_compiled*``
-        attribute that :meth:`__getstate__` keeps out of pickles, so
-        replaying one trace across many managers compiles it exactly once.
+        task's deduplicated access list into flat arrays, straight from
+        the columns (see :mod:`repro.trace.compiled`).  The result is
+        cached on the trace — like the lane program — under a
+        ``_compiled*`` attribute that :meth:`__getstate__` keeps out of
+        pickles, so replaying one trace across many managers compiles it
+        exactly once.
         """
         program = self.__dict__.get("_compiled_access_program")
         if program is None:
             from repro.trace.compiled import CompiledAccessProgram
 
-            program = CompiledAccessProgram(self.tasks())
-            object.__setattr__(self, "_compiled_access_program", program)
+            program = CompiledAccessProgram(self.columns)
+            self.__dict__["_compiled_access_program"] = program
         return program
 
     def with_name(self, name: str) -> "Trace":
         """Return a copy of the trace under a different name."""
-        return Trace(name=name, events=self.events, metadata=dict(self.metadata))
+        return Trace.from_columns(name, self.columns, dict(self.metadata))
 
     def scaled_durations(self, factor: float) -> "Trace":
         """Return a copy with every task duration multiplied by ``factor``."""
         if factor <= 0:
             raise TraceError(f"duration scale factor must be positive, got {factor}")
-        events: List[TraceEvent] = []
-        for event in self.events:
-            if isinstance(event, TaskSubmitEvent):
-                events.append(TaskSubmitEvent(event.task.with_duration(event.task.duration_us * factor)))
-            else:
-                events.append(event)
+        columns = self.columns.with_durations([d * factor for d in self.columns.durations])
         metadata = dict(self.metadata)
         metadata["duration_scale"] = factor * float(metadata.get("duration_scale", 1.0))
-        return Trace(name=self.name, events=tuple(events), metadata=metadata)
+        return Trace.from_columns(self.name, columns, metadata)
 
 
 class TraceBuilder:
-    """Mutable helper used to construct a :class:`Trace`.
+    """Mutable column sink used to construct a :class:`Trace`.
 
     Task ids are assigned sequentially in submission order, which is also
     the order the hardware receives them, so ids double as submission
-    ranks everywhere in the simulation.
+    ranks everywhere in the simulation.  :meth:`task` / :meth:`taskwait`
+    / :meth:`taskwait_on` append to the columns without building any
+    per-task object (the generator sink protocol shared with
+    :class:`~repro.trace.stream.EventEmitter`); :meth:`add_task` also
+    returns the task's descriptor.  Values are validated once per column
+    by :meth:`build`.
 
     >>> builder = TraceBuilder("ids")
     >>> builder.add_task("t", duration_us=1.0, outputs=[0x2000]).task_id
@@ -195,8 +261,73 @@ class TraceBuilder:
             raise TraceError("trace name must be non-empty")
         self.name = name
         self.metadata: Dict[str, object] = dict(metadata or {})
-        self._events: List[TraceEvent] = []
+        self._task_ids: Optional[List[int]] = None  # None: dense ids 0..n-1
+        self._functions: List[str] = []
+        self._durations: List[float] = []
+        self._creations: List[float] = []
+        self._offsets: List[int] = [0]
+        self._addresses: List[int] = []
+        self._flags: List[int] = []
+        self._sizes: Optional[List[int]] = None
+        self._parents: Dict[int, Optional[int]] = {}
+        self._barrier_at: List[int] = []
+        self._barrier_addr: List[int] = []
         self._next_task_id = 0
+
+    # -- the generator sink ------------------------------------------------
+    def task(
+        self,
+        function: str,
+        duration_us: float,
+        *,
+        inputs: Sequence[int] = (),
+        outputs: Sequence[int] = (),
+        inouts: Sequence[int] = (),
+        params: Optional[Sequence[Parameter]] = None,
+        creation_overhead_us: float = 0.0,
+    ) -> int:
+        """Append a task submission to the columns; return its task id.
+
+        Either pass ``params`` explicitly or use the ``inputs`` /
+        ``outputs`` / ``inouts`` address lists.
+        """
+        addresses, flags, sizes, _ = task_accesses(inputs, outputs, inouts, params)
+        task_id = self._next_task_id
+        self._next_task_id = task_id + 1
+        self._append(task_id, function, duration_us, creation_overhead_us,
+                     addresses, flags, sizes)
+        return task_id
+
+    def taskwait(self) -> None:
+        """Append a full ``taskwait`` barrier."""
+        self._barrier_at.append(len(self._functions))
+        self._barrier_addr.append(FULL_TASKWAIT)
+
+    def taskwait_on(self, address: int) -> None:
+        """Append a ``taskwait on(address)`` barrier."""
+        check_address(address, "taskwait on address")
+        self._barrier_at.append(len(self._functions))
+        self._barrier_addr.append(address)
+
+    def _append(self, task_id: int, function: str, duration_us: float,
+                creation_overhead_us: float, addresses: Sequence[int],
+                flags: Sequence[int], sizes: Optional[Sequence[int]]) -> None:
+        if self._task_ids is not None:
+            self._task_ids.append(task_id)
+        elif task_id != len(self._functions):
+            # Ids stop being dense (extend with foreign events): keep a column.
+            self._task_ids = list(range(len(self._functions))) + [task_id]
+        self._functions.append(function)
+        self._durations.append(duration_us)
+        self._creations.append(creation_overhead_us)
+        column = self._addresses
+        if sizes is not None or self._sizes is not None:
+            if self._sizes is None:
+                self._sizes = [0] * len(column)
+            self._sizes.extend(sizes or (0,) * len(addresses))
+        column.extend(addresses)
+        self._flags.extend(flags)
+        self._offsets.append(len(column))
 
     # -- construction ------------------------------------------------------
     def add_task(
@@ -210,48 +341,51 @@ class TraceBuilder:
         params: Optional[Sequence[Parameter]] = None,
         creation_overhead_us: float = 0.0,
     ) -> TaskDescriptor:
-        """Append a task submission and return its descriptor.
+        """Append a task submission and return its (validated) descriptor."""
+        addresses, flags, sizes, given = task_accesses(inputs, outputs, inouts, params)
+        task_id = self._next_task_id
+        check_task(task_id, function, duration_us, creation_overhead_us, addresses, sizes)
+        self._next_task_id = task_id + 1
+        self._append(task_id, function, duration_us, creation_overhead_us,
+                     addresses, flags, sizes)
+        return make_task(task_id, function, addresses, flags, sizes, duration_us,
+                         creation_overhead_us, given)
 
-        Either pass ``params`` explicitly or use the ``inputs`` /
-        ``outputs`` / ``inouts`` address lists.
-        """
-        if params is not None and (inputs or outputs or inouts):
-            raise TraceError("pass either params or inputs/outputs/inouts, not both")
-        if params is None:
-            params = make_params(inputs=inputs, outputs=outputs, inouts=inouts)
-        task = TaskDescriptor(
-            task_id=self._next_task_id,
-            function=function,
-            params=tuple(params),
-            duration_us=duration_us,
-            creation_overhead_us=creation_overhead_us,
-        )
-        self._next_task_id += 1
-        self._events.append(TaskSubmitEvent(task))
-        return task
-
-    def add_taskwait(self) -> None:
-        """Append a full ``taskwait`` barrier."""
-        self._events.append(TaskwaitEvent())
-
-    def add_taskwait_on(self, address: int) -> None:
-        """Append a ``taskwait on(address)`` barrier."""
-        self._events.append(TaskwaitOnEvent(address=address))
+    add_taskwait = taskwait
+    add_taskwait_on = taskwait_on
 
     def extend(self, events: Iterable[TraceEvent]) -> None:
         """Append pre-built events (task ids must not collide)."""
         for event in events:
             if isinstance(event, TaskSubmitEvent):
-                self._events.append(event)
-                self._next_task_id = max(self._next_task_id, event.task.task_id + 1)
+                task = event.task
+                if isinstance(event, SpawnEvent):
+                    self._parents[len(self._functions)] = event.parent_id
+                self._append(task.task_id, task.function, task.duration_us,
+                             task.creation_overhead_us, task.addresses, task.flags, task.sizes)
+                self._next_task_id = max(self._next_task_id, task.task_id + 1)
+            elif isinstance(event, TaskwaitEvent):
+                self.taskwait()
+            elif isinstance(event, TaskwaitOnEvent):
+                self.taskwait_on(event.address)
             else:
-                self._events.append(event)
+                raise TraceError(f"unknown trace event {event!r}")
 
     @property
     def num_tasks(self) -> int:
         """Number of tasks added so far."""
-        return sum(1 for e in self._events if isinstance(e, TaskSubmitEvent))
+        return len(self._functions)
+
+    def columns(self) -> TraceColumns:
+        """The columns so far, validated once per column (a frozen copy)."""
+        task_ids = self._task_ids
+        return TraceColumns(
+            range(len(self._functions)) if task_ids is None else task_ids,
+            self._functions, self._durations, self._creations, self._offsets,
+            self._addresses, self._flags, self._sizes, dict(self._parents),
+            self._barrier_at, self._barrier_addr,
+        )
 
     def build(self) -> Trace:
-        """Freeze the builder into an immutable :class:`Trace`."""
-        return Trace(name=self.name, events=tuple(self._events), metadata=dict(self.metadata))
+        """Validate the columns once and freeze them into a :class:`Trace`."""
+        return Trace.from_columns(self.name, self.columns(), dict(self.metadata))

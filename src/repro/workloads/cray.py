@@ -16,8 +16,7 @@ from typing import Iterator, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import make_rng
-from repro.trace.events import TraceEvent
-from repro.trace.stream import EventEmitter, TraceStream, materialize
+from repro.trace.stream import TraceStream, materialize
 from repro.trace.trace import Trace
 from repro.workloads.addressing import AddressSpace
 
@@ -44,24 +43,23 @@ def stream_cray(
         raise ConfigurationError(f"num_lines must be positive, got {num_lines}")
     lines = num_lines
 
-    def events() -> Iterator[TraceEvent]:
+    def body(sink) -> Iterator[object]:
         rng = make_rng(seed, "c-ray")
         space = AddressSpace(seed=seed)
-        emit = EventEmitter()
         line_addresses = space.alloc(lines)
         durations = rng.normal(avg_task_us, avg_task_us * duration_cv, size=lines)
         durations = durations.clip(min=avg_task_us * 0.1)
         for line, address in enumerate(line_addresses):
-            yield emit.task(
+            yield sink.task(
                 "render_line",
                 duration_us=float(durations[line]),
                 outputs=[address],
             )
-        yield emit.taskwait()
+        yield sink.taskwait()
 
-    return TraceStream(
+    return TraceStream.from_body(
         "c-ray",
-        events,
+        body,
         metadata={
             "suite": "Starbench",
             "num_lines": num_lines,

@@ -26,8 +26,7 @@ from typing import Iterator, Optional
 
 from repro.common.constants import GAUSSIAN_CORE_GFLOPS
 from repro.common.errors import ConfigurationError
-from repro.trace.events import TraceEvent
-from repro.trace.stream import EventEmitter, TraceStream, materialize
+from repro.trace.stream import TraceStream, materialize
 from repro.trace.trace import Trace
 from repro.workloads.addressing import AddressSpace
 
@@ -72,9 +71,8 @@ def stream_gaussian_elimination(
         raise ConfigurationError(f"core_gflops must be positive, got {core_gflops}")
     n = matrix_size
 
-    def events() -> Iterator[TraceEvent]:
+    def body(sink) -> Iterator[object]:
         space = AddressSpace(seed=seed)
-        emit = EventEmitter()
         row_addresses = space.alloc(n)
         flops_to_us = 1.0 / (core_gflops * 1000.0)  # FLOPs -> µs at core_gflops GFLOP/s
         for i in range(1, n):  # elimination steps (the last row needs no step)
@@ -82,20 +80,20 @@ def stream_gaussian_elimination(
             duration_us = weight_flops * flops_to_us
             pivot_row = row_addresses[i - 1]
             # Pivot task T_i^i.
-            yield emit.task("pivot", duration_us=duration_us, inouts=[pivot_row])
+            yield sink.task("pivot", duration_us=duration_us, inouts=[pivot_row])
             # Update tasks T_i^j for all rows below the pivot.
             for j in range(i + 1, n + 1):
-                yield emit.task(
+                yield sink.task(
                     "eliminate",
                     duration_us=duration_us,
                     inputs=[pivot_row],
                     inouts=[row_addresses[j - 1]],
                 )
-        yield emit.taskwait()
+        yield sink.taskwait()
 
-    return TraceStream(
+    return TraceStream.from_body(
         f"gaussian-{n}",
-        events,
+        body,
         metadata={
             "matrix_size": n,
             "core_gflops": core_gflops,

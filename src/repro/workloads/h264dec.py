@@ -34,8 +34,7 @@ from typing import Iterator, Optional
 from repro.common.constants import H264_FRAME_HEIGHT, H264_FRAME_WIDTH, H264_MACROBLOCK_PIXELS
 from repro.common.errors import ConfigurationError
 from repro.common.rng import make_rng
-from repro.trace.events import TraceEvent
-from repro.trace.stream import EventEmitter, TraceStream, materialize
+from repro.trace.stream import TraceStream, materialize
 from repro.trace.trace import Trace
 from repro.workloads.addressing import AddressSpace
 
@@ -113,10 +112,9 @@ def stream_h264dec(
     name = f"h264dec-{grouping}x{grouping}-{num_frames}f"
     mean_task_us = avg_task_us
 
-    def events() -> Iterator[TraceEvent]:
+    def body(sink) -> Iterator[object]:
         rng = make_rng(seed, "h264dec", grouping)
         space = AddressSpace(seed=seed)
-        emit = EventEmitter()
 
         # One address per task-grid block per frame buffer.  Buffers are
         # recycled every `frame_buffers` frames, exactly like a real
@@ -130,7 +128,7 @@ def stream_h264dec(
             if frame >= frame_buffers:
                 # Wait for the frame that previously used this buffer to be
                 # fully decoded (its bottom-right block is the last writer).
-                yield emit.taskwait_on(int(blocks[rows - 1, cols - 1]))
+                yield sink.taskwait_on(int(blocks[rows - 1, cols - 1]))
             jitter = rng.normal(1.0, duration_cv, size=(rows, cols)).clip(min=0.2)
             for r in range(rows):
                 for c in range(cols):
@@ -141,17 +139,17 @@ def stream_h264dec(
                         inputs.append(int(blocks[r - 1, c + 1]))    # upper-right neighbour
                     if inter_frame_dependency and prev_blocks is not None:
                         inputs.append(int(prev_blocks[r, c]))       # motion-compensation ref
-                    yield emit.task(
+                    yield sink.task(
                         "decode_mb",
                         duration_us=float(mean_task_us * jitter[r, c]),
                         inputs=inputs,
                         inouts=[int(blocks[r, c])],
                     )
-        yield emit.taskwait()
+        yield sink.taskwait()
 
-    return TraceStream(
+    return TraceStream.from_body(
         name,
-        events,
+        body,
         metadata={
             "suite": "Starbench",
             "grouping": grouping,

@@ -14,8 +14,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from repro.common.errors import ConfigurationError
-from repro.trace.events import TraceEvent
-from repro.trace.stream import EventEmitter, TraceStream, materialize
+from repro.trace.stream import TraceStream, materialize
 from repro.trace.trace import Trace
 from repro.workloads.addressing import AddressSpace
 
@@ -39,17 +38,16 @@ def stream_microbenchmark(
     if duration_us < 0:
         raise ConfigurationError(f"duration_us must be >= 0, got {duration_us}")
 
-    def events() -> Iterator[TraceEvent]:
+    def body(sink) -> Iterator[object]:
         space = AddressSpace(seed=seed)
-        emit = EventEmitter()
         for _ in range(num_tasks):
             addresses = space.alloc(params_per_task)
-            yield emit.task("micro_task", duration_us=duration_us, outputs=addresses)
-        yield emit.taskwait()
+            yield sink.task("micro_task", duration_us=duration_us, outputs=addresses)
+        yield sink.taskwait()
 
-    return TraceStream(
+    return TraceStream.from_body(
         "microbench-independent",
-        events,
+        body,
         metadata={
             "num_tasks": num_tasks,
             "params_per_task": params_per_task,

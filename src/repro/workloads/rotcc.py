@@ -14,8 +14,7 @@ from typing import Iterator, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import make_rng
-from repro.trace.events import TraceEvent
-from repro.trace.stream import EventEmitter, TraceStream, materialize
+from repro.trace.stream import TraceStream, materialize
 from repro.trace.trace import Trace
 from repro.workloads.addressing import AddressSpace
 
@@ -44,10 +43,9 @@ def stream_rotcc(
         raise ConfigurationError(f"num_lines must be positive, got {num_lines}")
     lines = num_lines
 
-    def events() -> Iterator[TraceEvent]:
+    def body(sink) -> Iterator[object]:
         rng = make_rng(seed, "rot-cc")
         space = AddressSpace(seed=seed)
-        emit = EventEmitter()
         pair_work_us = 2.0 * avg_task_us
         line_addresses = space.alloc(lines)
         rotate_jitter = rng.normal(1.0, duration_cv, size=lines).clip(min=0.1)
@@ -55,13 +53,13 @@ def stream_rotcc(
         for line, address in enumerate(line_addresses):
             rotate_us = pair_work_us * rotate_fraction * float(rotate_jitter[line])
             convert_us = pair_work_us * (1.0 - rotate_fraction) * float(convert_jitter[line])
-            yield emit.task("rotate_line", duration_us=rotate_us, inouts=[address])
-            yield emit.task("color_convert_line", duration_us=convert_us, inouts=[address])
-        yield emit.taskwait()
+            yield sink.task("rotate_line", duration_us=rotate_us, inouts=[address])
+            yield sink.task("color_convert_line", duration_us=convert_us, inouts=[address])
+        yield sink.taskwait()
 
-    return TraceStream(
+    return TraceStream.from_body(
         "rot-cc",
-        events,
+        body,
         metadata={
             "suite": "Starbench",
             "num_lines": num_lines,

@@ -27,8 +27,7 @@ import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import make_rng
-from repro.trace.events import TraceEvent
-from repro.trace.stream import EventEmitter, TraceStream, materialize
+from repro.trace.stream import TraceStream, materialize
 from repro.trace.trace import Trace
 from repro.workloads.addressing import AddressSpace
 
@@ -68,10 +67,9 @@ def stream_sparselu(
         raise ConfigurationError(f"num_blocks must be >= 2, got {num_blocks}")
     nb = num_blocks
 
-    def events() -> Iterator[TraceEvent]:
+    def body(sink) -> Iterator[object]:
         rng = make_rng(seed, "sparselu")
         space = AddressSpace(seed=seed)
-        emit = EventEmitter()
 
         # Populated-block map; diagonal blocks always exist.
         populated = rng.random((nb, nb)) < density
@@ -89,10 +87,10 @@ def stream_sparselu(
 
         for k in range(nb):
             diag = int(block_addresses[k, k])
-            yield emit.task("lu0", duration_us=jittered(lu0_us), inouts=[diag])
+            yield sink.task("lu0", duration_us=jittered(lu0_us), inouts=[diag])
             for j in range(k + 1, nb):
                 if populated[k, j]:
-                    yield emit.task(
+                    yield sink.task(
                         "fwd",
                         duration_us=jittered(panel_us),
                         inputs=[diag],
@@ -100,7 +98,7 @@ def stream_sparselu(
                     )
             for i in range(k + 1, nb):
                 if populated[i, k]:
-                    yield emit.task(
+                    yield sink.task(
                         "bdiv",
                         duration_us=jittered(panel_us),
                         inputs=[diag],
@@ -114,17 +112,17 @@ def stream_sparselu(
                         continue
                     # Fill-in: the target block becomes populated if it was not.
                     populated[i, j] = True
-                    yield emit.task(
+                    yield sink.task(
                         "bmod",
                         duration_us=jittered(bmod_us),
                         inputs=[int(block_addresses[i, k]), int(block_addresses[k, j])],
                         inouts=[int(block_addresses[i, j])],
                     )
-        yield emit.taskwait()
+        yield sink.taskwait()
 
-    return TraceStream(
+    return TraceStream.from_body(
         "sparselu",
-        events,
+        body,
         metadata={
             "suite": "OmpSs examples",
             "num_blocks": nb,

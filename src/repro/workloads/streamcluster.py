@@ -20,8 +20,7 @@ from typing import Iterator, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import make_rng
-from repro.trace.events import TraceEvent
-from repro.trace.stream import EventEmitter, TraceStream, materialize
+from repro.trace.stream import TraceStream, materialize
 from repro.trace.trace import Trace
 from repro.workloads.addressing import AddressSpace
 
@@ -58,33 +57,32 @@ def stream_streamcluster(
         raise ConfigurationError(f"num_rounds must be positive, got {num_rounds}")
     rounds = num_rounds
 
-    def events() -> Iterator[TraceEvent]:
+    def body(sink) -> Iterator[object]:
         rng = make_rng(seed, "streamcluster")
         space = AddressSpace(seed=seed)
-        emit = EventEmitter()
         centers_address = space.alloc_one()
         chunk_addresses = space.alloc(group_size)
         for _round in range(rounds):
             jitter = rng.normal(1.0, duration_cv, size=group_size).clip(min=0.1)
             for chunk in range(group_size):
-                yield emit.task(
+                yield sink.task(
                     "compute_gain",
                     duration_us=float(avg_task_us * jitter[chunk]),
                     inputs=[centers_address],
                     inouts=[chunk_addresses[chunk]],
                 )
-            yield emit.taskwait()
-            yield emit.task(
+            yield sink.taskwait()
+            yield sink.task(
                 "recluster",
                 duration_us=float(max(recluster_us * 0.1,
                                       rng.normal(recluster_us, recluster_us * duration_cv))),
                 inouts=[centers_address],
             )
-        yield emit.taskwait()
+        yield sink.taskwait()
 
-    return TraceStream(
+    return TraceStream.from_body(
         "streamcluster",
-        events,
+        body,
         metadata={
             "suite": "Starbench",
             "num_rounds": num_rounds,

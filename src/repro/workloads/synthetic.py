@@ -22,8 +22,7 @@ import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import make_rng
-from repro.trace.events import TraceEvent
-from repro.trace.stream import EventEmitter, TraceStream, materialize
+from repro.trace.stream import TraceStream, materialize
 from repro.trace.task import Direction, Parameter
 from repro.trace.trace import Trace
 from repro.workloads.addressing import AddressSpace
@@ -45,16 +44,15 @@ def stream_independent(
     if params_per_task <= 0:
         raise ConfigurationError(f"params_per_task must be positive, got {params_per_task}")
 
-    def events() -> Iterator[TraceEvent]:
+    def body(sink) -> Iterator[object]:
         space = AddressSpace(seed=seed)
-        emit = EventEmitter()
         for _ in range(num_tasks):
-            yield emit.task("work", duration_us=duration_us,
+            yield sink.task("work", duration_us=duration_us,
                             outputs=space.alloc(params_per_task))
-        yield emit.taskwait()
+        yield sink.taskwait()
 
-    return TraceStream(name, events,
-                       metadata={"num_tasks": num_tasks, "duration_us": duration_us})
+    return TraceStream.from_body(name, body,
+                                 metadata={"num_tasks": num_tasks, "duration_us": duration_us})
 
 
 def generate_independent(
@@ -81,16 +79,15 @@ def stream_chain(
     if num_tasks <= 0:
         raise ConfigurationError(f"num_tasks must be positive, got {num_tasks}")
 
-    def events() -> Iterator[TraceEvent]:
+    def body(sink) -> Iterator[object]:
         space = AddressSpace(seed=seed)
         token = space.alloc_one()
-        emit = EventEmitter()
         for _ in range(num_tasks):
-            yield emit.task("link", duration_us=duration_us, inouts=[token])
-        yield emit.taskwait()
+            yield sink.task("link", duration_us=duration_us, inouts=[token])
+        yield sink.taskwait()
 
-    return TraceStream(name, events,
-                       metadata={"num_tasks": num_tasks, "duration_us": duration_us})
+    return TraceStream.from_body(name, body,
+                                 metadata={"num_tasks": num_tasks, "duration_us": duration_us})
 
 
 def generate_chain(
@@ -123,26 +120,25 @@ def stream_fork_join(
     if num_phases <= 0 or width <= 0:
         raise ConfigurationError(f"num_phases and width must be positive, got {num_phases}, {width}")
 
-    def events() -> Iterator[TraceEvent]:
+    def body(sink) -> Iterator[object]:
         space = AddressSpace(seed=seed)
-        emit = EventEmitter()
         reduction = space.alloc_one()
         chunk_addresses = space.alloc(width)
         for _phase in range(num_phases):
             for chunk in range(width):
-                yield emit.task(
+                yield sink.task(
                     "phase_work",
                     duration_us=duration_us,
                     inputs=[reduction],
                     inouts=[chunk_addresses[chunk]],
                 )
             if use_taskwait:
-                yield emit.taskwait()
-            yield emit.task("reduce", duration_us=duration_us, inouts=[reduction])
-        yield emit.taskwait()
+                yield sink.taskwait()
+            yield sink.task("reduce", duration_us=duration_us, inouts=[reduction])
+        yield sink.taskwait()
 
-    return TraceStream(
-        name, events,
+    return TraceStream.from_body(
+        name, body,
         metadata={"num_phases": num_phases, "width": width, "duration_us": duration_us},
     )
 
@@ -192,10 +188,9 @@ def stream_random_dag(
     if not 0.0 <= write_probability <= 1.0:
         raise ConfigurationError(f"write_probability must be in [0, 1], got {write_probability}")
 
-    def events() -> Iterator[TraceEvent]:
+    def body(sink) -> Iterator[object]:
         rng = make_rng(seed, "random-dag")
         space = AddressSpace(seed=seed)
-        emit = EventEmitter()
         produced: list[int] = []
         for index in range(num_tasks):
             output = space.alloc_one()
@@ -213,12 +208,12 @@ def stream_random_dag(
                             params.append(Parameter(address=address, direction=Direction.INOUT))
             params.append(Parameter(address=output, direction=Direction.OUT))
             duration = float(rng.uniform(low, high)) if high > low else float(low)
-            yield emit.task(f"node_{index % 7}", duration_us=duration, params=params)
+            yield sink.task(f"node_{index % 7}", duration_us=duration, params=params)
             produced.append(output)
-        yield emit.taskwait()
+        yield sink.taskwait()
 
-    return TraceStream(
-        name, events,
+    return TraceStream.from_body(
+        name, body,
         metadata={
             "num_tasks": num_tasks,
             "max_predecessors": max_predecessors,

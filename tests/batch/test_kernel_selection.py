@@ -18,7 +18,6 @@ both directions:
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import List, Optional
 
 import pytest
@@ -48,7 +47,7 @@ def _independent(count: int = 3) -> Trace:
 
 def _sparse_ids(trace: Trace) -> Trace:
     events = tuple(
-        TaskSubmitEvent(replace(event.task, task_id=3 * event.task.task_id + 7))
+        TaskSubmitEvent(event.task.with_id(3 * event.task.task_id + 7))
         if isinstance(event, TaskSubmitEvent) else event
         for event in trace.events
     )

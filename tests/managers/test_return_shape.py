@@ -14,7 +14,9 @@ from repro.managers.nanos import NanosManager
 from repro.managers.software import VandierendonckManager
 from repro.nexus.nexuspp import NexusPlusPlusManager
 from repro.nexus.nexussharp import NexusSharpManager
-from repro.trace.task import TaskDescriptor, make_params
+from repro.trace.task import TaskDescriptor
+
+from task_params import make_params
 
 MANAGERS = {
     "ideal": IdealManager,

@@ -6,7 +6,9 @@ from repro.managers.ideal import IdealManager
 from repro.managers.nanos import NanosConfig, NanosManager
 from repro.managers.software import VandierendonckConfig, VandierendonckManager
 from repro.common.errors import ConfigurationError
-from repro.trace.task import TaskDescriptor, make_params
+from repro.trace.task import TaskDescriptor
+
+from task_params import make_params
 
 
 def make_task(task_id, inputs=(), outputs=(), duration=10.0):

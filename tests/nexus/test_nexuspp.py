@@ -4,7 +4,9 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.nexus.nexuspp import NexusPlusPlusConfig, NexusPlusPlusManager
-from repro.trace.task import TaskDescriptor, make_params
+from repro.trace.task import TaskDescriptor
+
+from task_params import make_params
 
 
 def make_task(task_id, inputs=(), outputs=(), duration=10.0):

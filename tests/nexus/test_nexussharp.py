@@ -5,8 +5,10 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.nexus.nexussharp import NexusSharpConfig, NexusSharpManager
 from repro.nexus.timing import NexusSharpTiming
-from repro.trace.task import TaskDescriptor, make_params
+from repro.trace.task import TaskDescriptor
 from repro.workloads.microbench import generate_microbenchmark
+
+from task_params import make_params
 
 
 def make_task(task_id, inputs=(), outputs=(), duration=10.0):

@@ -13,7 +13,9 @@ from repro.system.scheduling import (
     list_policies,
     make_policy,
 )
-from repro.trace.task import TaskDescriptor, make_params
+from repro.trace.task import TaskDescriptor
+
+from task_params import make_params
 
 
 def task(task_id: int, duration: float = 10.0, function: str = "f") -> TaskDescriptor:

@@ -5,7 +5,9 @@ import pytest
 from repro.common.errors import CapacityError, SimulationError
 from repro.taskgraph.function_table import FunctionTable
 from repro.taskgraph.task_pool import TaskPool
-from repro.trace.task import TaskDescriptor, make_params
+from repro.trace.task import TaskDescriptor
+
+from task_params import make_params
 
 
 def task(task_id, n_params=1):

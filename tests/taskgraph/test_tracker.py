@@ -6,8 +6,10 @@ from repro.common.errors import ConfigurationError, SimulationError
 from repro.taskgraph.address_state import AccessMode
 from repro.taskgraph.tracker import DependencyTracker
 from repro.trace.dag import build_dependency_graph
-from repro.trace.task import Direction, Parameter, TaskDescriptor, make_params
+from repro.trace.task import Direction, Parameter, TaskDescriptor
 from repro.workloads.synthetic import generate_random_dag
+
+from task_params import make_params
 
 
 def make_task(task_id, inputs=(), outputs=(), inouts=()):

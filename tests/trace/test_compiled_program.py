@@ -6,9 +6,10 @@ import pytest
 
 from repro.taskgraph.address_state import AccessMode, MODE_OF_FLAGS
 from repro.taskgraph.tracker import DependencyTracker
-from repro.trace.compiled import FLAG_READS, FLAG_READWRITE, FLAG_WRITES, CompiledAccessProgram
+from repro.trace.compiled import FLAG_READS, FLAG_READWRITE, FLAG_WRITES
+from repro.trace.events import TaskSubmitEvent
 from repro.trace.task import Direction, Parameter, TaskDescriptor
-from repro.trace.trace import TraceBuilder
+from repro.trace.trace import Trace, TraceBuilder
 from repro.workloads.synthetic import generate_random_dag
 
 
@@ -47,7 +48,7 @@ class TestCompilation:
             ),
             duration_us=1.0,
         )
-        program = CompiledAccessProgram([task])
+        program = Trace("duplicates", [TaskSubmitEvent(task)]).access_program()
         assert program.task_accesses(0) == [(0, FLAG_READWRITE), (1, FLAG_READS)]
         rows = DependencyTracker().insert_task(task)[0]
         assert [(program.addresses[aid], MODE_OF_FLAGS[flag]) for aid, flag in
@@ -64,10 +65,10 @@ class TestCompilation:
         program = build_trace().access_program()
         assert program.slot(0) == 0 and program.slot(2) == 2
         assert program.slot(99) == -1
-        sparse = CompiledAccessProgram([
-            TaskDescriptor(task_id=7, function="f", params=(), duration_us=1.0),
-            TaskDescriptor(task_id=3, function="f", params=(), duration_us=1.0),
-        ])
+        sparse = Trace("sparse", [
+            TaskSubmitEvent(TaskDescriptor(task_id=7, function="f", params=(), duration_us=1.0)),
+            TaskSubmitEvent(TaskDescriptor(task_id=3, function="f", params=(), duration_us=1.0)),
+        ]).access_program()
         assert sparse.slot(7) == 0
         assert sparse.slot(3) == 1
         assert sparse.slot(0) == -1

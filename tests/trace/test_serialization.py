@@ -78,3 +78,70 @@ class TestFileRoundTrip:
         path.write_text("{not json")
         with pytest.raises(TraceError):
             load_trace(path)
+
+
+class TestClosedJsonDomain:
+    """NaN and ±Infinity are not JSON: rows refuse to render them and every
+    trace/row reader refuses to parse them."""
+
+    @pytest.mark.parametrize("document, where", [
+        ({"x": float("nan")}, r"nan at \$\.x"),
+        ({"a": [1.0, float("inf")]}, r"inf at \$\.a\[1\]"),
+        ({"r": {"makespan_us": float("-inf")}}, r"-inf at \$\.r\.makespan_us"),
+    ])
+    def test_canonical_line_names_the_non_finite_value(self, document, where):
+        from repro.trace.serialization import canonical_json_line
+
+        with pytest.raises(TraceError, match=where):
+            canonical_json_line(document)
+
+    def test_canonical_line_still_renders_finite_documents(self):
+        from repro.trace.serialization import canonical_json_line
+
+        assert canonical_json_line({"b": 1e308, "a": -0.0}) == '{"a":-0.0,"b":1e+308}'
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_iter_jsonl_rejects(self, tmp_path, token):
+        from repro.trace.serialization import iter_jsonl
+
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"ok": 1}\n{"x": %s}\n' % token)
+        with pytest.raises(TraceError, match="JSON domain"):
+            list(iter_jsonl(path))
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_load_trace_rejects_document(self, tmp_path, token):
+        text = json.dumps(trace_to_json(sample_trace()), separators=(",", ":")).replace('"us":2.5', f'"us":{token}')
+        assert f'"us":{token}' in text
+        path = tmp_path / "trace.json"
+        path.write_text(text)
+        with pytest.raises(TraceError, match="JSON domain"):
+            load_trace(path)
+
+    def _stream_text(self, header_value="1", event_value="2.5"):
+        header = ('{"format_version":1,"kind":"trace-stream","name":"s",'
+                  '"metadata":{"v":%s}}' % header_value)
+        chunk = ('{"e":[{"k":"t","id":0,"f":"f","p":[],"us":%s,"co":0.0}]}' % event_value)
+        footer = '{"end":true,"num_events":1,"num_tasks":1}'
+        return "\n".join([header, chunk, footer]) + "\n"
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_stream_sniffer_and_header_reader_reject(self, tmp_path, token):
+        from repro.trace.serialization import read_stream_header
+
+        path = tmp_path / "stream.jsonl"
+        path.write_text(self._stream_text(header_value=token))
+        with pytest.raises(TraceError, match="JSON domain"):
+            load_trace(path)  # the format sniffer parses the header line
+        with pytest.raises(TraceError, match="JSON domain"):
+            read_stream_header(path)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_stream_text_rejects_header_and_chunks(self, token):
+        from repro.trace.serialization import trace_from_stream_text
+
+        assert trace_from_stream_text(self._stream_text()).num_tasks == 1
+        with pytest.raises(TraceError, match="JSON domain"):
+            trace_from_stream_text(self._stream_text(header_value=token))
+        with pytest.raises(TraceError, match="JSON domain"):
+            trace_from_stream_text(self._stream_text(event_value=token))

@@ -5,7 +5,16 @@ import pytest
 from repro.common.constants import ADDRESS_MASK
 from repro.common.errors import TraceError
 from repro.trace.dynamic import Compute, TaskRequest
-from repro.trace.task import Direction, Parameter, TaskDescriptor, make_params
+from repro.trace.task import (
+    DIRECTION_OF_FLAGS,
+    Direction,
+    Parameter,
+    TaskDescriptor,
+    make_task,
+    task_accesses,
+)
+
+from task_params import make_params
 
 #: Durations a simulated time must never take.
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
@@ -124,14 +133,35 @@ class TestTaskDescriptor:
         assert isinstance(task.params, tuple)
 
 
-class TestMakeParams:
+class TestTaskAccesses:
     def test_order_inputs_inouts_outputs(self):
-        params = make_params(inputs=[1], outputs=[3], inouts=[2])
-        assert [p.direction for p in params] == [Direction.IN, Direction.INOUT, Direction.OUT]
-        assert [p.address for p in params] == [1, 2, 3]
+        addresses, flags, sizes, given = task_accesses(inputs=[1], outputs=[3], inouts=[2])
+        assert [DIRECTION_OF_FLAGS[f] for f in flags] == [Direction.IN, Direction.INOUT, Direction.OUT]
+        assert addresses == (1, 2, 3)
+        assert sizes is None and given is None
 
     def test_empty(self):
-        assert make_params() == ()
+        assert task_accesses() == ((), (), None, None)
+
+    def test_params_form_keeps_the_parameters(self):
+        params = (Parameter(0x40, Direction.OUT, size=8), Parameter(0x80, Direction.IN))
+        assert task_accesses(params=params) == ((0x40, 0x80), (2, 1), (8, 0), params)
+
+    def test_params_and_address_lists_exclusive(self):
+        with pytest.raises(TraceError, match="not both"):
+            task_accesses(inputs=[1], params=(Parameter(1, Direction.IN),))
+
+    def test_descriptor_builds_parameters_lazily(self):
+        task = TaskDescriptor(0, "f", make_params(inputs=[1], outputs=[2]), 1.0)
+        flat = make_task(0, "f", (1, 2), (1, 2), None, 1.0, 0.0)
+        assert flat._params is None
+        assert flat == task and hash(flat) == hash(task)
+        assert flat.params == task.params
+        assert flat.num_params == 2 and flat._params is not None
+
+    def test_bool_address_rejected(self):
+        with pytest.raises(TraceError):
+            Parameter(address=True, direction=Direction.IN)
 
 
 class TestDynamicDurations:
