@@ -61,9 +61,6 @@ class ScalabilityStudy:
     def render(self, title: Optional[str] = None) -> str:
         return format_speedup_series(title or self.trace_name, self.core_counts, self.series())
 
-    def max_speedups(self) -> Dict[str, float]:
-        return {name: curve.max_speedup for name, curve in self.curves.items()}
-
 
 def run_scalability(
     trace: Trace,

@@ -393,10 +393,6 @@ class SweepScheduler:
                     return bool(predicate())
                 self._progress.wait(min(remaining, 0.25))
 
-    def wait_for_results(self, count: int, timeout: float = 60.0) -> bool:
-        """Block until at least ``count`` results have been recorded."""
-        return self.wait_until(lambda: self.results_received >= count, timeout)
-
     # -- connection handling -----------------------------------------------
     def _accept_loop(self) -> None:
         assert self._server is not None

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -45,6 +46,7 @@ from repro.serve.batcher import Batcher
 from repro.system.scheduling import canonical_policy_name
 from repro.system.topology import canonical_topology
 from repro.trace.serialization import (
+    _reject_non_finite,
     canonical_json_line,
     trace_digest,
     trace_from_json,
@@ -87,12 +89,36 @@ class Request:
 
     def json(self) -> Dict[str, Any]:
         try:
-            document = json.loads(self.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            document = json.loads(self.body.decode("utf-8"),
+                                  parse_constant=_reject_non_finite)
+        except (UnicodeDecodeError, json.JSONDecodeError, TraceError) as exc:
             raise HttpError(400, f"request body is not valid JSON: {exc}") from exc
         if not isinstance(document, dict):
             raise HttpError(400, "request body must be a JSON object")
         return document
+
+
+_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false"}
+
+
+def _typed(name: str, value: Any, kind: type, default: Any = None) -> Any:
+    """Request field ``name`` as ``kind`` (int, float or bool); 400 otherwise.
+
+    ``None`` (absent or JSON ``null``) gives ``default``.  No value is
+    coerced across JSON types: a bool is not a number, a float is not an
+    int and a string is neither; only an int may stand for a float.
+    """
+    if value is None:
+        return default
+    if isinstance(value, bool):
+        valid = kind is bool
+    elif isinstance(value, int):
+        valid = kind is not bool
+    else:
+        valid = kind is float and isinstance(value, float) and math.isfinite(value)
+    if not valid:
+        raise HttpError(400, f"{name!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return kind(value)
 
 
 @dataclass
@@ -408,13 +434,15 @@ class Server:
             raise HttpError(400, "empty trace body")
         first_line = text.split("\n", 1)[0]
         try:
-            head = json.loads(first_line)
+            head = json.loads(first_line, parse_constant=_reject_non_finite)
+            streamed = isinstance(head, dict) and head.get("kind") == "trace-stream"
+            if not streamed:
+                document = json.loads(text, parse_constant=_reject_non_finite)
         except json.JSONDecodeError as exc:
             raise HttpError(400, f"trace body is not JSON: {exc}") from exc
-        if isinstance(head, dict) and head.get("kind") == "trace-stream":
+        if streamed:
             trace = trace_from_stream_text(text, source="<upload>")
         else:
-            document = json.loads(text)
             if not isinstance(document, dict):
                 raise HttpError(400, "trace document must be a JSON object")
             trace = trace_from_json(document)
@@ -475,20 +503,17 @@ class Server:
                 raise HttpError(400, f"simulate request needs {field!r}")
         if "workload" not in doc:
             raise HttpError(400, "simulate request needs 'workload'")
-        scale = float(doc.get("scale", 1.0))
-        max_tasks = doc.get("max_tasks")
-        max_tasks = None if max_tasks is None else int(max_tasks)
-        seed = doc.get("seed")
-        seed = None if seed is None else int(seed)
-        depth = doc.get("depth")
-        depth = None if depth is None else int(depth)
-        cores = int(doc["cores"])
-        if cores < 1:
+        scale = _typed("scale", doc.get("scale"), float, 1.0)
+        max_tasks = _typed("max_tasks", doc.get("max_tasks"), int)
+        seed = _typed("seed", doc.get("seed"), int)
+        depth = _typed("depth", doc.get("depth"), int)
+        cores = _typed("cores", doc["cores"], int)
+        if cores is None or cores < 1:
             raise HttpError(400, f"cores must be >= 1, got {cores}")
         workload = self._resolve_workload(
             doc["workload"], scale=scale, max_tasks=max_tasks)
         workload = workload.with_seed(seed).with_depth(depth)
-        dynamic = bool(doc.get("dynamic", False))
+        dynamic = _typed("dynamic", doc.get("dynamic"), bool, False)
         if dynamic and not workload.is_dynamic:
             raise HttpError(400, f"workload {workload.name!r} is not dynamic")
         manager_name, factory = parse_manager(str(doc["manager"]))
@@ -497,11 +522,11 @@ class Server:
             manager_name=manager_name,
             factory=factory,
             cores=cores,
-            validate=bool(doc.get("validate", False)),
-            keep_schedule=bool(doc.get("keep_schedule", False)),
+            validate=_typed("validate", doc.get("validate"), bool, False),
+            keep_schedule=_typed("keep_schedule", doc.get("keep_schedule"), bool, False),
             scheduler=canonical_policy_name(str(doc.get("scheduler", "fifo"))),
             topology=canonical_topology(str(doc.get("topology", "homogeneous"))),
-            stream=bool(doc.get("stream", False)),
+            stream=_typed("stream", doc.get("stream"), bool, False),
             dynamic=dynamic,
         )
 
@@ -513,30 +538,35 @@ class Server:
         core_counts = doc.get("core_counts") or doc.get("cores")
         if not core_counts:
             raise HttpError(400, "sweep request needs a non-empty 'core_counts'")
-        scale = float(doc.get("scale", 1.0))
-        max_tasks = doc.get("max_tasks")
-        max_tasks = None if max_tasks is None else int(max_tasks)
+        axes = {"core_counts": core_counts, "seeds": doc.get("seeds") or [None],
+                "depths": doc.get("depths") or [None]}
+        for name, values in axes.items():
+            if not isinstance(values, list):
+                raise HttpError(400, f"{name!r} must be a list, got {values!r}")
+            axes[name] = [_typed(name, value, int) for value in values]
+        if None in axes["core_counts"]:
+            raise HttpError(400, f"'core_counts' must hold integers, got {core_counts!r}")
+        scale = _typed("scale", doc.get("scale"), float, 1.0)
+        max_tasks = _typed("max_tasks", doc.get("max_tasks"), int)
         workloads = [
             self._resolve_workload(entry, scale=scale, max_tasks=None)
             for entry in doc["workloads"]
         ]
-        seeds = tuple(doc.get("seeds") or (None,))
-        depths = tuple(doc.get("depths") or (None,))
         return SweepSpec(
             workloads=workloads,
             managers=[str(m) for m in doc["managers"]],
-            core_counts=[int(c) for c in core_counts],
-            seeds=seeds,
+            core_counts=axes["core_counts"],
+            seeds=axes["seeds"],
             scale=scale,
             max_cores=doc.get("max_cores"),
-            validate=bool(doc.get("validate", False)),
-            keep_schedule=bool(doc.get("keep_schedule", False)),
+            validate=_typed("validate", doc.get("validate"), bool, False),
+            keep_schedule=_typed("keep_schedule", doc.get("keep_schedule"), bool, False),
             schedulers=tuple(doc.get("schedulers") or ("fifo",)),
             topologies=tuple(doc.get("topologies") or ("homogeneous",)),
-            stream=bool(doc.get("stream", False)),
+            stream=_typed("stream", doc.get("stream"), bool, False),
             max_tasks=max_tasks,
-            dynamic=bool(doc.get("dynamic", False)),
-            depths=depths,
+            dynamic=_typed("dynamic", doc.get("dynamic"), bool, False),
+            depths=axes["depths"],
             name=str(doc.get("name", "sweep")),
         )
 

@@ -242,10 +242,3 @@ class ServeClient:
         if self.retry is None:
             return _once()
         return self._with_retry(_once, describe="POST /v1/sweep")
-
-    def sweep_lines(self, **fields: Any) -> List[str]:
-        """Run a sweep and return its JSONL lines (no trailing newline),
-        comparable to :meth:`SweepOutcome.jsonl_lines
-        <repro.experiments.runner.SweepOutcome.jsonl_lines>`."""
-        raw = self.sweep_raw(**fields).decode("utf-8")
-        return [line for line in raw.split("\n") if line]

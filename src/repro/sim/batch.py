@@ -23,9 +23,8 @@ three things:
   creation/lock-insertion costs) are computed once per ``(program,
   kernel)`` with numpy elementwise arithmetic — IEEE-identical to the
   engine's per-event expressions — and reused by every run of that kernel.
-* **flat run state**: a plain-tuple heap replicating the
-  :class:`~repro.sim.engine.EventQueue` ``(time, priority, sequence)``
-  discipline, flat per-task dependence-count/finished/dispatched state,
+* **flat run state**: the general engine's plain-tuple event heap and
+  its ``(time, priority, sequence)`` discipline, flat per-task dependence-count/finished/dispatched state,
   an int heap of idle cores and a deque of queued ready tasks.
 
 The engine stays the reference oracle: kernels exist only for managers
@@ -295,8 +294,8 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
     Only valid when :func:`lane_fallback_reason` returns ``None``.  This
     inlines — in replicated order — the engine stack for the FIFO /
     homogeneous / dense-ids configuration: the trace master and event
-    handlers of :func:`repro.system.dynamic.run_engine`,
-    ``EventQueue``'s ``(time, priority, sequence)`` heap discipline,
+    loop of :func:`repro.system.dynamic.run_engine` with its
+    ``(time, priority, sequence)`` heap discipline,
     ``CorePool``'s lowest-id idle-core heap, ``FifoPolicy``'s deque, the compiled ``DependencyTracker`` insert /
     finish semantics reduced to per-address cursors, and the lane
     kernel's manager arithmetic (including exact
@@ -305,7 +304,7 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
     behavioural change there must land here too (the kernel-vs-scalar
     golden and differential suites guard the pairing).  The number of
     events processed lands in ``machine.last_events_processed``, equal to
-    the engine's ``Simulator.processed_events``.
+    the engine's pop count.
     """
     manager = machine.manager
     config = machine.config
@@ -602,7 +601,7 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
                 do_master = True
 
     # The loop only ends on an empty heap, so every pushed event was
-    # popped: the sequence counter is the engine's processed_events.
+    # popped: the sequence counter is the engine's pop count.
     machine.last_events_processed = seq
     machine.last_ready_order = ()
     makespan = now if now > master_time else master_time

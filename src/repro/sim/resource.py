@@ -10,15 +10,14 @@ returns the interval actually occupied, advancing the resource's
 "next free" pointer.  Because the machine-level event loop calls the
 manager models in non-decreasing time order, a simple pointer is
 sufficient — no backtracking is ever needed.  The resource additionally
-accumulates busy time so the analysis layer can report utilisation.
+accumulates busy and waiting time for the managers' statistics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.errors import SimulationError
 
 
 @dataclass(slots=True)
@@ -36,24 +35,11 @@ class ResourceStats:
     last_busy_until: float = 0.0
 
     @property
-    def mean_service_time(self) -> float:
-        """Average occupancy per reservation (0 when never used)."""
-        if self.reservations == 0:
-            return 0.0
-        return self.busy_time / self.reservations
-
-    @property
     def mean_wait(self) -> float:
         """Average queuing delay per reservation (0 when never used)."""
         if self.reservations == 0:
             return 0.0
         return self.total_wait / self.reservations
-
-    def utilization(self, horizon: float) -> float:
-        """Fraction of ``[0, horizon]`` during which the resource was busy."""
-        if horizon <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / horizon)
 
 
 class SerialResource:
@@ -71,11 +57,6 @@ class SerialResource:
         self.name = name
         self._next_free: float = 0.0
         self.stats = ResourceStats()
-
-    @property
-    def next_free(self) -> float:
-        """Earliest time at which a new reservation could start."""
-        return self._next_free
 
     def reserve(self, earliest: float, duration: float) -> tuple[float, float]:
         """Occupy the resource for ``duration`` starting no earlier than ``earliest``.
@@ -98,10 +79,6 @@ class SerialResource:
         stats.last_busy_until = end
         return start, end
 
-    def peek_start(self, earliest: float) -> float:
-        """Return the time a reservation made now would start, without reserving."""
-        return max(earliest, self._next_free)
-
     def reset(self) -> None:
         """Forget all reservations."""
         self._next_free = 0.0
@@ -110,52 +87,3 @@ class SerialResource:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SerialResource({self.name!r}, next_free={self._next_free:.3f})"
 
-
-class MultiResource:
-    """A pool of ``count`` identical serial servers (e.g. worker cores).
-
-    Reservations are placed on the server that frees up first, which is
-    the behaviour of a greedy work-conserving scheduler.
-    """
-
-    __slots__ = ("name", "count", "_free_times", "stats")
-
-    def __init__(self, name: str, count: int) -> None:
-        if count <= 0:
-            raise ConfigurationError(f"{name}: server count must be positive, got {count}")
-        self.name = name
-        self.count = count
-        self._free_times = [0.0] * count
-        self.stats = ResourceStats()
-
-    def reserve(self, earliest: float, duration: float) -> tuple[float, float, int]:
-        """Occupy the first available server; return ``(start, end, server_index)``."""
-        if duration < 0:
-            raise SimulationError(f"{self.name}: negative duration {duration}")
-        index = min(range(self.count), key=lambda i: self._free_times[i])
-        start = max(earliest, self._free_times[index])
-        end = start + duration
-        self._free_times[index] = end
-        self.stats.reservations += 1
-        self.stats.busy_time += duration
-        self.stats.total_wait += start - earliest
-        self.stats.last_busy_until = max(self.stats.last_busy_until, end)
-        return start, end, index
-
-    def earliest_available(self) -> float:
-        """Time at which at least one server is (or becomes) free."""
-        return min(self._free_times)
-
-    def reset(self) -> None:
-        """Forget all reservations."""
-        self._free_times = [0.0] * self.count
-        self.stats = ResourceStats()
-
-    def utilization(self, horizon: float) -> float:
-        """Aggregate utilisation over ``count`` servers up to ``horizon``."""
-        if horizon <= 0:
-            return 0.0
-        return min(1.0, self.stats.busy_time / (horizon * self.count))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"MultiResource({self.name!r}, count={self.count})"

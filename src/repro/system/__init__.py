@@ -9,8 +9,9 @@ Section V-B of the paper.
 
 The runtime is layered (see ``README.md``, "Architecture"):
 
-* :class:`repro.system.machine.Machine` — the event-driven simulator,
-  running on the shared :class:`repro.sim.engine.Simulator` kernel.
+* :class:`repro.system.machine.Machine` — the event-driven simulator;
+  its general engine (:mod:`repro.system.dynamic`) and fast kernel
+  (:mod:`repro.sim.batch`) each pop their own heap of event tuples.
 * :class:`repro.system.machine.MachineConfig` — core count, scheduler
   policy, topology and options.
 * :class:`repro.system.scheduling.SchedulerPolicy` — pluggable ready-task

@@ -33,14 +33,10 @@ Semantics
   creation_overhead)``.  While a worker spawns, its core is occupied but
   the time is not counted as busy/compute time.
 * **Task-level taskwait** — the task suspends until all children *it*
-  spawned so far have finished.  By default the suspended task releases
-  its core (an OmpSs task-scheduling point: the core runs other ready
-  work meanwhile), and the parent resumes with priority over newly
-  queued ready tasks once its children drain.  With
-  ``MachineConfig.taskwait_holds_core=True`` the core stays blocked
-  instead — faithful to a naive tied-task runtime, but recursion deeper
-  than the core count then deadlocks, which the engine reports as a
-  :class:`~repro.common.errors.SimulationError` naming the stuck tasks.
+  spawned so far have finished and releases its core meanwhile (an
+  OmpSs task-scheduling point: the core runs other ready work), so
+  recursion deeper than the core count completes.  Once its children
+  drain, the parent resumes with priority over newly queued ready tasks.
 * **Master taskwait / taskwait on** — a full barrier over every in-flight
   task, and the last-writer barrier; a manager without the ``taskwait
   on`` pragma (Nexus++) degrades it to a full taskwait, as Section III
@@ -56,19 +52,24 @@ leaf task — every trace or stream task and every spawned request
 without a body — is just its descriptor and a dispatched flag; only
 tasks with a body get a :class:`_TaskRun` record.
 
-Determinism: given a deterministic source, the engine is fully
-deterministic — the event queue orders ties by ``(time, priority,
-sequence)`` and every manager interaction happens in event-processing
-order — so repeated runs agree exactly.
+The engine owns its event heap: plain ``(time, priority, sequence,
+task id, core)`` tuples, the layout of the kernel in
+:mod:`repro.sim.batch`, where the priority is the event kind.  At equal
+timestamps a segment completion pops first (it frees a core and may
+resolve a barrier), then a ready notification, then a master step, and
+events of one kind keep their push order.  Given a deterministic
+source the engine is therefore fully deterministic — every manager
+interaction happens in pop order — so repeated runs agree exactly.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from collections import deque
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.common.errors import SimulationError
-from repro.sim.engine import Simulator
 from repro.system.results import MachineResult
 from repro.system.timeline import TaskTimeline
 from repro.system.topology import CorePool
@@ -84,16 +85,12 @@ from repro.trace.events import (
 from repro.trace.stream import TaskStream
 from repro.trace.trace import Trace
 
-# Event priorities at equal timestamps: task completions first (they
-# free cores and resolve barriers), then ready notifications, then
-# master progress.
+# Event kinds, which are also their priorities at equal timestamps:
+# segment completions first (they free cores and resolve barriers), then
+# ready notifications, then master steps.
 _PRIORITY_DONE = 0
 _PRIORITY_READY = 1
 _PRIORITY_MASTER = 2
-
-_KIND_SEGMENT = "segment-done"
-_KIND_READY = "task-ready"
-_KIND_MASTER = "master-step"
 
 
 class _TaskRun:
@@ -132,11 +129,10 @@ def run_engine(
     policy = machine.policy
     policy.reset()
     pool = CorePool(machine.topology)
-    holds_core = config.taskwait_holds_core
 
-    sim = Simulator()
-    queue = sim.queue
-    push = queue.push
+    heap: List[tuple] = []           # (time, priority, sequence, task id, core)
+    heappush = heapq.heappush
+    sequence = itertools.count().__next__
 
     # --- state -------------------------------------------------------------
     master_time = 0.0
@@ -237,8 +233,8 @@ def run_engine(
         for ready_id, ready_time in ready:
             if collect:
                 ready_arr[ready_id if key_of is None else key_of[ready_id]] = ready_time
-            push(ready_time if ready_time > time else time,
-                 _KIND_READY, ready_id, _PRIORITY_READY)
+            heappush(heap, (ready_time if ready_time > time else time,
+                            _PRIORITY_READY, sequence(), ready_id, -1))
         if accept < time:
             raise SimulationError(
                 f"manager {manager.name} accepted task {task_id} in the past")
@@ -285,7 +281,7 @@ def run_engine(
         duration = nominal if speed == 1.0 else nominal / speed
         core_busy_us += duration
         busy_us[core] += duration
-        push(now + duration, _KIND_SEGMENT, (task.task_id, core), _PRIORITY_DONE)
+        heappush(heap, (now + duration, _PRIORITY_DONE, sequence(), task.task_id, core))
 
     def schedule_segment(rec: _TaskRun, key: int, now: float, duration_us: float) -> None:
         nonlocal core_busy_us
@@ -298,7 +294,7 @@ def run_engine(
         real = nominal if speed == 1.0 else nominal / speed
         core_busy_us += real
         busy_us[core] += real
-        push(now + real, _KIND_SEGMENT, (key, core), _PRIORITY_DONE)
+        heappush(heap, (now + real, _PRIORITY_DONE, sequence(), key, core))
 
     def advance_body(rec: _TaskRun, key: int, now: float, send: object) -> None:
         """Drive ``rec``'s body until it computes, suspends, or finishes."""
@@ -321,11 +317,10 @@ def run_engine(
                     send = now
                     continue
                 rec.waiting = True
-                if not holds_core:
-                    core = rec.core
-                    rec.core = -1
-                    release(core)
-                    fill_cores(now)
+                core = rec.core
+                rec.core = -1
+                release(core)
+                fill_cores(now)
                 return
             if isinstance(op, TaskwaitOn):
                 raise SimulationError(
@@ -352,8 +347,8 @@ def run_engine(
         for ready_id, ready_time in manager_finish(task_id, now)[0]:
             if collect:
                 ready_arr[ready_id if key_of is None else key_of[ready_id]] = ready_time
-            push(ready_time if ready_time > now else now,
-                 _KIND_READY, ready_id, _PRIORITY_READY)
+            heappush(heap, (ready_time if ready_time > now else now,
+                            _PRIORITY_READY, sequence(), ready_id, -1))
         if parent_of:
             # Wake the parent when this was its last in-flight child.
             parent_key = parent_of.pop(key, None)
@@ -362,12 +357,7 @@ def run_engine(
                 parent.children -= 1
                 if parent.children == 0 and parent.waiting:
                     parent.waiting = False
-                    if holds_core:
-                        # The parent never released its core: it resumes
-                        # in place, at its child's completion time.
-                        advance_body(parent, parent_key, now, now)
-                    else:
-                        resume_queue.append(parent_key)
+                    resume_queue.append(parent_key)
         if not static:
             del tasks[key]
             del dispatched[key]
@@ -388,7 +378,7 @@ def run_engine(
             else:
                 start_task(next_id if key_of is None else key_of[next_id], now, core)
         if master_blocked is not None and barrier_satisfied(now) and not master_done:
-            push(master_time, _KIND_MASTER, None, _PRIORITY_MASTER)
+            heappush(heap, (master_time, _PRIORITY_MASTER, sequence(), -1, -1))
 
     # --- master ------------------------------------------------------------
     def barrier_satisfied(now: float) -> bool:
@@ -417,9 +407,8 @@ def run_engine(
         step, and event order — and therefore the schedule — is
         unchanged.
         """
-        pending = queue.next_time
-        if pending is not None and pending <= master_time:
-            push(master_time, _KIND_MASTER, None, _PRIORITY_MASTER)
+        if heap and heap[0][0] <= master_time:
+            heappush(heap, (master_time, _PRIORITY_MASTER, sequence(), -1, -1))
             return True
         return False
 
@@ -469,8 +458,8 @@ def run_engine(
                 for ready_id, ready_time in ready:
                     if collect:
                         ready_arr[ready_id if key_of is None else key_of[ready_id]] = ready_time
-                    push(ready_time if ready_time > master_time else master_time,
-                         _KIND_READY, ready_id, _PRIORITY_READY)
+                    heappush(heap, (ready_time if ready_time > master_time else master_time,
+                                    _PRIORITY_READY, sequence(), ready_id, -1))
                 if accept < master_time:
                     raise SimulationError(
                         f"manager {manager.name} accepted task {task.task_id} in the past")
@@ -478,9 +467,8 @@ def run_engine(
                 master_time = accept if accept > resume else resume
                 if event_index >= num_events:
                     break
-                pending = queue.next_time
-                if pending is not None and pending <= master_time:
-                    push(master_time, _KIND_MASTER, None, _PRIORITY_MASTER)
+                if heap and heap[0][0] <= master_time:
+                    heappush(heap, (master_time, _PRIORITY_MASTER, sequence(), -1, -1))
                     return
                 continue  # see yield_to_pending
             if op == OP_WAIT or not supports_taskwait_on:
@@ -590,48 +578,43 @@ def run_engine(
         next_event = next(events, None)
         advance_master = advance_stream
 
-    # --- event handlers ------------------------------------------------------
-    def on_master(sim: Simulator, event) -> None:
-        if master_blocked is None and not master_done:
-            advance_master(event[0])
-
-    def on_ready(sim: Simulator, event) -> None:
-        task_id = event[4]
-        key = task_id if key_of is None else key_of[task_id]
-        if dispatched[key]:
-            raise SimulationError(f"task {task_id} reported ready twice")
-        dispatched[key] = 1
-        if collect:
-            ready_order.append(task_id)
-        now = event[0]
-        if idle_ranks:
-            start_task(key, now, acquire())
-        else:
-            enqueue(task_id, tasks[key], now)
-
-    def on_segment(sim: Simulator, event) -> None:
-        task_id, core = event[4]
-        if runs:
-            rec = runs.get(task_id)
-            if rec is not None:
-                advance_body(rec, task_id, event[0], event[0])
-                return
-        finish_task(task_id, core, event[0])
-
-    sim.on(_KIND_MASTER, on_master)
-    sim.on(_KIND_READY, on_ready)
-    sim.on(_KIND_SEGMENT, on_segment)
-
     # --- main loop ------------------------------------------------------------
     advance_master(0.0)
-    sim.run()
+    heappop = heapq.heappop
+    now = 0.0
+    popped = 0
+    while heap:
+        time, priority, _, task_id, core = heappop(heap)
+        popped += 1
+        if time > now:
+            now = time
+        if priority == _PRIORITY_DONE:
+            if runs:
+                rec = runs.get(task_id)
+                if rec is not None:
+                    advance_body(rec, task_id, time, time)
+                    continue
+            finish_task(task_id, core, time)
+        elif priority == _PRIORITY_READY:
+            key = task_id if key_of is None else key_of[task_id]
+            if dispatched[key]:
+                raise SimulationError(f"task {task_id} reported ready twice")
+            dispatched[key] = 1
+            if collect:
+                ready_order.append(task_id)
+            if idle_ranks:
+                start_task(key, time, acquire())
+            else:
+                enqueue(task_id, tasks[key], time)
+        elif master_blocked is None and not master_done:
+            advance_master(time)
     # Every reference cycle among the nested functions runs through
     # advance_body: break it, so the run's state (the source included)
     # is freed when this call returns, not at the next cyclic collection.
     advance_body = None
-    machine.last_events_processed = sim.processed_events
+    machine.last_events_processed = popped
     machine.last_ready_order = tuple(ready_order)
-    makespan = sim.now if sim.now > master_time else master_time
+    makespan = now if now > master_time else master_time
 
     # --- consistency checks -----------------------------------------------------
     if finished_count != num_tasks or not master_done or master_blocked is not None:
@@ -642,8 +625,6 @@ def run_engine(
             f"finished (master {'done' if master_done else 'stuck'}; "
             f"{len(blocked)} tasks suspended in taskwait: {blocked[:10]}"
             f"{'...' if len(blocked) > 10 else ''})"
-            + (" — taskwait_holds_core=True deadlocks when the spawn tree is "
-               "deeper than the core count" if holds_core and blocked else "")
         )
 
     if validate:

@@ -17,9 +17,9 @@ describes.
 
 The runtime is layered:
 
-* the event loop runs on the shared :class:`repro.sim.engine.Simulator`
-  kernel (one event per submission step, ready notification and task
-  completion, with completions processed first at equal timestamps);
+* the event loop pops its own heap of plain tuples (one event per
+  master step, ready notification and segment completion, with
+  completions processed first at equal timestamps);
 * ready-task dispatch is delegated to a pluggable
   :class:`repro.system.scheduling.SchedulerPolicy` (FIFO by default,
   reproducing the paper's "free worker cores start executing tasks
@@ -93,12 +93,6 @@ class MachineConfig:
     #: :class:`~repro.system.topology.CoreTopology` (must match
     #: ``num_cores``).
     topology: TopologyLike = "homogeneous"
-    #: Dynamic runs only: when true, a task suspended in a task-level
-    #: ``taskwait`` keeps its core blocked until its children drain
-    #: (naive tied-task semantics; deadlocks when the spawn tree is
-    #: deeper than the core count).  The default releases the core at
-    #: the scheduling point, like the OmpSs runtime.
-    taskwait_holds_core: bool = False
 
     def __post_init__(self) -> None:
         check_positive_int("num_cores", self.num_cores)
@@ -312,7 +306,6 @@ def simulate_dynamic(
     keep_schedule: bool = True,
     scheduler: PolicyLike = "fifo",
     topology: TopologyLike = "homogeneous",
-    taskwait_holds_core: bool = False,
     max_in_flight: Optional[int] = None,
 ) -> MachineResult:
     """Convenience wrapper around :meth:`Machine.run_dynamic`.
@@ -339,7 +332,6 @@ def simulate_dynamic(
             keep_schedule=keep_schedule,
             scheduler=scheduler,
             topology=topology,
-            taskwait_holds_core=taskwait_holds_core,
         ),
     )
     return machine.run_dynamic(program, max_in_flight=max_in_flight)

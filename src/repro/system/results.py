@@ -94,14 +94,6 @@ class MachineResult:
         return tuple(min(1.0, busy / self.makespan_us) for busy in self.per_core_busy_us)
 
     @property
-    def core_utilization_imbalance(self) -> float:
-        """Max minus min per-core utilisation (0.0 = perfectly balanced)."""
-        utilisation = self.per_core_utilization
-        if not utilisation:
-            return 0.0
-        return max(utilisation) - min(utilisation)
-
-    @property
     def mean_ready_latency_us(self) -> float:
         """Mean time between a task's submission and its ready notification."""
         if not self.ready_times:

@@ -290,10 +290,6 @@ class CorePool:
     def idle_count(self) -> int:
         return len(self.idle_ranks)
 
-    @property
-    def busy_count(self) -> int:
-        return len(self.speeds) - len(self.idle_ranks)
-
     # -- allocation ---------------------------------------------------------
     def acquire(self) -> int:
         """Claim and return the fastest idle core id."""

@@ -62,12 +62,6 @@ class DependencyGraph:
     def num_edges(self) -> int:
         return sum(len(s) for s in self.successors.values())
 
-    def in_degree(self, task_id: int) -> int:
-        return len(self.predecessors[task_id])
-
-    def out_degree(self, task_id: int) -> int:
-        return len(self.successors[task_id])
-
     def roots(self) -> List[int]:
         """Tasks with no predecessors (ready as soon as submitted)."""
         return [t for t in self.submission_order if not self.predecessors[t]]

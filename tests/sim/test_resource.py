@@ -1,9 +1,9 @@
-"""Tests for SerialResource and MultiResource."""
+"""Tests for SerialResource."""
 
 import pytest
 
-from repro.common.errors import ConfigurationError, SimulationError
-from repro.sim.resource import MultiResource, SerialResource
+from repro.common.errors import SimulationError
+from repro.sim.resource import SerialResource
 
 
 class TestSerialResource:
@@ -38,12 +38,6 @@ class TestSerialResource:
         with pytest.raises(SimulationError):
             SerialResource("unit").reserve(-1.0, 1.0)
 
-    def test_peek_start_does_not_reserve(self):
-        r = SerialResource("unit")
-        r.reserve(0.0, 5.0)
-        assert r.peek_start(1.0) == pytest.approx(5.0)
-        assert r.next_free == pytest.approx(5.0)
-
     def test_stats_accumulate(self):
         r = SerialResource("unit")
         r.reserve(0.0, 2.0)
@@ -51,61 +45,12 @@ class TestSerialResource:
         assert r.stats.reservations == 2
         assert r.stats.busy_time == pytest.approx(4.0)
         assert r.stats.total_wait == pytest.approx(2.0)
-        assert r.stats.mean_service_time == pytest.approx(2.0)
         assert r.stats.mean_wait == pytest.approx(1.0)
-
-    def test_utilization(self):
-        r = SerialResource("unit")
-        r.reserve(0.0, 5.0)
-        assert r.stats.utilization(10.0) == pytest.approx(0.5)
-        assert r.stats.utilization(0.0) == 0.0
 
     def test_reset(self):
         r = SerialResource("unit")
         r.reserve(0.0, 5.0)
         r.reset()
-        assert r.next_free == 0.0
         assert r.stats.reservations == 0
+        assert r.reserve(1.0, 1.0) == (1.0, 2.0)
 
-
-class TestMultiResource:
-    def test_parallel_servers(self):
-        pool = MultiResource("cores", 2)
-        s1, e1, i1 = pool.reserve(0.0, 10.0)
-        s2, e2, i2 = pool.reserve(0.0, 10.0)
-        assert s1 == s2 == 0.0
-        assert i1 != i2
-
-    def test_third_reservation_waits_for_first_free(self):
-        pool = MultiResource("cores", 2)
-        pool.reserve(0.0, 10.0)
-        pool.reserve(0.0, 4.0)
-        start, end, _ = pool.reserve(0.0, 1.0)
-        assert start == pytest.approx(4.0)
-        assert end == pytest.approx(5.0)
-
-    def test_earliest_available(self):
-        pool = MultiResource("cores", 2)
-        pool.reserve(0.0, 10.0)
-        assert pool.earliest_available() == 0.0
-        pool.reserve(0.0, 6.0)
-        assert pool.earliest_available() == pytest.approx(6.0)
-
-    def test_invalid_count(self):
-        with pytest.raises(ConfigurationError):
-            MultiResource("cores", 0)
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(SimulationError):
-            MultiResource("cores", 1).reserve(0.0, -1.0)
-
-    def test_utilization(self):
-        pool = MultiResource("cores", 2)
-        pool.reserve(0.0, 10.0)
-        assert pool.utilization(10.0) == pytest.approx(0.5)
-
-    def test_reset(self):
-        pool = MultiResource("cores", 2)
-        pool.reserve(0.0, 10.0)
-        pool.reset()
-        assert pool.earliest_available() == 0.0

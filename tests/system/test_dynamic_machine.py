@@ -171,21 +171,6 @@ class TestCoreSemantics:
                                   num_cores=1, validate=True)
         assert result.num_tasks == fib_program(7, seed=1).metadata["num_tasks"]
 
-    def test_taskwait_holds_core_deadlocks_and_reports(self):
-        program = fib_program(7, seed=1)
-        with pytest.raises(SimulationError, match="taskwait_holds_core"):
-            simulate_dynamic(program, IdealManager(), num_cores=2,
-                             taskwait_holds_core=True)
-
-    def test_taskwait_holds_core_succeeds_with_enough_cores(self):
-        program = fib_program(4, seed=1)
-        held = simulate_dynamic(program, IdealManager(), num_cores=32,
-                                taskwait_holds_core=True, validate=True)
-        released = simulate_dynamic(program, IdealManager(), num_cores=32,
-                                    validate=True)
-        # With cores to spare the two policies schedule identically.
-        assert held.makespan_us == released.makespan_us
-
     def test_resuming_parent_outranks_queued_ready_tasks(self):
         """On the single free core, a drained parent resumes before new work."""
         def parent_body():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.managers.ideal import IdealManager
+from repro.managers.nanos import NanosConfig, NanosManager
 from repro.nexus.nexuspp import NexusPlusPlusManager
 from repro.nexus.nexussharp import NexusSharpConfig, NexusSharpManager
 from repro.system.machine import Machine, MachineConfig, simulate
@@ -363,3 +364,45 @@ class TestDeterminism:
         first = simulate(random_dag_trace, manager_a, 8)
         second = simulate(random_dag_trace, manager_b, 8)
         assert first.makespan_us == pytest.approx(second.makespan_us)
+
+
+class TestEqualTimestampOrder:
+    def test_completion_then_ready_then_master_then_push_order(self):
+        """Events at one timestamp pop in that order, on both replay paths.
+
+        Nanos with only its 1 µs insert and finish lock costs, so the
+        order of lock reservations shows in the ready times, on 3 cores:
+
+        * t=4: t0's completion reserves the lock before the master step
+          submitting t3, so t1/t2 are ready at 5 and t3 at 6 (not 6 and 5);
+        * t=5: t1's ready was pushed before t2's, so t1 takes core 0;
+        * t=6: t3's ready runs the zero-length t3, whose completion
+          reserves the lock before the master step submitting t4, so t4
+          is ready at 8 (not 7);
+        * t=8: t2's completion frees core 1 before t4's ready picks the
+          lowest idle core, so t4 runs on core 1 (not core 2).
+        """
+        builder = TraceBuilder("equal-timestamps")
+        builder.add_task("t0", 3.0, outputs=[0x00], creation_overhead_us=2.0)
+        builder.add_task("t1", 5.0, inputs=[0x00], outputs=[0x40])
+        builder.add_task("t2", 3.0, inputs=[0x00], outputs=[0x80], creation_overhead_us=1.0)
+        builder.add_task("t3", 0.0, outputs=[0xC0])
+        builder.add_task("t4", 5.0, outputs=[0x100], creation_overhead_us=1.0)
+        trace = builder.build()
+        costs = NanosConfig(task_creation_us=0.0, creation_per_param_us=0.0,
+                            insert_lock_us=1.0, insert_lock_per_param_us=0.0,
+                            finish_lock_us=1.0, wakeup_per_task_us=0.0,
+                            worker_dispatch_us=0.0)
+        machine = Machine(NanosManager(costs), MachineConfig(num_cores=3, validate=True))
+        scalar = machine.run_scalar(trace)
+        scalar_events = machine.last_events_processed
+        kernel = machine.run(trace)  # the kernel covers Nanos under FIFO
+        assert kernel == scalar
+        assert machine.last_events_processed == scalar_events == 13
+        #            (submit, ready, start, finish, core) per task
+        expected = {0: (0.0, 1.0, 1.0, 4.0, 0), 1: (2.0, 5.0, 5.0, 10.0, 0),
+                    2: (3.0, 5.0, 5.0, 8.0, 1), 3: (4.0, 6.0, 6.0, 6.0, 2),
+                    4: (6.0, 8.0, 8.0, 13.0, 1)}
+        assert {task: (scalar.submit_times[task], scalar.ready_times[task],
+                       scalar.start_times[task], scalar.finish_times[task],
+                       scalar.task_cores[task]) for task in expected} == expected
