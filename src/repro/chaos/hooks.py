@@ -18,7 +18,7 @@ consulted once per cell *before* execution:
 
 :class:`ServeChaos` is the serving-side hook: a deterministic engine
 exception on the Kth admitted request, exercising the batcher's
-failure path (shared fate of a batch, circuit breaking, client retry).
+failure path (shared fate of a batch, client retry).
 """
 
 from __future__ import annotations

@@ -45,6 +45,16 @@ from repro.resilience.quarantine import WorkerQuarantine
 #: Main-loop tick: heartbeat checks and liveness checks run this often.
 _TICK_SECONDS = 0.05
 
+#: Budget of local worker *re*-spawns across one whole sweep: a dead local
+#: process is relaunched under its original identity while budget remains,
+#: so transient worker crashes do not sink the sweep.
+MAX_RESPAWNS = 8
+
+#: Straggler threshold (seconds): a worker holding cells but silent on the
+#: result channel this long gets its head-of-line cells speculatively
+#: duplicated onto an idle worker (first result wins).
+SPECULATE_AFTER_S = 2.0
+
 
 class HeartbeatMonitor:
     """Last-seen ledger with an expiry rule (injectable clock for tests).
@@ -128,9 +138,6 @@ class SweepScheduler:
         Injectable monotonic clock (tests drive expiry with a fake one).
     timeout:
         Overall wall-clock bound on :meth:`run`; ``None`` waits forever.
-    on_result:
-        Optional ``(grid_index, document) -> None`` progress hook,
-        called once per newly finished cell.
     chaos:
         Optional :class:`~repro.chaos.plan.FaultPlan`.  Shipped to every
         worker in its ``setup`` frame (with a per-connection epoch so a
@@ -142,20 +149,13 @@ class SweepScheduler:
         Cells it already holds are pre-completed (their documents
         replayed) and never dispatched; every fresh result is appended,
         so a scheduler killed mid-sweep resumes instead of restarting.
-    quarantine:
-        Death ledger distinguishing bad workers from poisoned cells
-        (default: 5 deaths across ≥2 distinct cells).  A quarantined
-        identity is refused at handshake and never respawned.
-    max_respawns:
-        Budget of local worker *re*-spawns across the whole sweep (dead
-        local processes are relaunched under their original identity
-        while budget remains, so transient worker crashes do not sink
-        the sweep).
-    speculate_after:
-        Straggler threshold in seconds: a worker holding cells but
-        silent on the result channel this long gets its head-of-line
-        cells speculatively duplicated onto an idle worker (first
-        result wins); ``None`` disables speculation.
+
+    Every scheduler keeps a :class:`~repro.resilience.quarantine.
+    WorkerQuarantine` death ledger (``quarantine``; 5 deaths across ≥2
+    distinct cells) that tells bad workers from poisoned cells: a
+    quarantined identity is refused at handshake and never respawned.
+    Respawns are budgeted by :data:`MAX_RESPAWNS` and stragglers are
+    speculated after :data:`SPECULATE_AFTER_S`.
     """
 
     def __init__(
@@ -175,12 +175,8 @@ class SweepScheduler:
         heartbeat_timeout: float = 5.0,
         clock: Callable[[], float] = time.monotonic,
         timeout: Optional[float] = None,
-        on_result: Optional[Callable[[int, Dict[str, Any]], None]] = None,
         chaos: Optional[Any] = None,
         journal: Optional[FrontierJournal] = None,
-        quarantine: Optional[WorkerQuarantine] = None,
-        max_respawns: int = 8,
-        speculate_after: Optional[float] = 2.0,
     ) -> None:
         if workers < 0 or external_workers < 0:
             raise SimulationError("worker counts must be >= 0")
@@ -197,7 +193,6 @@ class SweepScheduler:
         self.cache_dir = cache_dir
         self.heartbeat_interval = min(heartbeat_interval, heartbeat_timeout / 4)
         self.timeout = timeout
-        self.on_result = on_result
         self.monitor = HeartbeatMonitor(heartbeat_timeout, clock)
         self._clock = clock
         if chunk_size is None:
@@ -211,11 +206,7 @@ class SweepScheduler:
 
         self.chaos = chaos
         self.journal = journal
-        self.quarantine = quarantine or WorkerQuarantine()
-        if max_respawns < 0:
-            raise SimulationError(f"max_respawns must be >= 0, got {max_respawns}")
-        self.max_respawns = max_respawns
-        self.speculate_after = speculate_after
+        self.quarantine = WorkerQuarantine()
         self.respawns = 0
         self.speculations = 0
         #: Operator-facing fault timeline: quarantines, respawns,
@@ -570,8 +561,6 @@ class SweepScheduler:
                     self.journal.record(cell, doc)
             done = self.frontier.is_done
             self._progress.notify_all()
-        if fresh and self.on_result is not None:
-            self.on_result(cell, doc)
         if done:
             self._done.set()
 
@@ -590,7 +579,7 @@ class SweepScheduler:
         """Relaunch dead local workers under their original identity.
 
         A transient crash (chaos, OOM, a flaky host) costs one unit of
-        the sweep-wide ``max_respawns`` budget instead of a worker slot
+        the sweep-wide :data:`MAX_RESPAWNS` budget instead of a worker slot
         for the rest of the sweep; quarantined identities stay dead.
         """
         if self._stopping or self.frontier.is_done:
@@ -600,7 +589,7 @@ class SweepScheduler:
                 continue
             if self.quarantine.is_quarantined(worker_id):
                 continue
-            if self.respawns >= self.max_respawns:
+            if self.respawns >= MAX_RESPAWNS:
                 return
             with self._lock:
                 if worker_id in self._conns:
@@ -625,8 +614,6 @@ class SweepScheduler:
           duplicated onto an idle worker; first result wins and
           :meth:`SweepFrontier.complete` discards the loser.
         """
-        if self.speculate_after is None:
-            return
         now = self._clock()
         dispatches: List[Tuple[_Connection, List[int]]] = []
         with self._progress:
@@ -635,7 +622,7 @@ class SweepScheduler:
             idle = [w for w in sorted(self._idle) if w in self._conns]
             for victim in self.frontier.workers_with_assignments():
                 last = self._worker_activity.get(victim)
-                if last is None or now - last <= self.speculate_after:
+                if last is None or now - last <= SPECULATE_AFTER_S:
                     continue
                 if victim in self._idle and victim in self._conns:
                     thief = victim
@@ -671,7 +658,7 @@ class SweepScheduler:
         if not self.processes:
             return
         alive = any(process.poll() is None for process in self.processes)
-        can_respawn = (self.respawns < self.max_respawns and any(
+        can_respawn = (self.respawns < MAX_RESPAWNS and any(
             not self.quarantine.is_quarantined(w) for w in self._local_procs))
         with self._lock:
             connected = bool(self._conns)

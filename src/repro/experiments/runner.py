@@ -48,10 +48,6 @@ def install_workload_table(workloads: List[WorkloadSpec]) -> None:
     _WORKER_WORKLOADS = workloads
 
 
-#: Backwards-compatible multiprocessing initializer name.
-_init_worker = install_workload_table
-
-
 def resolve_job(job: Tuple[int, RunPoint, Optional[int]]) -> Tuple[int, RunPoint]:
     """Rehydrate an interned job into its ``(index, point)`` pair.
 
@@ -72,10 +68,6 @@ def run_job(job: Tuple[int, RunPoint, Optional[int]]) -> Tuple[int, Dict[str, An
     """
     index, point = resolve_job(job)
     return index, result_to_json(point.run())
-
-
-#: Backwards-compatible multiprocessing job-function name.
-_run_point_job = run_job
 
 
 def intern_jobs(
@@ -421,8 +413,8 @@ class SweepRunner:
         jobs, table = intern_jobs(pending)
         context = _pick_context()
         processes = min(self.n_jobs, len(pending))
-        with context.Pool(processes=processes, initializer=_init_worker, initargs=(table,)) as pool:
-            return list(pool.imap_unordered(_run_point_job, jobs, chunksize=1))
+        with context.Pool(processes=processes, initializer=install_workload_table, initargs=(table,)) as pool:
+            return list(pool.imap_unordered(run_job, jobs, chunksize=1))
 
     def _execute_sockets(
         self, pending: List[Tuple[int, RunPoint]]

@@ -26,20 +26,8 @@ computation, which might eventually make it a bottleneck").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
-
 from repro.common.errors import SimulationError
 from repro.sim.resource import SerialResource
-
-
-@dataclass
-class _PendingGather:
-    """Partial gather state of one in-flight new task."""
-
-    expected_results: int
-    collected_results: int = 0
-    last_result_time_us: float = 0.0
 
 
 class DependenceCountsArbiter:
@@ -49,58 +37,19 @@ class DependenceCountsArbiter:
         if cycle_us <= 0:
             raise SimulationError(f"cycle time must be positive, got {cycle_us}")
         self._resource = SerialResource("dependence-counts-arbiter")
-        self._cycles_per_result = cycles_per_result
-        self._conclude_cycles = conclude_cycles
-        self._decrement_cycles = decrement_cycles
-        self._cycle_us = cycle_us
-        # Precomputed per-operation occupancies (µs): the batch paths run
-        # pure float arithmetic instead of one reserve() call per result.
+        # Per-operation occupancies (µs): both paths run pure float
+        # arithmetic instead of one reserve() call per result.
         self._result_us = cycles_per_result * cycle_us
         self._conclude_us = conclude_cycles * cycle_us
         self._decrement_us = decrement_cycles * cycle_us
-        self._pending: Dict[int, _PendingGather] = {}
-        self.tasks_concluded = 0
-        self.decrements_processed = 0
 
-    # -- new-task gather -------------------------------------------------------
-    def begin_task(self, task_id: int, expected_results: int) -> None:
-        """Start tracking the gather of a newly inserted task."""
-        if task_id in self._pending:
-            raise SimulationError(f"arbiter already tracking task {task_id}")
-        if expected_results <= 0:
-            raise SimulationError(f"task {task_id} must expect at least one result, got {expected_results}")
-        self._pending[task_id] = _PendingGather(expected_results=expected_results)
-
-    def collect_result(self, task_id: int, result_ready_us: float) -> Optional[float]:
-        """Collect one per-parameter result available at ``result_ready_us``.
-
-        Returns ``None`` while results are still outstanding; when the last
-        result is collected, returns the time at which the arbiter
-        concluded the task's final dependence count.
-        """
-        pending = self._pending.get(task_id)
-        if pending is None:
-            raise SimulationError(f"arbiter received a result for unknown task {task_id}")
-        _, end = self._resource.reserve(result_ready_us, self._cycles_per_result * self._cycle_us)
-        pending.collected_results += 1
-        pending.last_result_time_us = end
-        if pending.collected_results < pending.expected_results:
-            return None
-        # Last result: conclude the final dependence count.
-        _, conclude_end = self._resource.reserve(end, self._conclude_cycles * self._cycle_us)
-        del self._pending[task_id]
-        self.tasks_concluded += 1
-        return conclude_end
-
-    # -- batch interfaces (one call per task / per access) ---------------------
     def gather(self, result_times_sorted) -> float:
         """Gather a whole task's per-task-graph results in one call.
 
         ``result_times_sorted`` are the per-parameter result-ready times
-        in non-decreasing order.  Equivalent to ``begin_task`` followed by
-        one :meth:`collect_result` per time — same serial-resource
-        arithmetic, same returned conclude time — but without the pending
-        bookkeeping and per-result reserve calls.
+        in non-decreasing order.  Each result occupies the arbiter for
+        ``cycles_per_result`` cycles, in order; the final dependence count
+        is concluded right after the last one.  Returns the conclude time.
         """
         resource = self._resource
         stats = resource.stats
@@ -118,16 +67,13 @@ class DependenceCountsArbiter:
         next_free += self._conclude_us
         stats.busy_time += self._conclude_us
         stats.reservations += count + 1
-        stats.last_busy_until = next_free
         resource._next_free = next_free
-        self.tasks_concluded += 1
         return next_free
 
     def decrement_many(self, ready_us: float, count: int) -> list:
         """Process ``count`` back-to-back decrements available at ``ready_us``.
 
-        Returns the per-decrement completion times, in order — identical
-        to ``count`` sequential :meth:`decrement` calls.
+        Returns the per-decrement completion times, in order.
         """
         resource = self._resource
         stats = resource.stats
@@ -142,23 +88,8 @@ class DependenceCountsArbiter:
             stats.total_wait += start - ready_us
             append(next_free)
         stats.reservations += count
-        stats.last_busy_until = next_free
         resource._next_free = next_free
-        self.decrements_processed += count
         return ends
-
-    # -- finished-task decrements -------------------------------------------------
-    def decrement(self, ready_us: float) -> float:
-        """Process one dependence-count decrement; return its completion time."""
-        _, end = self._resource.reserve(ready_us, self._decrement_cycles * self._cycle_us)
-        self.decrements_processed += 1
-        return end
-
-    # -- misc -------------------------------------------------------------------
-    @property
-    def pending_tasks(self) -> int:
-        """Number of tasks whose gather is still incomplete."""
-        return len(self._pending)
 
     @property
     def busy_time_us(self) -> float:
@@ -166,6 +97,3 @@ class DependenceCountsArbiter:
 
     def reset(self) -> None:
         self._resource.reset()
-        self._pending.clear()
-        self.tasks_concluded = 0
-        self.decrements_processed = 0

@@ -165,7 +165,6 @@ class NexusPlusPlusManager(TaskManagerModel):
         stats.reservations += 1
         stats.busy_time += duration
         stats.total_wait += start - time_us
-        stats.last_busy_until = input_end
 
         # Stage 2: Insert into the single task graph (whole task at once).
         insert_available = input_end + self._fifo_us
@@ -183,7 +182,6 @@ class NexusPlusPlusManager(TaskManagerModel):
         stats.reservations += 1
         stats.busy_time += duration
         stats.total_wait += start - insert_available
-        stats.last_busy_until = insert_end
 
         # The host regains the bus as soon as the Input Parser consumed the
         # descriptor; the deeper pipeline stages overlap with the next task.
@@ -200,7 +198,6 @@ class NexusPlusPlusManager(TaskManagerModel):
         stats.reservations += 1
         stats.busy_time += self._writeback_us
         stats.total_wait += start - wb_available
-        stats.last_busy_until = wb_end
         self._ready_latency_total_us += wb_end - time_us
         self._ready_count += 1
         return SubmitOutcome(input_end, ((task.task_id, wb_end),))
@@ -225,7 +222,6 @@ class NexusPlusPlusManager(TaskManagerModel):
         stats.reservations += 1
         stats.busy_time += duration
         stats.total_wait += start - time_us
-        stats.last_busy_until = notify_end
 
         # Cleanup of the single task graph: delete the task's entries and
         # walk the kick-off lists of its addresses.
@@ -242,7 +238,6 @@ class NexusPlusPlusManager(TaskManagerModel):
         stats.reservations += 1
         stats.busy_time += duration
         stats.total_wait += start - cleanup_available
-        stats.last_busy_until = cleanup_end
 
         if not newly_ready:
             return FinishOutcome((), cleanup_end)
@@ -263,7 +258,6 @@ class NexusPlusPlusManager(TaskManagerModel):
             self._ready_latency_total_us += next_free - time_us
             ready.append((ready_task, next_free))
         write_back._next_free = next_free
-        stats.last_busy_until = next_free
         self._ready_count += len(newly_ready)
         return FinishOutcome(tuple(ready), cleanup_end)
 

@@ -214,7 +214,6 @@ class NexusSharpManager(TaskManagerModel):
         parser_stats.reservations += 1
         parser_stats.busy_time += duration
         parser_stats.total_wait += ip_start - time_us
-        parser_stats.last_busy_until = ip_end
 
         if not num_accesses:
             # A task with an empty parameter list is trivially ready; it
@@ -267,7 +266,6 @@ class NexusSharpManager(TaskManagerModel):
         wb_stats.reservations += 1
         wb_stats.busy_time += self._writeback_us
         wb_stats.total_wait += start - wb_available
-        wb_stats.last_busy_until = wb_end
         self._ready_latency_total_us += wb_end - time_us
         self._ready_count += 1
         return SubmitOutcome(ip_end, ((task.task_id, wb_end),))
@@ -293,7 +291,6 @@ class NexusSharpManager(TaskManagerModel):
         parser_stats.reservations += 1
         parser_stats.busy_time += duration
         parser_stats.total_wait += fp_start - time_us
-        parser_stats.last_busy_until = fp_end
 
         # Each owning task graph updates its entry and emits the kicked-off
         # waiters; the arbiter then decrements their dependence counts.
@@ -348,7 +345,6 @@ class NexusSharpManager(TaskManagerModel):
             self._ready_latency_total_us += next_free - time_us
             ready.append((ready_task, next_free))
         write_back._next_free = next_free
-        wb_stats.last_busy_until = next_free
         self._ready_count += len(newly_ready)
         return FinishOutcome(tuple(ready), fp_end)
 

@@ -1,15 +1,12 @@
 """Unified resilience policies for the fleet.
 
 One small toolbox shared by every layer that talks to something that can
-fail — the serving client, the socket workers, the batcher's fabric
-backend and the sweep scheduler:
+fail — the serving client, the socket workers and the sweep scheduler:
 
 * :class:`~repro.resilience.retry.RetryPolicy` — exponential backoff
   with **deterministic** jitter and a total deadline budget, plus the
   :func:`~repro.resilience.retry.call_with_retry` driver that honours
   server-suggested delays (``Retry-After``);
-* :class:`~repro.resilience.circuit.CircuitBreaker` — consecutive-
-  failure trip to a fallback path with a half-open probe after cooldown;
 * :class:`~repro.resilience.journal.FrontierJournal` — the append-only
   completions log that lets a SIGKILLed sweep scheduler resume from
   where it died instead of from zero;
@@ -21,13 +18,11 @@ backend and the sweep scheduler:
 Semantics are documented in ``docs/resilience.md``.
 """
 
-from repro.resilience.circuit import CircuitBreaker
 from repro.resilience.journal import FrontierJournal
 from repro.resilience.quarantine import WorkerQuarantine
 from repro.resilience.retry import RetryBudgetExhausted, RetryPolicy, call_with_retry
 
 __all__ = [
-    "CircuitBreaker",
     "FrontierJournal",
     "RetryBudgetExhausted",
     "RetryPolicy",

@@ -98,6 +98,9 @@ class Request:
         return document
 
 
+#: Decodes the first JSON value of a ``/v1/traces`` body (no NaN/±Infinity).
+_TRACE_DECODER = json.JSONDecoder(parse_constant=_reject_non_finite)
+
 _TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false"}
 
 
@@ -135,9 +138,6 @@ class ServeConfig:
     max_pending: int = 256
     #: Simulation threads (overlap simulation with request I/O).
     executor_threads: int = 2
-    #: > 0 routes large blocks through the distributed sweep fabric.
-    fabric_workers: int = 0
-    fabric_min_cells: Optional[int] = None
     #: Reject request bodies (after de-chunking) larger than this.
     max_body_bytes: int = 64 * 1024 * 1024
     #: Uploaded traces kept in memory (LRU beyond this).
@@ -283,8 +283,6 @@ class Server:
             batch_window=config.batch_window,
             max_pending=config.max_pending,
             executor_threads=config.executor_threads,
-            fabric_workers=config.fabric_workers,
-            fabric_min_cells=config.fabric_min_cells,
             chaos=plan,
         )
         await self.batcher.start()
@@ -421,7 +419,6 @@ class Server:
             "service_rate_cells_per_s": admission.service_rate,
             "traces_registered": len(self.traces),
             "streams_aborted": self.streams_aborted,
-            "breaker": self.batcher.breaker.to_json(),
         })
         return doc
 
@@ -432,20 +429,24 @@ class Server:
             raise HttpError(400, f"trace body is not UTF-8: {exc}") from exc
         if not text.strip():
             raise HttpError(400, "empty trace body")
-        first_line = text.split("\n", 1)[0]
+        # The first JSON value decides the format, wherever it ends: a
+        # ``trace-stream`` header starts a chunked-JSONL stream, anything
+        # else must be the whole body, a (possibly pretty-printed) document.
+        body = text.lstrip()
         try:
-            head = json.loads(first_line, parse_constant=_reject_non_finite)
-            streamed = isinstance(head, dict) and head.get("kind") == "trace-stream"
-            if not streamed:
-                document = json.loads(text, parse_constant=_reject_non_finite)
+            head, end = _TRACE_DECODER.raw_decode(body)
         except json.JSONDecodeError as exc:
             raise HttpError(400, f"trace body is not JSON: {exc}") from exc
-        if streamed:
-            trace = trace_from_stream_text(text, source="<upload>")
+        if isinstance(head, dict) and head.get("kind") == "trace-stream":
+            trace = trace_from_stream_text(body, source="<upload>")
         else:
-            if not isinstance(document, dict):
+            if body[end:].strip():
+                raise HttpError(400, "trace document has data after its first JSON "
+                                     "value (a stream starts with a "
+                                     "'trace-stream' header line)")
+            if not isinstance(head, dict):
                 raise HttpError(400, "trace document must be a JSON object")
-            trace = trace_from_json(document)
+            trace = trace_from_json(head)
         trace_id = trace_digest(trace)
         if trace_id not in self.traces:
             self.traces[trace_id] = WorkloadSpec.of(trace)

@@ -20,9 +20,7 @@ the single funnel they all pass through:
    to :data:`BLOCK_CELLS` and run on a thread-pool executor through
    :func:`repro.experiments.runner.execute_lane_block` (each cell's
    :meth:`Machine.run <repro.system.machine.Machine.run>` picks the fast
-   kernel itself).  With ``fabric_workers`` > 0, large blocks are fanned
-   out over the distributed sweep fabric
-   (:class:`~repro.distributed.scheduler.SweepScheduler`) instead.
+   kernel itself).
 
 All bookkeeping runs on the server's event loop (no locks); only the
 simulation blocks run on executor threads.
@@ -38,9 +36,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.cache import ResultCache
-from repro.experiments.runner import execute_lane_block, intern_jobs
+from repro.experiments.runner import execute_lane_block
 from repro.experiments.spec import RunPoint
-from repro.resilience.circuit import CircuitBreaker
 from repro.serve.admission import AdmissionController, Saturated
 
 __all__ = ["BLOCK_CELLS", "Batcher", "BatcherStats", "Saturated", "execute_block"]
@@ -49,30 +46,13 @@ __all__ = ["BLOCK_CELLS", "Batcher", "BatcherStats", "Saturated", "execute_block
 #: to ``batch_window`` to fill the block.
 BLOCK_CELLS = 8
 
+#: Result documents the in-memory memo keeps (least recently used beyond).
+MEMO_ENTRIES = 4096
+
 
 def execute_block(block: List[Tuple[int, RunPoint]]) -> List[Tuple[int, Dict[str, Any]]]:
     """Run one block of grid cells on this executor thread."""
     return execute_lane_block(block)
-
-
-def execute_block_fabric(
-    block: List[Tuple[int, RunPoint]],
-    *,
-    workers: int,
-    cache_dir: Optional[str],
-) -> List[Tuple[int, Dict[str, Any]]]:
-    """Fan one block out over the distributed sweep fabric.
-
-    Spawns ``workers`` local socket workers for the duration of the
-    block (the fabric's own locality chunking, stealing and heartbeat
-    recovery apply), so a serving deployment with attached workers keeps
-    the event loop free of simulation work entirely.
-    """
-    from repro.distributed.scheduler import SweepScheduler
-
-    jobs, table = intern_jobs(block)
-    scheduler = SweepScheduler(jobs, table, workers=workers, cache_dir=cache_dir)
-    return scheduler.run()
 
 
 @dataclass
@@ -87,9 +67,6 @@ class BatcherStats:
     rejected: int = 0
     blocks: int = 0
     errors: int = 0
-    fabric_blocks: int = 0
-    fabric_failures: int = 0
-    fabric_fallbacks: int = 0
     started_at: float = field(default_factory=time.time)
 
     def to_json(self) -> Dict[str, Any]:
@@ -102,9 +79,6 @@ class BatcherStats:
             "rejected": self.rejected,
             "blocks": self.blocks,
             "errors": self.errors,
-            "fabric_blocks": self.fabric_blocks,
-            "fabric_failures": self.fabric_failures,
-            "fabric_fallbacks": self.fabric_fallbacks,
             "uptime_s": round(time.time() - self.started_at, 3),
         }
 
@@ -138,18 +112,7 @@ class Batcher:
         Bounded-queue depth handed to the :class:`AdmissionController`.
     executor_threads:
         Simulation threads.  Simulations are pure Python (GIL-bound), so
-        this mainly overlaps simulation with request I/O; real scale-out
-        comes from ``fabric_workers``.
-    fabric_workers / fabric_min_cells:
-        With ``fabric_workers`` > 0, blocks of at least
-        ``fabric_min_cells`` cells run on the distributed sweep fabric
-        (worker processes spawned per block) instead of in-process.
-        The fabric path sits behind a
-        :class:`~repro.resilience.circuit.CircuitBreaker`: consecutive
-        fabric failures trip it open and blocks run on the local
-        executor until a cooled-down probe succeeds — and a block whose
-        fabric attempt fails is re-run locally *right away*, so a
-        broken fabric degrades throughput, never correctness.
+        this overlaps simulation with request I/O.
     chaos:
         Optional :class:`~repro.chaos.hooks.ServeChaos` (or a
         :class:`~repro.chaos.plan.FaultPlan` to wrap in one):
@@ -164,29 +127,19 @@ class Batcher:
         batch_window: float = 0.002,
         max_pending: int = 256,
         executor_threads: int = 2,
-        fabric_workers: int = 0,
-        fabric_min_cells: Optional[int] = None,
-        memo_entries: int = 4096,
-        breaker: Optional[CircuitBreaker] = None,
         chaos: Optional[Any] = None,
     ) -> None:
         self.cache = cache
         self.batch_window = batch_window
         self.admission = AdmissionController(max_pending)
         self.stats = BatcherStats()
-        self.breaker = breaker or CircuitBreaker(failure_threshold=3, cooldown=10.0)
         if chaos is not None and not hasattr(chaos, "maybe_fail"):
             from repro.chaos.hooks import ServeChaos
 
             chaos = ServeChaos(chaos)
         self.chaos = chaos
-        self.fabric_workers = fabric_workers
-        if fabric_min_cells is None:
-            fabric_min_cells = max(2, 2 * fabric_workers)
-        self.fabric_min_cells = fabric_min_cells
         self._executor = ThreadPoolExecutor(
             max_workers=executor_threads, thread_name_prefix="serve-sim")
-        self.memo_entries = memo_entries
         self._memo: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self._queue: deque[_Pending] = deque()
         self._inflight: Dict[str, asyncio.Future] = {}
@@ -241,7 +194,7 @@ class Batcher:
     def _remember(self, key: str, document: Dict[str, Any]) -> None:
         self._memo[key] = document
         self._memo.move_to_end(key)
-        while len(self._memo) > self.memo_entries:
+        while len(self._memo) > MEMO_ENTRIES:
             self._memo.popitem(last=False)
 
     def submit_many(self, points: List[RunPoint]) -> List["asyncio.Future[Dict[str, Any]]"]:
@@ -334,30 +287,8 @@ class Batcher:
         loop = asyncio.get_running_loop()
         indexed = list(enumerate(pending.point for pending in block))
         started = time.monotonic()
-        use_fabric = (self.fabric_workers > 0
-                      and len(block) >= self.fabric_min_cells)
         try:
-            pairs = None
-            if use_fabric and self.breaker.allow():
-                cache_dir = str(self.cache.root) if self.cache is not None else None
-                try:
-                    pairs = await loop.run_in_executor(
-                        self._executor, lambda: execute_block_fabric(
-                            indexed, workers=self.fabric_workers, cache_dir=cache_dir))
-                    self.breaker.record_success()
-                    self.stats.fabric_blocks += 1
-                except Exception:
-                    # The fabric is the *optimisation*; the local
-                    # executor is the truth.  Fail the breaker, run the
-                    # same block locally, and only a local failure can
-                    # fail the requests.
-                    self.breaker.record_failure()
-                    self.stats.fabric_failures += 1
-            elif use_fabric:
-                self.stats.fabric_fallbacks += 1  # breaker open: skip straight to local
-            if pairs is None:
-                pairs = await loop.run_in_executor(
-                    self._executor, execute_block, indexed)
+            pairs = await loop.run_in_executor(self._executor, execute_block, indexed)
         except Exception as exc:
             self.stats.errors += len(block)
             self.admission.release(len(block), time.monotonic() - started)

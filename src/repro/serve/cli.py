@@ -61,9 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               "429 + Retry-After (default 256)")
     p_serve.add_argument("--executor-threads", type=int, default=2,
                          help="simulation threads (default 2)")
-    p_serve.add_argument("--fabric-workers", type=int, default=0,
-                         help="> 0: run large blocks on the distributed "
-                              "sweep fabric with this many local workers")
 
     p_sweep = sub.add_parser(
         "sweep", help="run a sweep grid through a server (streamed JSONL)")
@@ -98,7 +95,6 @@ def _run_server(args: argparse.Namespace) -> int:
         batch_window=args.batch_window_ms / 1e3,
         max_pending=args.max_pending,
         executor_threads=args.executor_threads,
-        fabric_workers=args.fabric_workers,
     )
 
     async def main() -> None:

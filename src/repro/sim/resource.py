@@ -32,7 +32,6 @@ class ResourceStats:
     reservations: int = 0
     busy_time: float = 0.0
     total_wait: float = 0.0
-    last_busy_until: float = 0.0
 
     @property
     def mean_wait(self) -> float:
@@ -76,7 +75,6 @@ class SerialResource:
         stats.reservations += 1
         stats.busy_time += duration
         stats.total_wait += start - earliest
-        stats.last_busy_until = end
         return start, end
 
     def reset(self) -> None:

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
-from repro.common.errors import SimulationError, TraceError
-from repro.trace.events import TaskSubmitEvent, TaskwaitEvent, TaskwaitOnEvent
-from repro.trace.task import FLAG_READS, FLAG_READWRITE, FLAG_WRITES, TaskDescriptor
+from repro.common.errors import SimulationError
+from repro.trace.events import TaskSubmitEvent, TaskwaitOnEvent
+from repro.trace.task import FLAG_READS, FLAG_READWRITE, FLAG_WRITES
 from repro.trace.trace import Trace
 
 

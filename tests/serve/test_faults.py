@@ -178,41 +178,6 @@ class TestEngineFailure:
         finally:
             handle.stop()
 
-    def test_worker_death_during_fabric_block_falls_back_to_local(self, monkeypatch):
-        """The fabric path reports a lost sweep as SimulationError; the
-        batcher's circuit breaker must absorb it — re-run the block on
-        the local executor and serve a correct 200, never a hang.  After
-        enough failures the breaker opens and blocks skip the fabric."""
-        from repro.common.errors import SimulationError
-
-        def dying(block, **kwargs):
-            raise SimulationError("distributed sweep failed: worker died")
-
-        monkeypatch.setattr(batcher_module, "execute_block_fabric", dying)
-        handle = start_in_thread(ServeConfig(batch_window=0.0,
-                                             fabric_workers=2,
-                                             fabric_min_cells=1))
-        try:
-            with ServeClient(handle.host, handle.port, timeout=30) as c:
-                doc = c.simulate(workload="microbench", manager="ideal",
-                                 cores=1, scale=0.05)
-                assert doc["makespan_us"] > 0
-                stats = c.stats()
-                assert stats["fabric_failures"] >= 1
-                assert stats["errors"] == 0
-                # Distinct cells, so every block is fresh work; after
-                # failure_threshold fabric losses the breaker opens and
-                # later blocks bypass the fabric entirely.
-                for seed in range(4):
-                    c.simulate(workload="microbench", manager="nexus#2",
-                               cores=1, scale=0.05, seed=seed)
-                stats = c.stats()
-                assert stats["breaker"]["state"] == "open"
-                assert stats["fabric_fallbacks"] >= 1
-                assert c.healthz()["status"] == "ok"
-        finally:
-            handle.stop()
-
     def test_mid_stream_failure_truncates_the_chunked_body(self, monkeypatch):
         """Once rows are flowing an error cannot become a 5xx; the server
         must drop the terminal chunk so the client sees an incomplete

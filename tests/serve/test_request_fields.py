@@ -6,6 +6,8 @@ wrong — never a ``500`` and never a silent coercion.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.serve import ServeClient, ServeConfig, ServeError, start_in_thread
@@ -40,9 +42,10 @@ class TestJsonDomain:
         status, _ = status_and_error(client, "/v1/traces", b'{"name":"x"}\n{')
         assert status == 400
 
+    @pytest.mark.parametrize("separator", [b" ", b"\n "], ids=["one-line", "indented"])
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
-    def test_upload_rejects_non_finite_tokens(self, client, token):
-        body = b'{"name": "x", "duration": %s}' % token.encode()
+    def test_upload_rejects_non_finite_tokens(self, client, token, separator):
+        body = b'{"name": "x",%s"duration": %s}' % (separator, token.encode())
         status, error = status_and_error(client, "/v1/traces", body)
         assert status == 400 and token in error
 
@@ -58,6 +61,49 @@ class TestJsonDomain:
                 b'"core_counts": [1], "scale": NaN}')
         status, error = status_and_error(client, "/v1/sweep", body)
         assert status == 400 and "NaN" in error
+
+
+class TestTraceUploadFormats:
+    """``/v1/traces`` decides the format from the body's first JSON value."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        from repro.workloads.registry import get_workload
+
+        return get_workload("microbench", scale=0.05)
+
+    def upload(self, client, body: str):
+        response = client._request("POST", "/v1/traces", body.encode("utf-8"))
+        return client._decode(response, response.read())
+
+    @pytest.mark.parametrize("indent", [None, 1, 4])
+    def test_document_on_one_line_or_indented(self, client, trace, indent):
+        from repro.trace.serialization import trace_digest, trace_to_json
+
+        body = json.dumps(trace_to_json(trace), indent=indent)
+        doc = self.upload(client, body if indent is None else f"\n{body}\n")
+        assert doc["trace_id"] == trace_digest(trace)
+        assert doc["num_tasks"] == trace.num_tasks
+
+    def test_multi_line_stream(self, client, trace, tmp_path):
+        from repro.trace.serialization import trace_digest, write_trace_stream
+
+        path = write_trace_stream(trace, tmp_path / "t.jsonl", chunk_size=7)
+        text = path.read_text()
+        assert text.count("\n") > 2
+        doc = self.upload(client, text)
+        assert doc["trace_id"] == trace_digest(trace)
+
+
+    @pytest.mark.parametrize("body, reason", [
+        ("", "empty trace body"),
+        (" \n", "empty trace body"),
+        ("[1, 2]", "must be a JSON object"),
+        ('{"name": "x"}\n{"name": "y"}', "after its first JSON value"),
+    ], ids=["empty", "blank", "array", "two-documents"])
+    def test_malformed_upload_is_400(self, client, body, reason):
+        status, error = status_and_error(client, "/v1/traces", body.encode())
+        assert status == 400 and reason in error
 
 
 class TestTypedFields:
