@@ -37,8 +37,8 @@ class DependenceCountsArbiter:
         if cycle_us <= 0:
             raise SimulationError(f"cycle time must be positive, got {cycle_us}")
         self._resource = SerialResource("dependence-counts-arbiter")
-        # Per-operation occupancies (µs): both paths run pure float
-        # arithmetic instead of one reserve() call per result.
+        # Precomputed per-operation occupancies (µs): the batch paths run
+        # pure float arithmetic instead of one reserve() call per result.
         self._result_us = cycles_per_result * cycle_us
         self._conclude_us = conclude_cycles * cycle_us
         self._decrement_us = decrement_cycles * cycle_us

@@ -427,12 +427,12 @@ class Server:
             text = request.body.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise HttpError(400, f"trace body is not UTF-8: {exc}") from exc
-        if not text.strip():
+        body = text.lstrip()
+        if not body:
             raise HttpError(400, "empty trace body")
         # The first JSON value decides the format, wherever it ends: a
         # ``trace-stream`` header starts a chunked-JSONL stream, anything
         # else must be the whole body, a (possibly pretty-printed) document.
-        body = text.lstrip()
         try:
             head, end = _TRACE_DECODER.raw_decode(body)
         except json.JSONDecodeError as exc:
