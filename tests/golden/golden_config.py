@@ -8,6 +8,9 @@ import from here so they can never drift apart.
 
 from __future__ import annotations
 
+import hashlib
+import tempfile
+from pathlib import Path
 from typing import Dict, Mapping, Tuple
 
 from repro.analysis.factories import (
@@ -20,12 +23,20 @@ from repro.analysis.factories import (
 from repro.system.machine import Machine, MachineConfig
 from repro.trace.dynamic import DynamicProgram
 from repro.trace.events import TaskSubmitEvent
-from repro.trace.serialization import json_digest, result_to_json
+from repro.trace.serialization import (
+    json_digest,
+    result_to_json,
+    save_trace,
+    trace_digest,
+    write_trace_stream,
+)
+from repro.trace.task import Direction, Parameter
 from repro.trace.trace import Trace, TraceBuilder
 from repro.workloads.cray import generate_cray
 from repro.workloads.gaussian import generate_gaussian_elimination
 from repro.workloads.h264dec import generate_h264dec
 from repro.workloads.microbench import generate_microbenchmark
+from repro.workloads.registry import get_workload, list_workloads
 from repro.workloads.rotcc import generate_rotcc
 from repro.workloads.recursive import (
     fib_program,
@@ -107,6 +118,50 @@ def taskwait_on_trace() -> Trace:
     builder.add_task("tail", duration_us=3.0, inputs=[0x2000])
     builder.add_taskwait()
     return builder.build()
+
+
+def sized_trace() -> Trace:
+    """Parameter sizes, creation overheads and metadata: the trace fields
+    no registered workload sets."""
+    builder = TraceBuilder("sized", metadata={"ratio": 0.25, "tags": ["a", "b"]})
+    builder.add_task("root", duration_us=3.0, creation_overhead_us=0.5,
+                     params=[Parameter(0x100, Direction.OUT, size=64)])
+    builder.add_taskwait_on(0x100)
+    builder.add_task("child", duration_us=1.25,
+                     params=[Parameter(0x100, Direction.IN),
+                             Parameter(0x140, Direction.INOUT, size=8)])
+    builder.add_task("leaf", duration_us=2.0)
+    builder.add_taskwait()
+    return builder.build()
+
+
+#: Scale of the registered workloads whose trace bytes are pinned.
+TRACE_BYTES_SCALE = 0.01
+
+
+def trace_byte_cases() -> Dict[str, Trace]:
+    """Every trace whose serialized bytes are pinned: each registered
+    workload (a dynamic one through its serial elaboration, spawn
+    provenance included), the sparse-id trace, the ``taskwait on`` trace
+    and :func:`sized_trace`."""
+    cases = {name: get_workload(name, scale=TRACE_BYTES_SCALE, seed=GOLDEN_SEED)
+             for name in list_workloads()}
+    cases["sparse_ids"] = sparse_id_trace(golden_traces()["synthetic"])
+    cases["taskwait_on"] = taskwait_on_trace()
+    cases["sized"] = sized_trace()
+    return cases
+
+
+def trace_byte_digests(trace: Trace) -> Dict[str, str]:
+    """The sha256 of ``trace``'s ``save_trace`` and ``write_trace_stream``
+    bytes (both uncompressed: gzip headers carry a timestamp), and its
+    :func:`~repro.trace.serialization.trace_digest`."""
+    with tempfile.TemporaryDirectory() as scratch:
+        document = save_trace(trace, Path(scratch) / "trace.json").read_bytes()
+        stream = write_trace_stream(trace, Path(scratch) / "trace.jsonl").read_bytes()
+    return {"save_trace": hashlib.sha256(document).hexdigest(),
+            "write_trace_stream": hashlib.sha256(stream).hexdigest(),
+            "trace_digest": trace_digest(trace)}
 
 
 ConfigCase = Tuple[Trace, str, Mapping[str, object]]

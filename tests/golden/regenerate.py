@@ -26,6 +26,11 @@ of each golden under every manager × scheduler × topology, with
 ``keep_schedule`` off and ``validate`` on, plus a sparse-id trace and
 the Nexus++ ``taskwait on`` degradation (``test_config_digests.py``).
 
+``expected_trace_digests.json`` pins the serialized bytes of traces: the
+sha256 of the ``save_trace`` and ``write_trace_stream`` output and the
+``trace_digest`` of every registered workload and of the sparse-id,
+``taskwait on`` and sized traces (``test_trace_digests.py``).
+
 ``--check`` recomputes everything in memory and compares against the
 committed files without writing, exiting non-zero on any drift — the CI
 guard that the committed goldens and the generators cannot diverge
@@ -52,12 +57,15 @@ from golden_config import (
     config_digest_cases,
     golden_dynamic_programs,
     golden_traces,
+    trace_byte_cases,
+    trace_byte_digests,
 )
 
 DATA_DIR = Path(__file__).parent / "data"
 EXPECTED_PATH = Path(__file__).parent / "expected_makespans.json"
 STATS_PATH = Path(__file__).parent / "expected_manager_stats.json"
 CONFIG_DIGESTS_PATH = Path(__file__).parent / "expected_config_digests.json"
+TRACE_DIGESTS_PATH = Path(__file__).parent / "expected_trace_digests.json"
 
 
 def pin_stats(value):
@@ -116,6 +124,13 @@ def compute_config_digests() -> dict:
             "configs": {key: config_digest(case) for key, case in cases.items()}}
 
 
+def compute_trace_digests() -> dict:
+    """The expected-trace-digests document (see the module docstring)."""
+    return {"seed": GOLDEN_SEED, "cores": GOLDEN_CORES,
+            "traces": {key: trace_byte_digests(trace)
+                       for key, trace in trace_byte_cases().items()}}
+
+
 def write_json(path: Path, document: dict) -> None:
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
@@ -134,7 +149,8 @@ def regenerate() -> int:
     write_json(EXPECTED_PATH, makespans)
     write_json(STATS_PATH, stats)
     write_json(CONFIG_DIGESTS_PATH, compute_config_digests())
-    print(f"wrote {EXPECTED_PATH}, {STATS_PATH} and {CONFIG_DIGESTS_PATH}")
+    write_json(TRACE_DIGESTS_PATH, compute_trace_digests())
+    print(f"wrote {EXPECTED_PATH}, {STATS_PATH}, {CONFIG_DIGESTS_PATH} and {TRACE_DIGESTS_PATH}")
     return 0
 
 
@@ -182,7 +198,8 @@ def check() -> int:
     failures: list[str] = []
     computed, computed_stats = compute_expected()
     for path, fresh in ((EXPECTED_PATH, computed), (STATS_PATH, computed_stats),
-                        (CONFIG_DIGESTS_PATH, compute_config_digests())):
+                        (CONFIG_DIGESTS_PATH, compute_config_digests()),
+                        (TRACE_DIGESTS_PATH, compute_trace_digests())):
         if not path.exists():
             failures.append(f"missing committed {path.name}")
             continue
@@ -210,7 +227,7 @@ def check() -> int:
         return 1
     print(f"goldens clean: {len(committed_files)} traces, "
           f"{len(computed['traces'])} static + {len(computed['dynamic'])} dynamic "
-          "makespan and manager-stats sets and the config digests match; kernel and "
+          "makespan and manager-stats sets, the config and trace-byte digests match; kernel and "
           f"scalar replay identical under {len(GOLDEN_MANAGERS)} managers")
     return 0
 
