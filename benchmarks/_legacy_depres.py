@@ -42,18 +42,34 @@ from repro.common.constants import (
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.units import Frequency
 from repro.common.validation import check_positive, check_power_of_two
-from repro.managers.base import (
-    FinishOutcome,
-    ReadyNotification,
-    SubmitOutcome,
-    TaskManagerModel,
-)
+from repro.managers.base import TaskManagerModel
 from repro.nexus.distribution import nexus_hash
 from repro.sim.resource import SerialResource
 from repro.taskgraph.address_state import AccessMode, Waiter
 from repro.taskgraph.function_table import FunctionTable
 from repro.taskgraph.task_pool import TaskPool
 from repro.trace.task import Direction, TaskDescriptor
+
+# ---------------------------------------------------------------------------
+# Frozen outcome records (the managers now return plain tuples; these
+# named forms unpack the same way and keep the legacy loop's field reads).
+# ---------------------------------------------------------------------------
+
+
+class ReadyNotification(NamedTuple):
+    task_id: int
+    time_us: float
+
+
+class SubmitOutcome(NamedTuple):
+    accept_time_us: float
+    ready: Tuple[ReadyNotification, ...] = ()
+
+
+class FinishOutcome(NamedTuple):
+    ready: Tuple[ReadyNotification, ...] = ()
+    notify_done_us: float = 0.0
+
 
 # ---------------------------------------------------------------------------
 # Frozen per-address dependency state (pre-compiled-engine address_state.py).

@@ -50,3 +50,14 @@ class CapacityError(ReproError):
 
 class AnalysisError(ReproError):
     """An analysis/report step was asked to summarise inconsistent data."""
+
+
+def reject_non_finite(token: str) -> None:
+    """``parse_constant`` of every JSON read: JSON has no NaN/±Infinity.
+
+    ``json.loads`` accepts the tokens ``NaN``, ``Infinity`` and
+    ``-Infinity`` by default; passing this hook turns each into a
+    :class:`TraceError`, so no non-finite number enters through a file,
+    a frame or a response.
+    """
+    raise TraceError(f"non-finite number {token} is outside the JSON domain")

@@ -35,7 +35,7 @@ import threading
 import zlib
 from typing import Any, Dict, Optional
 
-from repro.common.errors import ReproError
+from repro.common.errors import ReproError, TraceError, reject_non_finite
 
 #: Frames above this size are rejected on both ends — a corrupt length
 #: prefix must not make a peer try to allocate gigabytes.
@@ -130,8 +130,8 @@ class FrameStream:
         body = bytes(self._buffer[_LENGTH.size:_LENGTH.size + length])
         del self._buffer[:_LENGTH.size + length]
         try:
-            doc = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            doc = json.loads(body.decode("utf-8"), parse_constant=reject_non_finite)
+        except (UnicodeDecodeError, json.JSONDecodeError, TraceError) as exc:
             raise ProtocolError(f"frame body is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict) or "type" not in doc:
             raise ProtocolError(f"frame is not a typed object: {doc!r}")

@@ -38,6 +38,7 @@ import tempfile
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
+from repro.common.errors import TraceError, reject_non_finite
 from repro.trace.serialization import canonical_json_line
 
 
@@ -77,14 +78,15 @@ class ResultCache:
 
     @staticmethod
     def _read_document(path: Path) -> Optional[Dict[str, Any]]:
-        """Read and decode one entry; ``None`` on missing or corrupt."""
+        """Read and decode one entry; ``None`` on missing or corrupt (a
+        NaN/±Infinity, which :meth:`put` never writes, is corruption)."""
         try:
             text = path.read_text(encoding="utf-8")
         except OSError:
             return None
         try:
-            document = json.loads(text)
-        except json.JSONDecodeError:
+            document = json.loads(text, parse_constant=reject_non_finite)
+        except (json.JSONDecodeError, TraceError):
             return None
         return document if isinstance(document, dict) else None
 

@@ -19,21 +19,13 @@ interchangeably:
   contribution (imported from :mod:`repro.nexus`).
 """
 
-from repro.managers.base import (
-    FinishOutcome,
-    ReadyNotification,
-    SubmitOutcome,
-    TaskManagerModel,
-)
+from repro.managers.base import TaskManagerModel
 from repro.managers.ideal import IdealManager
 from repro.managers.nanos import NanosConfig, NanosManager
 from repro.managers.software import VandierendonckConfig, VandierendonckManager
 
 __all__ = [
     "TaskManagerModel",
-    "ReadyNotification",
-    "SubmitOutcome",
-    "FinishOutcome",
     "IdealManager",
     "NanosManager",
     "NanosConfig",

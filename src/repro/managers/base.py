@@ -7,18 +7,15 @@ of finished tasks" (Section V-B).  The interface below is exactly that
 contract, expressed in simulation time (micro-seconds):
 
 * :meth:`TaskManagerModel.submit` — the master thread hands a task to the
-  manager at a given time; the manager returns a :class:`SubmitOutcome`
-  ``(accept_time_us, ready)``: when the master may continue
-  (back-pressure / software cost) and which tasks it has already
-  determined to be ready;
+  manager at a given time; the manager returns a plain tuple
+  ``(accept_us, ready)``: when the master may continue (back-pressure /
+  software cost) and which tasks it has already determined to be ready;
 * :meth:`TaskManagerModel.finish` — a worker core reports a finished task;
-  the manager returns a :class:`FinishOutcome` ``(ready, notify_done_us)``
-  naming the waiting tasks that became ready.
+  the manager returns ``(ready, notify_done_us)`` naming the waiting
+  tasks that became ready and when the notification was fully processed.
 
 ``ready`` is a tuple of plain ``(task_id, time_us)`` pairs, in the order
-the manager reports them.  The machine loops only unpack those pairs, so
-a manager may equally return :class:`ReadyNotification` entries (a named
-pair that unpacks the same way).  The managers built on
+the manager reports them.  The managers built on
 :class:`~repro.taskgraph.tracker.DependencyTracker` read its flat
 ``insert_task`` / ``finish_task`` tuples directly: no per-access or
 per-task record object travels from the tracker to the manager to the
@@ -32,47 +29,12 @@ to unit-test in isolation.
 from __future__ import annotations
 
 import abc
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Tuple
 
 from repro.trace.task import TaskDescriptor
 
-# The outcome records are NamedTuples: one SubmitOutcome and one
-# FinishOutcome is created per task on the simulation hot path, and tuple
-# construction is several times cheaper than a frozen-dataclass __init__.
-
-
-class ReadyNotification(NamedTuple):
-    """A task reported ready by the manager at ``time_us``.
-
-    The built-in managers report plain ``(task_id, time_us)`` tuples;
-    this named form unpacks identically and stays for managers (and the
-    frozen legacy oracles) that prefer it.
-    """
-
-    task_id: int
-    time_us: float
-
-
-class SubmitOutcome(NamedTuple):
-    """Result of submitting one task to a manager.
-
-    Attributes
-    ----------
-    accept_time_us:
-        Time at which the master thread regains control and may submit the
-        next trace event.  For hardware managers this models the IO-unit
-        back-pressure (the PCIe-style transfer of the task descriptor);
-        for software managers it additionally contains the task-creation
-        and dependency-analysis work performed on the master core.
-    ready:
-        ``(task_id, time_us)`` ready pairs produced directly by this
-        submission (the submitted task itself when it has no
-        dependencies — possibly other tasks for managers that defer
-        work).
-    """
-
-    accept_time_us: float
-    ready: tuple[tuple[int, float], ...] = ()
+#: ``(task_id, time_us)`` pairs of the tasks a manager reports ready.
+Ready = Tuple[Tuple[int, float], ...]
 
 
 class LaneKernelSpec(NamedTuple):
@@ -107,24 +69,6 @@ class LaneKernelSpec(NamedTuple):
     wakeup_per_task_us: float = 0.0
 
 
-class FinishOutcome(NamedTuple):
-    """Result of notifying a manager that a task finished.
-
-    Attributes
-    ----------
-    ready:
-        ``(task_id, time_us)`` pairs of the tasks that became ready
-        because of this completion, with the time the manager reports
-        them (i.e. when a free core could start them).
-    notify_done_us:
-        Time at which the finished-task notification itself has been fully
-        processed; only used for statistics.
-    """
-
-    ready: tuple[tuple[int, float], ...] = ()
-    notify_done_us: float = 0.0
-
-
 class TaskManagerModel(abc.ABC):
     """Abstract base class of every dependency-resolution scheme."""
 
@@ -147,12 +91,25 @@ class TaskManagerModel(abc.ABC):
         """Forget all state so the same instance can run another trace."""
 
     @abc.abstractmethod
-    def submit(self, task: TaskDescriptor, time_us: float) -> SubmitOutcome:
-        """Submit ``task`` at ``time_us`` and return the outcome."""
+    def submit(self, task: TaskDescriptor, time_us: float) -> Tuple[float, Ready]:
+        """Submit ``task`` at ``time_us``; return ``(accept_us, ready)``.
+
+        ``accept_us`` is when the master thread regains control: the
+        IO-unit back-pressure of a hardware manager, plus task creation
+        and dependence analysis on the master core for a software one.
+        ``ready`` holds the pairs this submission produced (the task
+        itself when it has no dependences).
+        """
 
     @abc.abstractmethod
-    def finish(self, task_id: int, time_us: float) -> FinishOutcome:
-        """Notify the manager at ``time_us`` that ``task_id`` finished."""
+    def finish(self, task_id: int, time_us: float) -> Tuple[Ready, float]:
+        """Notify the manager at ``time_us`` that ``task_id`` finished;
+        return ``(ready, notify_done_us)``.
+
+        ``ready`` holds the tasks this completion made ready, each with
+        the time a free core could start it; ``notify_done_us`` is when
+        the notification itself was fully processed (statistics only).
+        """
 
     # -- optional hooks ------------------------------------------------------
     def prepare_trace(self, trace) -> None:

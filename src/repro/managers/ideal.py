@@ -12,9 +12,9 @@ not the task manager, is the limiting factor.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Tuple
 
-from repro.managers.base import FinishOutcome, LaneKernelSpec, SubmitOutcome, TaskManagerModel
+from repro.managers.base import LaneKernelSpec, Ready, TaskManagerModel
 from repro.taskgraph.tracker import DependencyTracker
 from repro.trace.task import TaskDescriptor
 
@@ -35,14 +35,14 @@ class IdealManager(TaskManagerModel):
     def prepare_program(self, program) -> None:
         self._tracker.bind_program(program)
 
-    def submit(self, task: TaskDescriptor, time_us: float) -> SubmitOutcome:
+    def submit(self, task: TaskDescriptor, time_us: float) -> Tuple[float, Ready]:
         if self._tracker.insert_task(task)[1]:
-            return SubmitOutcome(time_us, ())
-        return SubmitOutcome(time_us, ((task.task_id, time_us),))
+            return (time_us, ())
+        return (time_us, ((task.task_id, time_us),))
 
-    def finish(self, task_id: int, time_us: float) -> FinishOutcome:
+    def finish(self, task_id: int, time_us: float) -> Tuple[Ready, float]:
         newly_ready = self._tracker.finish_task(task_id)[2]
-        return FinishOutcome(tuple([(t, time_us) for t in newly_ready]), time_us)
+        return (tuple([(t, time_us) for t in newly_ready]), time_us)
 
     def lane_kernel(self) -> LaneKernelSpec:
         """The ideal manager is pure dependency bookkeeping: zero cost,

@@ -24,12 +24,11 @@ studies (see ``benchmarks/bench_ablation_nanos.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Mapping, Tuple
 
-from repro.common.errors import ConfigurationError
 from repro.common.validation import check_non_negative
-from repro.managers.base import FinishOutcome, LaneKernelSpec, SubmitOutcome, TaskManagerModel
+from repro.managers.base import LaneKernelSpec, Ready, TaskManagerModel
 from repro.sim.resource import SerialResource
 from repro.taskgraph.tracker import DependencyTracker
 from repro.trace.task import TaskDescriptor
@@ -87,7 +86,7 @@ class NanosManager(TaskManagerModel):
         self._tracker.bind_program(program)
 
     # -- TaskManagerModel ------------------------------------------------------
-    def submit(self, task: TaskDescriptor, time_us: float) -> SubmitOutcome:
+    def submit(self, task: TaskDescriptor, time_us: float) -> Tuple[float, Ready]:
         cfg = self.config
         rows, dependence_count, _, _ = self._tracker.insert_task(task)
         num_params = max(1, len(rows))
@@ -99,15 +98,15 @@ class NanosManager(TaskManagerModel):
         lock_cost = cfg.insert_lock_us + cfg.insert_lock_per_param_us * num_params
         _, insert_done = self._lock.reserve(creation_done, lock_cost)
         if dependence_count:
-            return SubmitOutcome(insert_done, ())
-        return SubmitOutcome(insert_done, ((task.task_id, insert_done),))
+            return (insert_done, ())
+        return (insert_done, ((task.task_id, insert_done),))
 
-    def finish(self, task_id: int, time_us: float) -> FinishOutcome:
+    def finish(self, task_id: int, time_us: float) -> Tuple[Ready, float]:
         cfg = self.config
         _, _, newly_ready, kickoff_count = self._tracker.finish_task(task_id)
         lock_cost = cfg.finish_lock_us + cfg.wakeup_per_task_us * kickoff_count
         _, finish_done = self._lock.reserve(time_us, lock_cost)
-        return FinishOutcome(tuple([(t, finish_done) for t in newly_ready]), finish_done)
+        return (tuple([(t, finish_done) for t in newly_ready]), finish_done)
 
     def lane_kernel(self) -> LaneKernelSpec:
         """Nanos is constant-foldable: per-task costs are affine in the

@@ -14,10 +14,10 @@ contention or per-parameter growth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Tuple
 
 from repro.common.validation import check_non_negative
-from repro.managers.base import FinishOutcome, SubmitOutcome, TaskManagerModel
+from repro.managers.base import Ready, TaskManagerModel
 from repro.sim.resource import SerialResource
 from repro.taskgraph.tracker import DependencyTracker
 from repro.trace.task import TaskDescriptor
@@ -60,17 +60,17 @@ class VandierendonckManager(TaskManagerModel):
     def prepare_program(self, program) -> None:
         self._tracker.bind_program(program)
 
-    def submit(self, task: TaskDescriptor, time_us: float) -> SubmitOutcome:
+    def submit(self, task: TaskDescriptor, time_us: float) -> Tuple[float, Ready]:
         dependence_count = self._tracker.insert_task(task)[1]
         _, done = self._lock.reserve(time_us, self.config.insert_us)
         if dependence_count:
-            return SubmitOutcome(done, ())
-        return SubmitOutcome(done, ((task.task_id, done),))
+            return (done, ())
+        return (done, ((task.task_id, done),))
 
-    def finish(self, task_id: int, time_us: float) -> FinishOutcome:
+    def finish(self, task_id: int, time_us: float) -> Tuple[Ready, float]:
         newly_ready = self._tracker.finish_task(task_id)[2]
         _, done = self._lock.reserve(time_us, self.config.retire_us)
-        return FinishOutcome(tuple([(t, done) for t in newly_ready]), done)
+        return (tuple([(t, done) for t in newly_ready]), done)
 
     def describe(self) -> Mapping[str, object]:
         return {

@@ -32,7 +32,7 @@ leave as plain ``(task_id, time_us)`` pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Tuple
 
 from repro.common.constants import (
     DEFAULT_KICKOFF_CAPACITY,
@@ -42,7 +42,7 @@ from repro.common.constants import (
 )
 from repro.common.units import Frequency
 from repro.common.validation import check_non_negative, check_positive, check_positive_int
-from repro.managers.base import FinishOutcome, SubmitOutcome, TaskManagerModel
+from repro.managers.base import Ready, TaskManagerModel
 from repro.nexus.timing import (
     NEXUS_PP_TEST_FREQUENCY_MHZ,
     NexusPlusPlusTiming,
@@ -142,7 +142,7 @@ class NexusPlusPlusManager(TaskManagerModel):
         self._tracker.bind_program(program)
 
     # -- TaskManagerModel --------------------------------------------------------
-    def submit(self, task: TaskDescriptor, time_us: float) -> SubmitOutcome:
+    def submit(self, task: TaskDescriptor, time_us: float) -> Tuple[float, Ready]:
         rows, dependence_count, _, conflict_mask = self._tracker.insert_task(task)
         num_params = task.num_params
         if num_params < 1:
@@ -186,7 +186,7 @@ class NexusPlusPlusManager(TaskManagerModel):
         # The host regains the bus as soon as the Input Parser consumed the
         # descriptor; the deeper pipeline stages overlap with the next task.
         if dependence_count:
-            return SubmitOutcome(input_end, ())
+            return (input_end, ())
         # Stage 3: Write Back forwards the ready task (reservation inlined).
         write_back = self._write_back
         wb_available = insert_end + self._fifo_us
@@ -200,9 +200,9 @@ class NexusPlusPlusManager(TaskManagerModel):
         stats.total_wait += start - wb_available
         self._ready_latency_total_us += wb_end - time_us
         self._ready_count += 1
-        return SubmitOutcome(input_end, ((task.task_id, wb_end),))
+        return (input_end, ((task.task_id, wb_end),))
 
-    def finish(self, task_id: int, time_us: float) -> FinishOutcome:
+    def finish(self, task_id: int, time_us: float) -> Tuple[Ready, float]:
         rows, _, newly_ready, kickoff_count = self._tracker.finish_task(task_id)
         num_params = len(rows)
         if num_params < 1:
@@ -240,7 +240,7 @@ class NexusPlusPlusManager(TaskManagerModel):
         stats.total_wait += start - cleanup_available
 
         if not newly_ready:
-            return FinishOutcome((), cleanup_end)
+            return ((), cleanup_end)
         # Ready waiters leave through Write Back in order (reservations
         # inlined).
         write_back = self._write_back
@@ -259,7 +259,7 @@ class NexusPlusPlusManager(TaskManagerModel):
             ready.append((ready_task, next_free))
         write_back._next_free = next_free
         self._ready_count += len(newly_ready)
-        return FinishOutcome(tuple(ready), cleanup_end)
+        return (tuple(ready), cleanup_end)
 
     def lane_kernel(self) -> None:
         """Nexus++ declines the fast replay kernel.

@@ -39,7 +39,7 @@ stage is reserved inline, and ready tasks leave as plain
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.common.constants import (
     DEFAULT_KICKOFF_CAPACITY,
@@ -51,7 +51,7 @@ from repro.common.constants import (
 from repro.common.errors import ConfigurationError
 from repro.common.units import Frequency
 from repro.common.validation import check_positive, check_positive_int
-from repro.managers.base import FinishOutcome, SubmitOutcome, TaskManagerModel
+from repro.managers.base import Ready, TaskManagerModel
 from repro.nexus.arbiter import DependenceCountsArbiter
 from repro.nexus.distribution import nexus_hash
 from repro.nexus.timing import (
@@ -190,7 +190,7 @@ class NexusSharpManager(TaskManagerModel):
         self._tracker.bind_program(program)
 
     # -- TaskManagerModel --------------------------------------------------------
-    def submit(self, task: TaskDescriptor, time_us: float) -> SubmitOutcome:
+    def submit(self, task: TaskDescriptor, time_us: float) -> Tuple[float, Ready]:
         rows, dependence_count, _, conflict_mask = self._tracker.insert_task(task)
         num_accesses = len(rows)
         num_params = task.num_params
@@ -252,7 +252,7 @@ class NexusSharpManager(TaskManagerModel):
             insert_ends.sort()
             concluded = self._arbiter.gather(insert_ends)
             if dependence_count:
-                return SubmitOutcome(ip_end, ())
+                return (ip_end, ())
 
         # Stage 4: the ready task passes the Internal Ready Tasks buffer
         # and the Write Back stage (serial reservation inlined).
@@ -268,9 +268,9 @@ class NexusSharpManager(TaskManagerModel):
         wb_stats.total_wait += start - wb_available
         self._ready_latency_total_us += wb_end - time_us
         self._ready_count += 1
-        return SubmitOutcome(ip_end, ((task.task_id, wb_end),))
+        return (ip_end, ((task.task_id, wb_end),))
 
-    def finish(self, task_id: int, time_us: float) -> FinishOutcome:
+    def finish(self, task_id: int, time_us: float) -> Tuple[Ready, float]:
         rows, released, newly_ready, _ = self._tracker.finish_task(task_id)
         num_accesses = len(rows)
         num_params = num_accesses if num_accesses > 1 else 1
@@ -325,7 +325,7 @@ class NexusSharpManager(TaskManagerModel):
                         if decrement_end > last_decrement.get(waiter, 0.0):
                             last_decrement[waiter] = decrement_end
         if last_decrement is None:
-            return FinishOutcome((), fp_end)
+            return ((), fp_end)
 
         # Ready waiters pass the Internal Ready Tasks buffer and the Write
         # Back stage in order (serial reservations inlined).
@@ -346,7 +346,7 @@ class NexusSharpManager(TaskManagerModel):
             ready.append((ready_task, next_free))
         write_back._next_free = next_free
         self._ready_count += len(newly_ready)
-        return FinishOutcome(tuple(ready), fp_end)
+        return (tuple(ready), fp_end)
 
     def lane_kernel(self) -> None:
         """Nexus# declines the fast replay kernel.

@@ -29,6 +29,7 @@ import os
 from pathlib import Path
 from typing import Any, Dict, Optional, TextIO, Union
 
+from repro.common.errors import TraceError, reject_non_finite
 from repro.trace.serialization import canonical_json_line
 
 JOURNAL_VERSION = 1
@@ -96,10 +97,11 @@ class FrontierJournal:
                 break
             line = data[offset:newline]
             try:
-                entry = json.loads(line.decode("utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                # A torn line (the writer died mid-append) ends the
-                # usable prefix; a torn *header* invalidates the file.
+                entry = json.loads(line.decode("utf-8"), parse_constant=reject_non_finite)
+            except (json.JSONDecodeError, UnicodeDecodeError, TraceError):
+                # A torn line (the writer died mid-append) or one holding
+                # NaN/±Infinity, which no writer emits, ends the usable
+                # prefix; a bad *header* invalidates the file.
                 break
             if position == 0:
                 if (not isinstance(entry, dict)

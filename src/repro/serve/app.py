@@ -38,7 +38,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import urlsplit
 
 from repro.analysis.factories import parse_manager
-from repro.common.errors import ConfigurationError, SimulationError, TraceError
+from repro.common.errors import ConfigurationError, SimulationError, TraceError, reject_non_finite
 from repro.experiments.cache import ResultCache
 from repro.experiments.spec import RunPoint, SweepSpec, WorkloadSpec
 from repro.serve.admission import Saturated
@@ -46,7 +46,6 @@ from repro.serve.batcher import Batcher
 from repro.system.scheduling import canonical_policy_name
 from repro.system.topology import canonical_topology
 from repro.trace.serialization import (
-    _reject_non_finite,
     canonical_json_line,
     trace_digest,
     trace_from_json,
@@ -90,7 +89,7 @@ class Request:
     def json(self) -> Dict[str, Any]:
         try:
             document = json.loads(self.body.decode("utf-8"),
-                                  parse_constant=_reject_non_finite)
+                                  parse_constant=reject_non_finite)
         except (UnicodeDecodeError, json.JSONDecodeError, TraceError) as exc:
             raise HttpError(400, f"request body is not valid JSON: {exc}") from exc
         if not isinstance(document, dict):
@@ -99,7 +98,7 @@ class Request:
 
 
 #: Decodes the first JSON value of a ``/v1/traces`` body (no NaN/±Infinity).
-_TRACE_DECODER = json.JSONDecoder(parse_constant=_reject_non_finite)
+_TRACE_DECODER = json.JSONDecoder(parse_constant=reject_non_finite)
 
 _TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false"}
 

@@ -18,6 +18,7 @@ import json
 import time
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
+from repro.common.errors import reject_non_finite
 from repro.resilience.retry import (
     RetryBudgetExhausted,
     RetryPolicy,
@@ -146,7 +147,8 @@ class ServeClient:
     @staticmethod
     def _decode(response: http.client.HTTPResponse, payload: bytes) -> Dict[str, Any]:
         try:
-            document = json.loads(payload.decode("utf-8")) if payload else {}
+            document = (json.loads(payload.decode("utf-8"), parse_constant=reject_non_finite)
+                        if payload else {})
         except (json.JSONDecodeError, UnicodeDecodeError):
             document = {"error": payload[:200].decode("latin-1")}
         if response.status == 429:
@@ -212,9 +214,9 @@ class ServeClient:
             while b"\n" in buffer:
                 line, buffer = buffer.split(b"\n", 1)
                 if line.strip():
-                    yield json.loads(line)
+                    yield json.loads(line, parse_constant=reject_non_finite)
         if buffer.strip():
-            yield json.loads(buffer)
+            yield json.loads(buffer, parse_constant=reject_non_finite)
         # The server closes streamed connections (Connection: close).
         self.close()
 

@@ -133,12 +133,6 @@ class TraceColumns:
                                  f"{FULL_TASKWAIT} or a non-bool int within 48 bits, got {address!r}")
         return total
 
-    def with_durations(self, durations: Sequence[float]) -> "TraceColumns":
-        """A copy with a different duration column."""
-        return TraceColumns(self.task_ids, self.functions, durations, self.creations,
-                            self.offsets, self.addresses, self.flags, self.sizes,
-                            self.parents, self.barrier_at, self.barrier_addr)
-
     # -- geometry ------------------------------------------------------------
     @property
     def num_tasks(self) -> int:

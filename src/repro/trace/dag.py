@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.common.errors import SimulationError
-from repro.trace.events import TaskSubmitEvent, TaskwaitOnEvent
-from repro.trace.task import FLAG_READS, FLAG_READWRITE, FLAG_WRITES
+from repro.trace.task import FLAG_READS, FLAG_WRITES
 from repro.trace.trace import Trace
 
 
@@ -39,12 +38,12 @@ class DependencyGraph:
         Name of the originating trace.
     predecessors / successors:
         Adjacency maps keyed by task id.  Barrier-induced orderings are
-        *not* included here — barriers constrain the master thread, not
-        the data-flow between tasks — but the last-writer map needed to
-        resolve ``taskwait on`` is exposed separately.
-    last_writer_before_barrier:
-        For every ``taskwait on`` event index in the trace, the id of the
-        task the barrier waits for (or ``None`` if no prior writer).
+        *not* included here: barriers constrain the master thread, not
+        the data-flow between tasks.
+    durations:
+        Task execution time (µs) by task id.
+    submission_order:
+        Task ids in submission order (a topological order).
     """
 
     trace_name: str
@@ -102,20 +101,6 @@ class DependencyGraph:
             return float(self.num_tasks) if self.num_tasks else 0.0
         return self.total_work() / cp
 
-    def topological_generations(self) -> List[List[int]]:
-        """Group tasks into dependency levels (ASAP schedule levels)."""
-        level: Dict[int, int] = {}
-        generations: List[List[int]] = []
-        for task_id in self.submission_order:
-            lvl = 0
-            for pred in self.predecessors[task_id]:
-                lvl = max(lvl, level[pred] + 1)
-            level[task_id] = lvl
-            while len(generations) <= lvl:
-                generations.append([])
-            generations[lvl].append(task_id)
-        return generations
-
 
 def build_dependency_graph(trace: Trace) -> DependencyGraph:
     """Derive the dependency DAG of ``trace`` using OmpSs address semantics.
@@ -127,17 +112,22 @@ def build_dependency_graph(trace: Trace) -> DependencyGraph:
     * a task writing the address depends on the last writer (WAW) and on
       all readers since then (WAR);
     * barriers do not create inter-task edges.
+
+    The analysis reads the trace's columns; no task object is built.
     """
-    graph = DependencyGraph(trace_name=trace.name)
+    columns = trace.columns
+    graph = DependencyGraph(trace_name=trace.name, submission_order=list(columns.task_ids),
+                            durations=dict(zip(columns.task_ids, columns.durations)))
+    offsets = columns.offsets
+    addresses = columns.addresses
+    flags = columns.flags
     last_writer: Dict[int, int] = {}
     readers_since_write: Dict[int, List[int]] = defaultdict(list)
 
-    for task in trace.tasks():
-        task_id = task.task_id
-        graph.submission_order.append(task_id)
-        graph.durations[task_id] = task.duration_us
+    for slot, task_id in enumerate(columns.task_ids):
         preds: Set[int] = set()
-        accesses = tuple(zip(task.addresses, task.flags))
+        low, high = offsets[slot], offsets[slot + 1]
+        accesses = tuple(zip(addresses[low:high], flags[low:high]))
         # First pass: collect dependencies from all parameters.
         for addr, flag in accesses:
             if flag & FLAG_READS:
@@ -152,38 +142,16 @@ def build_dependency_graph(trace: Trace) -> DependencyGraph:
         graph.successors.setdefault(task_id, set())
         for pred in preds:
             graph.successors.setdefault(pred, set()).add(task_id)
-        # Second pass: update the address state with this task's accesses.
+        # Second pass: update the address state with this task's accesses
+        # (an inout task is the new last writer, so later readers depend
+        # on it through last_writer alone).
         for addr, flag in accesses:
             if flag & FLAG_WRITES:
                 last_writer[addr] = task_id
                 readers_since_write[addr] = []
-            if flag == FLAG_READS:
+            else:
                 readers_since_write[addr].append(task_id)
-            elif flag == FLAG_READWRITE:
-                # inout: the task is both the new last writer and the sole
-                # reader "since" its own write (no extra bookkeeping
-                # needed — future readers depend on it via last_writer).
-                pass
     return graph
-
-
-def last_writer_map(trace: Trace) -> Dict[int, Optional[int]]:
-    """For every event index of a ``taskwait on`` event, the task id waited for.
-
-    Mirrors the resolution the runtime performs: the barrier waits for the
-    most recent previously submitted task that *writes* the address; if no
-    such task exists the barrier does not block.
-    """
-    result: Dict[int, Optional[int]] = {}
-    last_writer: Dict[int, int] = {}
-    for index, event in enumerate(trace.events):
-        if isinstance(event, TaskSubmitEvent):
-            task = event.task
-            for address in task.output_addresses:
-                last_writer[address] = task.task_id
-        elif isinstance(event, TaskwaitOnEvent):
-            result[index] = last_writer.get(event.address)
-    return result
 
 
 def validate_schedule(

@@ -296,11 +296,8 @@ class DynamicProgram:
         Identical to ``materialize(self)`` (same events, same metadata),
         so digests agree regardless of which bridge a caller used.
         """
-        return Trace(
-            name=name or self.name,
-            events=tuple(self.iter_events()),
-            metadata=dict(self.metadata),
-        )
+        return Trace(name=name or self.name, events=self.iter_events(),
+                     metadata=dict(self.metadata))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<DynamicProgram {self.name!r}>"

@@ -35,7 +35,8 @@ from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Tuple, Union
 
-from repro.common.errors import TraceError
+from repro.common.errors import TraceError, reject_non_finite
+from repro.trace.columns import FULL_TASKWAIT
 from repro.trace.events import SpawnEvent, TaskSubmitEvent, TaskwaitEvent, TaskwaitOnEvent, TraceEvent
 from repro.trace.task import Direction, check_task, make_task
 from repro.trace.trace import Trace
@@ -61,38 +62,47 @@ DEFAULT_CHUNK_EVENTS = 1024
 RESULT_FORMAT_VERSION = 2
 
 
-def _reject_non_finite(token: str) -> Any:
-    """``parse_constant`` of every trace/row read: JSON has no NaN/±Infinity."""
-    raise TraceError(f"non-finite number {token} is outside the JSON domain")
-
-
 #: Direction flags -> serialized direction (index 0 is no direction).
 _DIRECTION_VALUE = (None, "in", "out", "inout")
+
+
+def _task_json(task_id: int, function: str, addresses: Tuple[int, ...], flags: Tuple[int, ...],
+               sizes: Optional[Tuple[int, ...]], duration_us: float, creation_overhead_us: float,
+               spawn: bool, parent_id: Optional[int]) -> Dict[str, Any]:
+    """The JSON form of one task submission: THE task format of both the
+    document and the chunked stream.  A recorded spawn (``spawn``) keeps
+    its provenance, so the reader rebuilds a
+    :class:`~repro.trace.events.SpawnEvent` and round-trips are exact."""
+    doc = {
+        "k": "s" if spawn else "t",
+        "id": task_id,
+        "f": function,
+        "p": [{"a": address, "d": _DIRECTION_VALUE[flag], "s": size}
+              for address, flag, size in zip(addresses, flags, sizes or repeat(0))],
+        "us": duration_us,
+        "co": creation_overhead_us,
+    }
+    if parent_id is not None:
+        doc["pid"] = parent_id
+    return doc
+
+
+def _barrier_json(address: int) -> Dict[str, Any]:
+    """A ``taskwait`` (:data:`FULL_TASKWAIT`) or ``taskwait on`` barrier."""
+    return {"k": "w"} if address == FULL_TASKWAIT else {"k": "wo", "a": address}
 
 
 def _event_to_json(event: TraceEvent) -> Dict[str, Any]:
     if isinstance(event, TaskSubmitEvent):
         task = event.task
-        doc = {
-            "k": "t",
-            "id": task.task_id,
-            "f": task.function,
-            "p": [{"a": address, "d": _DIRECTION_VALUE[flag], "s": size} for address, flag, size
-                  in zip(task.addresses, task.flags, task.sizes or repeat(0))],
-            "us": task.duration_us,
-            "co": task.creation_overhead_us,
-        }
-        if isinstance(event, SpawnEvent):
-            # Recorded dynamic submissions keep their provenance; the
-            # reader rebuilds a SpawnEvent, so round-trips are exact.
-            doc["k"] = "s"
-            if event.parent_id is not None:
-                doc["pid"] = event.parent_id
-        return doc
+        spawn = isinstance(event, SpawnEvent)
+        return _task_json(task.task_id, task.function, task.addresses, task.flags, task.sizes,
+                          task.duration_us, task.creation_overhead_us, spawn,
+                          event.parent_id if spawn else None)
     if isinstance(event, TaskwaitEvent):
-        return {"k": "w"}
+        return _barrier_json(FULL_TASKWAIT)
     if isinstance(event, TaskwaitOnEvent):
-        return {"k": "wo", "a": event.address}
+        return _barrier_json(event.address)
     raise TraceError(f"unknown trace event type {type(event).__name__}")
 
 
@@ -123,12 +133,30 @@ def _event_from_json(data: Dict[str, Any]) -> TraceEvent:
 
 
 def trace_to_json(trace: Trace) -> Dict[str, Any]:
-    """Convert a trace to a JSON-serializable dictionary."""
+    """Convert a trace to a JSON-serializable dictionary (read from its
+    columns: no event or descriptor object is built)."""
+    columns = trace.columns
+    task_ids, functions = columns.task_ids, columns.functions
+    durations, creations = columns.durations, columns.creations
+    offsets, addresses, flags, sizes = (columns.offsets, columns.addresses, columns.flags,
+                                        columns.sizes)
+    parents = columns.parents or {}
+    events = []
+    append = events.append
+    for start, end, barrier in columns.segments():
+        for slot in range(start, end):
+            low, high = offsets[slot], offsets[slot + 1]
+            append(_task_json(task_ids[slot], functions[slot], addresses[low:high],
+                              flags[low:high], None if sizes is None else sizes[low:high],
+                              durations[slot], creations[slot], slot in parents,
+                              parents.get(slot)))
+        if barrier is not None:
+            append(_barrier_json(barrier))
     return {
         "format_version": FORMAT_VERSION,
         "name": trace.name,
         "metadata": dict(trace.metadata),
-        "events": [_event_to_json(e) for e in trace.events],
+        "events": events,
     }
 
 
@@ -138,7 +166,7 @@ def trace_from_json(data: Dict[str, Any]) -> Trace:
     if version != FORMAT_VERSION:
         raise TraceError(f"unsupported trace format version {version!r} (expected {FORMAT_VERSION})")
     try:
-        events = tuple(_event_from_json(e) for e in data["events"])
+        events = (_event_from_json(e) for e in data["events"])
         return Trace(name=str(data["name"]), events=events, metadata=dict(data.get("metadata", {})))
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceError(f"malformed trace document: {exc}") from exc
@@ -147,7 +175,7 @@ def trace_from_json(data: Dict[str, Any]) -> Trace:
 def save_trace(trace: Trace, path: Union[str, Path]) -> Path:
     """Write ``trace`` to ``path`` (gzip-compressed when it ends in .gz)."""
     path = Path(path)
-    document = json.dumps(trace_to_json(trace), separators=(",", ":"))
+    document = _dumps(trace_to_json(trace))
     if path.suffix == ".gz":
         with gzip.open(path, "wt", encoding="utf-8") as handle:
             handle.write(document)
@@ -177,11 +205,14 @@ def canonical_json_line(document: Any) -> str:
     >>> canonical_json_line({"b": 1, "a": [2.5]})
     '{"a":[2.5],"b":1}'
     """
+    return _dumps(document, sort_keys=True, default=_coerce_json_scalar)
+
+
+def _dumps(document: Any, **options: Any) -> str:
+    """Compact JSON of ``document``; a NaN/±Infinity anywhere in it raises
+    :class:`~repro.common.errors.TraceError` naming the value's path."""
     try:
-        return json.dumps(
-            document, sort_keys=True, separators=(",", ":"), default=_coerce_json_scalar,
-            allow_nan=False,
-        )
+        return json.dumps(document, separators=(",", ":"), allow_nan=False, **options)
     except ValueError:
         found = _find_non_finite(document, "$")
         if found is None:
@@ -296,7 +327,7 @@ def iter_jsonl(path: Union[str, Path]) -> Iterator[Dict[str, Any]]:
             if not line:
                 continue
             try:
-                yield json.loads(line, parse_constant=_reject_non_finite)
+                yield json.loads(line, parse_constant=reject_non_finite)
             except json.JSONDecodeError as exc:
                 raise TraceError(f"{path}:{line_number} is not valid JSON: {exc}") from exc
 
@@ -321,7 +352,7 @@ def load_trace(path: Union[str, Path]) -> Trace:
     else:
         text = path.read_text(encoding="utf-8")
     try:
-        data = json.loads(text, parse_constant=_reject_non_finite)
+        data = json.loads(text, parse_constant=reject_non_finite)
     except json.JSONDecodeError as exc:
         raise TraceError(f"trace file {path} is not valid JSON: {exc}") from exc
     return trace_from_json(data)
@@ -373,7 +404,7 @@ def _is_stream_file(path: Path) -> bool:
         # trace (whose second key is "name").
         return re.match(r'\{"format_version":\d+,"kind":"trace-stream",', prefix) is not None
     try:
-        header = json.loads(prefix[:newline], parse_constant=_reject_non_finite)
+        header = json.loads(prefix[:newline], parse_constant=reject_non_finite)
     except json.JSONDecodeError:
         return False
     return isinstance(header, dict) and header.get("kind") == _STREAM_KIND
@@ -415,15 +446,15 @@ class TraceWriter:
         self.num_events = 0
         self.num_tasks = 0
         self._chunk: list[Dict[str, Any]] = []
-        self._handle = _open_text(self.path, "wt")
-        self._closed = False
-        header = {
+        header = _dumps({
             "format_version": STREAM_FORMAT_VERSION,
             "kind": _STREAM_KIND,
             "name": name,
             "metadata": self.metadata,
-        }
-        self._write_line(header)
+        })
+        self._handle = _open_text(self.path, "wt")
+        self._closed = False
+        self._handle.write(header + "\n")
 
     # -- writing -----------------------------------------------------------
     def write(self, event: TraceEvent) -> None:
@@ -467,8 +498,7 @@ class TraceWriter:
 
     # -- internals ----------------------------------------------------------
     def _write_line(self, document: Dict[str, Any]) -> None:
-        self._handle.write(json.dumps(document, separators=(",", ":")))
-        self._handle.write("\n")
+        self._handle.write(_dumps(document) + "\n")
 
     def _flush_chunk(self) -> None:
         if self._chunk:
@@ -500,7 +530,7 @@ def read_stream_header(path: Union[str, Path]) -> Dict[str, Any]:
     with _open_text(path, "rt") as handle:
         first = handle.readline()
     try:
-        header = json.loads(first, parse_constant=_reject_non_finite)
+        header = json.loads(first, parse_constant=reject_non_finite)
     except json.JSONDecodeError as exc:
         raise TraceError(f"{path}: not a chunked trace stream (bad header): {exc}") from exc
     return validate_stream_header(header, source=str(path))
@@ -599,7 +629,7 @@ def trace_from_stream_text(text: str, source: str = "<stream>") -> Trace:
     except StopIteration:
         raise TraceError(f"{source}: empty trace stream") from None
     try:
-        header = json.loads(first, parse_constant=_reject_non_finite)
+        header = json.loads(first, parse_constant=reject_non_finite)
     except json.JSONDecodeError as exc:
         raise TraceError(f"{source}: not a chunked trace stream (bad header): {exc}") from exc
     validate_stream_header(header, source)
@@ -610,12 +640,11 @@ def trace_from_stream_text(text: str, source: str = "<stream>") -> Trace:
             if not line:
                 continue
             try:
-                yield json.loads(line, parse_constant=_reject_non_finite)
+                yield json.loads(line, parse_constant=reject_non_finite)
             except json.JSONDecodeError as exc:
                 raise TraceError(f"{source}: line {line_number} is not valid JSON: {exc}") from exc
 
-    events = tuple(parse_stream_documents(body(), source=source))
-    return Trace(name=str(header["name"]), events=events,
+    return Trace(name=str(header["name"]), events=parse_stream_documents(body(), source=source),
                  metadata=dict(header.get("metadata", {})))
 
 

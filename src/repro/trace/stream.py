@@ -254,11 +254,7 @@ def materialize(stream: "TaskStream | Iterable[TraceEvent]") -> Trace:
         builder = TraceBuilder(stream.name, stream.metadata)
         deque(body(builder), maxlen=0)
         return builder.build()
-    return Trace(
-        name=stream.name,
-        events=tuple(stream.iter_events()),
-        metadata=dict(stream.metadata),
-    )
+    return Trace(name=stream.name, events=stream.iter_events(), metadata=dict(stream.metadata))
 
 
 def limit_stream(stream: TaskStream, max_tasks: Optional[int]) -> TaskStream:

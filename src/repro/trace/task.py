@@ -149,18 +149,6 @@ class Parameter:
         # Normalise string directions passed by convenience callers.
         object.__setattr__(self, "direction", Direction.parse(self.direction))
 
-    @property
-    def is_input(self) -> bool:
-        return self.direction.reads
-
-    @property
-    def is_output(self) -> bool:
-        return self.direction.writes
-
-    def replace_address(self, address: int) -> "Parameter":
-        """Return a copy of the parameter bound to a different address."""
-        return Parameter(address=address, direction=self.direction, size=self.size)
-
 
 #: One task's flat input/output list: (addresses, flags, sizes or None).
 Accesses = Tuple[Tuple[int, ...], Tuple[int, ...], Optional[Tuple[int, ...]]]
@@ -305,20 +293,9 @@ class TaskDescriptor:
         return len(self.addresses)
 
     @property
-    def input_addresses(self) -> tuple[int, ...]:
-        """Addresses the task reads (``in`` and ``inout``)."""
-        return tuple(a for a, flag in zip(self.addresses, self.flags) if flag & FLAG_READS)
-
-    @property
     def output_addresses(self) -> tuple[int, ...]:
         """Addresses the task writes (``out`` and ``inout``)."""
         return tuple(a for a, flag in zip(self.addresses, self.flags) if flag & FLAG_WRITES)
-
-    def with_duration(self, duration_us: float) -> "TaskDescriptor":
-        """Return a copy with a different execution time."""
-        check_task(self.task_id, self.function, duration_us, self.creation_overhead_us, (), None)
-        return make_task(self.task_id, self.function, self.addresses, self.flags, self.sizes,
-                         duration_us, self.creation_overhead_us, self._params)
 
     def with_id(self, task_id: int) -> "TaskDescriptor":
         """Return a copy with a different task id."""

@@ -3,11 +3,12 @@
 A trace is the unit the simulation consumes: an ordered program of task
 submissions and barriers plus metadata about the workload it was
 generated from.  Traces are immutable once built and store their
-program as validated columns (:class:`~repro.trace.columns.TraceColumns`);
-the :class:`~repro.trace.events.TraceEvent` sequence and the task
-descriptors are views built on first use.  The :class:`TraceBuilder` is
-the mutable construction helper — the column sink — the workload
-generators and the OmpSs-like runtime API write into.
+program as validated columns (:class:`~repro.trace.columns.TraceColumns`),
+the one form the library's readers use; the
+:class:`~repro.trace.events.TraceEvent` sequence and the task descriptors
+are views built on first use.  The :class:`TraceBuilder` is the mutable
+construction helper — the column sink — the workload generators and the
+OmpSs-like runtime API write into.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ class Trace:
         Free-form generator parameters (frame counts, matrix sizes, seed,
         scale factor, ...), recorded so experiments are self-describing.
 
-    ``Trace(name, events=...)`` builds a trace from event objects;
+    ``Trace(name, events=...)`` builds a trace from event objects (sugar
+    over :meth:`TraceBuilder.extend`: only the columns are kept);
     :meth:`TraceBuilder.build` builds one from columns.  Both forms are
     equal when they describe the same program.
 
@@ -73,11 +75,9 @@ class Trace:
         events: Iterable[TraceEvent],
         metadata: Optional[Mapping[str, object]] = None,
     ) -> None:
-        events = tuple(events)
         builder = TraceBuilder(name)
         builder.extend(events)
         self._init(name, builder.columns(), metadata)
-        self.__dict__["_events"] = events
 
     @classmethod
     def from_columns(
@@ -121,12 +121,7 @@ class Trace:
         """The task descriptors by slot (built from the columns once)."""
         tasks = self.__dict__.get("_descriptors")
         if tasks is None:
-            events = self.__dict__.get("_events")
-            if events is None:
-                tasks = self.columns.descriptors()
-            else:
-                tasks = [event.task for event in events if isinstance(event, TaskSubmitEvent)]
-            self.__dict__["_descriptors"] = tasks
+            tasks = self.__dict__["_descriptors"] = self.columns.descriptors()
         return tasks
 
     @property
@@ -175,14 +170,6 @@ class Trace:
         n = self.num_tasks
         return self.total_work_us / n if n else 0.0
 
-    def task_by_id(self, task_id: int) -> TaskDescriptor:
-        """Return the task with ``task_id``."""
-        try:
-            slot = self.columns.task_ids.index(task_id)
-        except ValueError:
-            raise TraceError(f"trace {self.name!r} has no task with id {task_id}") from None
-        return self.descriptors()[slot]
-
     def task_map(self) -> Dict[int, TaskDescriptor]:
         """Return a dict mapping task id to descriptor."""
         return dict(zip(self.columns.task_ids, self.descriptors()))
@@ -220,19 +207,6 @@ class Trace:
             program = CompiledAccessProgram(self.columns)
             self.__dict__["_compiled_access_program"] = program
         return program
-
-    def with_name(self, name: str) -> "Trace":
-        """Return a copy of the trace under a different name."""
-        return Trace.from_columns(name, self.columns, dict(self.metadata))
-
-    def scaled_durations(self, factor: float) -> "Trace":
-        """Return a copy with every task duration multiplied by ``factor``."""
-        if factor <= 0:
-            raise TraceError(f"duration scale factor must be positive, got {factor}")
-        columns = self.columns.with_durations([d * factor for d in self.columns.durations])
-        metadata = dict(self.metadata)
-        metadata["duration_scale"] = factor * float(metadata.get("duration_scale", 1.0))
-        return Trace.from_columns(self.name, columns, metadata)
 
 
 class TraceBuilder:

@@ -20,7 +20,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Union
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, reject_non_finite
 from repro.trace.serialization import canonical_json_line
 from repro.tune.search import TuneResult
 
@@ -82,7 +82,7 @@ class TuneReport:
         for line in Path(path).read_text(encoding="utf-8").splitlines():
             if not line.strip():
                 continue
-            document = json.loads(line)
+            document = json.loads(line, parse_constant=reject_non_finite)
             kind = document.get("type")
             if kind == "header":
                 header = document

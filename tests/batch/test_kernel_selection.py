@@ -228,8 +228,8 @@ class TestOverridesKeepTheScalarLoop:
     def test_manager_subclass_overriding_submit(self):
         class SlowSubmitIdeal(IdealManager):
             def submit(self, task, time_us):
-                outcome = super().submit(task, time_us)
-                return outcome._replace(accept_time_us=time_us + 5.0)
+                _, ready = super().submit(task, time_us)
+                return time_us + 5.0, ready
 
         trace = _independent()
         config = MachineConfig(num_cores=4)
@@ -243,9 +243,8 @@ class TestOverridesKeepTheScalarLoop:
     def test_manager_subclass_overriding_finish(self):
         class SlowWakeIdeal(IdealManager):
             def finish(self, task_id, time_us):
-                outcome = super().finish(task_id, time_us)
-                return outcome._replace(ready=tuple(
-                    (task_id, ready_us + 3.0) for task_id, ready_us in outcome.ready))
+                ready, notify_done_us = super().finish(task_id, time_us)
+                return tuple((task_id, ready_us + 3.0) for task_id, ready_us in ready), notify_done_us
 
         builder = TraceBuilder("chain")
         builder.add_task("a", duration_us=10.0, outputs=[0x1000])

@@ -78,6 +78,14 @@ class TestFrames:
         with pytest.raises(ProtocolError):
             right.recv(timeout=5)
 
+    @pytest.mark.parametrize("token", [b"NaN", b"Infinity", b"-Infinity"])
+    def test_non_finite_number_rejected(self, token):
+        left, right = pair()
+        body = b'{"type": "result", "makespan_us": ' + token + b"}"
+        left.sock.sendall(struct.pack(">I", len(body)) + body)
+        with pytest.raises(ProtocolError, match="JSON domain"):
+            right.recv(timeout=5)
+
     def test_untyped_object_rejected(self):
         left, right = pair()
         body = b'{"no_type": 1}'

@@ -2,6 +2,8 @@
 
 import threading
 
+import pytest
+
 from repro.experiments.cache import ResultCache
 from repro.experiments.runner import SweepRunner
 from repro.experiments.spec import SweepSpec
@@ -30,6 +32,17 @@ class TestResultCache:
         path = tmp_path / KEY[:2] / f"{KEY}.json"
         path.write_text("{truncated", encoding="utf-8")
         assert cache.get(KEY) is None
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_entry_is_a_healed_miss(self, tmp_path, token):
+        """JSON has no NaN/±Infinity and put never writes them: such an
+        entry is corrupt, so it is a miss and is removed like a torn one."""
+        cache = ResultCache(tmp_path)
+        cache.put(KEY, {"makespan_us": 1.0})
+        path = tmp_path / KEY[:2] / f"{KEY}.json"
+        path.write_text('{"makespan_us": %s}' % token, encoding="utf-8")
+        assert cache.get(KEY) is None
+        assert not path.exists()
 
     def test_non_object_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -24,57 +24,56 @@ class TestBasicBehaviour:
 
     def test_independent_task_reported_ready(self):
         manager = NexusPlusPlusManager()
-        outcome = manager.submit(make_task(0, outputs=[0x40]), 0.0)
-        assert len(outcome.ready) == 1
-        assert outcome.ready[0][0] == 0
-        assert outcome.ready[0][1] > 0.0
+        _, ready = manager.submit(make_task(0, outputs=[0x40]), 0.0)
+        assert len(ready) == 1
+        assert ready[0][0] == 0
+        assert ready[0][1] > 0.0
 
     def test_dependent_task_released_after_finish(self):
         manager = NexusPlusPlusManager()
         manager.submit(make_task(0, outputs=[0x40]), 0.0)
-        outcome = manager.submit(make_task(1, inputs=[0x40]), 0.0)
-        assert outcome.ready == ()
-        finish = manager.finish(0, 100.0)
-        assert [task_id for task_id, _ in finish.ready] == [1]
-        assert finish.ready[0][1] > 100.0
+        _, ready = manager.submit(make_task(1, inputs=[0x40]), 0.0)
+        assert ready == ()
+        ready, _ = manager.finish(0, 100.0)
+        assert [task_id for task_id, _ in ready] == [1]
+        assert ready[0][1] > 100.0
 
     def test_accept_time_reflects_input_parser_occupancy(self):
         config = NexusPlusPlusConfig(frequency_mhz=100.0)
         manager = NexusPlusPlusManager(config)
-        outcome = manager.submit(make_task(0, outputs=[0x40, 0x80, 0xC0, 0x100]), 0.0)
+        accept_us, _ = manager.submit(make_task(0, outputs=[0x40, 0x80, 0xC0, 0x100]), 0.0)
         # 4-parameter task: 12 input cycles at 100 MHz = 0.12 µs.
-        assert outcome.accept_time_us == pytest.approx(0.12)
+        assert accept_us == pytest.approx(0.12)
 
     def test_submissions_serialise_on_the_input_parser(self):
         manager = NexusPlusPlusManager()
-        first = manager.submit(make_task(0, outputs=[0x40]), 0.0)
-        second = manager.submit(make_task(1, outputs=[0x80]), 0.0)
-        assert second.accept_time_us > first.accept_time_us
+        first, _ = manager.submit(make_task(0, outputs=[0x40]), 0.0)
+        second, _ = manager.submit(make_task(1, outputs=[0x80]), 0.0)
+        assert second > first
 
     def test_ready_latency_matches_pipeline_sum(self):
         config = NexusPlusPlusConfig(frequency_mhz=100.0, fifo_latency_cycles=3)
         manager = NexusPlusPlusManager(config)
-        outcome = manager.submit(make_task(0, outputs=[0x40, 0x80, 0xC0, 0x100]), 0.0)
+        _, ready = manager.submit(make_task(0, outputs=[0x40, 0x80, 0xC0, 0x100]), 0.0)
         # input 12 + fifo 3 + insert 18 + fifo 3 + write-back 3 = 39 cycles.
-        assert outcome.ready[0][1] == pytest.approx(0.39)
+        assert ready[0][1] == pytest.approx(0.39)
 
     def test_lower_frequency_scales_latency(self):
         fast = NexusPlusPlusManager(NexusPlusPlusConfig(frequency_mhz=100.0))
         slow = NexusPlusPlusManager(NexusPlusPlusConfig(frequency_mhz=50.0))
         task = make_task(0, outputs=[0x40])
-        ready_fast = fast.submit(task, 0.0).ready[0][1]
-        ready_slow = slow.submit(task, 0.0).ready[0][1]
-        assert ready_slow == pytest.approx(2.0 * ready_fast)
+        _, ready_fast = fast.submit(task, 0.0)
+        _, ready_slow = slow.submit(task, 0.0)
+        assert ready_slow[0][1] == pytest.approx(2.0 * ready_fast[0][1])
 
     def test_reset_clears_pipeline_state(self):
         manager = NexusPlusPlusManager()
         manager.submit(make_task(0, outputs=[0x40]), 0.0)
         manager.finish(0, 50.0)
         manager.reset()
-        outcome = manager.submit(make_task(0, outputs=[0x40]), 0.0)
-        assert outcome.accept_time_us == pytest.approx(
-            NexusPlusPlusManager().submit(make_task(0, outputs=[0x40]), 0.0).accept_time_us
-        )
+        accept_us, _ = manager.submit(make_task(0, outputs=[0x40]), 0.0)
+        fresh_us, _ = NexusPlusPlusManager().submit(make_task(0, outputs=[0x40]), 0.0)
+        assert accept_us == pytest.approx(fresh_us)
 
     def test_statistics_exposed(self):
         manager = NexusPlusPlusManager()
@@ -105,9 +104,8 @@ class TestThroughput:
         ready_times = []
         accept = 0.0
         for i in range(20):
-            outcome = manager.submit(make_task(i, outputs=[0x40 * (i + 1) * 7]), accept)
-            accept = outcome.accept_time_us
-            ready_times.extend(time_us for _, time_us in outcome.ready)
+            accept, ready = manager.submit(make_task(i, outputs=[0x40 * (i + 1) * 7]), accept)
+            ready_times.extend(time_us for _, time_us in ready)
         gaps = [b - a for a, b in zip(ready_times, ready_times[1:])]
         insert_stage_us = config.timing.insert_cycles(1) / config.frequency_mhz
         # Steady-state spacing equals the dominant stage occupancy.

@@ -51,16 +51,16 @@ class TestConfig:
 class TestFunctionalBehaviour:
     def test_independent_task_ready(self):
         manager = sharp()
-        outcome = manager.submit(make_task(0, outputs=[0x40]), 0.0)
-        assert [task_id for task_id, _ in outcome.ready] == [0]
+        _, ready = manager.submit(make_task(0, outputs=[0x40]), 0.0)
+        assert [task_id for task_id, _ in ready] == [0]
 
     def test_dependency_resolution_across_task_graphs(self):
         manager = sharp(num_tg=6)
         manager.submit(make_task(0, outputs=[0x40, 0x80, 0xC0]), 0.0)
-        outcome = manager.submit(make_task(1, inputs=[0x40, 0xC0]), 0.0)
-        assert outcome.ready == ()
-        finish = manager.finish(0, 50.0)
-        assert [task_id for task_id, _ in finish.ready] == [1]
+        _, ready = manager.submit(make_task(1, inputs=[0x40, 0xC0]), 0.0)
+        assert ready == ()
+        ready, _ = manager.finish(0, 50.0)
+        assert [task_id for task_id, _ in ready] == [1]
 
     def test_same_functional_result_for_any_task_graph_count(self):
         released = {}
@@ -70,16 +70,17 @@ class TestFunctionalBehaviour:
             manager.submit(make_task(1, inputs=[0x40], outputs=[0x80]), 0.0)
             manager.submit(make_task(2, inputs=[0x80]), 0.0)
             order = []
-            order.extend(task_id for task_id, _ in manager.finish(0, 100.0).ready)
-            order.extend(task_id for task_id, _ in manager.finish(1, 200.0).ready)
+            for task_id, time_us in ((0, 100.0), (1, 200.0)):
+                ready, _ = manager.finish(task_id, time_us)
+                order.extend(ready_id for ready_id, _ in ready)
             released[num_tg] = order
         assert len(set(map(tuple, released.values()))) == 1
 
     def test_zero_parameter_task_is_ready(self):
         manager = sharp()
         task = TaskDescriptor(task_id=0, function="f", params=(), duration_us=1.0)
-        outcome = manager.submit(task, 0.0)
-        assert [task_id for task_id, _ in outcome.ready] == [0]
+        _, ready = manager.submit(task, 0.0)
+        assert [task_id for task_id, _ in ready] == [0]
 
     def test_statistics_structure(self):
         manager = sharp(num_tg=3)
@@ -103,16 +104,16 @@ class TestFunctionalBehaviour:
 class TestTiming:
     def test_accept_time_is_input_parser_occupancy(self):
         manager = sharp(num_tg=4, frequency=100.0)
-        outcome = manager.submit(make_task(0, outputs=[0x40, 0x80, 0xC0, 0x100]), 0.0)
+        accept_us, _ = manager.submit(make_task(0, outputs=[0x40, 0x80, 0xC0, 0x100]), 0.0)
         # IPh 2 + 4*IP 2 + IPf 1 = 11 cycles at 100 MHz.
-        assert outcome.accept_time_us == pytest.approx(0.11)
+        assert accept_us == pytest.approx(0.11)
 
     def test_insertion_parallelises_across_task_graphs(self):
         """With parameters spread over many task graphs the task is
         reported ready earlier than with a single task graph."""
         addresses = [0x40, 0x80, 0xC0, 0x100]
-        single = sharp(num_tg=1).submit(make_task(0, outputs=addresses), 0.0).ready[0][1]
-        distributed = sharp(num_tg=8).submit(make_task(0, outputs=addresses), 0.0).ready[0][1]
+        _, [(_, single)] = sharp(num_tg=1).submit(make_task(0, outputs=addresses), 0.0)
+        _, [(_, distributed)] = sharp(num_tg=8).submit(make_task(0, outputs=addresses), 0.0)
         assert distributed < single
 
     def test_ready_rate_improves_with_task_graphs(self):
@@ -124,11 +125,10 @@ class TestTiming:
             accept, last = 0.0, 0.0
             for i in range(40):
                 base = 0x40 * (1 + 4 * i)
-                outcome = manager.submit(
+                accept, ready = manager.submit(
                     make_task(i, outputs=[base, base + 0x40, base + 0x80, base + 0xC0]), accept
                 )
-                accept = outcome.accept_time_us
-                for _, ready_us in outcome.ready:
+                for _, ready_us in ready:
                     last = max(last, ready_us)
             return last
 
@@ -136,8 +136,8 @@ class TestTiming:
 
     def test_lower_frequency_scales_latency(self):
         task = make_task(0, outputs=[0x40])
-        fast = sharp(num_tg=2, frequency=100.0).submit(task, 0.0).ready[0][1]
-        slow = sharp(num_tg=2, frequency=50.0).submit(task, 0.0).ready[0][1]
+        _, [(_, fast)] = sharp(num_tg=2, frequency=100.0).submit(task, 0.0)
+        _, [(_, slow)] = sharp(num_tg=2, frequency=50.0).submit(task, 0.0)
         assert slow == pytest.approx(2.0 * fast)
 
     def test_microbenchmark_cycle_count_near_paper(self):
@@ -148,9 +148,8 @@ class TestTiming:
         manager = sharp(num_tg=1, frequency=100.0)
         accept, last = 0.0, 0.0
         for task in trace.tasks():
-            outcome = manager.submit(task, accept)
-            accept = outcome.accept_time_us
-            for _, ready_us in outcome.ready:
+            accept, ready = manager.submit(task, accept)
+            for _, ready_us in ready:
                 last = max(last, ready_us)
         cycles = last * 100.0
         assert 40 <= cycles <= 110
@@ -158,8 +157,8 @@ class TestTiming:
 
     def test_tightly_coupled_timing_is_faster(self):
         task = make_task(0, outputs=[0x40, 0x80])
-        full = sharp(num_tg=2, frequency=100.0).submit(task, 0.0).ready[0][1]
-        tight = NexusSharpManager(
+        _, [(_, full)] = sharp(num_tg=2, frequency=100.0).submit(task, 0.0)
+        _, [(_, tight)] = NexusSharpManager(
             NexusSharpConfig(num_task_graphs=2, frequency_mhz=100.0, timing=NexusSharpTiming.tightly_coupled())
-        ).submit(task, 0.0).ready[0][1]
+        ).submit(task, 0.0)
         assert tight < full

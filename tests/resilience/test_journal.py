@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.resilience.journal import JOURNAL_VERSION, FrontierJournal
 
 
@@ -47,6 +49,20 @@ class TestJournal:
         again = FrontierJournal.open(path, "s")
         assert 4 in again.completed
         again.close()
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_line_ends_the_usable_prefix(self, tmp_path, token):
+        path = tmp_path / "j.jsonl"
+        with FrontierJournal.open(path, "s") as journal:
+            journal.record(1, doc(1))
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('{"type":"done","cell":2,"doc":{"makespan_us":%s}}\n' % token)
+            handle.write('{"type":"done","cell":3,"doc":{"makespan_us":3.0}}\n')
+        replay = FrontierJournal.open(path, "s")
+        assert replay.completed == {1: doc(1)}
+        replay.record(4, doc(4))  # appends after the usable prefix
+        replay.close()
+        assert FrontierJournal.open(path, "s").completed == {1: doc(1), 4: doc(4)}
 
     def test_sweep_id_mismatch_restarts_the_journal(self, tmp_path):
         path = tmp_path / "j.jsonl"

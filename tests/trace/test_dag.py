@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.trace.dag import build_dependency_graph, last_writer_map, validate_schedule
+from repro.trace.dag import build_dependency_graph, validate_schedule
 from repro.trace.trace import TraceBuilder
 from repro.workloads.synthetic import generate_chain, generate_independent
 
@@ -91,26 +91,6 @@ class TestCriticalPath:
     def test_independent_max_parallelism(self):
         g = build_dependency_graph(generate_independent(8, duration_us=2.0, seed=1))
         assert g.max_parallelism() == pytest.approx(8.0)
-
-    def test_topological_generations(self):
-        g = build_dependency_graph(diamond())
-        generations = g.topological_generations()
-        assert generations[0] == [0]
-        assert sorted(generations[1]) == [1, 2]
-        assert generations[2] == [3]
-
-
-class TestLastWriterMap:
-    def test_maps_barrier_to_last_writer(self):
-        builder = TraceBuilder("lw")
-        builder.add_task("w1", 1.0, outputs=[0x1])
-        builder.add_task("w2", 1.0, outputs=[0x1])
-        builder.add_taskwait_on(0x1)
-        builder.add_taskwait_on(0x999)
-        trace = builder.build()
-        mapping = last_writer_map(trace)
-        assert mapping[2] == 1
-        assert mapping[3] is None
 
 
 class TestValidateSchedule:

@@ -100,6 +100,24 @@ class TestClosedJsonDomain:
 
         assert canonical_json_line({"b": 1e308, "a": -0.0}) == '{"a":-0.0,"b":1e+308}'
 
+    @pytest.mark.parametrize("value, shown", [
+        (float("nan"), "nan"), (float("inf"), "inf"), (float("-inf"), "-inf")])
+    def test_writers_refuse_non_finite_metadata(self, tmp_path, value, shown):
+        """A trace whose metadata holds NaN/±inf cannot be written: the
+        file would hold a token every reader refuses."""
+        from repro.trace.serialization import TraceWriter, write_trace_stream
+
+        trace = TraceBuilder("m", metadata={"ratio": value}).build()
+        where = rf"{shown} at \$\.metadata\.ratio"
+        with pytest.raises(TraceError, match=where):
+            save_trace(trace, tmp_path / "trace.json")
+        assert not (tmp_path / "trace.json").exists()
+        with pytest.raises(TraceError, match=where):
+            write_trace_stream(trace, tmp_path / "trace.jsonl")
+        assert not (tmp_path / "trace.jsonl").exists()
+        with pytest.raises(TraceError, match=rf"{shown} at \$\.metadata\.nested\[1\]"):
+            TraceWriter(tmp_path / "direct.jsonl", "m", {"nested": [1.0, value]})
+
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_iter_jsonl_rejects(self, tmp_path, token):
         from repro.trace.serialization import iter_jsonl

@@ -7,6 +7,9 @@ from repro.common.errors import TraceError
 from repro.trace.dynamic import Compute, TaskRequest
 from repro.trace.task import (
     DIRECTION_OF_FLAGS,
+    FLAG_READS,
+    FLAG_READWRITE,
+    FLAG_WRITES,
     Direction,
     Parameter,
     TaskDescriptor,
@@ -41,7 +44,7 @@ class TestDirection:
 class TestParameter:
     def test_valid_parameter(self):
         p = Parameter(address=0x1000, direction=Direction.IN, size=64)
-        assert p.is_input and not p.is_output
+        assert p.direction.reads and not p.direction.writes
 
     def test_string_direction_normalised(self):
         p = Parameter(address=0x1000, direction="out")
@@ -59,11 +62,6 @@ class TestParameter:
         with pytest.raises(TraceError):
             Parameter(address=0, direction=Direction.IN, size=-4)
 
-    def test_replace_address(self):
-        p = Parameter(address=0x10, direction=Direction.INOUT, size=8)
-        q = p.replace_address(0x20)
-        assert q.address == 0x20 and q.direction is Direction.INOUT and q.size == 8
-
 
 class TestTaskDescriptor:
     def _task(self, **kwargs):
@@ -79,13 +77,13 @@ class TestTaskDescriptor:
     def test_basic_properties(self):
         task = self._task()
         assert task.num_params == 2
-        assert task.input_addresses == (0x100,)
+        assert task.flags == (FLAG_READS, FLAG_WRITES)
         assert task.output_addresses == (0x200,)
         assert task.addresses == (0x100, 0x200)
 
     def test_inout_counted_in_both_views(self):
         task = self._task(params=make_params(inouts=[0x300]))
-        assert task.input_addresses == (0x300,)
+        assert task.flags == (FLAG_READWRITE,)
         assert task.output_addresses == (0x300,)
 
     def test_negative_id_rejected(self):
@@ -113,11 +111,6 @@ class TestTaskDescriptor:
     def test_non_parameter_entries_rejected(self):
         with pytest.raises(TraceError):
             self._task(params=(0x100,))
-
-    def test_with_duration(self):
-        task = self._task().with_duration(99.0)
-        assert task.duration_us == 99.0
-        assert task.task_id == 0
 
     def test_with_id(self):
         task = self._task().with_id(7)

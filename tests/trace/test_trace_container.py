@@ -59,12 +59,8 @@ class TestTrace:
 
     def test_task_map_and_lookup(self):
         trace = self._trace()
-        assert trace.task_by_id(1).function == "g"
+        assert trace.task_map()[1].function == "g"
         assert set(trace.task_map()) == {0, 1}
-
-    def test_task_by_id_missing(self):
-        with pytest.raises(TraceError):
-            self._trace().task_by_id(99)
 
     def test_functions_histogram(self):
         assert self._trace().functions() == {"f": 1, "g": 1}
@@ -77,18 +73,6 @@ class TestTrace:
         task = builder.add_task("a", 1.0, outputs=[1])
         with pytest.raises(TraceError):
             Trace(name="dup", events=(TaskSubmitEvent(task), TaskSubmitEvent(task)))
-
-    def test_with_name(self):
-        assert self._trace().with_name("other").name == "other"
-
-    def test_scaled_durations(self):
-        scaled = self._trace().scaled_durations(2.0)
-        assert scaled.total_work_us == pytest.approx(12.0)
-        assert scaled.metadata["duration_scale"] == 2.0
-
-    def test_scaled_durations_invalid(self):
-        with pytest.raises(TraceError):
-            self._trace().scaled_durations(0.0)
 
     def test_iteration(self):
         trace = self._trace()

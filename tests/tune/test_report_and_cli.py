@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.analysis.frontier import frontier_table, render_tune_report
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, TraceError
 from repro.experiments.runner import SweepRunner
 from repro.tune.cli import main
 from repro.tune.report import TUNE_REPORT_VERSION, TuneReport
@@ -61,6 +61,15 @@ class TestTuneReport:
         path = tmp_path / "truncated.jsonl"
         path.write_text('{"type": "header", "version": 1}\n')
         with pytest.raises(ConfigurationError):
+            TuneReport.load(path)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_rejected(self, finished, tmp_path, token):
+        path = TuneReport(finished).write(tmp_path / "report.jsonl")
+        lines = path.read_text().splitlines()
+        lines[-1] = lines[-1][:-1] + ',"score":%s}' % token
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceError, match="JSON domain"):
             TuneReport.load(path)
 
 
