@@ -51,8 +51,8 @@ from repro.taskgraph.task_pool import TaskPool
 from repro.trace.task import Direction, TaskDescriptor
 
 # ---------------------------------------------------------------------------
-# Frozen outcome records (the managers now return plain tuples; these
-# named forms unpack the same way and keep the legacy loop's field reads).
+# Frozen outcome records: the legacy loop reads their fields by name, and
+# they unpack like the library managers' plain tuples.
 # ---------------------------------------------------------------------------
 
 
