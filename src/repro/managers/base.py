@@ -38,25 +38,28 @@ Ready = Tuple[Tuple[int, float], ...]
 
 
 class LaneKernelSpec(NamedTuple):
-    """Constant-folded description of a manager for the fast replay kernel.
+    """Constant description of a manager for the fast replay kernel.
 
     The kernel (:func:`repro.sim.batch.run_kernel`) does not call back
     into stateful manager objects per event — it owns flat run state
     instead — so a manager that wants its runs on the kernel must
-    describe itself as pure constants.  Two kernel kinds exist today:
+    describe itself as constants.  Four kernel kinds exist:
 
     * ``"ideal"`` — zero-overhead dependency resolution (submission and
       retirement cost no simulated time);
     * ``"nanos"`` — the Nanos software-runtime cost model: serial
       master-side task creation plus a single runtime lock whose
       reservations the lane kernel replays arithmetically (exactly
-      :meth:`repro.sim.resource.SerialResource.reserve`).
+      :meth:`repro.sim.resource.SerialResource.reserve`);
+    * ``"nexus++"`` and ``"nexus#"`` — the hardware pipelines.  ``config``
+      is the manager's frozen configuration (timing, table geometry and,
+      for Nexus#, the number of task graphs) and ``cycle_us`` its clock
+      period; the kernel replays every serial reservation of the input
+      parser, task-graph ports, arbiter and write-back inline, and keeps
+      the set-associative tables' way occupancy on its own per-address
+      cursors.
 
-    The hardware managers (Nexus++/Nexus#) model history-dependent
-    pipeline contention (per-task-graph ports, arbiters, set-conflict
-    stalls) that has no constant folding; they return ``None`` from
-    :meth:`TaskManagerModel.lane_kernel` and their runs use the general
-    engine instead (see ``repro.sim.batch.lane_fallback_reason``).
+    A spec is hashable: the kernel caches per-trace cost columns by it.
     """
 
     kind: str
@@ -67,6 +70,8 @@ class LaneKernelSpec(NamedTuple):
     insert_lock_per_param_us: float = 0.0
     finish_lock_us: float = 0.0
     wakeup_per_task_us: float = 0.0
+    config: object = None
+    cycle_us: float = 0.0
 
 
 class TaskManagerModel(abc.ABC):

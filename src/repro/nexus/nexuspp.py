@@ -42,7 +42,7 @@ from repro.common.constants import (
 )
 from repro.common.units import Frequency
 from repro.common.validation import check_non_negative, check_positive, check_positive_int
-from repro.managers.base import Ready, TaskManagerModel
+from repro.managers.base import LaneKernelSpec, Ready, TaskManagerModel
 from repro.nexus.timing import (
     NEXUS_PP_TEST_FREQUENCY_MHZ,
     NexusPlusPlusTiming,
@@ -261,18 +261,21 @@ class NexusPlusPlusManager(TaskManagerModel):
         self._ready_count += len(newly_ready)
         return (tuple(ready), cleanup_end)
 
-    def lane_kernel(self) -> None:
-        """Nexus++ declines the fast replay kernel.
+    def lane_kernel(self) -> LaneKernelSpec:
+        """The kernel spec: this configuration, clock period and worker overhead.
 
-        Its pipeline state is history-dependent in ways the lane kernel
-        cannot constant-fold: three serial resources (Input Parser, the
-        task graph's single port, Write Back) interleave submit- and
-        finish-side reservations, and the set-associative address table
-        adds occupancy-dependent conflict stalls.  Its runs use the
-        general engine; they still benefit from the process-shared
-        latency tables (:func:`repro.nexus.timing.shared_offset_tables`).
+        :func:`repro.sim.batch.run_kernel` replays :meth:`submit` and
+        :meth:`finish` from it: the Input Parser, the single task-graph
+        port and Write Back as inline serial reservations over the
+        process-shared latency tables
+        (:func:`repro.nexus.timing.shared_offset_tables`), and the task
+        graph's way occupancy and set conflicts on the kernel's
+        per-address cursors.  Its ``manager_stats`` equal
+        :meth:`statistics`.  The ``taskwait on`` degradation happens in
+        the kernel's master, as in the engine's.
         """
-        return None
+        return LaneKernelSpec(kind="nexus++", worker_overhead_us=self.worker_overhead_us,
+                              config=self.config, cycle_us=self._cycle_us)
 
     # -- reporting -----------------------------------------------------------------
     def describe(self) -> Mapping[str, object]:

@@ -51,7 +51,7 @@ from repro.common.constants import (
 from repro.common.errors import ConfigurationError
 from repro.common.units import Frequency
 from repro.common.validation import check_positive, check_positive_int
-from repro.managers.base import Ready, TaskManagerModel
+from repro.managers.base import LaneKernelSpec, Ready, TaskManagerModel
 from repro.nexus.arbiter import DependenceCountsArbiter
 from repro.nexus.distribution import nexus_hash
 from repro.nexus.timing import (
@@ -348,18 +348,22 @@ class NexusSharpManager(TaskManagerModel):
         self._ready_count += len(newly_ready)
         return (tuple(ready), fp_end)
 
-    def lane_kernel(self) -> None:
-        """Nexus# declines the fast replay kernel.
+    def lane_kernel(self) -> LaneKernelSpec:
+        """The kernel spec: this configuration, clock period and worker overhead.
 
-        The distributed pipeline is far too history-dependent to
-        constant-fold: per-task-graph insertion ports, the Dependence
-        Counts Arbiter's result interleaving, set-conflict stalls and
-        dummy-entry occupancy all couple a task's cost to every earlier
-        task's placement.  Its runs use the general engine; they still
-        benefit from the process-shared latency tables
-        (:func:`repro.nexus.timing.shared_offset_tables`).
+        :func:`repro.sim.batch.run_kernel` replays :meth:`submit` and
+        :meth:`finish` from it: the Input Parser, the per-task-graph
+        ports, the arbiter's ``gather`` and ``decrement_many`` and Write
+        Back as inline serial reservations over the process-shared
+        latency tables (:func:`repro.nexus.timing.shared_offset_tables`),
+        with each address placed by :func:`~repro.nexus.distribution.
+        nexus_hash` and :meth:`~repro.taskgraph.table.AddressTable.
+        set_index` as in the tracker; way occupancy, set conflicts and the
+        waiters each row releases come from the kernel's per-address
+        cursors.  Its ``manager_stats`` equal :meth:`statistics`.
         """
-        return None
+        return LaneKernelSpec(kind="nexus#", worker_overhead_us=self.worker_overhead_us,
+                              config=self.config, cycle_us=self._cycle_us)
 
     # -- reporting -----------------------------------------------------------------
     def describe(self) -> Mapping[str, object]:

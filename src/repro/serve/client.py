@@ -37,7 +37,8 @@ CLIENT_RETRY_POLICY = RetryPolicy(
 
 
 class ServeError(Exception):
-    """A non-2xx response from the serving layer."""
+    """A failed response from the serving layer: a non-2xx status, or a
+    2xx status whose body is not JSON."""
 
     def __init__(self, status: int, message: str) -> None:
         super().__init__(f"HTTP {status}: {message}")
@@ -150,7 +151,10 @@ class ServeClient:
             document = (json.loads(payload.decode("utf-8"), parse_constant=reject_non_finite)
                         if payload else {})
         except (json.JSONDecodeError, UnicodeDecodeError):
-            document = {"error": payload[:200].decode("latin-1")}
+            text = payload[:200].decode("latin-1")
+            if response.status < 400:
+                raise ServeError(response.status, f"response body is not JSON: {text!r}")
+            document = {"error": text}
         if response.status == 429:
             retry = document.get("retry_after_s",
                                  response.headers.get("Retry-After", 1))

@@ -1,4 +1,4 @@
-"""The fast replay kernel for constant-foldable managers.
+"""The fast replay kernel of every manager's eligible static runs.
 
 :meth:`repro.system.machine.Machine.run` sends every static replay the
 kernel covers here (:func:`lane_fallback_reason` decides) and replays the
@@ -17,24 +17,29 @@ three things:
   AddressCell`) collapses to **four small integers per address** —
   inserted cursor, activated cursor, active count, active-is-writer —
   advanced over the static address-major arrays.  No cells, sets or
-  deques.
+  deques.  The same cursors carry the Nexus task graphs' structural
+  accounting (way occupancy, set conflicts, dummy entries), over each
+  address's (task graph, set) placement, computed once per geometry.
 * **timing tables folded across the task axis.**  Per-kernel cost
   columns (worker-overhead-inclusive nominal durations, Nanos
-  creation/lock-insertion costs) are computed once per ``(program,
-  kernel)`` with numpy elementwise arithmetic — IEEE-identical to the
-  engine's per-event expressions — and reused by every run of that kernel.
+  creation/lock-insertion costs, Nexus input-parser and table-stage
+  costs) are computed once per ``(program, kernel)`` — IEEE-identical to
+  the engine's per-event expressions — and reused by every run of that
+  kernel.
 * **flat run state**: the general engine's plain-tuple event heap and
-  its ``(time, priority, sequence)`` discipline, flat per-task dependence-count/finished/dispatched state,
-  an int heap of idle cores and a deque of queued ready tasks.
+  its ``(time, priority, sequence)`` discipline, flat per-task
+  dependence-count/finished/dispatched state, an int heap of idle cores,
+  a deque of queued ready tasks, and the next-free time and busy time of
+  each serial stage a manager reserves (the Nanos lock; the Nexus input
+  parser, task-graph ports, arbiter and write-back).
 
-The engine stays the reference oracle: kernels exist only for managers
-whose behaviour constant-folds (see
-:meth:`repro.managers.base.TaskManagerModel.lane_kernel` — ideal and
-Nanos today).  Hardware managers with history-dependent pipeline
-contention, non-FIFO schedulers, heterogeneous topologies and sparse
-task ids stay on the engine.  Kernel results are byte-identical to
-:meth:`~repro.system.machine.Machine.run_scalar`, the engine replay,
-pinned by the kernel-vs-scalar suites (``tests/batch/``,
+The engine stays the reference oracle.  All four managers publish a
+kernel spec (:meth:`repro.managers.base.TaskManagerModel.lane_kernel`);
+non-FIFO schedulers, heterogeneous topologies and sparse task ids stay
+on the engine, whose :class:`~repro.taskgraph.tracker.DependencyTracker`
+also serves streams and dynamic programs.  Kernel results are
+byte-identical to :meth:`~repro.system.machine.Machine.run_scalar`, the
+engine replay, pinned by the kernel-vs-scalar suites (``tests/batch/``,
 ``tests/golden/test_batch_equivalence.py``).
 """
 
@@ -49,9 +54,11 @@ import numpy as np
 
 from repro.common.errors import SimulationError
 from repro.managers.base import LaneKernelSpec, TaskManagerModel
+from repro.nexus.timing import shared_offset_tables
 from repro.system.results import MachineResult
 from repro.system.scheduling import FifoPolicy
 from repro.system.timeline import TaskTimeline
+from repro.taskgraph.table import ways_for
 from repro.trace.columns import FULL_TASKWAIT
 from repro.trace.dag import validate_schedule
 from repro.trace.task import FLAG_WRITES
@@ -95,7 +102,8 @@ class LaneProgram:
         "task_ids", "slot_of", "has_wait_on", "total_work_us",
         "num_addresses", "acc_off", "acc_aid", "acc_flags",
         "addr_off", "addr_task", "addr_flags",
-        "duration", "creation", "num_params_eff", "_kernel_cache",
+        "duration", "creation", "num_params_eff", "param_off", "addresses",
+        "_kernel_cache", "_placements",
     )
 
     def __init__(self, trace: Trace) -> None:
@@ -179,42 +187,100 @@ class LaneProgram:
             self.num_params_eff = np.ones(self.num_tasks, dtype=np.int64)
         self.duration = columns.durations
         self.creation = columns.creations
+        # Raw parameter offsets (duplicates included): the hardware input
+        # parsers read every parameter word of the descriptor.
+        self.param_off = columns.offsets
+        self.addresses = program.addresses
         self._kernel_cache: Dict[LaneKernelSpec, Tuple[list, ...]] = {}
+        self._placements: Dict[Tuple[int, int], Tuple[List[int], List[int]]] = {}
 
-    def kernel_columns(self, kern: LaneKernelSpec) -> Tuple[list, list, list]:
+    def kernel_columns(self, kern: LaneKernelSpec) -> Tuple[list, list, list, list]:
         """Per-task cost columns of ``kern``, folded once and shared.
 
-        Returns ``(nominal, creation_pp, insert_cost)`` lists indexed by
-        task slot:
+        Returns ``(nominal, first, second, third)`` lists indexed by task
+        slot.  ``nominal[s]`` is the worker occupancy ``worker_overhead +
+        duration`` of every kind; the other three depend on the kind:
 
-        * ``nominal[s]`` — worker occupancy ``worker_overhead +
-          duration`` (both kernels);
-        * ``creation_pp[s]`` — the Nanos per-parameter creation term
-          ``creation_per_param_us * max(1, num_accesses)``, kept as a
-          separate addend so the runtime sum ``(time + base) + pp``
-          associates exactly like the engine's expression;
-        * ``insert_cost[s]`` — the full Nanos locked-insertion cost
-          ``insert_lock_us + insert_lock_per_param_us * max(1, n)``.
+        ========== ========================= ===================== ==================
+        kind       ``first``                 ``second``            ``third``
+        ========== ========================= ===================== ==================
+        ``nanos``  creation per-param term   locked-insertion cost —
+        ``nexus++`` Input Parser µs           Insert-stage cycles   cleanup cycles
+        ``nexus#`` Input Parser µs           finish redistribution —
+        ========== ========================= ===================== ==================
 
-        All three are numpy float64 elementwise expressions — the same
-        IEEE operations, in the same order, as the engine's per-event
-        arithmetic, hence byte-identical values.
+        The Nanos creation term ``creation_per_param_us * max(1, n)`` is
+        kept as a separate addend so the runtime sum ``(time + base) +
+        pp`` associates exactly like the engine's expression.  The Nexus
+        columns are lookups into the process-shared
+        :func:`~repro.nexus.timing.shared_offset_tables`, by parameter
+        count as the managers index them: the raw count for the input
+        parsers, the deduplicated access count for the table stages.
+        Every value is the same IEEE operation, in the same order, as the
+        engine's per-event arithmetic, hence byte-identical.
         """
         cached = self._kernel_cache.get(kern)
         if cached is None:
             durations = np.asarray(self.duration, dtype=np.float64)
             nominal = (kern.worker_overhead_us + durations).tolist()
-            if kern.kind == "nanos":
+            kind = kern.kind
+            first: list = []
+            second: list = []
+            third: list = []
+            if kind == "nanos":
                 params = self.num_params_eff.astype(np.float64)
-                creation_pp = (kern.creation_per_param_us * params).tolist()
-                insert_cost = (
+                first = (kern.creation_per_param_us * params).tolist()
+                second = (
                     kern.insert_lock_us + kern.insert_lock_per_param_us * params
                 ).tolist()
-            else:
-                creation_pp = []
-                insert_cost = []
-            cached = (nominal, creation_pp, insert_cost)
+            elif kind in ("nexus++", "nexus#"):
+                from repro.nexus.timing import shared_offset_tables
+
+                tables = shared_offset_tables(kern.config.timing, kern.cycle_us)
+                raw = np.maximum(np.diff(np.asarray(self.param_off, dtype=np.int64)), 1).tolist()
+                accesses = self.num_params_eff.tolist()
+                widest = max(raw + accesses, default=1)
+                if kind == "nexus++":
+                    tables.grow_pp(widest)
+                    input_us, insert_cycles, cleanup_cycles = (
+                        tables.input_us, tables.insert_cycles, tables.cleanup_cycles)
+                    third = [cleanup_cycles[count] for count in accesses]
+                    second = [insert_cycles[count] for count in accesses]
+                else:
+                    tables.grow_sharp_submit(widest)
+                    tables.grow_sharp_finish(widest)
+                    input_us, fin_input_us = tables.input_us, tables.fin_input_us
+                    second = [fin_input_us[count] for count in accesses]
+                first = [input_us[count] for count in raw]
+            cached = (nominal, first, second, third)
             self._kernel_cache[kern] = cached
+        return cached
+
+    def placement(self, num_tables: int, num_sets: int) -> Tuple[List[int], List[int]]:
+        """``(line, table)`` of every address id under a task-graph geometry.
+
+        ``table[a]`` is the task graph the tracker distributes address
+        ``a`` to (:func:`~repro.nexus.distribution.nexus_hash`; always 0
+        for one table) and ``line[a] = table[a] * num_sets + set`` its
+        set in a flat occupancy array of all tables, the set from
+        :meth:`~repro.taskgraph.table.AddressTable.set_index`.  Computed
+        once per geometry and shared by every run.
+        """
+        key = (num_tables, num_sets)
+        cached = self._placements.get(key)
+        if cached is None:
+            from repro.nexus.distribution import nexus_hash
+            from repro.taskgraph.table import AddressTable
+
+            set_index = AddressTable(num_sets=num_sets).set_index
+            addresses = self.addresses
+            if num_tables == 1:
+                tables = [0] * len(addresses)
+            else:
+                tables = [nexus_hash(address, num_tables) for address in addresses]
+            lines = [table * num_sets + set_index(address)
+                     for table, address in zip(tables, addresses)]
+            cached = self._placements[key] = (lines, tables)
         return cached
 
 
@@ -251,11 +317,10 @@ def lane_fallback_reason(machine: "Machine", trace: object) -> Optional[str]:  #
     the trace must be a materialised static trace with dense task ids;
     the manager must publish a :class:`~repro.managers.base.
     LaneKernelSpec` and use the ``submit``/``finish``/``statistics`` of
-    the class that declares it; dispatch must be plain :class:`~repro.system.scheduling.
-    FifoPolicy` (not a subclass) over unit-speed cores; and ``taskwait
-    on`` pragmas require manager support (no Nexus++-style degradation is
-    folded into lane programs).  The machine's own policy and topology
-    are checked, so nothing is rebuilt per run.
+    the class that declares it; and dispatch must be plain
+    :class:`~repro.system.scheduling.FifoPolicy` (not a subclass) over
+    unit-speed cores.  The machine's own policy and topology are
+    checked, so nothing is rebuilt per run.
     """
     if not isinstance(trace, Trace):
         return "not a materialised static trace"
@@ -271,8 +336,6 @@ def lane_fallback_reason(machine: "Machine", trace: object) -> Optional[str]:  #
     prog = lane_program(trace)
     if prog.slot_of is not None:
         return "sparse task ids"
-    if prog.has_wait_on and not manager.supports_taskwait_on:
-        return "taskwait-on degradation requires the engine's master"
     return None
 
 
@@ -295,23 +358,36 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
     inlines — in replicated order — the engine stack for the FIFO /
     homogeneous / dense-ids configuration: the trace master and event
     loop of :func:`repro.system.dynamic.run_engine` with its
-    ``(time, priority, sequence)`` heap discipline,
-    ``CorePool``'s lowest-id idle-core heap, ``FifoPolicy``'s deque, the compiled ``DependencyTracker`` insert /
-    finish semantics reduced to per-address cursors, and the lane
-    kernel's manager arithmetic (including exact
-    :meth:`~repro.sim.resource.SerialResource.reserve` replication for
-    the Nanos lock).  Schedules are byte-identical to the engine's; any
-    behavioural change there must land here too (the kernel-vs-scalar
-    golden and differential suites guard the pairing).  The number of
-    events processed lands in ``machine.last_events_processed``, equal to
-    the engine's pop count.
+    ``(time, priority, sequence)`` heap discipline (and its degradation
+    of ``taskwait on`` to a full ``taskwait`` for a manager without the
+    pragma), ``CorePool``'s lowest-id idle-core heap, ``FifoPolicy``'s
+    deque, the compiled ``DependencyTracker`` insert / finish semantics
+    reduced to per-address cursors, and the lane kernel's manager
+    arithmetic: the Nanos lock and the Nexus pipelines' serial
+    reservations replicate :meth:`~repro.sim.resource.SerialResource.
+    reserve` exactly, in the managers' order and float association.
+
+    For the Nexus kinds the cursors also carry the tracker's structural
+    accounting.  An address is live (it holds a table entry) unless
+    ``act_rem == 0 and act_n == ins_n``; its kick-off list is ``ins_n -
+    act_n`` long.  A fresh entry takes a way in its set (a set conflict
+    when the set is full), a kick-off list crossing the entry capacity
+    takes or frees dummy-entry ways (:func:`~repro.taskgraph.table.
+    ways_for`), and an idle address frees its ways, clamped at zero —
+    exactly the tracker's ``insert_task`` / ``finish_task`` bookkeeping.
+
+    Schedules are byte-identical to the engine's; any behavioural change
+    there must land here too (the kernel-vs-scalar golden and
+    differential suites guard the pairing).  The number of events
+    processed lands in ``machine.last_events_processed``, equal to the
+    engine's pop count.
     """
     manager = machine.manager
     config = machine.config
     kern = manager.lane_kernel()
     assert kern is not None
     prog = lane_program(trace)
-    nominal, creation_pp, insert_cost = prog.kernel_columns(kern)
+    nominal, col_first, col_second, col_third = prog.kernel_columns(kern)
 
     num_tasks = prog.num_tasks
     num_events = prog.num_events
@@ -326,11 +402,62 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
     addr_task = prog.addr_task
     addr_flags = prog.addr_flags
     creation = prog.creation
+    wait_on = manager.supports_taskwait_on
 
-    nanos = kern.kind == "nanos"
+    kind = kern.kind
+    nanos = kind == "nanos"
+    pp = kind == "nexus++"
+    sharp = kind == "nexus#"
+    nexus = pp or sharp
     creation_base = kern.creation_base_us
     finish_lock_us = kern.finish_lock_us
     wakeup_us = kern.wakeup_per_task_us
+
+    # --- Nexus pipeline constants and structural state ----------------------
+    num_tg = 1
+    if nexus:
+        hw = kern.config
+        timing = hw.timing
+        cycle_us = kern.cycle_us
+        if sharp:
+            num_tg = hw.num_task_graphs
+            tables = shared_offset_tables(timing, cycle_us)
+            fwd_us = tables.fwd_us
+            fin_fwd_us = tables.fin_fwd_us
+            args_fifo_us = timing.args_fifo_latency_cycles * cycle_us
+            plain_us = timing.insert_cycles_per_param * cycle_us
+            conflict_us = (
+                (timing.insert_cycles_per_param + timing.set_conflict_stall_cycles) * cycle_us
+            )
+            wb_fifo_us = timing.ready_fifo_latency_cycles * cycle_us
+            update_cycles = timing.finish_update_cycles_per_param
+            result_us = timing.arbiter_cycles_per_result * cycle_us
+            conclude_us = timing.arbiter_conclude_cycles * cycle_us
+            decrement_us = timing.arbiter_decrement_cycles * cycle_us
+        else:
+            wb_fifo_us = hw.fifo_latency_cycles * cycle_us
+            notify_us = timing.finish_notify_cycles * cycle_us
+            stall_cycles = timing.set_conflict_stall_cycles
+        wb_us = timing.writeback_cycles * cycle_us
+        kickoff_cycles = timing.kickoff_cycles_per_waiter
+        table_ways = hw.table_ways
+        capacity = hw.kickoff_capacity
+        addr_line, addr_port = prog.placement(num_tg, hw.table_sets)
+        occupancy = [0] * (num_tg * hw.table_sets)
+    set_conflicts = [0] * num_tg
+    live = 0
+    max_live = 0
+    ip_free = 0.0                    # Input Parser
+    ip_busy = 0.0
+    tg_free = [0.0] * num_tg         # task-graph ports
+    tg_busy = [0.0] * num_tg
+    arb_free = 0.0                   # Nexus# Dependence Counts Arbiter
+    arb_busy = 0.0
+    wb_free = 0.0                    # Write Back
+    wb_busy = 0.0
+    ready_latency = 0.0
+    ready_count = 0
+    conflict_mask = 0
 
     # --- flat run state -----------------------------------------------------
     num_addresses = prog.num_addresses
@@ -395,35 +522,106 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
                         submit_arr[slot] = master_time
                     event_index += 1
                     # -- tracker insert: per-address cursor state machine --
-                    index = acc_off[slot]
+                    index = row_start = acc_off[slot]
                     row_end = acc_off[slot + 1]
                     deps = 0
+                    conflict_mask = 0
                     while index < row_end:
                         address = acc_aid[index]
                         flag = acc_flags[index]
                         index += 1
                         if act_n[address] == ins_n[address]:  # no queued waiters
-                            if flag & 2:
-                                if act_rem[address] == 0:
-                                    act_writer[address] = 1
-                                    act_rem[address] = 1
-                                    act_n[address] += 1
-                                    ins_n[address] += 1
-                                    continue
-                            elif act_rem[address] == 0 or not act_writer[address]:
-                                act_writer[address] = 0
+                            if act_rem[address] == 0:  # idle: a fresh table entry
+                                if nexus:
+                                    line = addr_line[address]
+                                    used = occupancy[line]
+                                    if used >= table_ways:
+                                        conflict_mask |= 1 << (index - 1 - row_start)
+                                        set_conflicts[addr_port[address]] += 1
+                                    occupancy[line] = used + 1
+                                    live += 1
+                                    if live > max_live:
+                                        max_live = live
+                                act_writer[address] = flag >> 1
+                                act_rem[address] = 1
+                                act_n[address] += 1
+                                ins_n[address] += 1
+                                continue
+                            if not flag & 2 and not act_writer[address]:  # joins the readers
                                 act_rem[address] += 1
                                 act_n[address] += 1
                                 ins_n[address] += 1
                                 continue
+                        if nexus:
+                            queued = ins_n[address] - act_n[address]
+                            if queued >= capacity:  # the kick-off list may spill
+                                grown = ways_for(queued + 1, capacity) - ways_for(queued, capacity)
+                                if grown:
+                                    occupancy[addr_line[address]] += grown
                         ins_n[address] += 1
                         deps += 1
                     dep_count[slot] = deps
                     inserted_count += 1
                     # -- manager submit arithmetic --
-                    if nanos:
-                        creation_done = (master_time + creation_base) + creation_pp[slot]
-                        cost = insert_cost[slot]
+                    if nexus:
+                        # Input Parser: the whole descriptor.
+                        duration = col_first[slot]
+                        ip_start = master_time if master_time > ip_free else ip_free
+                        accept = ip_start + duration
+                        ip_free = accept
+                        ip_busy += duration
+                        if pp:
+                            # Insert: the whole task into the single task graph.
+                            available = accept + wb_fifo_us
+                            cycles = col_second[slot]
+                            if conflict_mask:
+                                cycles += stall_cycles * conflict_mask.bit_count()
+                            duration = cycles * cycle_us
+                            free = tg_free[0]
+                            start = available if available > free else free
+                            stage_end = start + duration
+                            tg_free[0] = stage_end
+                            tg_busy[0] += duration
+                        elif row_end == row_start:
+                            stage_end = accept  # no parameters: straight to ready
+                        else:
+                            # Per-parameter insertion at the owning task graph,
+                            # then the arbiter's gather in result order.
+                            ends = []
+                            row = 0
+                            for address in acc_aid[row_start:row_end]:
+                                visible = ip_start + fwd_us[row] + args_fifo_us
+                                duration = conflict_us if conflict_mask >> row & 1 else plain_us
+                                row += 1
+                                port = addr_port[address]
+                                free = tg_free[port]
+                                start = visible if visible > free else free
+                                end = start + duration
+                                tg_free[port] = end
+                                tg_busy[port] += duration
+                                ends.append(end)
+                            ends.sort()
+                            free = arb_free
+                            for end in ends:
+                                start = end if end > free else free
+                                free = start + result_us
+                                arb_busy += result_us
+                            free += conclude_us
+                            arb_busy += conclude_us
+                            arb_free = free
+                            stage_end = free
+                        if deps == 0:
+                            # Write Back forwards the ready task.
+                            available = stage_end + wb_fifo_us
+                            start = available if available > wb_free else wb_free
+                            ready_time = start + wb_us
+                            wb_free = ready_time
+                            wb_busy += wb_us
+                            ready_latency += ready_time - master_time
+                            ready_count += 1
+                    elif nanos:
+                        creation_done = (master_time + creation_base) + col_first[slot]
+                        cost = col_second[slot]
                         lock_start = creation_done if creation_done > lock_free else lock_free
                         lock_end = lock_start + cost
                         lock_free = lock_end
@@ -462,13 +660,12 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
                     # master loop: no pending event sorts before the next
                     # master step, so skip the queue bounce.
                     continue
-                if op == OP_WAIT:
+                if op == OP_WAIT or not wait_on:  # taskwait, or a degraded taskwait on
                     if outstanding == 0:
                         event_index += 1
                         continue
                     blocked_kind = 1
                     break
-                # op == OP_WAIT_ON (manager support checked by lane_fallback_reason)
                 waited = op_wait[event_index]
                 if waited < 0 or finished[waited]:
                     event_index += 1
@@ -492,11 +689,22 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
             row_end = acc_off[task_id + 1]
             newly_ready: List[int] = []
             kickoffs = 0
+            if sharp:
+                # The Input Parser redistributes the addresses; below, each
+                # row's task graph updates its entry and emits the waiters
+                # it kicked off, whose counts the arbiter decrements.
+                duration = col_second[task_id]
+                ip_start = time if time > ip_free else ip_free
+                stage_end = ip_start + duration
+                ip_free = stage_end
+                ip_busy += duration
+                ready_base: List[float] = []
+                row = 0
             while index < row_end:
                 address = acc_aid[index]
                 index += 1
                 act_rem[address] -= 1
-                cursor = act_n[address]
+                cursor = first = act_n[address]
                 limit = ins_n[address]
                 if cursor < limit:
                     base = addr_off[address]
@@ -526,26 +734,102 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
                         if remaining == 0:
                             newly_ready.append(waiter)
                     act_n[address] = cursor
+                if nexus:
+                    queued = limit - first
+                    if cursor == limit and act_rem[address] == 0:
+                        # Idle: the entry is evicted.  Its kick-off list was
+                        # empty (a queued waiter would now be active), so it
+                        # frees ways_for(0) == 1 way.
+                        line = addr_line[address]
+                        left = occupancy[line] - 1
+                        occupancy[line] = left if left > 0 else 0
+                        live -= 1
+                    elif queued > capacity or limit - cursor > capacity:
+                        grown = ways_for(limit - cursor, capacity) - ways_for(queued, capacity)
+                        if grown:
+                            line = addr_line[address]
+                            left = occupancy[line] + grown
+                            occupancy[line] = left if left > 0 else 0
+                    if sharp:
+                        visible = ip_start + fin_fwd_us[row] + args_fifo_us
+                        row += 1
+                        kicked = cursor - first
+                        duration = (update_cycles + kickoff_cycles * kicked) * cycle_us
+                        port = addr_port[address]
+                        free = tg_free[port]
+                        start = visible if visible > free else free
+                        end = start + duration
+                        tg_free[port] = end
+                        tg_busy[port] += duration
+                        if kicked:
+                            # The decrement that zeroes a waiter's count is
+                            # its last in this finish, and decrement ends
+                            # never decrease: its end is the manager's
+                            # latest decrement of that waiter (unless 0.0,
+                            # which the manager does not record).
+                            free = arb_free
+                            for waiter in addr_task[base + first:base + cursor]:
+                                start = end if end > free else free
+                                free = start + decrement_us
+                                arb_busy += decrement_us
+                                if not dep_count[waiter]:
+                                    ready_base.append(free if free > 0.0 else stage_end)
+                            arb_free = free
             # -- manager finish arithmetic --
-            if nanos:
-                cost = finish_lock_us + wakeup_us * kickoffs
-                lock_start = time if time > lock_free else lock_free
-                lock_end = lock_start + cost
-                lock_free = lock_end
-                lock_reservations += 1
-                lock_busy += cost
-                lock_wait += lock_start - time
-                ready_time = lock_end
+            if nexus:
+                if pp:
+                    # The notification over the IO unit, then the cleanup
+                    # walk on the single task-graph port.
+                    ip_start = time if time > ip_free else ip_free
+                    notify_end = ip_start + notify_us
+                    ip_free = notify_end
+                    ip_busy += notify_us
+                    available = notify_end + wb_fifo_us
+                    cycles = col_third[task_id]
+                    cycles += kickoff_cycles * kickoffs
+                    duration = cycles * cycle_us
+                    free = tg_free[0]
+                    start = available if available > free else free
+                    stage_end = start + duration
+                    tg_free[0] = stage_end
+                    tg_busy[0] += duration
+                    if newly_ready:
+                        ready_base = [stage_end] * len(newly_ready)
+                if newly_ready:
+                    # Ready waiters leave through Write Back in order.
+                    free = wb_free
+                    for waiter, available in zip(newly_ready, ready_base):
+                        available += wb_fifo_us
+                        start = available if available > free else free
+                        free = start + wb_us
+                        wb_busy += wb_us
+                        ready_latency += free - time
+                        if collect:
+                            ready_arr[waiter] = free
+                        heappush(heap, (free if free > time else time, 1, seq, waiter, -1))
+                        seq += 1
+                    wb_free = free
+                    ready_count += len(newly_ready)
             else:
-                ready_time = time
-            for waiter in newly_ready:
-                if collect:
-                    ready_arr[waiter] = ready_time
-                heappush(heap, (
-                    ready_time if ready_time > time else time,
-                    1, seq, waiter, -1,
-                ))
-                seq += 1
+                if nanos:
+                    cost = finish_lock_us + wakeup_us * kickoffs
+                    lock_start = time if time > lock_free else lock_free
+                    lock_end = lock_start + cost
+                    lock_free = lock_end
+                    lock_reservations += 1
+                    lock_busy += cost
+                    lock_wait += lock_start - time
+                    ready_time = lock_end
+                else:
+                    ready_time = time
+                for waiter in newly_ready:
+                    if collect:
+                        ready_arr[waiter] = ready_time
+                    heappush(heap, (
+                        ready_time if ready_time > time else time,
+                        1, seq, waiter, -1,
+                    ))
+                    seq += 1
             # The freed core picks up the next queued ready task, if any
             # (inlined core dispatch: heappop(idle) is the lowest idle id,
             # matching CorePool on a homogeneous topology).
@@ -622,18 +906,29 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
         assert timeline is not None
         validate_schedule(trace, timeline.start_dict(), timeline.finish_dict())
 
+    # The managers' statistics(), key for key and in their order.
+    manager_stats: Dict[str, object] = {
+        "tasks_inserted": inserted_count,
+        "tasks_finished": finished_count,
+    }
     if nanos:
-        manager_stats = {
-            "tasks_inserted": inserted_count,
-            "tasks_finished": finished_count,
-            "lock_busy_us": lock_busy,
-            "lock_mean_wait_us": lock_wait / lock_reservations if lock_reservations else 0.0,
-        }
-    else:
-        manager_stats = {
-            "tasks_inserted": inserted_count,
-            "tasks_finished": finished_count,
-        }
+        manager_stats["lock_busy_us"] = lock_busy
+        manager_stats["lock_mean_wait_us"] = (
+            lock_wait / lock_reservations if lock_reservations else 0.0)
+    elif nexus:
+        manager_stats["input_parser_busy_us"] = ip_busy
+        if pp:
+            manager_stats["task_graph_busy_us"] = tg_busy[0]
+            manager_stats["write_back_busy_us"] = wb_busy
+            manager_stats["set_conflicts"] = set_conflicts[0]
+            manager_stats["max_live_addresses"] = max_live
+        else:
+            manager_stats["write_back_busy_us"] = wb_busy
+            manager_stats["arbiter_busy_us"] = arb_busy
+            manager_stats["task_graph_busy_us"] = tg_busy
+            manager_stats["set_conflicts"] = set_conflicts
+        manager_stats["mean_ready_latency_us"] = (
+            ready_latency / ready_count if ready_count else 0.0)
 
     return MachineResult.of_run(
         machine, trace.name, timeline, makespan_us=makespan, total_work_us=prog.total_work_us,

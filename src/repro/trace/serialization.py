@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import gzip
 import hashlib
+import io
 import json
 import math
 import re
@@ -176,11 +177,8 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> Path:
     """Write ``trace`` to ``path`` (gzip-compressed when it ends in .gz)."""
     path = Path(path)
     document = _dumps(trace_to_json(trace))
-    if path.suffix == ".gz":
-        with gzip.open(path, "wt", encoding="utf-8") as handle:
-            handle.write(document)
-    else:
-        path.write_text(document, encoding="utf-8")
+    with _open_text(path, "wt") as handle:
+        handle.write(document)
     return path
 
 
@@ -372,8 +370,16 @@ def load_trace(path: Union[str, Path]) -> Trace:
 
 
 def _open_text(path: Path, mode: str):
-    opener = gzip.open if path.suffix == ".gz" else open
-    return opener(path, mode, encoding="utf-8")
+    """Open ``path`` as UTF-8 text, gzip-compressed when it ends in .gz.
+
+    A written gzip header carries mtime 0, so equal text compresses to
+    equal bytes whenever it is written.
+    """
+    if path.suffix != ".gz":
+        return open(path, mode, encoding="utf-8")
+    if "w" in mode:
+        return io.TextIOWrapper(gzip.GzipFile(path, "wb", mtime=0), encoding="utf-8")
+    return gzip.open(path, mode, encoding="utf-8")
 
 
 #: Bytes of decoded text sniffed when distinguishing the two formats.  A

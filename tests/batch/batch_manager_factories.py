@@ -1,11 +1,11 @@
 """The four golden manager configurations, as fresh-instance factories.
 
 Mirrors ``tests/golden/golden_config.GOLDEN_MANAGERS`` (same paper
-configurations) without importing across test directories.  The ideal
-and nanos managers publish lane kernels, so ``Machine.run`` replays
-them on the fast kernel; the two nexus managers decline
-(``lane_kernel() is None``) and keep the scalar loop — both paths must
-be byte-identical to ``Machine.run_scalar``.
+configurations) without importing across test directories.  All four
+publish lane kernels, so ``Machine.run`` replays their eligible static
+traces (FIFO, unit-speed cores, dense task ids) on the fast kernel; the
+kernel must be byte-identical to ``Machine.run_scalar``, the general
+engine.
 """
 
 from __future__ import annotations
@@ -25,4 +25,4 @@ BATCH_TEST_MANAGERS = {
 }
 
 #: Managers whose runs take the kernel.
-KERNEL_MANAGERS = ("ideal", "nanos")
+KERNEL_MANAGERS = ("ideal", "nanos", "nexuspp", "nexussharp")

@@ -1,8 +1,8 @@
 """Replay the pinned kernel corpus — the hypothesis-free regression layer.
 
 Every corpus spec's serial elaboration runs under all four golden
-managers through ``Machine.run`` (which takes the kernel for ideal and
-nanos) and the scalar reference ``Machine.run_scalar``, asserting full
+managers through ``Machine.run`` (which takes the kernel for each of
+them) and the scalar reference ``Machine.run_scalar``, asserting full
 result byte-identity and equal event counts, plus exact determinism of
 repeated runs.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.batch import LaneSpec, run_lanes
+from repro.sim.batch import LaneSpec, lane_fallback_reason, run_lanes
 from repro.system.machine import Machine, MachineConfig
 from repro.workloads.fuzz import fuzz_program
 
@@ -35,6 +35,7 @@ def test_corpus_run_vs_scalar(spec, manager_key):
 
     reference = Machine(factory(), config)
     routed = Machine(factory(), config)
+    assert lane_fallback_reason(routed, trace) is None
     assert routed.run(trace) == reference.run_scalar(trace)
     assert routed.last_events_processed == reference.last_events_processed
 

@@ -2,8 +2,8 @@
 
 Random :class:`~repro.workloads.fuzz.FuzzSpec` configurations are
 elaborated to static traces and run through ``Machine.run`` (which
-takes the fast kernel for the ideal and nanos managers) and the scalar
-reference ``Machine.run_scalar`` under the golden managers.  The two
+takes the fast kernel for all four golden managers) and the scalar
+reference ``Machine.run_scalar``, the general engine.  The two
 must agree **byte-for-byte** on the entire result: makespan, per-task
 submit/ready/start/finish times, core assignments (the observable image
 of the ready/dispatch order), manager statistics and per-core busy
@@ -79,7 +79,7 @@ def test_run_matches_scalar_reference(spec, cores, manager_key):
 @given(spec=fuzz_specs(), cores=st.integers(min_value=1, max_value=6))
 @settings(max_examples=20, deadline=None)
 def test_kernel_managers_take_the_kernel(spec, cores):
-    """The ideal/nanos kernels must actually admit elaborated traces —
+    """Every manager's kernel must actually admit elaborated traces —
     otherwise the differential suite would silently test the scalar
     loop against itself."""
     trace = fuzz_program(spec).elaborate()

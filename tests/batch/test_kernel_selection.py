@@ -6,8 +6,10 @@ when nothing the kernel does not model is in play.  These tests pin
 both directions:
 
 * a kernel-eligible run never calls the manager's ``submit`` (it took
-  the kernel), while Nexus#, ``sjf``, ``biglittle:0.5`` and sparse-id
-  runs do (they took the scalar loop);
+  the kernel) — under every golden manager, Nexus++ on a ``taskwait
+  on`` trace included — while ``sjf``, ``biglittle:0.5`` and sparse-id
+  runs do (they took the scalar loop), for a software and a hardware
+  manager alike;
 * eligibility is not inherited past an override: a ``FifoPolicy``
   subclass, a policy that merely calls itself ``"fifo"``, and an
   ``IdealManager`` subclass with its own ``submit``/``finish`` all keep
@@ -23,7 +25,7 @@ from typing import List, Optional
 import pytest
 
 from repro.managers.ideal import IdealManager
-from repro.nexus.nexussharp import NexusSharpManager
+from repro.nexus.nexuspp import NexusPlusPlusManager
 from repro.sim.batch import lane_fallback_reason
 from repro.system.machine import Machine, MachineConfig
 from repro.system.scheduling import FifoPolicy, SchedulerPolicy
@@ -31,7 +33,7 @@ from repro.trace.events import TaskSubmitEvent
 from repro.trace.stream import TraceStream
 from repro.trace.trace import Trace, TraceBuilder
 
-from batch_manager_factories import BATCH_TEST_MANAGERS
+from batch_manager_factories import BATCH_TEST_MANAGERS, KERNEL_MANAGERS
 
 
 def _independent(count: int = 3) -> Trace:
@@ -80,7 +82,7 @@ def _count_submits(monkeypatch, cls) -> List[int]:
 
 
 class TestRouting:
-    @pytest.mark.parametrize("manager_key", ["ideal", "nanos"])
+    @pytest.mark.parametrize("manager_key", KERNEL_MANAGERS)
     def test_eligible_run_never_calls_submit(self, manager_key, monkeypatch):
         manager = BATCH_TEST_MANAGERS[manager_key]()
         calls = _count_submits(monkeypatch, type(manager))
@@ -104,29 +106,26 @@ class TestRouting:
         assert result == Machine(OverheadIdeal(), config).run_scalar(trace)
         assert result.makespan_us == Machine(IdealManager(), config).run(trace).makespan_us + 4.0
 
-    @pytest.mark.parametrize("case", ["nexus#", "sjf", "biglittle:0.5", "sparse-ids"])
-    def test_ineligible_run_calls_submit(self, case, monkeypatch):
+    @pytest.mark.parametrize("manager_key", ["ideal", "nexussharp"])
+    @pytest.mark.parametrize("case", ["sjf", "biglittle:0.5", "sparse-ids"])
+    def test_ineligible_run_calls_submit(self, case, manager_key, monkeypatch):
         trace = _independent()
         config = MachineConfig(num_cores=2)
-        if case == "nexus#":
-            manager = BATCH_TEST_MANAGERS["nexussharp"]()
-            calls = _count_submits(monkeypatch, NexusSharpManager)
+        manager = BATCH_TEST_MANAGERS[manager_key]()
+        calls = _count_submits(monkeypatch, type(manager))
+        if case == "sjf":
+            config = MachineConfig(num_cores=2, scheduler="sjf")
+        elif case == "biglittle:0.5":
+            config = MachineConfig(num_cores=2, topology="biglittle:0.5")
         else:
-            manager = IdealManager()
-            calls = _count_submits(monkeypatch, IdealManager)
-            if case == "sjf":
-                config = MachineConfig(num_cores=2, scheduler="sjf")
-            elif case == "biglittle:0.5":
-                config = MachineConfig(num_cores=2, topology="biglittle:0.5")
-            else:
-                trace = _sparse_ids(trace)
+            trace = _sparse_ids(trace)
         machine = Machine(manager, config)
         assert lane_fallback_reason(machine, trace) is not None
         machine.run(trace)
         assert len(calls) == trace.num_tasks
 
 
-    @pytest.mark.parametrize("manager_key", ["ideal", "nanos"])
+    @pytest.mark.parametrize("manager_key", KERNEL_MANAGERS)
     def test_explicit_unit_speed_topology_takes_the_kernel(self, manager_key, monkeypatch):
         """Eligibility reads the resolved core speeds, not the topology's
         spelling: an explicit all-1.0 speed list is still the kernel's."""
@@ -140,7 +139,7 @@ class TestRouting:
         assert calls == []
         assert result == Machine(BATCH_TEST_MANAGERS[manager_key](), config).run_scalar(trace)
 
-    @pytest.mark.parametrize("manager_key", ["ideal", "nanos"])
+    @pytest.mark.parametrize("manager_key", ["ideal", "nanos", "nexussharp"])
     def test_supported_taskwait_on_takes_the_kernel(self, manager_key, monkeypatch):
         manager = BATCH_TEST_MANAGERS[manager_key]()
         calls = _count_submits(monkeypatch, type(manager))
@@ -155,7 +154,22 @@ class TestRouting:
         assert machine.last_events_processed == reference.last_events_processed
         assert result.submit_times[2] < result.finish_times[1]
 
-    @pytest.mark.parametrize("manager_key", ["ideal", "nanos"])
+    def test_nexuspp_degrades_taskwait_on_on_the_kernel(self, monkeypatch):
+        """Nexus++ lacks ``taskwait on``: the kernel's master degrades it to
+        a full ``taskwait`` exactly as the engine's does — c waits for b."""
+        calls = _count_submits(monkeypatch, NexusPlusPlusManager)
+        config = MachineConfig(num_cores=2)
+        machine = Machine(BATCH_TEST_MANAGERS["nexuspp"](), config)
+        trace = _wait_on_trace()
+        assert lane_fallback_reason(machine, trace) is None
+        result = machine.run(trace)
+        assert calls == []
+        reference = Machine(BATCH_TEST_MANAGERS["nexuspp"](), config)
+        assert result == reference.run_scalar(trace)
+        assert machine.last_events_processed == reference.last_events_processed
+        assert result.submit_times[2] >= result.finish_times[1]
+
+    @pytest.mark.parametrize("manager_key", KERNEL_MANAGERS)
     def test_stream_replay_never_takes_the_kernel(self, manager_key, monkeypatch):
         manager = BATCH_TEST_MANAGERS[manager_key]()
         calls = _count_submits(monkeypatch, type(manager))
@@ -273,23 +287,26 @@ class TestOverridesKeepTheScalarLoop:
         assert machine.run(trace).manager_stats["audited"] is True
 
     def test_manager_without_taskwait_on_support(self):
-        """A kernel manager that declines ``taskwait on`` degrades it to a
-        full ``taskwait`` on the scalar loop: c now waits for b too."""
+        """A kernel manager that declines ``taskwait on`` keeps the kernel,
+        whose master degrades it to a full ``taskwait`` as the engine's
+        does: c now waits for b too."""
         class NoWaitOnIdeal(IdealManager):
             supports_taskwait_on = False
 
         trace = _wait_on_trace()
         config = MachineConfig(num_cores=2)
         machine = Machine(NoWaitOnIdeal(), config)
-        assert lane_fallback_reason(machine, trace) is not None
+        assert lane_fallback_reason(machine, trace) is None
         degraded = machine.run(trace)
+        assert degraded == Machine(NoWaitOnIdeal(), config).run_scalar(trace)
         plain = Machine(IdealManager(), config).run(trace)
         assert plain.submit_times[2] < plain.finish_times[1]
         assert degraded.submit_times[2] >= degraded.finish_times[1]
 
 
-class _NoWaitOnIdeal(IdealManager):
-    supports_taskwait_on = False
+class _NoKernelIdeal(IdealManager):
+    def lane_kernel(self):
+        return None
 
 
 class _SubmitOverride(IdealManager):
@@ -320,8 +337,13 @@ def _stream_of(trace: Trace) -> TraceStream:
 #: case -> (manager factory, MachineConfig overrides, trace transform, reason)
 _FALLBACKS = {
     "stream-source": (IdealManager, {}, _stream_of, "not a materialised static trace"),
-    "nexus#": (BATCH_TEST_MANAGERS["nexussharp"], {}, None, "publishes no lane kernel"),
-    "nexus++": (BATCH_TEST_MANAGERS["nexuspp"], {}, None, "publishes no lane kernel"),
+    "no-kernel": (_NoKernelIdeal, {}, None, "publishes no lane kernel"),
+    "nexus#-sjf": (BATCH_TEST_MANAGERS["nexussharp"], {"scheduler": "sjf"}, None,
+                   "not plain FIFO"),
+    "nexus++-biglittle:0.5": (BATCH_TEST_MANAGERS["nexuspp"], {"topology": "biglittle:0.5"},
+                              None, "non-unit core speeds"),
+    "nexus#-sparse-ids": (BATCH_TEST_MANAGERS["nexussharp"], {}, _sparse_ids,
+                          "sparse task ids"),
     "submit-override": (_SubmitOverride, {}, None, "overrides methods"),
     "finish-override": (_FinishOverride, {}, None, "overrides methods"),
     "statistics-override": (_StatisticsOverride, {}, None, "overrides methods"),
@@ -331,7 +353,6 @@ _FALLBACKS = {
     "named-fifo": (IdealManager, {"scheduler": _LifoNamedFifo()}, None, "not plain FIFO"),
     "biglittle:0.5": (IdealManager, {"topology": "biglittle:0.5"}, None, "non-unit core speeds"),
     "sparse-ids": (IdealManager, {}, _sparse_ids, "sparse task ids"),
-    "no-taskwait-on": (_NoWaitOnIdeal, {}, "wait-on", "taskwait-on degradation"),
 }
 
 
@@ -339,9 +360,6 @@ _FALLBACKS = {
 def test_fallback_names_the_rule_that_fired(case):
     factory, overrides, transform, reason = _FALLBACKS[case]
     machine = Machine(factory(), MachineConfig(num_cores=2, **overrides))
-    if transform == "wait-on":
-        trace = _wait_on_trace()
-    else:
-        trace = _independent() if transform is None else transform(_independent())
+    trace = _independent() if transform is None else transform(_independent())
     assert reason in lane_fallback_reason(machine, trace)
 

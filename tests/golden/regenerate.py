@@ -31,6 +31,10 @@ sha256 of the ``save_trace`` and ``write_trace_stream`` output and the
 ``trace_digest`` of every registered workload and of the sparse-id,
 ``taskwait on`` and sized traces (``test_trace_digests.py``).
 
+A regeneration rewrites a committed ``.json.gz`` trace only when its
+decompressed bytes change, so an unchanged trace keeps its committed
+bytes.
+
 ``--check`` recomputes everything in memory and compares against the
 committed files without writing, exiting non-zero on any drift — the CI
 guard that the committed goldens and the generators cannot diverge
@@ -42,8 +46,11 @@ silently::
 from __future__ import annotations
 
 import argparse
+import gzip
 import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 from repro.system.machine import Machine, MachineConfig, simulate
@@ -136,15 +143,31 @@ def write_json(path: Path, document: dict) -> None:
                     encoding="utf-8")
 
 
+def save_golden_trace(trace, path: Path) -> str:
+    """Save ``trace`` to ``path`` unless the file already decompresses to
+    the same bytes; return ``"unchanged"`` or ``"written"``."""
+    with tempfile.TemporaryDirectory(dir=path.parent) as scratch:
+        # Same file name: the gzip header records it.
+        fresh = save_trace(trace, Path(scratch) / path.name)
+        if path.exists() and (gzip.decompress(path.read_bytes())
+                              == gzip.decompress(fresh.read_bytes())):
+            return "unchanged"
+        os.replace(fresh, path)
+    return "written"
+
+
 def regenerate() -> int:
     DATA_DIR.mkdir(parents=True, exist_ok=True)
     for key, trace in golden_traces().items():
-        path = save_trace(trace, DATA_DIR / f"{key}.json.gz")
-        print(f"{key:24s} {trace.num_tasks:5d} tasks -> {path.name}")
+        path = DATA_DIR / f"{key}.json.gz"
+        state = save_golden_trace(trace, path)
+        print(f"{key:24s} {trace.num_tasks:5d} tasks -> {path.name} ({state})")
     for key, program in golden_dynamic_programs().items():
         elaboration = program.elaborate()
-        path = save_trace(elaboration, DATA_DIR / f"dyn_{key}.json.gz")
-        print(f"{key:24s} {elaboration.num_tasks:5d} tasks -> {path.name} (dynamic)")
+        path = DATA_DIR / f"dyn_{key}.json.gz"
+        state = save_golden_trace(elaboration, path)
+        print(f"{key:24s} {elaboration.num_tasks:5d} tasks -> {path.name} "
+              f"(dynamic, {state})")
     makespans, stats = compute_expected()
     write_json(EXPECTED_PATH, makespans)
     write_json(STATS_PATH, stats)

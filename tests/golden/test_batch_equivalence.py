@@ -1,12 +1,13 @@
 """Kernel-vs-scalar golden equivalence.
 
-``Machine.run`` replays ideal and nanos runs on the fast kernel
-(:func:`repro.sim.batch.run_kernel`); it must reproduce the committed
-golden makespans **byte-identically**.  Every committed golden trace is
-replayed under all four golden managers through both ``Machine.run``
-and the scalar reference ``Machine.run_scalar``: the full results must
-be equal, both must match the committed makespan, and both must report
-the same ``last_events_processed``.  A sweep-shaped mixed cell
+``Machine.run`` replays the runs of all four golden managers on the
+fast kernel (:func:`repro.sim.batch.run_kernel`); it must reproduce the
+committed golden makespans **byte-identically**.  Every committed golden
+trace is replayed under each golden manager through both
+``Machine.run``, which must take the kernel, and the scalar reference
+``Machine.run_scalar``, the general engine: the full results must be
+equal, both must match the committed makespan, and both must report the
+same ``last_events_processed``.  A sweep-shaped mixed cell
 (different seeds and core counts per lane) is checked through
 :func:`repro.sim.batch.run_lanes` lane by lane against solo scalar runs.
 """
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.sim.batch import LaneSpec, run_lanes
+from repro.sim.batch import LaneSpec, lane_fallback_reason, run_lanes
 from repro.system.machine import Machine, MachineConfig
 from repro.trace.serialization import load_trace
 from repro.workloads.sparselu import generate_sparselu
@@ -57,6 +58,7 @@ def test_run_matches_scalar_and_golden_makespans(key, manager_key):
     )
 
     routed = Machine(factory(), config)
+    assert lane_fallback_reason(routed, trace) is None
     result = routed.run(trace)
     assert result == scalar, (
         f"{manager_key} on golden {key}: Machine.run diverged from the scalar "

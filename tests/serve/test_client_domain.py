@@ -4,8 +4,10 @@ JSON has no non-finite numbers and the server never writes them, so a
 response holding one is not a result: each of the client's reads
 (``_decode`` for JSON responses, and both line reads of a streamed
 ``sweep_rows`` body) raises :class:`~repro.common.errors.TraceError`
-instead of handing a ``nan`` to the caller.  A stub HTTP server plays
-the misbehaving peer.
+instead of handing a ``nan`` to the caller.  Likewise a 2xx body that is
+not JSON at all raises :class:`~repro.serve.client.ServeError` carrying
+the status, rather than coming back as a success document.  A stub HTTP
+server plays the misbehaving peer.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from repro.common.errors import TraceError
-from repro.serve.client import ServeClient
+from repro.serve.client import ServeClient, ServeError
 
 
 def serve_body(body: bytes):
@@ -73,3 +75,11 @@ def test_streamed_rows_reject_non_finite(stub, token):
     with stub(b'{"makespan_us": 1.0}\n' + row) as client:  # last line, no newline
         with pytest.raises(TraceError, match="JSON domain"):
             list(client.sweep_rows(workloads=["microbench"]))
+
+
+@pytest.mark.parametrize("body", [b"not json at all", b"\xff\xfe"])
+def test_non_json_success_body_raises(stub, body):
+    with stub(body) as client:
+        with pytest.raises(ServeError, match="not JSON") as raised:
+            client.stats()
+        assert raised.value.status == 200

@@ -1,11 +1,18 @@
 """Tests for trace (de)serialization."""
 
+import gzip
 import json
 
 import pytest
 
 from repro.common.errors import TraceError
-from repro.trace.serialization import load_trace, save_trace, trace_from_json, trace_to_json
+from repro.trace.serialization import (
+    load_trace,
+    save_trace,
+    trace_from_json,
+    trace_to_json,
+    write_trace_stream,
+)
 from repro.trace.trace import TraceBuilder
 from repro.workloads.synthetic import generate_random_dag
 
@@ -68,6 +75,19 @@ class TestFileRoundTrip:
         save_trace(sample_trace(), path)
         restored = load_trace(path)
         assert restored.num_tasks == 2
+
+    @pytest.mark.parametrize("write", [save_trace, write_trace_stream])
+    def test_gzip_bytes_depend_only_on_the_trace(self, tmp_path, monkeypatch, write):
+        """Two saves of one trace, at different wall-clock times, are
+        byte-identical: the gzip header's mtime is 0, not the write time."""
+        path = tmp_path / "trace.json.gz"
+        write(sample_trace(), path)
+        first = path.read_bytes()
+        real_time = gzip.time.time
+        monkeypatch.setattr(gzip.time, "time", lambda: real_time() + 86400.0)
+        write(sample_trace(), path)
+        assert path.read_bytes() == first
+        assert first[4:8] == b"\x00\x00\x00\x00"  # the header's mtime field
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(TraceError):
