@@ -54,11 +54,12 @@ import numpy as np
 
 from repro.common.errors import SimulationError
 from repro.managers.base import LaneKernelSpec, TaskManagerModel
+from repro.nexus.distribution import nexus_hash
 from repro.nexus.timing import shared_offset_tables
 from repro.system.results import MachineResult
 from repro.system.scheduling import FifoPolicy
 from repro.system.timeline import TaskTimeline
-from repro.taskgraph.table import ways_for
+from repro.taskgraph.table import AddressTable, ways_for
 from repro.trace.columns import FULL_TASKWAIT
 from repro.trace.dag import validate_schedule
 from repro.trace.task import FLAG_WRITES
@@ -234,8 +235,6 @@ class LaneProgram:
                     kern.insert_lock_us + kern.insert_lock_per_param_us * params
                 ).tolist()
             elif kind in ("nexus++", "nexus#"):
-                from repro.nexus.timing import shared_offset_tables
-
                 tables = shared_offset_tables(kern.config.timing, kern.cycle_us)
                 raw = np.maximum(np.diff(np.asarray(self.param_off, dtype=np.int64)), 1).tolist()
                 accesses = self.num_params_eff.tolist()
@@ -269,9 +268,6 @@ class LaneProgram:
         key = (num_tables, num_sets)
         cached = self._placements.get(key)
         if cached is None:
-            from repro.nexus.distribution import nexus_hash
-            from repro.taskgraph.table import AddressTable
-
             set_index = AddressTable(num_sets=num_sets).set_index
             addresses = self.addresses
             if num_tables == 1:
@@ -429,13 +425,13 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
             conflict_us = (
                 (timing.insert_cycles_per_param + timing.set_conflict_stall_cycles) * cycle_us
             )
-            wb_fifo_us = timing.ready_fifo_latency_cycles * cycle_us
+            fifo_us = timing.ready_fifo_latency_cycles * cycle_us  # before Write Back
             update_cycles = timing.finish_update_cycles_per_param
             result_us = timing.arbiter_cycles_per_result * cycle_us
             conclude_us = timing.arbiter_conclude_cycles * cycle_us
             decrement_us = timing.arbiter_decrement_cycles * cycle_us
         else:
-            wb_fifo_us = hw.fifo_latency_cycles * cycle_us
+            fifo_us = hw.fifo_latency_cycles * cycle_us  # between every two stages
             notify_us = timing.finish_notify_cycles * cycle_us
             stall_cycles = timing.set_conflict_stall_cycles
         wb_us = timing.writeback_cycles * cycle_us
@@ -449,8 +445,10 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
     max_live = 0
     ip_free = 0.0                    # Input Parser
     ip_busy = 0.0
-    tg_free = [0.0] * num_tg         # task-graph ports
+    tg_free = [0.0] * num_tg         # Nexus# task-graph ports
     tg_busy = [0.0] * num_tg
+    graph_free = 0.0                 # the Nexus++ task-graph port
+    graph_busy = 0.0
     arb_free = 0.0                   # Nexus# Dependence Counts Arbiter
     arb_busy = 0.0
     wb_free = 0.0                    # Write Back
@@ -572,16 +570,15 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
                         ip_busy += duration
                         if pp:
                             # Insert: the whole task into the single task graph.
-                            available = accept + wb_fifo_us
-                            cycles = col_second[slot]
+                            available = accept + fifo_us
                             if conflict_mask:
-                                cycles += stall_cycles * conflict_mask.bit_count()
-                            duration = cycles * cycle_us
-                            free = tg_free[0]
-                            start = available if available > free else free
-                            stage_end = start + duration
-                            tg_free[0] = stage_end
-                            tg_busy[0] += duration
+                                duration = (col_second[slot]
+                                            + stall_cycles * conflict_mask.bit_count()) * cycle_us
+                            else:
+                                duration = col_second[slot] * cycle_us
+                            start = available if available > graph_free else graph_free
+                            graph_free = stage_end = start + duration
+                            graph_busy += duration
                         elif row_end == row_start:
                             stage_end = accept  # no parameters: straight to ready
                         else:
@@ -612,7 +609,7 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
                             stage_end = free
                         if deps == 0:
                             # Write Back forwards the ready task.
-                            available = stage_end + wb_fifo_us
+                            available = stage_end + fifo_us
                             start = available if available > wb_free else wb_free
                             ready_time = start + wb_us
                             wb_free = ready_time
@@ -735,7 +732,6 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
                             newly_ready.append(waiter)
                     act_n[address] = cursor
                 if nexus:
-                    queued = limit - first
                     if cursor == limit and act_rem[address] == 0:
                         # Idle: the entry is evicted.  Its kick-off list was
                         # empty (a queued waiter would now be active), so it
@@ -744,8 +740,9 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
                         left = occupancy[line] - 1
                         occupancy[line] = left if left > 0 else 0
                         live -= 1
-                    elif queued > capacity or limit - cursor > capacity:
-                        grown = ways_for(limit - cursor, capacity) - ways_for(queued, capacity)
+                    elif limit - first > capacity or limit - cursor > capacity:
+                        grown = (ways_for(limit - cursor, capacity)
+                                 - ways_for(limit - first, capacity))
                         if grown:
                             line = addr_line[address]
                             left = occupancy[line] + grown
@@ -784,22 +781,18 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
                     notify_end = ip_start + notify_us
                     ip_free = notify_end
                     ip_busy += notify_us
-                    available = notify_end + wb_fifo_us
-                    cycles = col_third[task_id]
-                    cycles += kickoff_cycles * kickoffs
-                    duration = cycles * cycle_us
-                    free = tg_free[0]
-                    start = available if available > free else free
-                    stage_end = start + duration
-                    tg_free[0] = stage_end
-                    tg_busy[0] += duration
+                    available = notify_end + fifo_us
+                    duration = (col_third[task_id] + kickoff_cycles * kickoffs) * cycle_us
+                    start = available if available > graph_free else graph_free
+                    graph_free = stage_end = start + duration
+                    graph_busy += duration
                     if newly_ready:
                         ready_base = [stage_end] * len(newly_ready)
                 if newly_ready:
                     # Ready waiters leave through Write Back in order.
                     free = wb_free
                     for waiter, available in zip(newly_ready, ready_base):
-                        available += wb_fifo_us
+                        available += fifo_us
                         start = available if available > free else free
                         free = start + wb_us
                         wb_busy += wb_us
@@ -918,7 +911,7 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
     elif nexus:
         manager_stats["input_parser_busy_us"] = ip_busy
         if pp:
-            manager_stats["task_graph_busy_us"] = tg_busy[0]
+            manager_stats["task_graph_busy_us"] = graph_busy
             manager_stats["write_back_busy_us"] = wb_busy
             manager_stats["set_conflicts"] = set_conflicts[0]
             manager_stats["max_live_addresses"] = max_live
