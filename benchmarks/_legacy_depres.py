@@ -18,11 +18,14 @@ the *frozen legacy stack* that ``bench_sim_throughput.py`` measures the
 live runtime against, and the reference side of the tracker-equivalence
 golden suite (``tests/golden/test_tracker_equivalence.py``).
 
-Stable *value* types (``AccessMode``, ``Waiter``, the timing dataclasses,
-``SerialResource``, ``TaskPool``, ``FunctionTable``, ``nexus_hash`` and
-the manager outcome records) are imported from the live tree: they are
-pure data/arithmetic whose change would shift golden makespans and be
-caught elsewhere.  Everything with a hot-path *algorithm* is copied.
+Stable *value* types (the timing dataclasses, ``SerialResource`` and
+``nexus_hash``) are imported from the live tree: they are pure
+data/arithmetic whose change would shift golden makespans and be caught
+elsewhere.  Everything with a hot-path *algorithm* is copied, and so are
+``AccessMode``, ``Waiter``, ``TaskPool`` and ``FunctionTable``, which the
+live tracker no longer has: the frozen copies keep the per-task pool and
+function-table work this stack always did, with the pool capacity fixed
+at ``LEGACY_TASK_POOL_ENTRIES`` (the configs' old default).
 
 Do not use this module outside the benchmarks/tests, and do not "fix"
 it — its value is that it does not change.
@@ -30,6 +33,7 @@ it — its value is that it does not change.
 
 from __future__ import annotations
 
+import enum
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Set, Tuple
@@ -39,15 +43,12 @@ from repro.common.constants import (
     DEFAULT_TABLE_SETS,
     DEFAULT_TABLE_WAYS,
 )
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.errors import CapacityError, ConfigurationError, SimulationError
 from repro.common.units import Frequency
 from repro.common.validation import check_positive, check_power_of_two
 from repro.managers.base import TaskManagerModel
 from repro.nexus.distribution import nexus_hash
 from repro.sim.resource import SerialResource
-from repro.taskgraph.address_state import AccessMode, Waiter
-from repro.taskgraph.function_table import FunctionTable
-from repro.taskgraph.task_pool import TaskPool
 from repro.trace.task import Direction, TaskDescriptor
 
 # ---------------------------------------------------------------------------
@@ -69,6 +70,120 @@ class SubmitOutcome(NamedTuple):
 class FinishOutcome(NamedTuple):
     ready: Tuple[ReadyNotification, ...] = ()
     notify_done_us: float = 0.0
+
+
+# ---------------------------------------------------------------------------
+# Frozen value types: access modes, kick-off list entries, task pool and
+# function-pointer table.
+# ---------------------------------------------------------------------------
+
+#: Task-pool entries of the frozen Nexus managers.
+LEGACY_TASK_POOL_ENTRIES = 1024
+
+
+class AccessMode(enum.Enum):
+    """How a task accesses an address (frozen copy)."""
+
+    READ = "read"
+    WRITE = "write"
+    READWRITE = "readwrite"
+
+    reads: bool
+    writes: bool
+    flags: int
+
+
+AccessMode.READ.reads = True
+AccessMode.READ.writes = False
+AccessMode.READ.flags = 1
+AccessMode.WRITE.reads = False
+AccessMode.WRITE.writes = True
+AccessMode.WRITE.flags = 2
+AccessMode.READWRITE.reads = True
+AccessMode.READWRITE.writes = True
+AccessMode.READWRITE.flags = 3
+
+
+class Waiter(NamedTuple):
+    """One entry of an address' kick-off list (frozen copy)."""
+
+    task_id: int
+    mode: AccessMode
+
+
+@dataclass
+class TaskPoolStats:
+    inserts: int = 0
+    removals: int = 0
+    full_events: int = 0
+    peak_occupancy: int = 0
+
+
+class TaskPool:
+    """Bounded storage of in-flight task descriptors (frozen copy)."""
+
+    def __init__(self, capacity: int = LEGACY_TASK_POOL_ENTRIES, name: str = "task-pool") -> None:
+        check_positive("capacity", capacity)
+        self.capacity = capacity
+        self.name = name
+        self._tasks: Dict[int, TaskDescriptor] = {}
+        self.stats = TaskPoolStats()
+
+    @property
+    def is_full(self) -> bool:
+        return len(self._tasks) >= self.capacity
+
+    def insert(self, task: TaskDescriptor) -> bool:
+        if task.task_id in self._tasks:
+            raise SimulationError(f"{self.name}: task {task.task_id} inserted twice")
+        was_full = self.is_full
+        if was_full:
+            self.stats.full_events += 1
+        self._tasks[task.task_id] = task
+        self.stats.inserts += 1
+        self.stats.peak_occupancy = max(self.stats.peak_occupancy, len(self._tasks))
+        return was_full
+
+    def remove(self, task_id: int) -> TaskDescriptor:
+        task = self._tasks.pop(task_id, None)
+        if task is None:
+            raise SimulationError(f"{self.name}: removing unknown task {task_id}")
+        self.stats.removals += 1
+        return task
+
+    def reset(self) -> None:
+        self._tasks.clear()
+        self.stats = TaskPoolStats()
+
+
+class FunctionTable:
+    """Function name -> hardware id table (frozen copy)."""
+
+    def __init__(self, capacity: int = 256, name: str = "function-table") -> None:
+        if capacity <= 0:
+            raise ConfigurationError(f"{name}: capacity must be positive, got {capacity}")
+        self.capacity = capacity
+        self.name = name
+        self._name_to_id: Dict[str, int] = {}
+        self._id_to_name: Dict[int, str] = {}
+
+    def intern(self, function: str) -> int:
+        existing = self._name_to_id.get(function)
+        if existing is not None:
+            return existing
+        if len(self._name_to_id) >= self.capacity:
+            raise CapacityError(
+                f"{self.name}: cannot register function {function!r}; all {self.capacity} "
+                "entries are in use"
+            )
+        new_id = len(self._name_to_id)
+        self._name_to_id[function] = new_id
+        self._id_to_name[new_id] = function
+        return new_id
+
+    def reset(self) -> None:
+        self._name_to_id.clear()
+        self._id_to_name.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +734,7 @@ class LegacyNexusPlusPlusManager(TaskManagerModel):
                 kickoff_capacity=self.config.kickoff_capacity,
                 name="nexus++-task-graph",
             ),
-            task_pool=TaskPool(capacity=self.config.task_pool_entries, name="nexus++-task-pool"),
+            task_pool=TaskPool(capacity=LEGACY_TASK_POOL_ENTRIES, name="nexus++-task-pool"),
         )
         self._input_parser = SerialResource("nexus++-input-parser")
         self._task_graph = SerialResource("nexus++-task-graph-port")
@@ -705,7 +820,7 @@ class LegacyNexusSharpManager(TaskManagerModel):
                 kickoff_capacity=self.config.kickoff_capacity,
                 name=f"nexus#-TG{index}",
             ),
-            task_pool=TaskPool(capacity=self.config.task_pool_entries, name="nexus#-task-pool"),
+            task_pool=TaskPool(capacity=LEGACY_TASK_POOL_ENTRIES, name="nexus#-task-pool"),
         )
         timing = self.config.timing
         self._input_parser = SerialResource("nexus#-input-parser")

@@ -33,7 +33,6 @@ from repro.common.constants import (
     DEFAULT_KICKOFF_CAPACITY,
     DEFAULT_TABLE_SETS,
     DEFAULT_TABLE_WAYS,
-    DEFAULT_TASK_POOL_ENTRIES,
 )
 from repro.common.errors import SimulationError
 from repro.system.results import MachineResult
@@ -41,6 +40,9 @@ from repro.trace.dag import validate_schedule
 from repro.trace.events import TaskSubmitEvent, TaskwaitEvent, TaskwaitOnEvent
 from repro.trace.task import Direction, TaskDescriptor
 from repro.trace.trace import Trace
+
+#: Task-pool capacity of the frozen stack (the live tracker keeps no pool).
+_TASK_POOL_ENTRIES = 1024
 
 _PRIORITY_DONE = 0
 _PRIORITY_READY = 1
@@ -264,7 +266,7 @@ class _LegacyDepCounts:
 
 
 class _LegacyTaskPool:
-    def __init__(self, capacity: int = DEFAULT_TASK_POOL_ENTRIES) -> None:
+    def __init__(self, capacity: int = _TASK_POOL_ENTRIES) -> None:
         self.capacity = capacity
         self._tasks: Dict[int, TaskDescriptor] = {}
         self.inserts = 0

@@ -57,9 +57,6 @@ DEFAULT_TABLE_WAYS: int = 8
 #: chaining described with the Gaussian-elimination workload kicks in).
 DEFAULT_KICKOFF_CAPACITY: int = 16
 
-#: Default number of in-flight tasks the task pool can hold.
-DEFAULT_TASK_POOL_ENTRIES: int = 1024
-
 #: Worker-core throughput assumed for the Gaussian-elimination
 #: micro-benchmark: "Each worker core is assumed to be able to do
 #: 2 GFLOPS" (Section VI).

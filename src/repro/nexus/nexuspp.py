@@ -38,7 +38,6 @@ from repro.common.constants import (
     DEFAULT_KICKOFF_CAPACITY,
     DEFAULT_TABLE_SETS,
     DEFAULT_TABLE_WAYS,
-    DEFAULT_TASK_POOL_ENTRIES,
 )
 from repro.common.units import Frequency
 from repro.common.validation import check_non_negative, check_positive, check_positive_int
@@ -50,7 +49,6 @@ from repro.nexus.timing import (
 )
 from repro.sim.resource import SerialResource
 from repro.taskgraph.table import AddressTable
-from repro.taskgraph.task_pool import TaskPool
 from repro.taskgraph.tracker import DependencyTracker
 from repro.trace.task import TaskDescriptor
 
@@ -69,13 +67,11 @@ class NexusPlusPlusConfig:
     table_sets: int = DEFAULT_TABLE_SETS
     table_ways: int = DEFAULT_TABLE_WAYS
     kickoff_capacity: int = DEFAULT_KICKOFF_CAPACITY
-    #: Task pool entries.
-    task_pool_entries: int = DEFAULT_TASK_POOL_ENTRIES
 
     def __post_init__(self) -> None:
         check_positive("frequency_mhz", self.frequency_mhz)
         check_non_negative("fifo_latency_cycles", self.fifo_latency_cycles)
-        for name in ("table_sets", "table_ways", "kickoff_capacity", "task_pool_entries"):
+        for name in ("table_sets", "table_ways", "kickoff_capacity"):
             check_positive_int(name, getattr(self, name))
 
 
@@ -98,7 +94,6 @@ class NexusPlusPlusManager(TaskManagerModel):
                 kickoff_capacity=self.config.kickoff_capacity,
                 name="nexus++-task-graph",
             ),
-            task_pool=TaskPool(capacity=self.config.task_pool_entries, name="nexus++-task-pool"),
             distribution_key=("central",),
         )
         # Pipeline resources.  The Insert stage and the finished-task

@@ -29,7 +29,7 @@ Unlike Nexus++, Nexus# supports the ``taskwait on`` pragma, which is what
 lets the fine-grained H264dec benchmark scale (Section VI).
 
 The model makes one tracker call per task per side and reads its flat
-tuples directly: each parameter's task-graph port is ``row[4]`` of the
+tuples directly: each parameter's task-graph port is ``row[3]`` of the
 task's preresolved rows, its set-conflict stall bit *i* of
 ``conflict_mask``, and its kick-off work ``released[i]``.  Every serial
 stage is reserved inline, and ready tasks leave as plain
@@ -45,7 +45,6 @@ from repro.common.constants import (
     DEFAULT_KICKOFF_CAPACITY,
     DEFAULT_TABLE_SETS,
     DEFAULT_TABLE_WAYS,
-    DEFAULT_TASK_POOL_ENTRIES,
     MAX_TASK_GRAPHS,
 )
 from repro.common.errors import ConfigurationError
@@ -61,7 +60,6 @@ from repro.nexus.timing import (
 )
 from repro.sim.resource import SerialResource
 from repro.taskgraph.table import AddressTable
-from repro.taskgraph.task_pool import TaskPool
 from repro.taskgraph.tracker import DependencyTracker
 from repro.trace.task import TaskDescriptor
 
@@ -82,8 +80,6 @@ class NexusSharpConfig:
     table_sets: int = DEFAULT_TABLE_SETS
     table_ways: int = DEFAULT_TABLE_WAYS
     kickoff_capacity: int = DEFAULT_KICKOFF_CAPACITY
-    #: Task pool entries (shared by all task graphs).
-    task_pool_entries: int = DEFAULT_TASK_POOL_ENTRIES
 
     def __post_init__(self) -> None:
         check_positive_int("num_task_graphs", self.num_task_graphs)
@@ -93,7 +89,7 @@ class NexusSharpConfig:
             )
         if self.frequency_mhz is not None:
             check_positive("frequency_mhz", self.frequency_mhz)
-        for name in ("table_sets", "table_ways", "kickoff_capacity", "task_pool_entries"):
+        for name in ("table_sets", "table_ways", "kickoff_capacity"):
             check_positive_int(name, getattr(self, name))
 
     @property
@@ -125,7 +121,6 @@ class NexusSharpManager(TaskManagerModel):
                 kickoff_capacity=self.config.kickoff_capacity,
                 name=f"nexus#-TG{index}",
             ),
-            task_pool=TaskPool(capacity=self.config.task_pool_entries, name="nexus#-task-pool"),
             distribution_key=("nexus-hash", num_tg),
         )
         timing = self.config.timing
@@ -222,7 +217,7 @@ class NexusSharpManager(TaskManagerModel):
             concluded = ip_end
         else:
             # Stage 2: per-parameter insertion at the owning task graph
-            # (``row[4]``).  One serial port per task graph, accumulated
+            # (``row[3]``).  One serial port per task graph, accumulated
             # arithmetically: the reservation is start = max(visible,
             # next_free), end = start + occupancy, exactly what
             # SerialResource.reserve computes.
@@ -239,7 +234,7 @@ class NexusSharpManager(TaskManagerModel):
                 visible_us = ip_start + fwd_us[index] + fifo_us
                 occupancy_us = conflict_us if conflict_mask >> index & 1 else plain_us
                 index += 1
-                port = row[4]
+                port = row[3]
                 next_free = tg_next_free[port]
                 start = visible_us if visible_us > next_free else next_free
                 tg_end = start + occupancy_us
@@ -312,7 +307,7 @@ class NexusSharpManager(TaskManagerModel):
             kicked = released[index]
             index += 1
             occupancy_us = (update_cycles_base + kickoff_cycles * len(kicked)) * cycle_us
-            port = row[4]
+            port = row[3]
             next_free = tg_next_free[port]
             start = visible_us if visible_us > next_free else next_free
             tg_end = start + occupancy_us

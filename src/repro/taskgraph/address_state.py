@@ -24,53 +24,9 @@ The result is exactly the partial order of the reference dependency DAG
 
 from __future__ import annotations
 
-import enum
-from typing import List, NamedTuple, Set
+from typing import List, Set
 
 from repro.common.errors import SimulationError
-
-
-class AccessMode(enum.Enum):
-    """How a task accesses an address (collapsed from the pragma clauses).
-
-    ``reads`` / ``writes`` / ``flags`` are precomputed member attributes
-    (not properties): they are consulted for every access on the
-    dependency hot path.
-    """
-
-    READ = "read"
-    WRITE = "write"
-    READWRITE = "readwrite"
-
-    #: True for READ and READWRITE.
-    reads: bool
-    #: True for WRITE and READWRITE.
-    writes: bool
-    #: Integer direction flags (bit 0 = reads, bit 1 = writes), matching
-    #: :mod:`repro.trace.compiled`; the compiled dependency engine works
-    #: on these plain ints instead of enum members.
-    flags: int
-
-
-AccessMode.READ.reads = True
-AccessMode.READ.writes = False
-AccessMode.READ.flags = 1
-AccessMode.WRITE.reads = False
-AccessMode.WRITE.writes = True
-AccessMode.WRITE.flags = 2
-AccessMode.READWRITE.reads = True
-AccessMode.READWRITE.writes = True
-AccessMode.READWRITE.flags = 3
-
-#: Direction flags -> AccessMode (index with ``flags``; 0 is invalid).
-MODE_OF_FLAGS: tuple = (None, AccessMode.READ, AccessMode.WRITE, AccessMode.READWRITE)
-
-
-class Waiter(NamedTuple):
-    """One entry of an address' kick-off list (task id + access mode)."""
-
-    task_id: int
-    mode: AccessMode
 
 
 class AddressCell:
@@ -84,15 +40,14 @@ class AddressCell:
       activation is index arithmetic instead of ``deque`` object churn
       (the cursor region is compacted opportunistically);
     * access modes are the integer direction flags of
-      :data:`MODE_OF_FLAGS` (bit 0 = reads, bit 1 = writes) — no enum
-      attribute lookups per access;
+      :mod:`repro.trace.compiled` (bit 0 = reads, bit 1 = writes);
     * ``recycle()`` re-initialises the cell in place, so the tracker
       keeps evicted cells on a free list instead of allocating a fresh
       reader set and waiter lists for every address insertion.
     """
 
     __slots__ = ("address", "writer", "readers", "waiter_ids", "waiter_flags",
-                 "waiter_head", "klen", "total_waiters_enqueued", "max_kickoff_length")
+                 "waiter_head", "klen")
 
     def __init__(self, address: int) -> None:
         self.address = address
@@ -106,8 +61,6 @@ class AddressCell:
         #: as a field so the hot paths read one attribute instead of
         #: recomputing list lengths.
         self.klen = 0
-        self.total_waiters_enqueued = 0
-        self.max_kickoff_length = 0
 
     def recycle(self, address: int) -> None:
         """Re-initialise the (evicted) cell for a new address, in place."""
@@ -118,8 +71,6 @@ class AddressCell:
         self.waiter_flags.clear()
         self.waiter_head = 0
         self.klen = 0
-        self.total_waiters_enqueued = 0
-        self.max_kickoff_length = 0
 
     # -- queries -------------------------------------------------------------
     @property
@@ -147,11 +98,7 @@ class AddressCell:
                 return False
         self.waiter_ids.append(task_id)
         self.waiter_flags.append(flags)
-        self.total_waiters_enqueued += 1
-        length = self.klen + 1
-        self.klen = length
-        if length > self.max_kickoff_length:
-            self.max_kickoff_length = length
+        self.klen += 1
         return True
 
     # -- completion -------------------------------------------------------------

@@ -56,11 +56,9 @@ def ways_for(kickoff_length: int, kickoff_capacity: int) -> int:
 class TableStats:
     """Cumulative statistics of an :class:`AddressTable`.
 
-    ``slots=True``: the lookup/insertion counters are bumped once per
-    access on the dependency hot path.
+    ``slots=True``: the tracker's hot loops update these fields inline.
     """
 
-    lookups: int = 0
     insertions: int = 0
     evictions: int = 0
     set_conflicts: int = 0

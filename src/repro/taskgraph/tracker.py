@@ -24,10 +24,10 @@ hardware configuration, which the property-based tests assert against
 the reference DAG.
 
 Every task runs through one pair of row loops over preresolved
-``(address_id, raw address, mode, flags, table_index, set_index)``
-tuples and an address-id-indexed cell array — no address re-hashing and
-no distribution hashing per access, and evicted cells are recycled
-through a free list.  The rows come from one of two places:
+``(address_id, raw address, flags, table_index, set_index)`` tuples and
+an address-id-indexed cell array — no address re-hashing and no
+distribution hashing per access, and evicted cells are recycled through
+a free list.  The rows come from one of two places:
 
 * a **bound program**: :meth:`bind_program` resolves a trace's
   :class:`~repro.trace.compiled.CompiledAccessProgram` against this
@@ -44,7 +44,8 @@ through a free list.  The rows come from one of two places:
 
 Either way a task's rows stay in the in-flight map from insert to
 :meth:`finish_task` (one program-slot lookup per task) and are dropped
-there, keeping memory O(live addresses + in-flight tasks).
+there, keeping memory O(live addresses + in-flight tasks).  The rows and
+the dependence count are all the tracker keeps per task.
 
 Both are pinned against the frozen pre-compiled engine by the golden
 tracker-equivalence suite.
@@ -55,15 +56,13 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.taskgraph.address_state import AccessMode, AddressCell, MODE_OF_FLAGS
-from repro.taskgraph.function_table import FunctionTable
+from repro.taskgraph.address_state import AddressCell
 from repro.taskgraph.table import AddressTable, ways_for
-from repro.taskgraph.task_pool import TaskPool
 from repro.trace.compiled import CompiledAccessProgram, merge_flags
 from repro.trace.task import TaskDescriptor
 
-#: One preresolved access: (address id, raw address, mode, flags, table, set).
-Row = Tuple[int, int, AccessMode, int, int, int]
+#: One preresolved access: (address id, raw address, flags, table, set).
+Row = Tuple[int, int, int, int, int]
 
 
 class _ResolvedProgram:
@@ -71,11 +70,10 @@ class _ResolvedProgram:
 
     ``rows[slot]`` holds one preresolved :data:`Row` per deduplicated
     access of the task in that slot.  Everything the hot loops consume is
-    an int (or a preresolved object), so the per-access work collapses to
-    tuple unpacking plus the state transition itself.  It holds no
-    reference back to the program that caches it, so a trace's compiled
-    forms are freed by reference counting, never left to the cyclic
-    collector.
+    an int, so the per-access work collapses to tuple unpacking plus the
+    state transition itself.  It holds no reference back to the program
+    that caches it, so a trace's compiled forms are freed by reference
+    counting, never left to the cyclic collector.
     """
 
     __slots__ = ("rows", "num_addresses")
@@ -89,7 +87,6 @@ class _ResolvedProgram:
             table_index, set_idx = resolve(address)
             table_of.append(table_index)
             set_of.append(set_idx)
-        modes = MODE_OF_FLAGS
         offsets = program.offsets
         addr_ids = program.addr_ids
         flags = program.flags
@@ -97,7 +94,7 @@ class _ResolvedProgram:
         for slot in range(program.num_tasks):
             start, end = offsets[slot], offsets[slot + 1]
             self.rows.append(tuple(
-                (aid, addresses[aid], modes[flag], flag, table_of[aid], set_of[aid])
+                (aid, addresses[aid], flag, table_of[aid], set_of[aid])
                 for aid, flag in zip(addr_ids[start:end], flags[start:end])
             ))
         self.num_addresses = len(addresses)
@@ -105,6 +102,11 @@ class _ResolvedProgram:
 
 class DependencyTracker:
     """Functional dependency resolution over one or more address tables.
+
+    Only the dependence state is modelled: the per-address tables and the
+    per-task dependence counts.  The hardware's Task Pool and Function
+    Pointers table decide nothing about who waits for whom; their cycles
+    are part of the Nexus pipeline timings (:mod:`repro.nexus.timing`).
 
     Parameters
     ----------
@@ -117,9 +119,6 @@ class DependencyTracker:
     table_factory:
         Callable creating the :class:`AddressTable` for a given index,
         allowing callers to configure geometry.
-    task_pool / function_table:
-        Optional pre-configured structures (defaults are created
-        otherwise).
     distribution_key:
         Hashable identity of ``distribute``'s behaviour (e.g.
         ``("nexus-hash", 6)``).  When given, program resolutions are
@@ -133,8 +132,6 @@ class DependencyTracker:
         num_tables: int = 1,
         distribute: Optional[Callable[[int], int]] = None,
         table_factory: Optional[Callable[[int], AddressTable]] = None,
-        task_pool: Optional[TaskPool] = None,
-        function_table: Optional[FunctionTable] = None,
         distribution_key: Optional[object] = None,
     ) -> None:
         if num_tables <= 0:
@@ -144,13 +141,8 @@ class DependencyTracker:
         self._distribution_key = distribution_key
         factory = table_factory or (lambda index: AddressTable(name=f"TG{index}"))
         self.tables: List[AddressTable] = [factory(i) for i in range(num_tables)]
-        self.task_pool = task_pool or TaskPool()
-        self.function_table = function_table or FunctionTable()
         #: the Dependence Counts table: unresolved accesses per in-flight task
         self._pending: Dict[int, int] = {}
-        # The hot paths work on the pool's dict directly; the pool clears
-        # it in place on reset, so the alias stays valid.
-        self._pool_tasks = self.task_pool._tasks
         #: rows of each in-flight task (inserted, not yet finished)
         self._rows_of: Dict[int, Tuple[Row, ...]] = {}
         self._program: Optional[CompiledAccessProgram] = None
@@ -254,7 +246,6 @@ class DependencyTracker:
     def _resolve_task(self, task: TaskDescriptor) -> Tuple[Row, ...]:
         """Merge, intern and resolve the accesses of a task no program holds."""
         live = self._live
-        modes = MODE_OF_FLAGS
         rows: List[Row] = []
         for address, flag in merge_flags(task.addresses, task.flags).items():
             placement = live.get(address)
@@ -268,7 +259,7 @@ class DependencyTracker:
                     self._cells.append(None)
                 placement = live[address] = (aid, table_index, set_idx)
             aid, table_index, set_idx = placement
-            rows.append((aid, address, modes[flag], flag, table_index, set_idx))
+            rows.append((aid, address, flag, table_index, set_idx))
         return tuple(rows)
 
     # -- main interface ---------------------------------------------------------
@@ -299,21 +290,6 @@ class DependencyTracker:
                 )
             rows = resolved.rows[slot]
         rows_of[task_id] = rows
-        # Task pool and function table (TaskPool.insert /
-        # FunctionTable.intern inlined).
-        pool = self.task_pool
-        pool_tasks = self._pool_tasks
-        pool_stats = pool.stats
-        if len(pool_tasks) >= pool.capacity:
-            pool_stats.full_events += 1
-        pool_tasks[task_id] = task
-        pool_stats.inserts += 1
-        if len(pool_tasks) > pool_stats.peak_occupancy:
-            pool_stats.peak_occupancy = len(pool_tasks)
-        functions = self.function_table
-        if task.function not in functions._name_to_id:
-            functions.intern(task.function)
-
         cells = self._cells
         free = self._free_cells
         tables = self.tables
@@ -325,11 +301,10 @@ class DependencyTracker:
         wait_mask = 0
         conflict_mask = 0
         bit = 1
-        for aid, address, _mode, flag, table_index, set_idx in rows:
+        for aid, address, flag, table_index, set_idx in rows:
             cell = cells[aid]
-            stats = stats_by[table_index]
-            stats.lookups += 1
             if cell is None:
+                stats = stats_by[table_index]
                 occupancy = occ_by[table_index]
                 ways_in_use = occupancy[set_idx]
                 if ways_in_use >= ways_by[table_index]:
@@ -369,6 +344,7 @@ class DependencyTracker:
                         after_ways = ways_for(length_before + 1, capacity)
                         if after_ways != before_ways:
                             occ_by[table_index][set_idx] += after_ways - before_ways
+                            stats = stats_by[table_index]
                             if after_ways - 1 > stats.dummy_entries_peak:
                                 stats.dummy_entries_peak = after_ways - 1
             bit <<= 1
@@ -397,9 +373,6 @@ class DependencyTracker:
             )
         del pending[task_id]
         rows = self._rows_of.pop(task_id)
-        # TaskPool.remove inlined.
-        del self._pool_tasks[task_id]
-        self.task_pool.stats.removals += 1
         # Rows resolved at insert also hand back the evicted address's id.
         live = self._live if self._resolved is None else None
         cells = self._cells
@@ -412,7 +385,7 @@ class DependencyTracker:
         released: List[List[int]] = []
         newly_ready: List[int] = []
         kickoff_count = 0
-        for aid, address, _mode, _flag, table_index, set_idx in rows:
+        for aid, address, _flag, table_index, set_idx in rows:
             cell = cells[aid]
             if cell is None:
                 raise SimulationError(
@@ -460,8 +433,6 @@ class DependencyTracker:
             table.reset()
         self._prefetch_tables()
         self._pending.clear()
-        self.task_pool.reset()
-        self.function_table.reset()
         self._program = None
         self._resolved = None
         self._recycle_cells()

@@ -88,8 +88,7 @@ class TestClosedConfigDomains:
         with pytest.raises(ConfigurationError):
             NexusPlusPlusConfig(frequency_mhz=math.inf)
 
-    @pytest.mark.parametrize("field", ["table_sets", "table_ways", "kickoff_capacity",
-                                       "task_pool_entries"])
+    @pytest.mark.parametrize("field", ["table_sets", "table_ways", "kickoff_capacity"])
     @pytest.mark.parametrize("config", [NexusSharpConfig, NexusPlusPlusConfig])
     def test_nexus_count_fields_reject_floats(self, config, field):
         with pytest.raises(ConfigurationError):

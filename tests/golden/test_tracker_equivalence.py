@@ -9,12 +9,12 @@ Replays every committed golden trace through three dependency engines:
 
 and asserts that their insert / finish sequences are *identical* — every
 access (address, mode, table index, must-wait, set-conflict), every
-dependence count, readiness, pool-full flag, every kick-off list and the
-ready order — under central and distributed table configurations,
-including a deliberately tiny geometry that forces set conflicts and
-dummy-entry chaining.  The legacy engine returns per-access records and
-the live one flat tuples, so a test-side projection maps both onto the
-same plain log.
+dependence count, readiness, every kick-off list and the ready order —
+under central and distributed table configurations, including a
+deliberately tiny geometry that forces set conflicts and dummy-entry
+chaining.  The legacy engine returns per-access records and the live one
+flat tuples, so a test-side projection maps both onto the same plain log
+(the live rows' direction flags onto the legacy access modes).
 
 Finish order is the FIFO ready order (tasks retire in the order they
 become ready), which exercises the same interleaving the machine loop
@@ -33,12 +33,15 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 if str(REPO_ROOT / "benchmarks") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
-from _legacy_depres import LegacyAddressTable, LegacyDependencyTracker  # noqa: E402
+from _legacy_depres import AccessMode, LegacyAddressTable, LegacyDependencyTracker  # noqa: E402
 
 from repro.nexus.distribution import nexus_hash  # noqa: E402
 from repro.taskgraph.table import AddressTable  # noqa: E402
 from repro.taskgraph.tracker import DependencyTracker  # noqa: E402
 from repro.trace.serialization import load_trace  # noqa: E402
+
+#: Live direction flags (bit 0 reads, bit 1 writes) -> legacy access mode.
+MODE_OF_FLAGS = (None, AccessMode.READ, AccessMode.WRITE, AccessMode.READWRITE)
 
 DATA_DIR = Path(__file__).parent / "data"
 TRACE_KEYS = sorted(path.name.split(".")[0] for path in DATA_DIR.glob("*.json.gz"))
@@ -68,7 +71,7 @@ def _legacy_insert(tracker, task):
         (a.address, a.mode, a.table_index, a.must_wait, a.set_conflict)
         for a in result.accesses
     )
-    return accesses, result.dependence_count, result.ready, result.pool_was_full
+    return accesses, result.dependence_count, result.ready
 
 
 def _legacy_finish(tracker, task_id):
@@ -78,24 +81,22 @@ def _legacy_finish(tracker, task_id):
 
 
 def _live_insert(tracker, task):
-    """Project the live ``(rows, count, wait_mask, conflict_mask)`` tuple;
-    pool-full comes from the pool's ``full_events`` counter."""
-    full_before = tracker.task_pool.stats.full_events
+    """Project the live ``(rows, count, wait_mask, conflict_mask)`` tuple."""
     rows, dependence_count, wait_mask, conflict_mask = tracker.insert_task(task)
     accesses = tuple(
-        (row[1], row[2], row[4], bool(wait_mask >> i & 1), bool(conflict_mask >> i & 1))
+        (row[1], MODE_OF_FLAGS[row[2]], row[3], bool(wait_mask >> i & 1),
+         bool(conflict_mask >> i & 1))
         for i, row in enumerate(rows)
     )
     assert wait_mask >> len(rows) == 0 and conflict_mask >> len(rows) == 0
     assert dependence_count == bin(wait_mask).count("1")
-    pool_was_full = tracker.task_pool.stats.full_events != full_before
-    return accesses, dependence_count, dependence_count == 0, pool_was_full
+    return accesses, dependence_count, dependence_count == 0
 
 
 def _live_finish(tracker, task_id):
     rows, released, newly_ready, kickoff_count = tracker.finish_task(task_id)
     assert len(released) == len(rows)
-    accesses = tuple((row[1], row[4], tuple(kicked)) for row, kicked in zip(rows, released))
+    accesses = tuple((row[1], row[3], tuple(kicked)) for row, kicked in zip(rows, released))
     assert kickoff_count == sum(len(kicked) for kicked in released)
     return accesses, tuple(newly_ready), kickoff_count
 
@@ -112,10 +113,9 @@ def _replay(tracker, trace):
     log = []
     ready = deque()
     for task in trace.tasks():
-        accesses, dependence_count, is_ready, pool_was_full = insert(tracker, task)
+        accesses, dependence_count, is_ready = insert(tracker, task)
         conflicts = sum(1 for access in accesses if access[4])
-        log.append(("insert", task.task_id, accesses, dependence_count, is_ready,
-                    pool_was_full, conflicts))
+        log.append(("insert", task.task_id, accesses, dependence_count, is_ready, conflicts))
         if is_ready:
             ready.append(task.task_id)
     while ready:
@@ -205,7 +205,7 @@ def test_table_stats_match_between_paths():
             live.bind_program(trace.access_program())
         _replay(live, trace)
         for legacy_table, live_table in zip(legacy.tables, live.tables):
-            for field in ("lookups", "insertions", "evictions", "set_conflicts",
+            for field in ("insertions", "evictions", "set_conflicts",
                           "dummy_entries_peak", "max_live_entries"):
                 assert getattr(live_table.stats, field) == getattr(legacy_table.stats, field), (
                     f"stats field {field} diverged (bound={bind}) on {live_table.name}"

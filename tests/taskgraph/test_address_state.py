@@ -107,8 +107,7 @@ class TestFinish:
         cell.insert(1, FLAG_WRITES)
         for task in range(2, 6):
             cell.insert(task, FLAG_READS)
-        assert cell.total_waiters_enqueued == 4
-        assert cell.max_kickoff_length == 4
+        assert cell.kickoff_length == 4
 
     def test_recycle_resets_in_place(self):
         cell = AddressCell(0x1)
@@ -117,5 +116,4 @@ class TestFinish:
         cell.recycle(0x2)
         assert cell.address == 0x2
         assert cell.is_idle
-        assert cell.total_waiters_enqueued == 0
         assert cell.insert(3, FLAG_READS) is False

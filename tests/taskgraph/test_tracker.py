@@ -3,8 +3,8 @@
 import pytest
 
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.taskgraph.address_state import AccessMode
 from repro.taskgraph.tracker import DependencyTracker
+from repro.trace.compiled import FLAG_READS, FLAG_READWRITE
 from repro.trace.dag import build_dependency_graph
 from repro.trace.task import Direction, Parameter, TaskDescriptor
 from repro.workloads.synthetic import generate_random_dag
@@ -22,7 +22,7 @@ def make_task(task_id, inputs=(), outputs=(), inouts=()):
 
 
 def merged_modes(task):
-    """``(address, mode)`` per deduplicated access, as insert reports it."""
+    """``(address, flags)`` per deduplicated access, as insert reports it."""
     rows = DependencyTracker().insert_task(task)[0]
     return [(row[1], row[2]) for row in rows]
 
@@ -42,7 +42,7 @@ class TestMergeAccessModes:
             ),
             duration_us=1.0,
         )
-        assert merged_modes(task) == [(0x1, AccessMode.READWRITE)]
+        assert merged_modes(task) == [(0x1, FLAG_READWRITE)]
 
     def test_duplicate_reads_stay_read(self):
         task = TaskDescriptor(
@@ -54,7 +54,7 @@ class TestMergeAccessModes:
             ),
             duration_us=1.0,
         )
-        assert merged_modes(task) == [(0x1, AccessMode.READ)]
+        assert merged_modes(task) == [(0x1, FLAG_READS)]
 
 
 class TestInsertFinish:
@@ -141,7 +141,7 @@ class TestDistribution:
     def test_accesses_routed_by_distribution_function(self):
         tracker = DependencyTracker(num_tables=4, distribute=lambda a: a % 4)
         rows = tracker.insert_task(make_task(0, outputs=[0, 1, 2, 3]))[0]
-        assert sorted(row[4] for row in rows) == [0, 1, 2, 3]
+        assert sorted(row[3] for row in rows) == [0, 1, 2, 3]
 
     def test_out_of_range_distribution_rejected(self):
         tracker = DependencyTracker(num_tables=2, distribute=lambda a: 5)
@@ -155,7 +155,7 @@ class TestDistribution:
     def test_rows_carry_table_index(self):
         tracker = DependencyTracker(num_tables=2, distribute=lambda a: a % 2)
         rows = tracker.insert_task(make_task(0, outputs=[0, 2, 1]))[0]
-        assert [row[4] for row in rows] == [0, 0, 1]
+        assert [row[3] for row in rows] == [0, 0, 1]
 
 
 class TestAgainstReferenceDag:

@@ -4,7 +4,6 @@ import pickle
 
 import pytest
 
-from repro.taskgraph.address_state import AccessMode, MODE_OF_FLAGS
 from repro.taskgraph.tracker import DependencyTracker
 from repro.trace.compiled import FLAG_READS, FLAG_READWRITE, FLAG_WRITES
 from repro.trace.events import TaskSubmitEvent
@@ -51,15 +50,12 @@ class TestCompilation:
         program = Trace("duplicates", [TaskSubmitEvent(task)]).access_program()
         assert program.task_accesses(0) == [(0, FLAG_READWRITE), (1, FLAG_READS)]
         rows = DependencyTracker().insert_task(task)[0]
-        assert [(program.addresses[aid], MODE_OF_FLAGS[flag]) for aid, flag in
+        assert [(program.addresses[aid], flag) for aid, flag in
                 program.task_accesses(0)] == [(row[1], row[2]) for row in rows]
 
-    def test_flags_agree_with_access_mode_members(self):
-        assert AccessMode.READ.flags == FLAG_READS
-        assert AccessMode.WRITE.flags == FLAG_WRITES
-        assert AccessMode.READWRITE.flags == FLAG_READWRITE
-        for flag in (FLAG_READS, FLAG_WRITES, FLAG_READWRITE):
-            assert MODE_OF_FLAGS[flag].flags == flag
+    def test_flags_are_the_read_and_write_bits(self):
+        """The tracker's cells test ``flags & 2`` for a write."""
+        assert (FLAG_READS, FLAG_WRITES, FLAG_READWRITE) == (1, 2, 3)
 
     def test_dense_and_sparse_task_ids(self):
         program = build_trace().access_program()
