@@ -94,6 +94,12 @@ class TestClosedConfigDomains:
         with pytest.raises(ConfigurationError):
             config(**{field: 4.0})
 
+    @pytest.mark.parametrize("config", [NexusSharpConfig, NexusPlusPlusConfig])
+    def test_nexus_configs_have_no_task_pool_size(self, config):
+        """No timing layer models a task pool, so no config sizes one."""
+        with pytest.raises(TypeError):
+            config(task_pool_entries=64)
+
 
 class TestCheckProbability:
     @pytest.mark.parametrize("value", [0.0, 0.5, 1.0])

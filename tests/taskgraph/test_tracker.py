@@ -152,6 +152,12 @@ class TestDistribution:
         with pytest.raises(ConfigurationError):
             DependencyTracker(num_tables=0)
 
+    @pytest.mark.parametrize("keyword", ["task_pool", "function_table"])
+    def test_tracks_only_dependences(self, keyword):
+        """The tracker holds no task pool or function table to pass in."""
+        with pytest.raises(TypeError):
+            DependencyTracker(**{keyword: None})
+
     def test_rows_carry_table_index(self):
         tracker = DependencyTracker(num_tables=2, distribute=lambda a: a % 2)
         rows = tracker.insert_task(make_task(0, outputs=[0, 2, 1]))[0]
