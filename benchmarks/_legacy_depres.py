@@ -43,7 +43,7 @@ from repro.common.constants import (
     DEFAULT_TABLE_SETS,
     DEFAULT_TABLE_WAYS,
 )
-from repro.common.errors import CapacityError, ConfigurationError, SimulationError
+from repro.common.errors import ConfigurationError, ReproError, SimulationError
 from repro.common.units import Frequency
 from repro.common.validation import check_positive, check_power_of_two
 from repro.managers.base import TaskManagerModel
@@ -79,6 +79,11 @@ class FinishOutcome(NamedTuple):
 
 #: Task-pool entries of the frozen Nexus managers.
 LEGACY_TASK_POOL_ENTRIES = 1024
+
+
+class CapacityError(ReproError):
+    """A frozen hardware structure (task pool, function table) ran out of
+    entries."""
 
 
 class AccessMode(enum.Enum):

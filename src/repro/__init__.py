@@ -37,7 +37,6 @@ Quickstart::
 
 from repro.common.errors import (
     AnalysisError,
-    CapacityError,
     ConfigurationError,
     ReproError,
     SimulationError,
@@ -92,7 +91,6 @@ __all__ = [
     "ConfigurationError",
     "TraceError",
     "SimulationError",
-    "CapacityError",
     "AnalysisError",
     # managers
     "TaskManagerModel",

@@ -21,7 +21,6 @@ from repro.common.constants import (
     MAX_TASK_GRAPHS,
 )
 from repro.common.errors import (
-    CapacityError,
     ConfigurationError,
     ReproError,
     SimulationError,
@@ -49,7 +48,6 @@ __all__ = [
     "CACHE_LINE_BYTES",
     "DEFAULT_FREQUENCY_MHZ",
     "MAX_TASK_GRAPHS",
-    "CapacityError",
     "ConfigurationError",
     "ReproError",
     "SimulationError",

@@ -38,16 +38,6 @@ class SimulationError(ReproError):
     """
 
 
-class CapacityError(ReproError):
-    """A hardware structure ran permanently out of capacity.
-
-    The hardware models stall when a table or FIFO is full and resume when
-    space frees up; :class:`CapacityError` is only raised when forward
-    progress is provably impossible (for instance a task with more
-    parameters than the whole task pool can hold).
-    """
-
-
 class AnalysisError(ReproError):
     """An analysis/report step was asked to summarise inconsistent data."""
 

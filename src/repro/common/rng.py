@@ -62,13 +62,6 @@ def make_rng(seed: SeedLike = None, *labels: Union[str, int]) -> np.random.Gener
     return np.random.default_rng(base)
 
 
-def spawn_rngs(seed: SeedLike, count: int, label: str = "stream") -> list[np.random.Generator]:
-    """Create ``count`` independent generators derived from ``seed``."""
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    return [make_rng(seed, label, index) for index in range(count)]
-
-
 def resolve_seed(seed: Optional[int]) -> int:
     """Return the effective integer seed for ``seed`` (``None`` → default)."""
     return DEFAULT_SEED if seed is None else int(seed)

@@ -56,15 +56,3 @@ def check_power_of_two(name: str, value: int) -> int:
     return value
 
 
-def check_in_range(name: str, value: Number, low: Number, high: Number) -> Number:
-    """Ensure ``low <= value <= high``."""
-    if not low <= value <= high:
-        raise ConfigurationError(f"{name} must be in [{low}, {high}], got {value!r}")
-    return value
-
-
-def check_choice(name: str, value: object, choices: tuple) -> object:
-    """Ensure ``value`` is one of ``choices``."""
-    if value not in choices:
-        raise ConfigurationError(f"{name} must be one of {choices!r}, got {value!r}")
-    return value

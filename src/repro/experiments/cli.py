@@ -23,6 +23,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
+from repro.common.errors import ConfigurationError
 from repro.common.profiling import maybe_profile
 from repro.experiments.runner import SweepRunner, rows_to_studies
 from repro.experiments.spec import SweepSpec
@@ -202,4 +203,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except ConfigurationError as exc:  # a bad flag: one line, no traceback
+        sys.exit(f"ConfigurationError: {exc}")

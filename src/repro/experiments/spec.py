@@ -24,6 +24,7 @@ from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.analysis.factories import ManagerFactory, describe_factory, parse_manager
 from repro.common.errors import ConfigurationError
+from repro.common.validation import check_positive
 from repro.system.machine import simulate, simulate_dynamic, simulate_stream
 from repro.trace.dynamic import DynamicProgram
 from repro.system.results import MachineResult
@@ -87,6 +88,9 @@ class WorkloadSpec:
     #: Lazily memoised truncation of an inline trace (sharing one Trace
     #: object across grid cells keeps its compiled-program cache warm).
     _truncated: Optional[Trace] = dataclass_field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        check_positive("scale", self.scale)
 
     @classmethod
     def of(cls, workload: WorkloadLike, *, scale: float = 1.0, seed: Optional[int] = None,

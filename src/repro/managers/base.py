@@ -117,34 +117,6 @@ class TaskManagerModel(abc.ABC):
         """
 
     # -- optional hooks ------------------------------------------------------
-    def prepare_trace(self, trace) -> None:
-        """Optional hook: the machine announces the trace it will replay.
-
-        Called by the general engine (:func:`repro.system.dynamic.
-        run_engine`) after :meth:`reset` and before the first
-        :meth:`submit` whenever its source is a materialised
-        :class:`~repro.trace.trace.Trace` — every non-kernel static run,
-        including :meth:`~repro.system.machine.Machine.run_scalar` and
-        :meth:`~repro.system.machine.Machine.run_stream` over a trace.
-        The default forwards the trace's compiled access program to
-        :meth:`prepare_program`; managers that run a
-        :class:`~repro.taskgraph.tracker.DependencyTracker` bind it there
-        so dependency resolution runs over the program's preresolved
-        rows.  Streams and dynamic programs never call it — their
-        tracker resolves each task at insert — so :meth:`reset` must
-        also undo whatever this hook set up.
-        """
-        self.prepare_program(trace.access_program())
-
-    def prepare_program(self, program) -> None:
-        """Optional hook: bind a compiled access program for the next run.
-
-        ``program`` is the :class:`~repro.trace.compiled.
-        CompiledAccessProgram` of the static trace about to be replayed;
-        every task the run submits is in it.  The default is a no-op:
-        managers without a tracker simply ignore programs.
-        """
-
     def lane_kernel(self) -> "LaneKernelSpec | None":
         """Constant description for the fast replay kernel, or ``None``.
 
@@ -155,25 +127,12 @@ class TaskManagerModel(abc.ABC):
         :meth:`submit`/:meth:`finish` per event.  A subclass that
         overrides :meth:`submit`, :meth:`finish` or :meth:`statistics`
         without redeclaring ``lane_kernel`` keeps the general engine.  The
-        kernel must be **byte-identical** to the engine — the golden
-        kernel-vs-scalar suite and the differential tests in
+        kernel must be **byte-identical** to the engine's stream replay —
+        the golden kernel-vs-scalar suites and the differential tests in
         ``tests/batch/`` pin this.  The default ``None`` routes every run
         through the general engine, which is always correct.
         """
         return None
-
-    def abandon_run(self) -> None:
-        """A run died mid-flight: drop every per-run binding *now*.
-
-        Called by the machine when a replay raises, **before** the
-        exception propagates.  Without it, a failed run leaves the
-        manager's tracker bound to the trace's shared compiled program
-        with tasks still marked in flight — poisoning any later direct
-        use of the manager (e.g. ``bind_program`` refuses to rebind) in
-        the same process.  The default simply :meth:`reset`\\ s, which
-        every manager already guarantees to clear bindings.
-        """
-        self.reset()
 
     def describe(self) -> Mapping[str, object]:
         """Return a serialisable description of the configuration."""

@@ -27,13 +27,10 @@ class IdealManager(TaskManagerModel):
     worker_overhead_us = 0.0
 
     def __init__(self) -> None:
-        self._tracker = DependencyTracker(num_tables=1, distribution_key=("central",))
+        self._tracker = DependencyTracker(num_tables=1)
 
     def reset(self) -> None:
         self._tracker.reset()
-
-    def prepare_program(self, program) -> None:
-        self._tracker.bind_program(program)
 
     def submit(self, task: TaskDescriptor, time_us: float) -> Tuple[float, Ready]:
         if self._tracker.insert_task(task)[1]:

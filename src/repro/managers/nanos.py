@@ -75,15 +75,12 @@ class NanosManager(TaskManagerModel):
     def __init__(self, config: NanosConfig | None = None) -> None:
         self.config = config or NanosConfig()
         self.worker_overhead_us = self.config.worker_dispatch_us
-        self._tracker = DependencyTracker(num_tables=1, distribution_key=("central",))
+        self._tracker = DependencyTracker(num_tables=1)
         self._lock = SerialResource("nanos-runtime-lock")
 
     def reset(self) -> None:
         self._tracker.reset()
         self._lock.reset()
-
-    def prepare_program(self, program) -> None:
-        self._tracker.bind_program(program)
 
     # -- TaskManagerModel ------------------------------------------------------
     def submit(self, task: TaskDescriptor, time_us: float) -> Tuple[float, Ready]:

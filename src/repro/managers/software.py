@@ -50,15 +50,12 @@ class VandierendonckManager(TaskManagerModel):
     def __init__(self, config: VandierendonckConfig | None = None) -> None:
         self.config = config or VandierendonckConfig()
         self.worker_overhead_us = self.config.worker_dispatch_us
-        self._tracker = DependencyTracker(num_tables=1, distribution_key=("central",))
+        self._tracker = DependencyTracker(num_tables=1)
         self._lock = SerialResource("sw-manager-lock")
 
     def reset(self) -> None:
         self._tracker.reset()
         self._lock.reset()
-
-    def prepare_program(self, program) -> None:
-        self._tracker.bind_program(program)
 
     def submit(self, task: TaskDescriptor, time_us: float) -> Tuple[float, Ready]:
         dependence_count = self._tracker.insert_task(task)[1]

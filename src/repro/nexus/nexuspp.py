@@ -94,7 +94,6 @@ class NexusPlusPlusManager(TaskManagerModel):
                 kickoff_capacity=self.config.kickoff_capacity,
                 name="nexus++-task-graph",
             ),
-            distribution_key=("central",),
         )
         # Pipeline resources.  The Insert stage and the finished-task
         # cleanup share the single task graph's port.
@@ -132,9 +131,6 @@ class NexusPlusPlusManager(TaskManagerModel):
         self._write_back.reset()
         self._ready_latency_total_us = 0.0
         self._ready_count = 0
-
-    def prepare_program(self, program) -> None:
-        self._tracker.bind_program(program)
 
     # -- TaskManagerModel --------------------------------------------------------
     def submit(self, task: TaskDescriptor, time_us: float) -> Tuple[float, Ready]:

@@ -121,7 +121,6 @@ class NexusSharpManager(TaskManagerModel):
                 kickoff_capacity=self.config.kickoff_capacity,
                 name=f"nexus#-TG{index}",
             ),
-            distribution_key=("nexus-hash", num_tg),
         )
         timing = self.config.timing
         self._input_parser = SerialResource("nexus#-input-parser")
@@ -180,9 +179,6 @@ class NexusSharpManager(TaskManagerModel):
         self._arbiter.reset()
         self._ready_latency_total_us = 0.0
         self._ready_count = 0
-
-    def prepare_program(self, program) -> None:
-        self._tracker.bind_program(program)
 
     # -- TaskManagerModel --------------------------------------------------------
     def submit(self, task: TaskDescriptor, time_us: float) -> Tuple[float, Ready]:

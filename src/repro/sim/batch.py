@@ -28,19 +28,23 @@ three things:
   kernel.
 * **flat run state**: the general engine's plain-tuple event heap and
   its ``(time, priority, sequence)`` discipline, flat per-task
-  dependence-count/finished/dispatched state, an int heap of idle cores,
-  a deque of queued ready tasks, and the next-free time and busy time of
-  each serial stage a manager reserves (the Nanos lock; the Nexus input
-  parser, task-graph ports, arbiter and write-back).
+  dependence-count/finished/dispatched state, an int heap of idle core
+  ranks, a deque of queued ready tasks (or the built-in policy's own
+  queue), and the next-free time and busy time of each serial stage a
+  manager reserves (the Nanos lock; the Nexus input parser, task-graph
+  ports, arbiter and write-back).
 
-The engine stays the reference oracle.  All four managers publish a
-kernel spec (:meth:`repro.managers.base.TaskManagerModel.lane_kernel`);
-non-FIFO schedulers, heterogeneous topologies and sparse task ids stay
-on the engine, whose :class:`~repro.taskgraph.tracker.DependencyTracker`
-also serves streams and dynamic programs.  Kernel results are
-byte-identical to :meth:`~repro.system.machine.Machine.run_scalar`, the
-engine replay, pinned by the kernel-vs-scalar suites (``tests/batch/``,
-``tests/golden/test_batch_equivalence.py``).
+All four managers publish a kernel spec (:meth:`repro.managers.base.
+TaskManagerModel.lane_kernel`), so every static cell with one of them
+and a built-in policy replays here, on any topology and with any task
+ids; the general engine of :mod:`repro.system.dynamic` serves streams,
+dynamic programs and the static runs the kernel does not cover.  The
+engine's stream replay of a trace,
+:meth:`~repro.system.machine.Machine.run_scalar`, stays the reference
+oracle: kernel results are byte-identical to it, pinned by the
+kernel-vs-scalar suites (``tests/batch/``,
+``tests/golden/test_batch_equivalence.py``,
+``tests/golden/test_config_digests.py``).
 """
 
 from __future__ import annotations
@@ -57,8 +61,9 @@ from repro.managers.base import LaneKernelSpec, TaskManagerModel
 from repro.nexus.distribution import nexus_hash
 from repro.nexus.timing import shared_offset_tables
 from repro.system.results import MachineResult
-from repro.system.scheduling import FifoPolicy
+from repro.system.scheduling import DurationPriorityPolicy, FifoPolicy, LocalityPolicy
 from repro.system.timeline import TaskTimeline
+from repro.system.topology import CorePool
 from repro.taskgraph.table import AddressTable, ways_for
 from repro.trace.columns import FULL_TASKWAIT
 from repro.trace.dag import validate_schedule
@@ -91,11 +96,10 @@ class LaneProgram:
     core count or seed of a run — so one program is shared by all runs.
     It is built from the trace's columns and its compiled access program,
     never from event or descriptor objects.  The event columns drive the
-    master thread of both the kernel and the general engine
-    (:mod:`repro.system.dynamic`): one op code per trace event
+    kernel's master thread: one op code per trace event
     (:data:`OP_SUBMIT`, :data:`OP_WAIT`, :data:`OP_WAIT_ON`), the
-    submitted task's slot, and the ``taskwait on`` target.  The access
-    rows and duration columns serve the kernel alone.
+    submitted task's slot, and the ``taskwait on`` target.  Everything
+    is indexed by slot; ``task_ids`` maps a slot back to its task id.
     """
 
     __slots__ = (
@@ -103,7 +107,7 @@ class LaneProgram:
         "task_ids", "slot_of", "has_wait_on", "total_work_us",
         "num_addresses", "acc_off", "acc_aid", "acc_flags",
         "addr_off", "addr_task", "addr_flags",
-        "duration", "creation", "num_params_eff", "param_off", "addresses",
+        "duration", "creation", "functions", "num_params_eff", "param_off", "addresses",
         "_kernel_cache", "_placements",
     )
 
@@ -188,6 +192,7 @@ class LaneProgram:
             self.num_params_eff = np.ones(self.num_tasks, dtype=np.int64)
         self.duration = columns.durations
         self.creation = columns.creations
+        self.functions = columns.functions
         # Raw parameter offsets (duplicates included): the hardware input
         # parsers read every parameter word of the descriptor.
         self.param_off = columns.offsets
@@ -294,6 +299,10 @@ def lane_program(trace: Trace) -> LaneProgram:
 #: instance that rebinds one) changes behaviour the kernel cannot see.
 _KERNEL_REPLACED = ("submit", "finish", "statistics")
 
+#: The policy classes the kernel drives (FIFO as an inline deque); a
+#: subclass may change what the kernel relies on, so it keeps the engine.
+_KERNEL_POLICIES = (FifoPolicy, DurationPriorityPolicy, LocalityPolicy)
+
 
 def _kernel_methods_overridden(manager: TaskManagerModel) -> bool:
     """True when ``manager`` does not use the ``submit``/``finish``/
@@ -310,13 +319,12 @@ def lane_fallback_reason(machine: "Machine", trace: object) -> Optional[str]:  #
     ``None`` when the kernel applies.
 
     The kernel-selection rules (documented in ``docs/performance.md``):
-    the trace must be a materialised static trace with dense task ids;
-    the manager must publish a :class:`~repro.managers.base.
-    LaneKernelSpec` and use the ``submit``/``finish``/``statistics`` of
-    the class that declares it; and dispatch must be plain
-    :class:`~repro.system.scheduling.FifoPolicy` (not a subclass) over
-    unit-speed cores.  The machine's own policy and topology are
-    checked, so nothing is rebuilt per run.
+    the trace must be a materialised static trace; the manager must
+    publish a :class:`~repro.managers.base.LaneKernelSpec` and use the
+    ``submit``/``finish``/``statistics`` of the class that declares it;
+    and the machine's policy must be an instance of one of the three
+    built-in policy classes (not a subclass).  Any topology and any task
+    ids are the kernel's.
     """
     if not isinstance(trace, Trace):
         return "not a materialised static trace"
@@ -325,13 +333,8 @@ def lane_fallback_reason(machine: "Machine", trace: object) -> Optional[str]:  #
         return f"manager {manager.name!r} publishes no lane kernel"
     if _kernel_methods_overridden(manager):
         return "manager overrides methods the lane kernel replaces"
-    if type(machine.policy) is not FifoPolicy:
-        return "scheduler policy is not plain FIFO"
-    if any(speed != 1.0 for speed in machine.topology.speed_factors):
-        return "non-unit core speeds"
-    prog = lane_program(trace)
-    if prog.slot_of is not None:
-        return "sparse task ids"
+    if type(machine.policy) not in _KERNEL_POLICIES:
+        return "scheduler policy is not a built-in policy"
     return None
 
 
@@ -351,17 +354,21 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
     """Replay ``trace`` on ``machine`` through the specialized kernel.
 
     Only valid when :func:`lane_fallback_reason` returns ``None``.  This
-    inlines — in replicated order — the engine stack for the FIFO /
-    homogeneous / dense-ids configuration: the trace master and event
-    loop of :func:`repro.system.dynamic.run_engine` with its
-    ``(time, priority, sequence)`` heap discipline (and its degradation
-    of ``taskwait on`` to a full ``taskwait`` for a manager without the
-    pragma), ``CorePool``'s lowest-id idle-core heap, ``FifoPolicy``'s
-    deque, the compiled ``DependencyTracker`` insert / finish semantics
-    reduced to per-address cursors, and the lane kernel's manager
-    arithmetic: the Nanos lock and the Nexus pipelines' serial
+    inlines — in replicated order — the engine stack replaying the
+    trace's events: the master and event loop of
+    :func:`repro.system.dynamic.run_engine` with its ``(time, priority,
+    sequence)`` heap discipline (and its degradation of ``taskwait on``
+    to a full ``taskwait`` for a manager without the pragma),
+    ``CorePool``'s fastest-idle-first heap of core ranks with ``nominal /
+    speed`` occupancy on a non-unit core, ``FifoPolicy``'s deque (the
+    other built-in policies are called with a task slot and the slot's
+    duration and function), the ``DependencyTracker`` insert / finish
+    semantics reduced to per-address cursors, and the lane kernel's
+    manager arithmetic: the Nanos lock and the Nexus pipelines' serial
     reservations replicate :meth:`~repro.sim.resource.SerialResource.
     reserve` exactly, in the managers' order and float association.
+    Everything runs on task slots and core ranks; the timeline maps
+    slots back to task ids and the result ranks back to core ids.
 
     For the Nexus kinds the cursors also carry the tracker's structural
     accounting.  An address is live (it holds a table entry) unless
@@ -398,7 +405,26 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
     addr_task = prog.addr_task
     addr_flags = prog.addr_flags
     creation = prog.creation
+    task_ids = prog.task_ids
     wait_on = manager.supports_taskwait_on
+
+    # --- dispatch: the policy and CorePool's ranks --------------------------
+    # No core idles while tasks queue, so a finishing core is the one to
+    # take the next queued task: the queue is only read on a completion.
+    policy = machine.policy
+    fifo = type(policy) is FifoPolicy
+    policy.reset()
+    enqueue = policy.enqueue
+    select = policy.select
+    on_start = policy.on_start if policy.wants_start_events else None
+    durations = prog.duration
+    functions = prog.functions
+    # The idle heap holds ranks, fastest core first; events, busy times
+    # and the timeline carry ranks until the end of the run.
+    order = CorePool(machine.topology).order
+    speeds = machine.topology.speed_factors
+    rank_speed = [speeds[core] for core in order]
+    scaled = any(speed != 1.0 for speed in rank_speed)
 
     kind = kern.kind
     nanos = kind == "nanos"
@@ -492,7 +518,9 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
     now = 0.0
 
     collect = config.keep_schedule or config.validate
-    timeline = TaskTimeline(num_tasks) if collect else None
+    timeline = TaskTimeline(
+        num_tasks, task_ids=None if prog.slot_of is None else task_ids,
+    ) if collect else None
     if collect:
         submit_arr = timeline.submit
         ready_arr = timeline.ready
@@ -643,7 +671,7 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
                         next_time = accept
                     if next_time < master_time:
                         raise SimulationError(
-                            f"manager {manager.name} accepted task {slot} in the past"
+                            f"manager {manager.name} accepted task {task_ids[slot]} in the past"
                         )
                     master_time = next_time
                     if event_index >= num_events:
@@ -823,22 +851,28 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
                         1, seq, waiter, -1,
                     ))
                     seq += 1
-            # The freed core picks up the next queued ready task, if any
-            # (inlined core dispatch: heappop(idle) is the lowest idle id,
-            # matching CorePool on a homogeneous topology).
-            heappush(idle, core)
-            if ready_queue:
-                next_task = rq_popleft()
-                run_core = heappop(idle)
+            # The freed core (its rank) picks up the next queued ready
+            # task, if any, or idles.
+            if fifo:
+                next_task = rq_popleft() if ready_queue else None
+            else:
+                next_task = select(core, time)
+            if next_task is None:
+                heappush(idle, core)
+            else:
                 duration = nominal[next_task]
+                if scaled and rank_speed[core] != 1.0:
+                    duration = duration / rank_speed[core]
                 end = time + duration
                 core_busy_us += duration
-                busy_us[run_core] += duration
+                busy_us[core] += duration
                 if collect:
                     start_arr[next_task] = time
                     finish_arr[next_task] = end
-                    core_arr[next_task] = run_core
-                heappush(heap, (end, 0, seq, next_task, run_core))
+                    core_arr[next_task] = core
+                if on_start is not None:
+                    on_start(next_task, functions[next_task], core, time)
+                heappush(heap, (end, 0, seq, next_task, core))
                 seq += 1
             # Barriers resolve on completions.
             if blocked_kind:
@@ -855,11 +889,13 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
                         seq += 1
         elif priority == 1:  # task ready
             if dispatched[task_id]:
-                raise SimulationError(f"task {task_id} reported ready twice")
+                raise SimulationError(f"task {task_ids[task_id]} reported ready twice")
             dispatched[task_id] = 1
             if idle:
                 run_core = heappop(idle)
                 duration = nominal[task_id]
+                if scaled and rank_speed[run_core] != 1.0:
+                    duration = duration / rank_speed[run_core]
                 end = time + duration
                 core_busy_us += duration
                 busy_us[run_core] += duration
@@ -867,10 +903,14 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
                     start_arr[task_id] = time
                     finish_arr[task_id] = end
                     core_arr[task_id] = run_core
+                if on_start is not None:
+                    on_start(task_id, functions[task_id], run_core, time)
                 heappush(heap, (end, 0, seq, task_id, run_core))
                 seq += 1
-            else:
+            elif fifo:
                 rq_append(task_id)
+            else:
+                enqueue(task_id, durations[task_id], functions[task_id], time)
         else:  # master step
             if blocked_kind == 0 and not master_done:
                 if time > master_time:
@@ -894,6 +934,15 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
         raise SimulationError(
             f"{manager.name} on {trace.name}: master thread did not reach the end of the trace"
         )
+
+    # Core ranks back to core ids.
+    if order != list(range(num_cores)):
+        busy_by_rank = busy_us
+        busy_us = [0.0] * num_cores
+        for rank, core in enumerate(order):
+            busy_us[core] = busy_by_rank[rank]
+        if collect:
+            core_arr[:] = [order[rank] for rank in core_arr]
 
     if config.validate:
         assert timeline is not None

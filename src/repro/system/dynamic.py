@@ -1,26 +1,23 @@
-"""The general replay engine: static traces, streams and dynamic programs.
+"""The general replay engine: task streams and dynamic programs.
 
-This is the engine behind every replay the fast kernel of
-:mod:`repro.sim.batch` does not cover: the static runs
-:meth:`Machine.run <repro.system.machine.Machine.run>` does not route to
-the kernel, :meth:`~repro.system.machine.Machine.run_scalar` (the
-reference the kernel is checked against),
-:meth:`~repro.system.machine.Machine.run_stream` and
-:meth:`~repro.system.machine.Machine.run_dynamic`.  Three kinds of source
-drive the master thread:
+Only streams and dynamic programs reach this engine: every static trace
+:meth:`Machine.run <repro.system.machine.Machine.run>` replays with a
+lane-kernel manager and a built-in policy runs on the kernel of
+:mod:`repro.sim.batch`.  The engine serves
+:meth:`~repro.system.machine.Machine.run_stream`,
+:meth:`~repro.system.machine.Machine.run_dynamic`, and
+:meth:`~repro.system.machine.Machine.run_scalar` — the stream replay of
+a static trace, which is also the reference the kernel is checked
+against and the path of the static runs the kernel does not cover.  Two
+kinds of source drive the master thread:
 
-* a materialised :class:`~repro.trace.trace.Trace`: the manager binds the
-  trace's compiled access program (``prepare_trace``), so its tracker
-  runs over preresolved rows, and the master walks the trace's
-  :class:`~repro.sim.batch.LaneProgram` — op codes, task slots and
-  statically resolved ``taskwait on`` targets — with submission inlined.
-  Per-task state lives in slot-indexed lists and the timeline is
-  preallocated;
-* a :class:`~repro.trace.stream.TaskStream`: each ``TaskSubmitEvent``
-  submits the stream's own descriptor under its own id, ``taskwait`` /
-  ``taskwait on`` events are master barriers.  Only in-flight tasks are
-  held, so live state is O(in-flight tasks + live addresses), never
-  O(total tasks), and the tracker resolves each task at insert;
+* a :class:`~repro.trace.stream.TaskStream` (a materialised
+  :class:`~repro.trace.trace.Trace` is one too): each
+  ``TaskSubmitEvent`` submits the stream's own descriptor under its own
+  id, ``taskwait`` / ``taskwait on`` events are master barriers.  Only
+  in-flight tasks are held, so live state is O(in-flight tasks + live
+  addresses), never O(total tasks), and the tracker resolves each task
+  at insert;
 * a :class:`~repro.trace.dynamic.DynamicProgram`: the master thread *and*
   executing tasks may spawn new tasks and issue ``taskwait``.
 
@@ -28,8 +25,8 @@ Semantics
 ---------
 
 * **Spawn** — the spawning core (or the master thread) submits the child
-  to the manager at its current time and is throttled exactly like the
-  static master: it resumes at ``max(accept_time, now +
+  to the manager at its current time and is throttled exactly like a
+  stream's master: it resumes at ``max(accept_time, now +
   creation_overhead)``.  While a worker spawns, its core is occupied but
   the time is not counted as busy/compute time.
 * **Task-level taskwait** — the task suspends until all children *it*
@@ -45,12 +42,12 @@ Semantics
   segment (a pure control body with no :class:`~repro.trace.dynamic.
   Compute` op pays none).
 
-Per-task state is keyed by the task's *slot*: its trace slot, its
-submission ordinal in a stream that keeps its schedule (the timeline's
-slot), and otherwise its task id (a program's ids are its ordinals).  A
-leaf task — every trace or stream task and every spawned request
-without a body — is just its descriptor and a dispatched flag; only
-tasks with a body get a :class:`_TaskRun` record.
+Per-task state is keyed by the task's *slot*: its submission ordinal
+in a stream that keeps its schedule (the timeline's slot), and otherwise
+its task id (a program's ids are its ordinals).  A leaf task — every
+stream task and every spawned request without a body — is just its
+descriptor and a dispatched flag; only tasks with a body get a
+:class:`_TaskRun` record.
 
 The engine owns its event heap: plain ``(time, priority, sequence,
 task id, core)`` tuples, the layout of the kernel in
@@ -109,11 +106,11 @@ class _TaskRun:
 
 def run_engine(
     machine,
-    source: Union[Trace, TaskStream, DynamicProgram],
+    source: Union[TaskStream, DynamicProgram],
     *,
     max_in_flight: Optional[int] = None,
 ) -> MachineResult:
-    """Replay a static trace, a task stream or a dynamic program on ``machine``.
+    """Replay a task stream or a dynamic program on ``machine``.
 
     See the module docstring.  ``max_in_flight`` stalls the master once
     that many submitted tasks are outstanding (back-pressure).
@@ -123,9 +120,6 @@ def run_engine(
     config = machine.config
     manager = machine.manager
     manager.reset()
-    static = isinstance(source, Trace)
-    if static:
-        manager.prepare_trace(source)
     policy = machine.policy
     policy.reset()
     pool = CorePool(machine.topology)
@@ -146,29 +140,15 @@ def run_engine(
 
     validate = config.validate
     collect = config.keep_schedule or validate
-    if static:
-        from repro.sim.batch import OP_SUBMIT, OP_WAIT, lane_program
-
-        prog = lane_program(source)
-        tasks = source.descriptors()  # descriptor by slot, from the columns
-        key_of = prog.slot_of        # task id -> slot (None: dense ids)
-        num_tasks = prog.num_tasks
-        total_work_us = prog.total_work_us
-        dispatched = bytearray(num_tasks)
-        finished = bytearray(num_tasks)
-        timeline = TaskTimeline(
-            num_tasks, task_ids=None if key_of is None else prog.task_ids,
-        ) if collect else None
-    else:
-        tasks = {}                   # in-flight descriptors by slot
-        # A stream may reuse an id once its task finished, so a collected
-        # stream maps ids to submission ordinals (the timeline's slots);
-        # otherwise the slot is the id (a program's ids are its ordinals).
-        key_of = {} if collect and not isinstance(source, DynamicProgram) else None
-        num_tasks = 0
-        total_work_us = 0.0
-        dispatched = {}
-        timeline = TaskTimeline.growable() if collect else None
+    tasks: Dict[int, object] = {}    # in-flight descriptors by slot
+    # A stream may reuse an id once its task finished, so a collected
+    # stream maps ids to submission ordinals (the timeline's slots);
+    # otherwise the slot is the id (a program's ids are its ordinals).
+    key_of = {} if collect and not isinstance(source, DynamicProgram) else None
+    num_tasks = 0
+    total_work_us = 0.0
+    dispatched: Dict[int, int] = {}
+    timeline = TaskTimeline.growable() if collect else None
     if collect:
         submit_arr = timeline.submit
         ready_arr = timeline.ready
@@ -197,11 +177,12 @@ def run_engine(
     manager_submit = manager.submit
     manager_finish = manager.finish
 
-    # --- submission (streams and dynamic programs) ----------------------------
+    # --- submission ---------------------------------------------------------------
     def submit_task(task, body, parent_key: Optional[int], time: float) -> float:
         """Hand ``task`` to the manager at ``time``; return when the submitter resumes.
 
-        The submitter is throttled like the static master: it resumes at
+        Every submitter (a stream's or a program's master, a spawning
+        task) is throttled alike: it resumes at
         ``max(accept_time, time + creation_overhead)``.
         """
         nonlocal outstanding, num_tasks, total_work_us
@@ -267,7 +248,7 @@ def run_engine(
             start_arr[key] = now
             core_arr[key] = core
         if wants_start_events:
-            policy.on_start(task.task_id, task, core, now)
+            policy.on_start(task.task_id, task.function, core, now)
         if runs:
             rec = runs.get(key)
             if rec is not None:
@@ -336,9 +317,7 @@ def run_engine(
         finished_count += 1
         if collect:
             finish_arr[key] = now
-        if static:
-            finished[key] = 1
-        elif writes_of:
+        if writes_of:
             write_addrs = writes_of.pop(key, None)
             if write_addrs:
                 for address in write_addrs:
@@ -358,13 +337,12 @@ def run_engine(
                 if parent.children == 0 and parent.waiting:
                     parent.waiting = False
                     resume_queue.append(parent_key)
-        if not static:
-            del tasks[key]
-            del dispatched[key]
-            if key_of is not None:
-                del key_of[task_id]
-            if runs:
-                runs.pop(key, None)
+        del tasks[key]
+        del dispatched[key]
+        if key_of is not None:
+            del key_of[task_id]
+        if runs:
+            runs.pop(key, None)
         release(core)
         if resume_queue:
             fill_cores(now)
@@ -389,7 +367,7 @@ def run_engine(
             if outstanding != 0:
                 return False
         elif kind == "task":
-            if (not finished[waited]) if static else waited in tasks:
+            if waited in tasks:
                 return False
         elif outstanding >= max_in_flight:  # kind == "window": back-pressure stall
             return False
@@ -438,53 +416,6 @@ def run_engine(
         master_blocked = ("task", writer)
         return True
 
-    def advance_trace(now: float) -> None:
-        """Walk the trace until a submission yields, a block, or the end."""
-        nonlocal event_index, master_time, master_blocked, master_done, outstanding
-        if now > master_time:
-            master_time = now
-        while event_index < num_events:
-            if window_full():
-                return
-            op = ops[event_index]
-            if op == OP_SUBMIT:
-                slot = op_slot[event_index]
-                task = tasks[slot]
-                outstanding += 1
-                if collect:
-                    submit_arr[slot] = master_time
-                event_index += 1
-                accept, ready = manager_submit(task, master_time)
-                for ready_id, ready_time in ready:
-                    if collect:
-                        ready_arr[ready_id if key_of is None else key_of[ready_id]] = ready_time
-                    heappush(heap, (ready_time if ready_time > master_time else master_time,
-                                    _PRIORITY_READY, sequence(), ready_id, -1))
-                if accept < master_time:
-                    raise SimulationError(
-                        f"manager {manager.name} accepted task {task.task_id} in the past")
-                resume = master_time + task.creation_overhead_us
-                master_time = accept if accept > resume else resume
-                if event_index >= num_events:
-                    break
-                if heap and heap[0][0] <= master_time:
-                    heappush(heap, (master_time, _PRIORITY_MASTER, sequence(), -1, -1))
-                    return
-                continue  # see yield_to_pending
-            if op == OP_WAIT or not supports_taskwait_on:
-                if outstanding == 0:
-                    event_index += 1
-                    continue
-                master_blocked = ("all", None)
-                return
-            waited = op_wait[event_index]
-            if waited < 0 or finished[waited]:
-                event_index += 1
-                continue
-            master_blocked = ("task", waited)
-            return
-        master_done = True
-
     def advance_stream(now: float) -> None:
         """Consume stream events until a submission stalls, a block, or the end."""
         nonlocal master_time, master_done, next_event
@@ -498,7 +429,7 @@ def run_engine(
                 master_done = True
                 return
             # Read one event ahead, so the master knows the stream ended
-            # right after its last submission, like the trace master.
+            # right after its last submission.
             next_event = next(events, None)
             if isinstance(event, TaskSubmitEvent):
                 task = event.task
@@ -563,14 +494,7 @@ def run_engine(
                 return
             master_send = master_time
 
-    if static:
-        ops = prog.ops
-        op_slot = prog.op_slot
-        op_wait = prog.op_wait
-        num_events = prog.num_events
-        event_index = 0
-        advance_master = advance_trace
-    elif isinstance(source, DynamicProgram):
+    if isinstance(source, DynamicProgram):
         master_gen = source.master()
         advance_master = advance_program
     else:
@@ -605,7 +529,8 @@ def run_engine(
             if idle_ranks:
                 start_task(key, time, acquire())
             else:
-                enqueue(task_id, tasks[key], time)
+                task = tasks[key]
+                enqueue(task_id, task.duration_us, task.function, time)
         elif master_blocked is None and not master_done:
             advance_master(time)
     # Every reference cycle among the nested functions runs through
@@ -629,8 +554,8 @@ def run_engine(
 
     if validate:
         validate_schedule(
-            source if static else Trace(name=source.name, events=tuple(recorded_events),
-                                        metadata=dict(source.metadata)),
+            Trace(name=source.name, events=tuple(recorded_events),
+                  metadata=dict(source.metadata)),
             timeline.start_dict(), timeline.finish_dict())
 
     return MachineResult.of_run(

@@ -35,17 +35,19 @@ With the default configuration (FIFO policy, homogeneous unit-speed
 topology) the schedule — and therefore every golden-trace makespan — is
 bit-identical to the pre-refactor monolithic loop.
 
-One general engine and one specialised kernel share these layers:
+One specialised kernel replays static traces, and one general engine
+replays streams and dynamic programs; only streams and dynamic programs
+reach the engine:
 
-* :meth:`Machine.run` hands the static runs it can to the kernel in
-  :mod:`repro.sim.batch` (constant-foldable managers under FIFO dispatch
-  on unit-speed cores) and replays everything else — every other static
-  trace, task streams and dynamic programs — on the insert-while-running
+* :meth:`Machine.run` replays a static trace on the kernel in
+  :mod:`repro.sim.batch` whenever the manager publishes a lane kernel
+  and the policy is a built-in one (any topology, any task ids), and
+  otherwise as the stream of its events on the insert-while-running
   engine of :mod:`repro.system.dynamic`;
-* :meth:`Machine.run_scalar` replays a static trace on that engine
+* :meth:`Machine.run_scalar` is that stream replay of a static trace,
   whatever the manager: the reference the kernel is checked against;
 * :meth:`Machine.run_stream` and :meth:`Machine.run_dynamic` replay task
-  streams and dynamic programs on the same engine, which then holds only
+  streams and dynamic programs on the same engine, which holds only
   in-flight tasks — the path for million-task workloads (optionally
   back-pressured via ``max_in_flight``).
 """
@@ -121,10 +123,10 @@ class Machine:
 
         A static trace the fast kernel covers (see
         :func:`repro.sim.batch.lane_fallback_reason`: a manager with a
-        lane kernel, plain FIFO dispatch, unit-speed cores, dense task
-        ids) replays on :func:`repro.sim.batch.run_kernel`; every other
-        trace on the general engine, as in :meth:`run_scalar`.  Both
-        produce byte-identical results.
+        lane kernel and one of the built-in scheduler policies) replays
+        on :func:`repro.sim.batch.run_kernel`; every other trace on the
+        general engine, as in :meth:`run_scalar`.  Both produce
+        byte-identical results.
 
         A :class:`~repro.trace.dynamic.DynamicProgram` source runs on the
         insert-while-running engine; see :meth:`run_dynamic`.
@@ -138,34 +140,16 @@ class Machine:
         return self.run_scalar(trace)
 
     def run_scalar(self, trace: Trace) -> MachineResult:
-        """Replay ``trace`` on the general engine, whatever the manager.
+        """Replay ``trace`` as a stream on the general engine, whatever the
+        manager.
 
         This is the general path — every manager, scheduler policy and
-        topology — and the reference the kernel is checked against.  The
-        manager binds the trace's compiled access program, and the
-        master walks the trace's :class:`~repro.sim.batch.LaneProgram`
-        (see :mod:`repro.system.dynamic`).
+        topology — and the reference the kernel is checked against: the
+        master submits the trace's events one by one and the manager's
+        tracker resolves each task at insert, exactly as for
+        :meth:`run_stream` (see :mod:`repro.system.dynamic`).
         """
-        return self._replay(trace)
-
-    def _replay(self, source: StreamLike, max_in_flight: Optional[int] = None) -> MachineResult:
-        """Run ``source`` on the general engine; clear per-run manager
-        bindings when the replay fails.
-
-        Without the cleanup, a run that raises mid-flight leaves the
-        manager's dependency tracker bound to the trace's shared
-        ``Trace.access_program()`` cache with tasks still in flight —
-        poisoning later direct use of the manager (``bind_program``
-        refuses to rebind) in the same process.
-        """
-        try:
-            return run_engine(self, source, max_in_flight=max_in_flight)
-        except BaseException:
-            try:
-                self.manager.abandon_run()
-            except Exception:
-                pass  # the original exception is what the caller needs to see
-            raise
+        return run_engine(self, trace)
 
     def run_stream(
         self,
@@ -182,12 +166,11 @@ class Machine:
         the engine of :mod:`repro.system.dynamic`, so a million-task
         trace is simulated without ever holding its task list in memory.
         Each submitted task keeps its own descriptor and id; an id may
-        be reused once its task has finished.  A materialised trace
-        replays exactly as in :meth:`run_scalar`; any other stream's
-        tracker resolves each task at insert, and its schedule, manager
-        statistics and event count are **bit-identical** to
-        ``run_scalar(materialize(stream))`` (pinned by
-        ``tests/golden/test_stream_equivalence.py``).
+        be reused once its task has finished.  The tracker resolves each
+        task at insert, and the schedule, manager statistics and event
+        count are **bit-identical** to ``run(materialize(stream))``
+        (pinned by ``tests/golden/test_stream_equivalence.py``); a
+        materialised trace replays exactly as in :meth:`run_scalar`.
 
         Memory-boundedness: with ``keep_schedule=False`` the machine's
         live state is O(in-flight tasks + live addresses), never O(total
@@ -211,7 +194,7 @@ class Machine:
         """
         if isinstance(stream, DynamicProgram):
             return self.run_dynamic(stream, max_in_flight=max_in_flight)
-        return self._replay(as_stream(stream), max_in_flight)
+        return run_engine(self, as_stream(stream), max_in_flight=max_in_flight)
 
     def run_dynamic(
         self,
@@ -227,7 +210,7 @@ class Machine:
         Repeated runs of a deterministic program are byte-identical —
         pinned by the fuzz corpus in ``tests/fuzz/``.
         """
-        return self._replay(program, max_in_flight)
+        return run_engine(self, program, max_in_flight=max_in_flight)
 
 
 def simulate(

@@ -107,20 +107,6 @@ class MachineResult:
                 count += 1
         return total / count if count else 0.0
 
-    @property
-    def mean_queue_latency_us(self) -> float:
-        """Mean time tasks spend between ready notification and start."""
-        if not self.start_times:
-            return 0.0
-        total = 0.0
-        count = 0
-        for task_id, start in self.start_times.items():
-            ready = self.ready_times.get(task_id)
-            if ready is not None:
-                total += start - ready
-                count += 1
-        return total / count if count else 0.0
-
     def _non_default_topology_label(self) -> "str | None":
         """Label for the topology when it differs from the paper's machine.
 

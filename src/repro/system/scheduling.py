@@ -13,6 +13,11 @@ machine's contract, not the policy's).  Consequently the default FIFO
 policy reproduces the paper's schedules exactly, and golden-trace
 makespans are byte-identical.
 
+A policy sees a task as its id plus the two keys the built-in policies
+order by, its duration and its function name — never a descriptor — so
+the replay kernel of :mod:`repro.sim.batch` drives the built-in
+policies straight from a trace's columns (with task slots as ids).
+
 Built-in policies (see :data:`POLICY_REGISTRY`):
 
 ``fifo``
@@ -36,7 +41,6 @@ from heapq import heappop, heappush
 from typing import Deque, Dict, List, Optional, Set, Tuple, Union
 
 from repro.common.errors import ConfigurationError
-from repro.trace.task import TaskDescriptor
 
 
 class SchedulerPolicy(abc.ABC):
@@ -62,8 +66,9 @@ class SchedulerPolicy(abc.ABC):
         """Forget all state so the same instance can run another trace."""
 
     @abc.abstractmethod
-    def enqueue(self, task_id: int, task: TaskDescriptor, now: float) -> None:
-        """A task became ready while all cores were busy."""
+    def enqueue(self, task_id: int, duration_us: float, function: str, now: float) -> None:
+        """A task (its body's duration and function) became ready while
+        all cores were busy."""
 
     @abc.abstractmethod
     def select(self, core: int, now: float) -> Optional[int]:
@@ -78,8 +83,9 @@ class SchedulerPolicy(abc.ABC):
     def __len__(self) -> int:
         """Number of ready tasks currently queued."""
 
-    def on_start(self, task_id: int, task: TaskDescriptor, core: int, now: float) -> None:
-        """A task started on ``core`` (only called if ``wants_start_events``)."""
+    def on_start(self, task_id: int, function: str, core: int, now: float) -> None:
+        """A task of ``function`` started on ``core`` (only called if
+        ``wants_start_events``)."""
 
     def describe(self) -> Dict[str, object]:
         """Serialisable identity of the policy (results metadata, cache keys)."""
@@ -100,7 +106,7 @@ class FifoPolicy(SchedulerPolicy):
     def reset(self) -> None:
         self._queue.clear()
 
-    def enqueue(self, task_id: int, task: TaskDescriptor, now: float) -> None:
+    def enqueue(self, task_id: int, duration_us: float, function: str, now: float) -> None:
         self._queue.append(task_id)
 
     def select(self, core: int, now: float) -> Optional[int]:
@@ -130,8 +136,8 @@ class DurationPriorityPolicy(SchedulerPolicy):
         self._heap.clear()
         self._seq = 0
 
-    def enqueue(self, task_id: int, task: TaskDescriptor, now: float) -> None:
-        key = -task.duration_us if self.longest else task.duration_us
+    def enqueue(self, task_id: int, duration_us: float, function: str, now: float) -> None:
+        key = -duration_us if self.longest else duration_us
         heappush(self._heap, (key, self._seq, task_id))
         self._seq += 1
 
@@ -171,8 +177,7 @@ class LocalityPolicy(SchedulerPolicy):
         self._pending = 0
         self._last_function.clear()
 
-    def enqueue(self, task_id: int, task: TaskDescriptor, now: float) -> None:
-        function = task.function
+    def enqueue(self, task_id: int, duration_us: float, function: str, now: float) -> None:
         self._queue.append(task_id)
         bucket = self._by_function.get(function)
         if bucket is None:
@@ -208,8 +213,8 @@ class LocalityPolicy(SchedulerPolicy):
         self._pending -= 1
         return chosen
 
-    def on_start(self, task_id: int, task: TaskDescriptor, core: int, now: float) -> None:
-        self._last_function[core] = task.function
+    def on_start(self, task_id: int, function: str, core: int, now: float) -> None:
+        self._last_function[core] = function
 
     def __len__(self) -> int:
         return self._pending

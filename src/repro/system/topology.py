@@ -260,7 +260,7 @@ class CorePool:
     gravitates to the fast cores first, exactly like a speed-aware RTS.
     """
 
-    __slots__ = ("topology", "speeds", "busy_us", "idle_ranks", "_order", "_rank_of")
+    __slots__ = ("topology", "speeds", "busy_us", "idle_ranks", "order", "_rank_of")
 
     def __init__(self, topology: CoreTopology) -> None:
         self.topology = topology
@@ -268,10 +268,11 @@ class CorePool:
         self.speeds = speeds
         num_cores = len(speeds)
         self.busy_us: List[float] = [0.0] * num_cores
-        # Dispatch order: fastest first, then lowest core id.  Ranks are
-        # what lives in the idle heap, so heap comparisons are plain ints.
+        #: Dispatch order, core id by rank: fastest first, then lowest
+        #: core id.  Ranks are what lives in the idle heap, so heap
+        #: comparisons are plain ints.
         order = sorted(range(num_cores), key=lambda core: (-speeds[core], core))
-        self._order = order
+        self.order = order
         rank_of = [0] * num_cores
         for rank, core in enumerate(order):
             rank_of[core] = rank
@@ -295,7 +296,7 @@ class CorePool:
         """Claim and return the fastest idle core id."""
         if not self.idle_ranks:
             raise ConfigurationError("acquire() with no idle core")
-        return self._order[heappop(self.idle_ranks)]
+        return self.order[heappop(self.idle_ranks)]
 
     def release(self, core: int) -> None:
         """Return ``core`` to the idle set."""

@@ -23,32 +23,23 @@ the functional result (who waits for whom) is identical for every
 hardware configuration, which the property-based tests assert against
 the reference DAG.
 
-Every task runs through one pair of row loops over preresolved
-``(address_id, raw address, flags, table_index, set_index)`` tuples and
-an address-id-indexed cell array — no address re-hashing and no
-distribution hashing per access, and evicted cells are recycled through
-a free list.  The rows come from one of two places:
+The tracker has one insert path, resolution at insert.  Only streams
+and dynamic programs reach the engine that drives it (static traces
+replay on the kernel of :mod:`repro.sim.batch`, which carries the same
+bookkeeping on per-address cursors), so every task arrives on its own:
+:meth:`insert_task` merges, interns and resolves the task's accesses
+into ``(address_id, raw address, flags, table_index, set_index)`` rows.
+Live addresses get dense ids from a map with a free list; an id is
+freed when its cell is evicted, which only happens once no in-flight
+task references the address, so a freed id never aliases a live one.
+Both row loops then work on an address-id-indexed cell array, and
+evicted cells are recycled through a free list.
 
-* a **bound program**: :meth:`bind_program` resolves a trace's
-  :class:`~repro.trace.compiled.CompiledAccessProgram` against this
-  tracker's distribution function and table geometry once.  Resolutions
-  are cached on the program (keyed by ``distribution_key`` + geometry),
-  so every tracker of the same manager configuration shares one
-  resolution per trace;
-* **resolution at insert** (no program bound — streams, dynamic spawns,
-  direct callers): :meth:`insert_task` merges, interns and resolves the
-  task's accesses itself.  Live addresses get dense ids from a map with
-  a free list; an id is freed when its cell is evicted, which only
-  happens once no in-flight task references the address, so a freed id
-  never aliases a live one.
-
-Either way a task's rows stay in the in-flight map from insert to
-:meth:`finish_task` (one program-slot lookup per task) and are dropped
-there, keeping memory O(live addresses + in-flight tasks).  The rows and
-the dependence count are all the tracker keeps per task.
-
-Both are pinned against the frozen pre-compiled engine by the golden
-tracker-equivalence suite.
+A task's rows stay in the in-flight map from insert to
+:meth:`finish_task` and are dropped there, keeping memory O(live
+addresses + in-flight tasks).  The rows and the dependence count are all
+the tracker keeps per task.  The tracker is pinned against the frozen
+pre-compiled engine by the golden tracker-equivalence suite.
 """
 
 from __future__ import annotations
@@ -58,46 +49,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.taskgraph.address_state import AddressCell
 from repro.taskgraph.table import AddressTable, ways_for
-from repro.trace.compiled import CompiledAccessProgram, merge_flags
+from repro.trace.compiled import merge_flags
 from repro.trace.task import TaskDescriptor
 
 #: One preresolved access: (address id, raw address, flags, table, set).
 Row = Tuple[int, int, int, int, int]
-
-
-class _ResolvedProgram:
-    """A compiled access program resolved against one tracker config.
-
-    ``rows[slot]`` holds one preresolved :data:`Row` per deduplicated
-    access of the task in that slot.  Everything the hot loops consume is
-    an int, so the per-access work collapses to tuple unpacking plus the
-    state transition itself.  It holds no reference back to the program
-    that caches it, so a trace's compiled forms are freed by reference
-    counting, never left to the cyclic collector.
-    """
-
-    __slots__ = ("rows", "num_addresses")
-
-    def __init__(self, program: CompiledAccessProgram, tracker: "DependencyTracker") -> None:
-        addresses = program.addresses
-        resolve = tracker._resolve_address
-        table_of: List[int] = []
-        set_of: List[int] = []
-        for address in addresses:
-            table_index, set_idx = resolve(address)
-            table_of.append(table_index)
-            set_of.append(set_idx)
-        offsets = program.offsets
-        addr_ids = program.addr_ids
-        flags = program.flags
-        self.rows: List[Tuple[Row, ...]] = []
-        for slot in range(program.num_tasks):
-            start, end = offsets[slot], offsets[slot + 1]
-            self.rows.append(tuple(
-                (aid, addresses[aid], flag, table_of[aid], set_of[aid])
-                for aid, flag in zip(addr_ids[start:end], flags[start:end])
-            ))
-        self.num_addresses = len(addresses)
 
 
 class DependencyTracker:
@@ -119,12 +75,6 @@ class DependencyTracker:
     table_factory:
         Callable creating the :class:`AddressTable` for a given index,
         allowing callers to configure geometry.
-    distribution_key:
-        Hashable identity of ``distribute``'s behaviour (e.g.
-        ``("nexus-hash", 6)``).  When given, program resolutions are
-        cached on the compiled program and shared by every tracker with
-        the same key and table geometry; without it each
-        :meth:`bind_program` resolves privately.
     """
 
     def __init__(
@@ -132,26 +82,21 @@ class DependencyTracker:
         num_tables: int = 1,
         distribute: Optional[Callable[[int], int]] = None,
         table_factory: Optional[Callable[[int], AddressTable]] = None,
-        distribution_key: Optional[object] = None,
     ) -> None:
         if num_tables <= 0:
             raise ConfigurationError(f"num_tables must be positive, got {num_tables}")
         self.num_tables = num_tables
         self._distribute = distribute or (lambda address: 0)
-        self._distribution_key = distribution_key
         factory = table_factory or (lambda index: AddressTable(name=f"TG{index}"))
         self.tables: List[AddressTable] = [factory(i) for i in range(num_tables)]
         #: the Dependence Counts table: unresolved accesses per in-flight task
         self._pending: Dict[int, int] = {}
         #: rows of each in-flight task (inserted, not yet finished)
         self._rows_of: Dict[int, Tuple[Row, ...]] = {}
-        self._program: Optional[CompiledAccessProgram] = None
-        self._resolved: Optional[_ResolvedProgram] = None
         #: dense address id -> live cell
         self._cells: List[Optional[AddressCell]] = []
         #: evicted cells recycled across insertions (and across runs)
         self._free_cells: List[AddressCell] = []
-        # -- resolution at insert (no bound program) -----------------------
         #: live raw address -> (dense id, table index, set index)
         self._live: Dict[int, Tuple[int, int, int]] = {}
         #: dense ids of evicted addresses, reused before the array grows
@@ -183,74 +128,20 @@ class DependencyTracker:
             )
         return index
 
-    def _resolve_address(self, address: int) -> Tuple[int, int]:
-        """``(table index, set index)`` of ``address`` under this config."""
-        table_index = self.table_for(address)
-        return table_index, self.tables[table_index].set_index(address)
-
     @property
     def in_flight_tasks(self) -> int:
         """Number of tasks inserted but not yet finished."""
         return len(self._rows_of)
 
-    @property
-    def bound_program(self) -> Optional[CompiledAccessProgram]:
-        """The compiled access program currently bound, if any."""
-        return self._program
-
-    # -- program binding --------------------------------------------------------
-    def bind_program(self, program: Optional[CompiledAccessProgram]) -> None:
-        """Take ``program``'s preresolved rows for the tasks of the next run.
-
-        Resolves the program against this tracker's distribution function
-        and table geometry (cached on the program when a
-        ``distribution_key`` identifies the configuration) and allocates
-        the dense cell array.  Passing ``None`` unbinds: tasks are then
-        resolved at insert.  Binding requires an empty tracker (call
-        :meth:`reset` first): dense ids of two numberings must not mix.
-        """
-        if self._rows_of:
-            raise SimulationError(
-                "cannot (re)bind an access program while tasks are in flight"
-            )
-        self._recycle_cells()
-        self._program = program
-        if program is None:
-            self._resolved = None
-            return
-        resolved: Optional[_ResolvedProgram] = None
-        cache_key: Optional[tuple] = None
-        if self._distribution_key is not None:
-            cache_key = (self._distribution_key, self.num_tables,
-                         tuple(table.num_sets for table in self.tables))
-            resolved = program.resolution_cache.get(cache_key)  # type: ignore[assignment]
-        if resolved is None:
-            resolved = _ResolvedProgram(program, self)
-            if cache_key is not None:
-                program.resolution_cache[cache_key] = resolved
-        self._resolved = resolved
-        self._cells = [None] * resolved.num_addresses
-        self._prefetch_tables()
-
-    def _recycle_cells(self) -> None:
-        """Move any live dense cells onto the free list; forget all ids."""
-        free = self._free_cells
-        for cell in self._cells:
-            if cell is not None:
-                free.append(cell)
-        self._cells = []
-        self._live.clear()
-        self._free_ids.clear()
-        self._rows_of.clear()
-
     def _resolve_task(self, task: TaskDescriptor) -> Tuple[Row, ...]:
-        """Merge, intern and resolve the accesses of a task no program holds."""
+        """Merge, intern and resolve the accesses of ``task``."""
         live = self._live
         rows: List[Row] = []
         for address, flag in merge_flags(task.addresses, task.flags).items():
             placement = live.get(address)
             if placement is None:
-                table_index, set_idx = self._resolve_address(address)
+                table_index = self.table_for(address)
+                set_idx = self.tables[table_index].set_index(address)
                 free_ids = self._free_ids
                 if free_ids:
                     aid = free_ids.pop()
@@ -278,18 +169,7 @@ class DependencyTracker:
         rows_of = self._rows_of
         if task_id in rows_of:
             raise SimulationError(f"task {task_id} inserted twice")
-        resolved = self._resolved
-        if resolved is None:
-            rows = self._resolve_task(task)
-        else:
-            slot = self._program.slot(task_id)
-            if slot < 0:
-                raise SimulationError(
-                    f"task {task_id} is not in the bound access program; reset "
-                    "the tracker or bind the right trace first"
-                )
-            rows = resolved.rows[slot]
-        rows_of[task_id] = rows
+        rows = rows_of[task_id] = self._resolve_task(task)
         cells = self._cells
         free = self._free_cells
         tables = self.tables
@@ -373,8 +253,7 @@ class DependencyTracker:
             )
         del pending[task_id]
         rows = self._rows_of.pop(task_id)
-        # Rows resolved at insert also hand back the evicted address's id.
-        live = self._live if self._resolved is None else None
+        live = self._live
         cells = self._cells
         free = self._free_cells
         free_ids = self._free_ids
@@ -411,9 +290,8 @@ class DependencyTracker:
                 occupancy[set_idx] = remaining if remaining > 0 else 0
                 tables[table_index]._dense_live -= 1
                 stats_by[table_index].evictions += 1
-                if live is not None:
-                    del live[address]
-                    free_ids.append(aid)
+                del live[address]
+                free_ids.append(aid)
             else:
                 capacity = cap_by[table_index]
                 length_after = cell.klen
@@ -428,13 +306,17 @@ class DependencyTracker:
         return rows, released, newly_ready, kickoff_count
 
     def reset(self) -> None:
-        """Return the tracker to its initial empty state (and unbind)."""
+        """Return the tracker to its initial empty state."""
         for table in self.tables:
             table.reset()
         self._prefetch_tables()
         self._pending.clear()
-        self._program = None
-        self._resolved = None
-        self._recycle_cells()
+        # Live cells go onto the free list; every dense id is forgotten.
+        free = self._free_cells
+        free.extend(cell for cell in self._cells if cell is not None)
+        self._cells = []
+        self._live.clear()
+        self._free_ids.clear()
+        self._rows_of.clear()
         self.total_inserted = 0
         self.total_finished = 0

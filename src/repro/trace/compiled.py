@@ -20,11 +20,8 @@ trace:
   (``offsets`` + per-access columns) addressed by task slot.
 
 The program is pure integers: it knows nothing about managers, table
-counts or hash functions.  Distribution-specific resolutions (address id
-→ task-graph index, set index, ...) are layered on top by
-:meth:`repro.taskgraph.tracker.DependencyTracker.bind_program`, which
-caches them in :attr:`CompiledAccessProgram.resolution_cache` so every
-tracker with the same distribution key shares one resolved program.
+counts or hash functions.  The replay kernel of :mod:`repro.sim.batch`
+builds its per-address sequences and task-graph placements on top of it.
 
 A program is compiled straight from a trace's columns
 (:class:`~repro.trace.columns.TraceColumns`), never from event or
@@ -33,9 +30,9 @@ parameter objects, and cached on the owning
 under a ``_compiled*`` attribute, which ``Trace.__getstate__`` keeps out
 of pickles.
 
-The same merge (:func:`merge_flags`) also runs inside the tracker for
-tasks that belong to no compiled program — streamed and dynamically
-spawned tasks are merged, interned and resolved once, at insertion.
+The same merge (:func:`merge_flags`) also runs inside the dependency
+tracker, which merges, interns and resolves every streamed or spawned
+task once, at insertion.
 """
 
 from __future__ import annotations
@@ -85,14 +82,10 @@ class CompiledAccessProgram:
     addr_ids / flags:
         Flat per-access columns: dense address id and direction flags
         (:data:`FLAG_READS` / :data:`FLAG_WRITES` bits).
-    resolution_cache:
-        Scratch dict for layers above (the dependency tracker caches its
-        per-distribution resolved programs here, keyed by distribution
-        key and table geometry).
     """
 
     __slots__ = ("addresses", "id_of", "task_ids", "offsets", "addr_ids",
-                 "flags", "_slot_of", "resolution_cache")
+                 "flags", "_slot_of")
 
     def __init__(self, columns: TraceColumns) -> None:
         # Runs once per trace on the static hot path: intern every raw
@@ -128,7 +121,6 @@ class CompiledAccessProgram:
             self._slot_of: Optional[Dict[int, int]] = None
         else:
             self._slot_of = {task_id: slot for slot, task_id in enumerate(task_ids)}
-        self.resolution_cache: Dict[object, object] = {}
 
     # -- geometry ----------------------------------------------------------
     @property

@@ -16,6 +16,7 @@ from typing import Iterator, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import make_rng
+from repro.common.validation import check_positive
 from repro.trace.stream import TraceStream, materialize
 from repro.trace.trace import Trace
 from repro.workloads.addressing import AddressSpace
@@ -35,8 +36,7 @@ def stream_cray(
     duration_cv: float = 0.15,
 ) -> TraceStream:
     """Stream a c-ray trace (see :func:`generate_cray` for parameters)."""
-    if scale <= 0:
-        raise ConfigurationError(f"scale must be positive, got {scale}")
+    check_positive("scale", scale)
     if num_lines is None:
         num_lines = max(1, round(PAPER_NUM_TASKS * scale))
     if num_lines <= 0:

@@ -34,6 +34,7 @@ from typing import Iterator, Optional
 from repro.common.constants import H264_FRAME_HEIGHT, H264_FRAME_WIDTH, H264_MACROBLOCK_PIXELS
 from repro.common.errors import ConfigurationError
 from repro.common.rng import make_rng
+from repro.common.validation import check_positive
 from repro.trace.stream import TraceStream, materialize
 from repro.trace.trace import Trace
 from repro.workloads.addressing import AddressSpace
@@ -90,8 +91,7 @@ def stream_h264dec(
         raise ConfigurationError(f"num_frames must be positive, got {num_frames}")
     if frame_buffers <= 0:
         raise ConfigurationError(f"frame_buffers must be positive, got {frame_buffers}")
-    if scale <= 0:
-        raise ConfigurationError(f"scale must be positive, got {scale}")
+    check_positive("scale", scale)
     if geometry is None:
         if scale != 1.0:
             factor = scale ** 0.5

@@ -36,6 +36,7 @@ from typing import List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import make_rng
+from repro.common.validation import check_positive
 from repro.trace.dynamic import Compute, DynamicProgram, Spawn, Taskwait, TaskRequest, task_request
 from repro.workloads.addressing import AddressSpace
 
@@ -87,8 +88,7 @@ def fib_program(
     """
     if n < 0:
         raise ConfigurationError(f"n must be >= 0, got {n}")
-    if scale <= 0:
-        raise ConfigurationError(f"scale must be positive, got {scale}")
+    check_positive("scale", scale)
     rng = make_rng(seed, "fib", n)
     space = AddressSpace(seed=seed)
     count = 0
@@ -151,8 +151,7 @@ def nqueens_program(
     """
     if n <= 0:
         raise ConfigurationError(f"n must be positive, got {n}")
-    if scale <= 0:
-        raise ConfigurationError(f"scale must be positive, got {scale}")
+    check_positive("scale", scale)
     rng = make_rng(seed, "nqueens", n)
     space = AddressSpace(seed=seed)
     count = 0
@@ -232,8 +231,7 @@ def recursive_sort_program(
     """
     if num_blocks <= 0:
         raise ConfigurationError(f"num_blocks must be positive, got {num_blocks}")
-    if scale <= 0:
-        raise ConfigurationError(f"scale must be positive, got {scale}")
+    check_positive("scale", scale)
     rng = make_rng(seed, "recursive-sort", num_blocks)
     space = AddressSpace(seed=seed)
     blocks = space.alloc(num_blocks)
@@ -295,8 +293,7 @@ def strassen_program(
     """
     if depth <= 0:
         raise ConfigurationError(f"depth must be positive, got {depth}")
-    if scale <= 0:
-        raise ConfigurationError(f"scale must be positive, got {scale}")
+    check_positive("scale", scale)
     rng = make_rng(seed, "strassen", depth)
     space = AddressSpace(seed=seed)
     count = 0

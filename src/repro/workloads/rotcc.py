@@ -14,6 +14,7 @@ from typing import Iterator, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import make_rng
+from repro.common.validation import check_positive
 from repro.trace.stream import TraceStream, materialize
 from repro.trace.trace import Trace
 from repro.workloads.addressing import AddressSpace
@@ -33,8 +34,7 @@ def stream_rotcc(
     duration_cv: float = 0.10,
 ) -> TraceStream:
     """Stream a rot-cc trace (see :func:`generate_rotcc` for parameters)."""
-    if scale <= 0:
-        raise ConfigurationError(f"scale must be positive, got {scale}")
+    check_positive("scale", scale)
     if not 0.0 < rotate_fraction < 1.0:
         raise ConfigurationError(f"rotate_fraction must be in (0, 1), got {rotate_fraction}")
     if num_lines is None:

@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import make_rng
+from repro.common.validation import check_positive
 from repro.trace.stream import TraceStream, materialize
 from repro.trace.trace import Trace
 from repro.workloads.addressing import AddressSpace
@@ -57,8 +58,7 @@ def stream_sparselu(
     O(NB³) task count, so big factorisations stream without holding
     their tasks in memory.
     """
-    if scale <= 0:
-        raise ConfigurationError(f"scale must be positive, got {scale}")
+    check_positive("scale", scale)
     if not 0.0 < density <= 1.0:
         raise ConfigurationError(f"density must be in (0, 1], got {density}")
     if num_blocks is None:

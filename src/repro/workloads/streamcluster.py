@@ -20,6 +20,7 @@ from typing import Iterator, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import make_rng
+from repro.common.validation import check_positive
 from repro.trace.stream import TraceStream, materialize
 from repro.trace.trace import Trace
 from repro.workloads.addressing import AddressSpace
@@ -46,8 +47,7 @@ def stream_streamcluster(
     Live generator state is O(group_size) — the paper's full 652776-task
     workload streams with the same footprint as a single round.
     """
-    if scale <= 0:
-        raise ConfigurationError(f"scale must be positive, got {scale}")
+    check_positive("scale", scale)
     if group_size <= 0:
         raise ConfigurationError(f"group_size must be positive, got {group_size}")
     if num_rounds is None:

@@ -2,8 +2,9 @@
 
 Random :class:`~repro.workloads.fuzz.FuzzSpec` configurations are
 elaborated to static traces and run through ``Machine.run`` (which
-takes the fast kernel for all four golden managers) and the scalar
-reference ``Machine.run_scalar``, the general engine.  The two
+takes the fast kernel for all four golden managers, under every
+built-in policy and topology) and the scalar reference
+``Machine.run_scalar``, the general engine's stream replay.  The two
 must agree **byte-for-byte** on the entire result: makespan, per-task
 submit/ready/start/finish times, core assignments (the observable image
 of the ready/dispatch order), manager statistics and per-core busy
@@ -61,17 +62,20 @@ def assert_identical(scalar, routed, context: str) -> None:
 
 @given(spec=fuzz_specs(),
        cores=st.integers(min_value=1, max_value=6),
-       manager_key=st.sampled_from(sorted(BATCH_TEST_MANAGERS)))
+       manager_key=st.sampled_from(sorted(BATCH_TEST_MANAGERS)),
+       scheduler=st.sampled_from(["fifo", "sjf", "ljf", "locality"]),
+       topology=st.sampled_from(["homogeneous", "biglittle:0.5", "biglittle:0.25"]))
 @settings(max_examples=30, deadline=None)
-def test_run_matches_scalar_reference(spec, cores, manager_key):
+def test_run_matches_scalar_reference(spec, cores, manager_key, scheduler, topology):
     """Machine.run == Machine.run_scalar, bit for bit, same event count."""
     factory = BATCH_TEST_MANAGERS[manager_key]
     trace = fuzz_program(spec).elaborate()
-    config = MachineConfig(num_cores=cores, validate=True)
+    config = MachineConfig(num_cores=cores, validate=True, scheduler=scheduler,
+                           topology=topology)
 
     reference = Machine(factory(), config)
     routed = Machine(factory(), config)
-    context = f"{manager_key}/{cores}c seed={spec.seed}"
+    context = f"{manager_key}/{cores}c/{scheduler}/{topology} seed={spec.seed}"
     assert_identical(reference.run_scalar(trace), routed.run(trace), context)
     assert routed.last_events_processed == reference.last_events_processed, context
 

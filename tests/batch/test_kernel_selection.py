@@ -7,15 +7,17 @@ both directions:
 
 * a kernel-eligible run never calls the manager's ``submit`` (it took
   the kernel) — under every golden manager, Nexus++ on a ``taskwait
-  on`` trace included — while ``sjf``, ``biglittle:0.5`` and sparse-id
-  runs do (they took the scalar loop), for a software and a hardware
-  manager alike;
+  on`` trace included, and under every built-in policy, on a
+  ``biglittle:0.5`` topology and with sparse task ids, for a software
+  and a hardware manager alike — while a run under a policy of its own
+  does (it took the scalar loop);
 * eligibility is not inherited past an override: a ``FifoPolicy``
   subclass, a policy that merely calls itself ``"fifo"``, and an
   ``IdealManager`` subclass with its own ``submit``/``finish`` all keep
   the scalar loop — and the override's effect shows in the result;
-* every fallback names the rule that fired (``lane_fallback_reason``),
-  and a stream or dynamic replay never reaches the kernel at all.
+* every fallback names the rule that fired (``lane_fallback_reason``:
+  four rules), and a stream or dynamic replay never reaches the kernel
+  at all.
 """
 
 from __future__ import annotations
@@ -107,19 +109,33 @@ class TestRouting:
         assert result.makespan_us == Machine(IdealManager(), config).run(trace).makespan_us + 4.0
 
     @pytest.mark.parametrize("manager_key", ["ideal", "nexussharp"])
-    @pytest.mark.parametrize("case", ["sjf", "biglittle:0.5", "sparse-ids"])
-    def test_ineligible_run_calls_submit(self, case, manager_key, monkeypatch):
+    @pytest.mark.parametrize("case", ["sjf", "ljf", "locality", "biglittle:0.5", "sparse-ids"])
+    def test_policy_topology_and_sparse_ids_take_the_kernel(self, case, manager_key,
+                                                            monkeypatch):
         trace = _independent()
         config = MachineConfig(num_cores=2)
         manager = BATCH_TEST_MANAGERS[manager_key]()
         calls = _count_submits(monkeypatch, type(manager))
-        if case == "sjf":
-            config = MachineConfig(num_cores=2, scheduler="sjf")
-        elif case == "biglittle:0.5":
+        if case == "biglittle:0.5":
             config = MachineConfig(num_cores=2, topology="biglittle:0.5")
-        else:
+        elif case == "sparse-ids":
             trace = _sparse_ids(trace)
+        else:
+            config = MachineConfig(num_cores=2, scheduler=case)
         machine = Machine(manager, config)
+        assert lane_fallback_reason(machine, trace) is None
+        result = machine.run(trace)
+        assert calls == []
+        reference = Machine(BATCH_TEST_MANAGERS[manager_key](), config)
+        assert result == reference.run_scalar(trace)
+        assert machine.last_events_processed == reference.last_events_processed
+
+    @pytest.mark.parametrize("manager_key", ["ideal", "nexussharp"])
+    def test_run_under_an_own_policy_calls_submit(self, manager_key, monkeypatch):
+        trace = _independent()
+        manager = BATCH_TEST_MANAGERS[manager_key]()
+        calls = _count_submits(monkeypatch, type(manager))
+        machine = Machine(manager, MachineConfig(num_cores=2, scheduler=_LifoPolicy()))
         assert lane_fallback_reason(machine, trace) is not None
         machine.run(trace)
         assert len(calls) == trace.num_tasks
@@ -202,7 +218,7 @@ class _LifoNamedFifo(SchedulerPolicy):
         self._stack.clear()
         self.started.clear()
 
-    def enqueue(self, task_id, task, now) -> None:
+    def enqueue(self, task_id, duration_us, function, now) -> None:
         self._stack.append(task_id)
 
     def select(self, core, now) -> Optional[int]:
@@ -211,7 +227,7 @@ class _LifoNamedFifo(SchedulerPolicy):
     def __len__(self) -> int:
         return len(self._stack)
 
-    def on_start(self, task_id, task, core, now) -> None:
+    def on_start(self, task_id, function, core, now) -> None:
         self.started.append(task_id)
 
 
@@ -338,21 +354,14 @@ def _stream_of(trace: Trace) -> TraceStream:
 _FALLBACKS = {
     "stream-source": (IdealManager, {}, _stream_of, "not a materialised static trace"),
     "no-kernel": (_NoKernelIdeal, {}, None, "publishes no lane kernel"),
-    "nexus#-sjf": (BATCH_TEST_MANAGERS["nexussharp"], {"scheduler": "sjf"}, None,
-                   "not plain FIFO"),
-    "nexus++-biglittle:0.5": (BATCH_TEST_MANAGERS["nexuspp"], {"topology": "biglittle:0.5"},
-                              None, "non-unit core speeds"),
-    "nexus#-sparse-ids": (BATCH_TEST_MANAGERS["nexussharp"], {}, _sparse_ids,
-                          "sparse task ids"),
     "submit-override": (_SubmitOverride, {}, None, "overrides methods"),
     "finish-override": (_FinishOverride, {}, None, "overrides methods"),
     "statistics-override": (_StatisticsOverride, {}, None, "overrides methods"),
     "instance-rebinding": (_rebound_ideal, {}, None, "overrides methods"),
-    "sjf": (IdealManager, {"scheduler": "sjf"}, None, "not plain FIFO"),
-    "fifo-subclass": (IdealManager, {"scheduler": _LifoPolicy()}, None, "not plain FIFO"),
-    "named-fifo": (IdealManager, {"scheduler": _LifoNamedFifo()}, None, "not plain FIFO"),
-    "biglittle:0.5": (IdealManager, {"topology": "biglittle:0.5"}, None, "non-unit core speeds"),
-    "sparse-ids": (IdealManager, {}, _sparse_ids, "sparse task ids"),
+    "fifo-subclass": (IdealManager, {"scheduler": _LifoPolicy()}, None,
+                      "not a built-in policy"),
+    "named-fifo": (IdealManager, {"scheduler": _LifoNamedFifo()}, None,
+                   "not a built-in policy"),
 }
 
 

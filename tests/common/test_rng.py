@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.common.rng import DEFAULT_SEED, derive_seed, make_rng, resolve_seed, spawn_rngs
+from repro.common.rng import DEFAULT_SEED, derive_seed, make_rng, resolve_seed
 
 
 class TestDeriveSeed:
@@ -44,14 +44,6 @@ class TestMakeRng:
         gen = np.random.default_rng(0)
         child = make_rng(gen, "child")
         assert child is not gen
-
-    def test_spawn_rngs_independent(self):
-        streams = spawn_rngs(5, 3)
-        values = [g.random(4).tolist() for g in streams]
-        assert values[0] != values[1] != values[2]
-
-    def test_spawn_rngs_count_zero(self):
-        assert spawn_rngs(5, 0) == []
 
     def test_resolve_seed(self):
         assert resolve_seed(None) == DEFAULT_SEED

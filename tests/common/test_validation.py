@@ -6,8 +6,6 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.common.validation import (
-    check_choice,
-    check_in_range,
     check_non_negative,
     check_positive,
     check_positive_int,
@@ -121,25 +119,6 @@ class TestCheckPowerOfTwo:
     def test_rejects_non_powers(self, value):
         with pytest.raises(ConfigurationError):
             check_power_of_two("n", value)
-
-
-class TestCheckInRange:
-    def test_accepts_bounds(self):
-        assert check_in_range("x", 1, 1, 5) == 1
-        assert check_in_range("x", 5, 1, 5) == 5
-
-    def test_rejects_outside(self):
-        with pytest.raises(ConfigurationError):
-            check_in_range("x", 6, 1, 5)
-
-
-class TestCheckChoice:
-    def test_accepts_member(self):
-        assert check_choice("mode", "fast", ("fast", "slow")) == "fast"
-
-    def test_rejects_non_member(self):
-        with pytest.raises(ConfigurationError):
-            check_choice("mode", "other", ("fast", "slow"))
 
 
 class TestErrorMessages:

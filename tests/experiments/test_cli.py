@@ -1,6 +1,9 @@
 """End-to-end tests of the sweep CLI (python -m repro.experiments.cli)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -116,3 +119,18 @@ class TestOtherCommands:
         assert "microbench" in out
         assert "Ideal" in out and "Nexus# 2TG" in out
         assert "1 cores" in out and "2 cores" in out
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_non_finite_scale_exits_with_one_line_error(scale):
+    """``--scale nan``/``inf`` stop at the spec with a typed one-line error,
+    not inside a generator with a traceback."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.experiments.cli", "sweep", "--workloads", "sparselu",
+         "--managers", "ideal", "--cores", "4", "--scale", scale],
+        capture_output=True, text=True, env=env, timeout=120, check=False)
+    assert done.returncode != 0
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == [
+        f"ConfigurationError: scale must be finite and > 0, got {scale}"]

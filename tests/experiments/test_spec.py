@@ -11,6 +11,14 @@ from repro.workloads.synthetic import generate_independent
 
 
 class TestWorkloadSpec:
+    @pytest.mark.parametrize("scale", [0.0, -0.5, float("nan"), float("inf")])
+    def test_scale_must_be_finite_and_positive(self, scale):
+        with pytest.raises(ConfigurationError, match="scale"):
+            WorkloadSpec(name="microbench", scale=scale)
+        with pytest.raises(ConfigurationError, match="scale"):
+            SweepSpec(workloads=["microbench"], managers=["ideal"], core_counts=[1],
+                      scale=scale)
+
     def test_named_workload_resolves_through_registry(self):
         spec = WorkloadSpec.of("microbench")
         trace = spec.resolve()

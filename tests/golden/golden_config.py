@@ -197,12 +197,18 @@ def config_digest_cases(traces: Mapping[str, Trace]) -> Dict[str, ConfigCase]:
     return cases
 
 
-def config_digest(case: ConfigCase) -> Dict[str, object]:
-    """Replay one case on ``Machine.run_scalar``: the ``result_to_json``
-    digest and the number of events processed."""
-    trace, manager_key, options = case
-    machine = Machine(GOLDEN_MANAGERS[manager_key](),
-                      MachineConfig(num_cores=GOLDEN_CORES, **options))
-    result = machine.run_scalar(trace)
+def config_machine(case: ConfigCase) -> Machine:
+    """A fresh machine for one case (its manager and ``MachineConfig``)."""
+    _, manager_key, options = case
+    return Machine(GOLDEN_MANAGERS[manager_key](),
+                   MachineConfig(num_cores=GOLDEN_CORES, **options))
+
+
+def config_digest(case: ConfigCase, method: str = "run_scalar") -> Dict[str, object]:
+    """Replay one case through ``Machine.<method>`` (``run_scalar`` by
+    default): the ``result_to_json`` digest and the number of events
+    processed."""
+    machine = config_machine(case)
+    result = getattr(machine, method)(case[0])
     return {"digest": json_digest(result_to_json(result)),
             "events": machine.last_events_processed}

@@ -6,9 +6,11 @@
 the number of events the replay processed: each golden trace under
 every manager × scheduler × topology, with ``keep_schedule`` off and
 ``validate`` on, plus a sparse-id trace and the Nexus++ ``taskwait on``
-degradation.  Each case replays on ``Machine.run_scalar`` and must match
-exactly.  A diff is a change to the simulated science: regenerate via
-``tests/golden/regenerate.py`` and justify it.
+degradation.  Each case replays through ``Machine.run`` (the kernel, for
+every case) and through ``Machine.run_scalar`` (the engine's stream
+replay of the trace), and both must match exactly.  A diff is a change
+to the simulated science: regenerate via ``tests/golden/regenerate.py``
+and justify it.
 """
 
 from __future__ import annotations
@@ -18,9 +20,16 @@ from pathlib import Path
 
 import pytest
 
+from repro.sim.batch import lane_fallback_reason
 from repro.trace.serialization import load_trace
 
-from golden_config import GOLDEN_MANAGERS, config_digest, config_digest_cases, golden_traces
+from golden_config import (
+    GOLDEN_MANAGERS,
+    config_digest,
+    config_digest_cases,
+    config_machine,
+    golden_traces,
+)
 
 GOLDEN_DIR = Path(__file__).parent
 EXPECTED = json.loads(
@@ -45,9 +54,15 @@ def test_groups_cover_every_manager():
     assert {group.split("/")[1] for group in GROUPS} == set(GOLDEN_MANAGERS)
 
 
+def test_every_case_takes_the_kernel(cases):
+    for key, case in cases.items():
+        assert lane_fallback_reason(config_machine(case), case[0]) is None, key
+
+
+@pytest.mark.parametrize("method", ["run", "run_scalar"])
 @pytest.mark.parametrize("group", GROUPS)
-def test_config_digests_exact(group, cases):
+def test_config_digests_exact(group, method, cases):
     keys = [key for key in EXPECTED if key.startswith(group + "/")]
     assert keys
     for key in keys:
-        assert config_digest(cases[key]) == EXPECTED[key], key
+        assert config_digest(cases[key], method) == EXPECTED[key], key

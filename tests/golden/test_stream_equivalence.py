@@ -2,18 +2,17 @@
 
 The streaming replay path (`Machine.run_stream`) must produce
 **byte-identical** makespans to the materialised path (`Machine.run`)
-— the golden-trace guarantee extended to streaming.  A materialised
-trace replays on the same engine either way, so the streams here are
-the paths that still differ: an unbound stream whose tracker resolves
-each task at insert.  Every committed golden trace is replayed three
-ways under all four golden managers:
+— the golden-trace guarantee extended to streaming.  ``Machine.run``
+replays a materialised trace on the kernel, and a stream runs on the
+engine, whose tracker resolves each task at insert.  Every committed
+golden trace is replayed three ways under all four golden managers:
 
 * materialised (the classic pinned numbers),
 * streamed lazily from the in-memory events (``as_stream(iter(...))``),
 * streamed from a chunked JSONL file on disk,
 
 and all three must equal the committed expected makespans exactly.  The
-lazy stream must also match the bound ``Machine.run_scalar`` replay in
+lazy stream must also match the kernel's ``Machine.run`` replay in
 manager statistics and processed-event count.
 """
 
@@ -68,15 +67,15 @@ def test_chunked_disk_replay_matches_golden_makespans(key, tmp_path):
 
 @pytest.mark.parametrize("manager_key", MANAGER_KEYS)
 @pytest.mark.parametrize("key", TRACE_KEYS)
-def test_streamed_replay_matches_scalar_stats_and_event_count(key, manager_key):
-    """Resolving at insert is binding's twin, not just in makespan: the
-    manager sees the same calls (identical statistics) and the event
-    queue dispatches the same number of events."""
+def test_streamed_replay_matches_kernel_stats_and_event_count(key, manager_key):
+    """The stream is the kernel's twin, not just in makespan: the manager
+    statistics are identical and both loops process the same number of
+    events."""
     trace = load_trace(DATA_DIR / f"{key}.json.gz")
     factory = GOLDEN_MANAGERS[manager_key]
     config = MachineConfig(num_cores=EXPECTED["cores"], keep_schedule=False)
     scalar_machine = Machine(factory(), config)
-    scalar = scalar_machine.run_scalar(trace)
+    scalar = scalar_machine.run(trace)
     stream_machine = Machine(factory(), config)
     streamed = stream_machine.run_stream(as_stream(iter(trace.events)))
     assert streamed.makespan_us == scalar.makespan_us

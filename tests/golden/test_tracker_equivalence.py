@@ -1,11 +1,10 @@
 """Golden equivalence of the dependence-resolution engine.
 
-Replays every committed golden trace through three dependency engines:
+Replays every committed golden trace through two dependency engines:
 
 * the **frozen legacy tracker** (``benchmarks/_legacy_depres.py``) — the
   access-by-access engine as it stood before the compiled engine landed;
-* the live tracker **unbound** (each task resolved at insert);
-* the live tracker **bound** to the trace's access program.
+* the live tracker, which resolves each task at insert (its one path);
 
 and asserts that their insert / finish sequences are *identical* — every
 access (address, mode, table index, must-wait, set-conflict), every
@@ -140,21 +139,6 @@ def _live_tracker(num_tables, geometry):
         num_tables=num_tables,
         distribute=_distribute_for(num_tables),
         table_factory=lambda i: AddressTable(name=f"TG{i}", **geometry),
-        distribution_key=("equivalence", num_tables),
-    )
-
-
-@pytest.mark.parametrize("config_key", sorted(CONFIGS))
-@pytest.mark.parametrize("trace_key", TRACE_KEYS)
-def test_compiled_engine_matches_frozen_tracker(trace_key, config_key):
-    trace = load_trace(DATA_DIR / f"{trace_key}.json.gz")
-    num_tables, geometry = CONFIGS[config_key]
-    expected = _legacy_log(trace, num_tables, geometry)
-
-    compiled = _live_tracker(num_tables, geometry)
-    compiled.bind_program(trace.access_program())
-    assert _replay(compiled, trace) == expected, (
-        f"bound tracker diverged from the frozen tracker on {trace_key}/{config_key}"
     )
 
 
@@ -167,28 +151,25 @@ def test_dynamic_path_matches_frozen_tracker(trace_key, config_key):
 
     dynamic = _live_tracker(num_tables, geometry)
     assert _replay(dynamic, trace) == expected, (
-        f"unbound tracker diverged from the frozen tracker on {trace_key}/{config_key}"
+        f"tracker diverged from the frozen tracker on {trace_key}/{config_key}"
     )
 
 
 @pytest.mark.parametrize("trace_key", TRACE_KEYS)
-def test_rebinding_after_reset_is_stable(trace_key):
-    """Re-running a bound tracker (reset + rebind, recycling cells) is
+def test_rerun_after_reset_is_stable(trace_key):
+    """Re-running a tracker (reset, recycling cells and dense ids) is
     byte-stable — the free-list recycling must not leak state."""
     trace = load_trace(DATA_DIR / f"{trace_key}.json.gz")
     tracker = _live_tracker(6, {})
-    program = trace.access_program()
-    tracker.bind_program(program)
     first = _replay(tracker, trace)
     tracker.reset()
-    tracker.bind_program(program)
     second = _replay(tracker, trace)
     assert first == second
 
 
 def test_table_stats_match_between_paths():
     """Structural accounting (conflicts, insertions, evictions, dummies,
-    peak live entries) agrees between bound, unbound and frozen trackers."""
+    peak live entries) agrees between the live and frozen trackers."""
     trace = load_trace(DATA_DIR / f"{TRACE_KEYS[0]}.json.gz")
     num_tables, geometry = CONFIGS["tiny-conflicts"]
 
@@ -199,14 +180,11 @@ def test_table_stats_match_between_paths():
     )
     _replay(legacy, trace)
 
-    for bind in (False, True):
-        live = _live_tracker(num_tables, geometry)
-        if bind:
-            live.bind_program(trace.access_program())
-        _replay(live, trace)
-        for legacy_table, live_table in zip(legacy.tables, live.tables):
-            for field in ("insertions", "evictions", "set_conflicts",
-                          "dummy_entries_peak", "max_live_entries"):
-                assert getattr(live_table.stats, field) == getattr(legacy_table.stats, field), (
-                    f"stats field {field} diverged (bound={bind}) on {live_table.name}"
-                )
+    live = _live_tracker(num_tables, geometry)
+    _replay(live, trace)
+    for legacy_table, live_table in zip(legacy.tables, live.tables):
+        for field in ("insertions", "evictions", "set_conflicts",
+                      "dummy_entries_peak", "max_live_entries"):
+            assert getattr(live_table.stats, field) == getattr(legacy_table.stats, field), (
+                f"stats field {field} diverged on {live_table.name}"
+            )

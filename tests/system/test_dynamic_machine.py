@@ -3,7 +3,7 @@
 Covers the engine semantics hand-computably (exact times on the ideal
 manager), the two taskwait-core policies, dispatch interaction with the
 scheduler queue, back-pressure, error paths, the growable timeline, and
-the mid-run-exception teardown fix.
+reuse of a machine after a mid-run exception.
 """
 
 from __future__ import annotations
@@ -281,24 +281,8 @@ class _FlakyNexusSharp(NexusSharpManager):
 
 
 class TestMidRunExceptionTeardown:
-    """A failed run must not poison the manager for the rest of the process.
-
-    Pre-fix, an exception inside ``Machine.run`` left the manager's
-    tracker bound to the trace's shared ``access_program()`` cache with
-    tasks still in flight, so a later direct ``bind_program`` raised
-    "cannot (re)bind ... while tasks are in flight".
-    """
-
-    def test_failed_run_leaves_no_stale_binding(self):
-        trace = generate_random_dag(40, seed=3)
-        manager = _FlakyNexusSharp(fail_at=10)
-        machine = Machine(manager, MachineConfig(num_cores=4))
-        with pytest.raises(RuntimeError, match="injected"):
-            machine.run(trace)
-        assert manager._tracker.bound_program is None
-        assert manager._tracker.in_flight_tasks == 0
-        # Direct rebinding now works (the reproducing step of the bug).
-        manager._tracker.bind_program(trace.access_program())
+    """A failed run must not poison the next run of the same machine:
+    every engine run starts by resetting its manager."""
 
     def test_failed_run_does_not_poison_the_next_run(self):
         trace = generate_random_dag(40, seed=3)
@@ -311,22 +295,11 @@ class TestMidRunExceptionTeardown:
         assert reused.makespan_us == fresh.makespan_us
         assert reused.manager_stats == fresh.manager_stats
 
-    def test_failed_stream_run_also_cleans_up(self):
-        trace = generate_random_dag(40, seed=3)
-        manager = _FlakyNexusSharp(fail_at=10)
-        machine = Machine(manager, MachineConfig(num_cores=4))
-        with pytest.raises(RuntimeError):
-            machine.run_stream(trace)
-        assert manager._tracker.in_flight_tasks == 0
-        manager._tracker.bind_program(trace.access_program())
-
-    def test_failed_dynamic_run_also_cleans_up(self):
+    def test_failed_dynamic_run_does_not_poison_the_next_run(self):
         manager = _FlakyNexusSharp(fail_at=10)
         machine = Machine(manager, MachineConfig(num_cores=4))
         with pytest.raises(RuntimeError):
             machine.run(fib_program(7, seed=1))
-        assert manager._tracker.bound_program is None
-        assert manager._tracker.in_flight_tasks == 0
         result = machine.run(fib_program(7, seed=1))
         fresh = simulate_dynamic(fib_program(7, seed=1), NexusSharpManager(),
                                  num_cores=4)

@@ -13,18 +13,11 @@ from repro.system.scheduling import (
     list_policies,
     make_policy,
 )
-from repro.trace.task import TaskDescriptor
-
-from task_params import make_params
 
 
-def task(task_id: int, duration: float = 10.0, function: str = "f") -> TaskDescriptor:
-    return TaskDescriptor(
-        task_id=task_id,
-        function=function,
-        params=make_params(outputs=[0x1000 + 64 * task_id]),
-        duration_us=duration,
-    )
+def keys(duration: float = 10.0, function: str = "f") -> tuple:
+    """The keys a policy sees of a task besides its id: duration, function."""
+    return duration, function
 
 
 class TestRegistry:
@@ -61,7 +54,7 @@ class TestFifoPolicy:
     def test_dispatches_in_ready_order(self):
         policy = FifoPolicy()
         for i in (3, 1, 2):
-            policy.enqueue(i, task(i), 0.0)
+            policy.enqueue(i, *keys(), 0.0)
         assert [policy.select(0, 1.0) for _ in range(3)] == [3, 1, 2]
         assert len(policy) == 0
 
@@ -70,7 +63,7 @@ class TestFifoPolicy:
 
     def test_reset_clears_queue(self):
         policy = FifoPolicy()
-        policy.enqueue(1, task(1), 0.0)
+        policy.enqueue(1, *keys(), 0.0)
         policy.reset()
         assert len(policy) == 0
 
@@ -78,22 +71,22 @@ class TestFifoPolicy:
 class TestDurationPriorityPolicy:
     def test_shortest_first(self):
         policy = DurationPriorityPolicy()
-        policy.enqueue(1, task(1, duration=30.0), 0.0)
-        policy.enqueue(2, task(2, duration=10.0), 0.0)
-        policy.enqueue(3, task(3, duration=20.0), 0.0)
+        policy.enqueue(1, *keys(duration=30.0), 0.0)
+        policy.enqueue(2, *keys(duration=10.0), 0.0)
+        policy.enqueue(3, *keys(duration=20.0), 0.0)
         assert [policy.select(0, 1.0) for _ in range(3)] == [2, 3, 1]
 
     def test_longest_first(self):
         policy = DurationPriorityPolicy(longest=True)
-        policy.enqueue(1, task(1, duration=30.0), 0.0)
-        policy.enqueue(2, task(2, duration=10.0), 0.0)
-        policy.enqueue(3, task(3, duration=20.0), 0.0)
+        policy.enqueue(1, *keys(duration=30.0), 0.0)
+        policy.enqueue(2, *keys(duration=10.0), 0.0)
+        policy.enqueue(3, *keys(duration=20.0), 0.0)
         assert [policy.select(0, 1.0) for _ in range(3)] == [1, 3, 2]
 
     def test_equal_durations_fall_back_to_fifo_order(self):
         policy = DurationPriorityPolicy()
         for i in (5, 4, 6):
-            policy.enqueue(i, task(i, duration=10.0), 0.0)
+            policy.enqueue(i, *keys(duration=10.0), 0.0)
         assert [policy.select(0, 1.0) for _ in range(3)] == [5, 4, 6]
 
     def test_names(self):
@@ -104,9 +97,9 @@ class TestDurationPriorityPolicy:
 class TestLocalityPolicy:
     def test_prefers_last_function_of_core(self):
         policy = LocalityPolicy()
-        policy.on_start(0, task(0, function="decode"), core=0, now=0.0)
-        policy.enqueue(1, task(1, function="filter"), 1.0)
-        policy.enqueue(2, task(2, function="decode"), 1.0)
+        policy.on_start(0, "decode", core=0, now=0.0)
+        policy.enqueue(1, *keys(function="filter"), 1.0)
+        policy.enqueue(2, *keys(function="decode"), 1.0)
         # Core 0 last ran "decode": it should skip the older "filter" task.
         assert policy.select(0, 2.0) == 2
         # The remaining task drains in FIFO order.
@@ -115,16 +108,16 @@ class TestLocalityPolicy:
 
     def test_falls_back_to_fifo_without_affinity(self):
         policy = LocalityPolicy()
-        policy.enqueue(1, task(1, function="a"), 0.0)
-        policy.enqueue(2, task(2, function="b"), 0.0)
+        policy.enqueue(1, *keys(function="a"), 0.0)
+        policy.enqueue(2, *keys(function="b"), 0.0)
         assert policy.select(7, 1.0) == 1
         assert policy.select(7, 1.0) == 2
 
     def test_tombstones_do_not_resurrect_tasks(self):
         policy = LocalityPolicy()
-        policy.on_start(0, task(0, function="a"), core=0, now=0.0)
-        policy.enqueue(1, task(1, function="a"), 1.0)
-        policy.enqueue(2, task(2, function="b"), 1.0)
+        policy.on_start(0, "a", core=0, now=0.0)
+        policy.enqueue(1, *keys(function="a"), 1.0)
+        policy.enqueue(2, *keys(function="b"), 1.0)
         # Taken from the affinity bucket; still sits in the global queue.
         assert policy.select(0, 2.0) == 1
         # The global pop must skip the consumed task 1.
@@ -138,12 +131,12 @@ class TestLocalityPolicy:
 
     def test_reset_clears_affinity(self):
         policy = LocalityPolicy()
-        policy.on_start(0, task(0, function="a"), core=0, now=0.0)
-        policy.enqueue(1, task(1, function="b"), 0.0)
-        policy.enqueue(2, task(2, function="a"), 0.0)
+        policy.on_start(0, "a", core=0, now=0.0)
+        policy.enqueue(1, *keys(function="b"), 0.0)
+        policy.enqueue(2, *keys(function="a"), 0.0)
         policy.reset()
         assert len(policy) == 0
-        policy.enqueue(3, task(3, function="b"), 1.0)
-        policy.enqueue(4, task(4, function="a"), 1.0)
+        policy.enqueue(3, *keys(function="b"), 1.0)
+        policy.enqueue(4, *keys(function="a"), 1.0)
         # Affinity forgotten: plain FIFO again.
         assert policy.select(0, 2.0) == 3

@@ -9,7 +9,6 @@ from repro.trace.compiled import FLAG_READS, FLAG_READWRITE, FLAG_WRITES
 from repro.trace.events import TaskSubmitEvent
 from repro.trace.task import Direction, Parameter, TaskDescriptor
 from repro.trace.trace import Trace, TraceBuilder
-from repro.workloads.synthetic import generate_random_dag
 
 
 def build_trace():
@@ -86,58 +85,3 @@ class TestTraceCache:
         assert "_compiled_access_program" not in clone.__dict__
         # The clone compiles its own program on demand.
         assert clone.access_program().addresses == trace.access_program().addresses
-
-    def test_resolutions_shared_across_trackers_with_same_key(self):
-        trace = generate_random_dag(40, max_predecessors=3, seed=3)
-        program = trace.access_program()
-        first = DependencyTracker(num_tables=2, distribute=lambda a: a % 2,
-                                  distribution_key=("mod", 2))
-        second = DependencyTracker(num_tables=2, distribute=lambda a: a % 2,
-                                   distribution_key=("mod", 2))
-        first.bind_program(program)
-        second.bind_program(program)
-        assert len(program.resolution_cache) == 1
-        assert first._resolved is second._resolved
-
-
-class TestBindingSemantics:
-    def test_bound_tracker_rejects_foreign_tasks(self):
-        from repro.common.errors import SimulationError
-
-        trace = build_trace()
-        tracker = DependencyTracker()
-        tracker.bind_program(trace.access_program())
-        foreign = TaskDescriptor(task_id=77, function="f", params=(), duration_us=1.0)
-        with pytest.raises(SimulationError):
-            tracker.insert_task(foreign)
-
-    def test_rebind_with_tasks_in_flight_rejected(self):
-        from repro.common.errors import SimulationError
-
-        trace = build_trace()
-        tracker = DependencyTracker()
-        tracker.bind_program(trace.access_program())
-        tracker.insert_task(next(trace.tasks()))
-        with pytest.raises(SimulationError):
-            tracker.bind_program(trace.access_program())
-
-    def test_reset_unbinds_and_restores_dynamic_path(self):
-        trace = build_trace()
-        tracker = DependencyTracker()
-        tracker.bind_program(trace.access_program())
-        tracker.reset()
-        assert tracker.bound_program is None
-        foreign = TaskDescriptor(
-            task_id=123, function="f",
-            params=(Parameter(address=0x9000, direction=Direction.OUT),),
-            duration_us=1.0,
-        )
-        assert tracker.insert_task(foreign)[1] == 0
-
-    def test_out_of_range_distribution_rejected_at_bind(self):
-        from repro.common.errors import SimulationError
-
-        trace = build_trace()
-        tracker = DependencyTracker(num_tables=2, distribute=lambda a: 5)
-        with pytest.raises(SimulationError):
-            tracker.bind_program(trace.access_program())

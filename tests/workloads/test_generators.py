@@ -7,12 +7,39 @@ from repro.trace.dag import build_dependency_graph
 from repro.trace.stats import compute_statistics
 from repro.workloads.addressing import AddressSpace
 from repro.workloads.cray import generate_cray
+from repro.workloads.recursive import (
+    fib_program,
+    nqueens_program,
+    recursive_sort_program,
+    strassen_program,
+)
 from repro.workloads.gaussian import gaussian_avg_flops, gaussian_task_count, generate_gaussian_elimination
 from repro.workloads.h264dec import H264Geometry, generate_h264dec
 from repro.workloads.microbench import generate_microbenchmark
 from repro.workloads.rotcc import generate_rotcc
 from repro.workloads.sparselu import generate_sparselu
 from repro.workloads.streamcluster import generate_streamcluster
+
+
+#: Every generator with a ``scale`` argument, called with only that.
+SCALED_GENERATORS = {
+    "cray": generate_cray,
+    "rotcc": generate_rotcc,
+    "sparselu": generate_sparselu,
+    "streamcluster": generate_streamcluster,
+    "h264dec": generate_h264dec,
+    "fib": lambda scale: fib_program(5, scale=scale),
+    "nqueens": lambda scale: nqueens_program(4, scale=scale),
+    "recursive-sort": lambda scale: recursive_sort_program(8, scale=scale),
+    "strassen": lambda scale: strassen_program(1, scale=scale),
+}
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("generator", sorted(SCALED_GENERATORS))
+def test_scale_must_be_finite_and_positive(generator, scale):
+    with pytest.raises(ConfigurationError, match="scale must be finite and > 0"):
+        SCALED_GENERATORS[generator](scale=scale)
 
 
 class TestAddressSpace:
