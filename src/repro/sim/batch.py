@@ -420,11 +420,13 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
     durations = prog.duration
     functions = prog.functions
     # The idle heap holds ranks, fastest core first; events, busy times
-    # and the timeline carry ranks until the end of the run.
-    order = CorePool(machine.topology).order
+    # and the timeline carry ranks until the end of the run.  On
+    # unit-speed cores a rank is the core id.
     speeds = machine.topology.speed_factors
-    rank_speed = [speeds[core] for core in order]
-    scaled = any(speed != 1.0 for speed in rank_speed)
+    scaled = speeds.count(1.0) != num_cores
+    if scaled:
+        order = CorePool(machine.topology).order
+        rank_speed = [speeds[core] for core in order]
 
     kind = kern.kind
     nanos = kind == "nanos"
@@ -936,7 +938,7 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
         )
 
     # Core ranks back to core ids.
-    if order != list(range(num_cores)):
+    if scaled:
         busy_by_rank = busy_us
         busy_us = [0.0] * num_cores
         for rank, core in enumerate(order):
