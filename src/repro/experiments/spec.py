@@ -42,7 +42,9 @@ from repro.trace.trace import Trace
 #: changes: a PR that regenerates the goldens must also bump this.
 #: v2: grid points carry scheduler and topology axes (result format v2
 #: adds per-core utilisation), so every pre-axis cache entry is stale.
-CACHE_SCHEMA_VERSION = 2
+#: v3: the sw400 manager is a Nanos configuration whose manager_stats
+#: gain ``lock_mean_wait_us``; no stored v2 row carries it.
+CACHE_SCHEMA_VERSION = 3
 
 WorkloadLike = Union[str, Trace, "WorkloadSpec"]
 ManagersLike = Union[Mapping[str, ManagerFactory], Sequence[str]]

@@ -73,8 +73,12 @@ class NanosManager(TaskManagerModel):
     supports_taskwait_on = True
 
     def __init__(self, config: NanosConfig | None = None) -> None:
-        self.config = config or NanosConfig()
-        self.worker_overhead_us = self.config.worker_dispatch_us
+        #: The cost constants the model runs on; ``config`` is what
+        #: :meth:`describe` reports (a configuration built on this model,
+        #: such as the ``sw400`` manager, reports its own).
+        self.costs = config or NanosConfig()
+        self.config: object = self.costs
+        self.worker_overhead_us = self.costs.worker_dispatch_us
         self._tracker = DependencyTracker(num_tables=1)
         self._lock = SerialResource("nanos-runtime-lock")
 
@@ -84,7 +88,7 @@ class NanosManager(TaskManagerModel):
 
     # -- TaskManagerModel ------------------------------------------------------
     def submit(self, task: TaskDescriptor, time_us: float) -> Tuple[float, Ready]:
-        cfg = self.config
+        cfg = self.costs
         rows, dependence_count, _, _ = self._tracker.insert_task(task)
         num_params = max(1, len(rows))
         # Master-side creation work (serial by construction: the machine
@@ -99,7 +103,7 @@ class NanosManager(TaskManagerModel):
         return (insert_done, ((task.task_id, insert_done),))
 
     def finish(self, task_id: int, time_us: float) -> Tuple[Ready, float]:
-        cfg = self.config
+        cfg = self.costs
         _, _, newly_ready, kickoff_count = self._tracker.finish_task(task_id)
         lock_cost = cfg.finish_lock_us + cfg.wakeup_per_task_us * kickoff_count
         _, finish_done = self._lock.reserve(time_us, lock_cost)
@@ -109,7 +113,7 @@ class NanosManager(TaskManagerModel):
         """Nanos is constant-foldable: per-task costs are affine in the
         parameter count and the runtime lock is one serial resource whose
         reservations the lane kernel replays arithmetically."""
-        cfg = self.config
+        cfg = self.costs
         return LaneKernelSpec(
             kind="nanos",
             worker_overhead_us=self.worker_overhead_us,

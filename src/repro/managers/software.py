@@ -8,29 +8,29 @@ task", while stressing that this number comes from an ideal experiment
 lets the reproduction include that optimistic software baseline in
 comparisons and ablations: a fixed per-task cost on the master for
 insertion and a fixed locked cost for retirement, with no additional
-contention or per-parameter growth.
+contention or per-parameter growth.  That is the Nanos cost model of
+:mod:`repro.managers.nanos` with the creation, per-parameter and wake-up
+costs at zero, so the manager is a :class:`NanosManager` configuration
+and its static runs replay on the Nanos lane kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Tuple
 
 from repro.common.validation import check_non_negative
-from repro.managers.base import Ready, TaskManagerModel
-from repro.sim.resource import SerialResource
-from repro.taskgraph.tracker import DependencyTracker
-from repro.trace.task import TaskDescriptor
+from repro.managers.base import LaneKernelSpec
+from repro.managers.nanos import NanosConfig, NanosManager
 
 
 @dataclass(frozen=True)
 class VandierendonckConfig:
     """Cost constants (µs) of the optimistic software manager."""
 
-    #: Per-task insertion cost on the submitting thread (0.2 µs = 400
-    #: cycles on the cited 2 GHz test machine).
+    #: Per-task insertion cost (0.2 µs = 400 cycles on the cited 2 GHz
+    #: test machine), charged under the manager's lock.
     insert_us: float = 0.2
-    #: Per-task retirement cost, charged under a shared lock.
+    #: Per-task retirement cost, charged under the same lock.
     retire_us: float = 0.2
     #: Worker-side dispatch overhead.
     worker_dispatch_us: float = 0.0
@@ -41,44 +41,34 @@ class VandierendonckConfig:
         check_non_negative("worker_dispatch_us", self.worker_dispatch_us)
 
 
-class VandierendonckManager(TaskManagerModel):
-    """Fixed-cost software dependency resolution (optimistic baseline)."""
+class VandierendonckManager(NanosManager):
+    """Fixed-cost software dependency resolution (optimistic baseline).
+
+    ``config`` stays the three-field :class:`VandierendonckConfig` (it is
+    what :meth:`describe` reports); the Nanos model runs on the
+    :class:`NanosConfig` it maps to.
+    """
 
     name = "SW-400cycles"
-    supports_taskwait_on = True
 
     def __init__(self, config: VandierendonckConfig | None = None) -> None:
-        self.config = config or VandierendonckConfig()
-        self.worker_overhead_us = self.config.worker_dispatch_us
-        self._tracker = DependencyTracker(num_tables=1)
-        self._lock = SerialResource("sw-manager-lock")
+        config = config or VandierendonckConfig()
+        super().__init__(NanosConfig(
+            task_creation_us=0.0,
+            creation_per_param_us=0.0,
+            insert_lock_us=config.insert_us,
+            insert_lock_per_param_us=0.0,
+            finish_lock_us=config.retire_us,
+            wakeup_per_task_us=0.0,
+            worker_dispatch_us=config.worker_dispatch_us,
+        ))
+        self.config = config
 
-    def reset(self) -> None:
-        self._tracker.reset()
-        self._lock.reset()
+    def lane_kernel(self) -> LaneKernelSpec:
+        """The Nanos kernel spec of the mapped configuration.
 
-    def submit(self, task: TaskDescriptor, time_us: float) -> Tuple[float, Ready]:
-        dependence_count = self._tracker.insert_task(task)[1]
-        _, done = self._lock.reserve(time_us, self.config.insert_us)
-        if dependence_count:
-            return (done, ())
-        return (done, ((task.task_id, done),))
-
-    def finish(self, task_id: int, time_us: float) -> Tuple[Ready, float]:
-        newly_ready = self._tracker.finish_task(task_id)[2]
-        _, done = self._lock.reserve(time_us, self.config.retire_us)
-        return (tuple([(t, done) for t in newly_ready]), done)
-
-    def describe(self) -> Mapping[str, object]:
-        return {
-            "name": self.name,
-            "supports_taskwait_on": self.supports_taskwait_on,
-            "config": self.config.__dict__,
-        }
-
-    def statistics(self) -> Mapping[str, object]:
-        return {
-            "tasks_inserted": self._tracker.total_inserted,
-            "tasks_finished": self._tracker.total_finished,
-            "lock_busy_us": self._lock.stats.busy_time,
-        }
+        Declared on this class so that it owns the methods the kernel
+        replaces, as every kernel manager does: a layer probe wrapping
+        this class's ``submit`` keeps its runs on the kernel.
+        """
+        return super().lane_kernel()

@@ -8,16 +8,14 @@ three things:
 
 * **structural compilation cached on the trace.**  A trace is compiled
   once into a :class:`LaneProgram`: the event columns the engine's trace
-  master also walks, per-task access rows from the existing
-  :class:`~repro.trace.compiled.CompiledAccessProgram`,
-  augmented (with numpy) by an address-major CSR of each address's
-  program-order access sequence and every access's position within it.
-  Because the master thread submits tasks in trace order, the per-address
-  OmpSs dependency state machine (:class:`~repro.taskgraph.address_state.
-  AddressCell`) collapses to **four small integers per address** —
-  inserted cursor, activated cursor, active count, active-is-writer —
-  advanced over the static address-major arrays.  No cells, sets or
-  deques.  The same cursors carry the Nexus task graphs' structural
+  master also walks and the per-task access rows of the existing
+  :class:`~repro.trace.compiled.CompiledAccessProgram`, whose interned
+  address ids index flat per-address lists.  Each address keeps the
+  tracker's state (the state machine is described once, in
+  :mod:`repro.taskgraph.tracker`): an active count, an active-is-writer
+  flag and a kick-off queue consumed through a cursor, grown at insert
+  exactly as :class:`~repro.taskgraph.tracker.DependencyTracker` grows
+  it.  The same state carries the Nexus task graphs' structural
   accounting (way occupancy, set conflicts, dummy entries), over each
   address's (task graph, set) placement, computed once per geometry.
 * **timing tables folded across the task axis.**  Per-kernel cost
@@ -34,8 +32,9 @@ three things:
   manager reserves (the Nanos lock; the Nexus input parser, task-graph
   ports, arbiter and write-back).
 
-All four managers publish a kernel spec (:meth:`repro.managers.base.
-TaskManagerModel.lane_kernel`), so every static cell with one of them
+Every built-in manager publishes a kernel spec (:meth:`repro.managers.
+base.TaskManagerModel.lane_kernel`; the ``sw400`` manager is a Nanos
+configuration), so every static cell with one of them
 and a built-in policy replays here, on any topology and with any task
 ids; the general engine of :mod:`repro.system.dynamic` serves streams,
 dynamic programs and the static runs the kernel does not cover.  The
@@ -106,7 +105,6 @@ class LaneProgram:
         "num_tasks", "num_events", "ops", "op_slot", "op_wait",
         "task_ids", "slot_of", "has_wait_on", "total_work_us",
         "num_addresses", "acc_off", "acc_aid", "acc_flags",
-        "addr_off", "addr_task", "addr_flags",
         "duration", "creation", "functions", "num_params_eff", "param_off", "addresses",
         "_kernel_cache", "_placements",
     )
@@ -167,29 +165,7 @@ class LaneProgram:
         self.acc_off = program.offsets
         self.acc_aid = program.addr_ids
         self.acc_flags = program.flags
-        # Address-major CSR: each address's accesses in program order.  A
-        # stable argsort groups the flat task-major accesses by address
-        # while preserving the submission order within each address.
-        if program.addr_ids:
-            aid = np.asarray(program.addr_ids, dtype=np.int64)
-            offsets = np.asarray(program.offsets, dtype=np.int64)
-            counts = np.bincount(aid, minlength=self.num_addresses)
-            addr_off = np.zeros(self.num_addresses + 1, dtype=np.int64)
-            np.cumsum(counts, out=addr_off[1:])
-            order = np.argsort(aid, kind="stable")
-            slot_of_access = np.repeat(
-                np.arange(self.num_tasks, dtype=np.int64), np.diff(offsets)
-            )
-            flags = np.asarray(program.flags, dtype=np.int64)
-            self.addr_off = addr_off.tolist()
-            self.addr_task = slot_of_access[order].tolist()
-            self.addr_flags = flags[order].tolist()
-            self.num_params_eff = np.maximum(np.diff(offsets), 1)
-        else:
-            self.addr_off = [0] * (self.num_addresses + 1)
-            self.addr_task = []
-            self.addr_flags = []
-            self.num_params_eff = np.ones(self.num_tasks, dtype=np.int64)
+        self.num_params_eff = np.maximum(np.diff(np.asarray(program.offsets, dtype=np.int64)), 1)
         self.duration = columns.durations
         self.creation = columns.creations
         self.functions = columns.functions
@@ -363,17 +339,17 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
     speed`` occupancy on a non-unit core, ``FifoPolicy``'s deque (the
     other built-in policies are called with a task slot and the slot's
     duration and function), the ``DependencyTracker`` insert / finish
-    semantics reduced to per-address cursors, and the lane kernel's
+    state machine on the same per-address state, and the lane kernel's
     manager arithmetic: the Nanos lock and the Nexus pipelines' serial
     reservations replicate :meth:`~repro.sim.resource.SerialResource.
     reserve` exactly, in the managers' order and float association.
     Everything runs on task slots and core ranks; the timeline maps
     slots back to task ids and the result ranks back to core ids.
 
-    For the Nexus kinds the cursors also carry the tracker's structural
-    accounting.  An address is live (it holds a table entry) unless
-    ``act_rem == 0 and act_n == ins_n``; its kick-off list is ``ins_n -
-    act_n`` long.  A fresh entry takes a way in its set (a set conflict
+    For the Nexus kinds the per-address state also carries the tracker's
+    structural accounting.  An address is live (it holds a table entry)
+    while ``act_rem > 0``; its kick-off list is ``len(queue) - cursor``
+    long.  A fresh entry takes a way in its set (a set conflict
     when the set is full), a kick-off list crossing the entry capacity
     takes or frees dummy-entry ways (:func:`~repro.taskgraph.table.
     ways_for`), and an idle address frees its ways, clamped at zero —
@@ -401,9 +377,6 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
     acc_off = prog.acc_off
     acc_aid = prog.acc_aid
     acc_flags = prog.acc_flags
-    addr_off = prog.addr_off
-    addr_task = prog.addr_task
-    addr_flags = prog.addr_flags
     creation = prog.creation
     task_ids = prog.task_ids
     wait_on = manager.supports_taskwait_on
@@ -490,10 +463,13 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
     dep_count = [0] * num_tasks
     finished = bytearray(num_tasks)
     dispatched = bytearray(num_tasks)
-    ins_n = [0] * num_addresses      # accesses inserted per address
-    act_n = [0] * num_addresses      # accesses activated per address
-    act_rem = [0] * num_addresses    # unfinished activated tasks
+    # Per address, the tracker's state (repro.taskgraph.tracker): the
+    # unfinished activated accesses, whether they are one writer, and
+    # the kick-off queue (slot << 2 | flags) with its activation cursor.
+    act_rem = [0] * num_addresses
     act_writer = bytearray(num_addresses)
+    queues: List[List[int]] = [[] for _ in range(num_addresses)]
+    cursors = [0] * num_addresses
 
     heap: List[Tuple[float, int, int, int, int]] = []
     heappush = heapq.heappush
@@ -549,44 +525,42 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
                     if collect:
                         submit_arr[slot] = master_time
                     event_index += 1
-                    # -- tracker insert: per-address cursor state machine --
+                    # -- tracker insert: the per-address state machine --
                     index = row_start = acc_off[slot]
                     row_end = acc_off[slot + 1]
                     deps = 0
                     conflict_mask = 0
+                    owner = slot << 2
                     while index < row_end:
                         address = acc_aid[index]
                         flag = acc_flags[index]
                         index += 1
-                        if act_n[address] == ins_n[address]:  # no queued waiters
-                            if act_rem[address] == 0:  # idle: a fresh table entry
-                                if nexus:
-                                    line = addr_line[address]
-                                    used = occupancy[line]
-                                    if used >= table_ways:
-                                        conflict_mask |= 1 << (index - 1 - row_start)
-                                        set_conflicts[addr_port[address]] += 1
-                                    occupancy[line] = used + 1
-                                    live += 1
-                                    if live > max_live:
-                                        max_live = live
-                                act_writer[address] = flag >> 1
-                                act_rem[address] = 1
-                                act_n[address] += 1
-                                ins_n[address] += 1
-                                continue
-                            if not flag & 2 and not act_writer[address]:  # joins the readers
-                                act_rem[address] += 1
-                                act_n[address] += 1
-                                ins_n[address] += 1
-                                continue
+                        active = act_rem[address]
+                        if active == 0:  # idle: a fresh table entry
+                            if nexus:
+                                line = addr_line[address]
+                                used = occupancy[line]
+                                if used >= table_ways:
+                                    conflict_mask |= 1 << (index - 1 - row_start)
+                                    set_conflicts[addr_port[address]] += 1
+                                occupancy[line] = used + 1
+                                live += 1
+                                if live > max_live:
+                                    max_live = live
+                            act_writer[address] = flag >> 1
+                            act_rem[address] = 1
+                            continue
+                        queue = queues[address]
+                        if not queue and not flag & 2 and not act_writer[address]:
+                            act_rem[address] = active + 1  # joins the readers
+                            continue
                         if nexus:
-                            queued = ins_n[address] - act_n[address]
+                            queued = len(queue) - cursors[address]
                             if queued >= capacity:  # the kick-off list may spill
                                 grown = ways_for(queued + 1, capacity) - ways_for(queued, capacity)
                                 if grown:
                                     occupancy[addr_line[address]] += grown
-                        ins_n[address] += 1
+                        queue.append(owner | flag)
                         deps += 1
                     dep_count[slot] = deps
                     inserted_count += 1
@@ -730,78 +704,91 @@ def run_kernel(machine: "Machine", trace: Trace) -> MachineResult:  # noqa: F821
             while index < row_end:
                 address = acc_aid[index]
                 index += 1
-                act_rem[address] -= 1
-                cursor = first = act_n[address]
-                limit = ins_n[address]
-                if cursor < limit:
-                    base = addr_off[address]
-                    while cursor < limit:
-                        waiter_flag = addr_flags[base + cursor]
-                        if waiter_flag & 2:
-                            if act_rem[address] == 0:
-                                waiter = addr_task[base + cursor]
+                active = act_rem[address] - 1
+                queue = queues[address]
+                kicked = 0
+                if queue:
+                    cursor = first = cursors[address]
+                    end = len(queue)
+                    writer = act_writer[address]
+                    while cursor < end:
+                        entry = queue[cursor]
+                        if entry & 2:
+                            if active == 0:
                                 cursor += 1
-                                act_rem[address] = 1
-                                act_writer[address] = 1
+                                active = 1
+                                writer = 1
                                 kickoffs += 1
+                                waiter = entry >> 2
                                 remaining = dep_count[waiter] - 1
                                 dep_count[waiter] = remaining
                                 if remaining == 0:
                                     newly_ready.append(waiter)
                             break
-                        if act_rem[address] and act_writer[address]:
+                        if active and writer:
                             break
-                        waiter = addr_task[base + cursor]
                         cursor += 1
-                        act_rem[address] += 1
-                        act_writer[address] = 0
+                        active += 1
+                        writer = 0
                         kickoffs += 1
+                        waiter = entry >> 2
                         remaining = dep_count[waiter] - 1
                         dep_count[waiter] = remaining
                         if remaining == 0:
                             newly_ready.append(waiter)
-                    act_n[address] = cursor
-                if nexus:
-                    if cursor == limit and act_rem[address] == 0:
+                    act_rem[address] = active
+                    act_writer[address] = writer
+                    kicked = cursor - first
+                    if nexus:
+                        if end - first > capacity or end - cursor > capacity:
+                            grown = (ways_for(end - cursor, capacity)
+                                     - ways_for(end - first, capacity))
+                            if grown:
+                                line = addr_line[address]
+                                left = occupancy[line] + grown
+                                occupancy[line] = left if left > 0 else 0
+                        if sharp and kicked:
+                            released = queue[first:cursor]
+                    if cursor == end:
+                        queue.clear()
+                        cursor = 0
+                    elif cursor > 64 and cursor * 2 >= end:
+                        del queue[:cursor]
+                        cursor = 0
+                    cursors[address] = cursor
+                else:
+                    act_rem[address] = active
+                    if nexus and active == 0:
                         # Idle: the entry is evicted.  Its kick-off list was
-                        # empty (a queued waiter would now be active), so it
-                        # frees ways_for(0) == 1 way.
+                        # empty, so it frees ways_for(0) == 1 way.
                         line = addr_line[address]
                         left = occupancy[line] - 1
                         occupancy[line] = left if left > 0 else 0
                         live -= 1
-                    elif limit - first > capacity or limit - cursor > capacity:
-                        grown = (ways_for(limit - cursor, capacity)
-                                 - ways_for(limit - first, capacity))
-                        if grown:
-                            line = addr_line[address]
-                            left = occupancy[line] + grown
-                            occupancy[line] = left if left > 0 else 0
-                    if sharp:
-                        visible = ip_start + fin_fwd_us[row] + args_fifo_us
-                        row += 1
-                        kicked = cursor - first
-                        duration = (update_cycles + kickoff_cycles * kicked) * cycle_us
-                        port = addr_port[address]
-                        free = tg_free[port]
-                        start = visible if visible > free else free
-                        end = start + duration
-                        tg_free[port] = end
-                        tg_busy[port] += duration
-                        if kicked:
-                            # The decrement that zeroes a waiter's count is
-                            # its last in this finish, and decrement ends
-                            # never decrease: its end is the manager's
-                            # latest decrement of that waiter (unless 0.0,
-                            # which the manager does not record).
-                            free = arb_free
-                            for waiter in addr_task[base + first:base + cursor]:
-                                start = end if end > free else free
-                                free = start + decrement_us
-                                arb_busy += decrement_us
-                                if not dep_count[waiter]:
-                                    ready_base.append(free if free > 0.0 else stage_end)
-                            arb_free = free
+                if sharp:
+                    visible = ip_start + fin_fwd_us[row] + args_fifo_us
+                    row += 1
+                    duration = (update_cycles + kickoff_cycles * kicked) * cycle_us
+                    port = addr_port[address]
+                    free = tg_free[port]
+                    start = visible if visible > free else free
+                    end = start + duration
+                    tg_free[port] = end
+                    tg_busy[port] += duration
+                    if kicked:
+                        # The decrement that zeroes a waiter's count is
+                        # its last in this finish, and decrement ends
+                        # never decrease: its end is the manager's
+                        # latest decrement of that waiter (unless 0.0,
+                        # which the manager does not record).
+                        free = arb_free
+                        for entry in released:
+                            start = end if end > free else free
+                            free = start + decrement_us
+                            arb_busy += decrement_us
+                            if not dep_count[entry >> 2]:
+                                ready_base.append(free if free > 0.0 else stage_end)
+                        arb_free = free
             # -- manager finish arithmetic --
             if nexus:
                 if pp:

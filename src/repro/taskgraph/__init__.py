@@ -14,21 +14,19 @@ dependence resolution; the Nexus timing models charge their cycles.
 
 Modules
 -------
-* :mod:`repro.taskgraph.address_state` — per-address reader/writer and
-  kick-off-list bookkeeping (the functional heart of dependency
-  resolution).
 * :mod:`repro.taskgraph.table` — the set-associative container with
   way-conflict accounting.
 * :mod:`repro.taskgraph.tracker` — :class:`DependencyTracker`, the
-  complete functional dependency engine shared by every hardware model.
+  complete functional dependency engine shared by every hardware model,
+  and the one description of the per-address state machine (active
+  count, writer flag and a kick-off queue consumed through a cursor)
+  that the replay kernel of :mod:`repro.sim.batch` keeps too.
 """
 
-from repro.taskgraph.address_state import AddressCell
 from repro.taskgraph.table import AddressTable, TableStats
 from repro.taskgraph.tracker import DependencyTracker
 
 __all__ = [
-    "AddressCell",
     "AddressTable",
     "TableStats",
     "DependencyTracker",

@@ -1,7 +1,7 @@
 """Set-associative address table.
 
-The hardware keeps the per-address state of
-:class:`repro.taskgraph.address_state.AddressCell` in a cache-like,
+The hardware keeps the per-address dependence state (the kick-off list
+of :mod:`repro.taskgraph.tracker`'s state machine) in a cache-like,
 set-associative memory ("It uses the same set-associative data structure
 to maintain a Kick-Off List for each incoming memory address",
 Section IV-C).  Functionally the table behaves like a dictionary keyed by
@@ -16,8 +16,8 @@ entries* that occupy additional ways (the mechanism the
 Gaussian-elimination experiment validates), and set-conflict events are
 counted so the timing layer can charge stall cycles for them.
 
-The per-address cells themselves live in the flat, address-id-indexed
-array of :class:`repro.taskgraph.tracker.DependencyTracker`; the table
+The per-address state itself lives in the flat, address-id-indexed
+lists of :class:`repro.taskgraph.tracker.DependencyTracker`; the table
 owns the structural accounting the tracker's hot loops update inline —
 the per-set occupancy array (``set_occupancy_array``), the way and
 dummy-entry arithmetic (:func:`ways_for`) and the statistics / live
@@ -100,7 +100,7 @@ class AddressTable:
         #: Ways in use per set — a flat list (the tracker indexes it with
         #: preresolved set indices; a dict would re-hash per access).
         self._set_occupancy: List[int] = [0] * num_sets
-        #: Live entries (the cells themselves live in the tracker's array).
+        #: Live entries (their state lives in the tracker's per-address lists).
         self._dense_live = 0
         self.stats = TableStats()
 

@@ -23,23 +23,51 @@ the functional result (who waits for whom) is identical for every
 hardware configuration, which the property-based tests assert against
 the reference DAG.
 
+The per-address state machine
+-----------------------------
+Accesses to one address are serialised the way the OmpSs runtime and the
+Nexus hardware do it: readers since the last writer run concurrently, a
+writer waits for the previous writer and every reader since (WAW + WAR),
+a reader waits for an unfinished writer (RAW), and an access arriving
+while others wait on the address queues behind them (program order).
+The result is the partial order of the reference dependency DAG
+(:mod:`repro.trace.dag`).  Each tracked address keeps:
+
+* ``act_rem``, the number of activated (proceeding) accesses that have
+  not finished, and ``act_writer``, whether that active set is one
+  writer (1) or readers (0);
+* the address's kick-off list: a queue of waiting accesses, each
+  ``owner << 2 | flags`` (bit 1 of the flags = writes), consumed through
+  an activation cursor.
+
+An address is live (it holds a table entry) while ``act_rem > 0``; a
+non-empty queue implies a live address.  Its kick-off length is
+``len(queue) - cursor``.  An access to an idle address takes a fresh
+entry and proceeds; a reader proceeds on a live address only when the
+queue is empty and the active set is readers; everything else is
+appended to the queue.  A finish decrements ``act_rem`` and then
+activates from the cursor: a queued writer when nothing is active, then
+stop; a run of queued readers while no writer is active.  The queue is
+cleared once the cursor passes its end, and its consumed prefix is
+dropped once the cursor is past 64 entries and past half the queue, so
+memory stays O(in-flight tasks + live addresses) on an unbounded
+stream.  The replay kernel :func:`repro.sim.batch.run_kernel` keeps the
+same state per interned address and grows the same queues at insert.
+
 The tracker has one insert path, resolution at insert.  Only streams
 and dynamic programs reach the engine that drives it (static traces
-replay on the kernel of :mod:`repro.sim.batch`, which carries the same
-bookkeeping on per-address cursors), so every task arrives on its own:
+replay on the kernel), so every task arrives on its own:
 :meth:`insert_task` merges, interns and resolves the task's accesses
 into ``(address_id, raw address, flags, table_index, set_index)`` rows.
 Live addresses get dense ids from a map with a free list; an id is
-freed when its cell is evicted, which only happens once no in-flight
-task references the address, so a freed id never aliases a live one.
-Both row loops then work on an address-id-indexed cell array, and
-evicted cells are recycled through a free list.
+freed when its address goes idle, which only happens once no in-flight
+task references the address, so a freed id never aliases a live one,
+and an idle id's state is already that of a fresh address.
 
 A task's rows stay in the in-flight map from insert to
-:meth:`finish_task` and are dropped there, keeping memory O(live
-addresses + in-flight tasks).  The rows and the dependence count are all
-the tracker keeps per task.  The tracker is pinned against the frozen
-pre-compiled engine by the golden tracker-equivalence suite.
+:meth:`finish_task` and are dropped there.  The rows and the dependence
+count are all the tracker keeps per task.  The tracker is pinned against
+the frozen pre-compiled engine by the golden tracker-equivalence suite.
 """
 
 from __future__ import annotations
@@ -47,7 +75,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.taskgraph.address_state import AddressCell
 from repro.taskgraph.table import AddressTable, ways_for
 from repro.trace.compiled import merge_flags
 from repro.trace.task import TaskDescriptor
@@ -93,17 +120,22 @@ class DependencyTracker:
         self._pending: Dict[int, int] = {}
         #: rows of each in-flight task (inserted, not yet finished)
         self._rows_of: Dict[int, Tuple[Row, ...]] = {}
-        #: dense address id -> live cell
-        self._cells: List[Optional[AddressCell]] = []
-        #: evicted cells recycled across insertions (and across runs)
-        self._free_cells: List[AddressCell] = []
         #: live raw address -> (dense id, table index, set index)
         self._live: Dict[int, Tuple[int, int, int]] = {}
-        #: dense ids of evicted addresses, reused before the array grows
+        #: dense ids of idle addresses, reused before the arrays grow
         self._free_ids: List[int] = []
+        self._clear_addresses()
         self._prefetch_tables()
         self.total_inserted = 0
         self.total_finished = 0
+
+    def _clear_addresses(self) -> None:
+        """Forget every address: the per-address state of the module
+        docstring, indexed by dense address id."""
+        self._act_rem: List[int] = []
+        self._act_writer: List[int] = []
+        self._queue: List[List[int]] = []
+        self._cursor: List[int] = []
 
     def _prefetch_tables(self) -> None:
         """Cache per-table structures as parallel lists for the hot loops.
@@ -146,8 +178,11 @@ class DependencyTracker:
                 if free_ids:
                     aid = free_ids.pop()
                 else:
-                    aid = len(self._cells)
-                    self._cells.append(None)
+                    aid = len(self._act_rem)
+                    self._act_rem.append(0)
+                    self._act_writer.append(0)
+                    self._queue.append([])
+                    self._cursor.append(0)
                 placement = live[address] = (aid, table_index, set_idx)
             aid, table_index, set_idx = placement
             rows.append((aid, address, flag, table_index, set_idx))
@@ -170,20 +205,23 @@ class DependencyTracker:
         if task_id in rows_of:
             raise SimulationError(f"task {task_id} inserted twice")
         rows = rows_of[task_id] = self._resolve_task(task)
-        cells = self._cells
-        free = self._free_cells
+        act_rem = self._act_rem
+        act_writer = self._act_writer
+        queues = self._queue
         tables = self.tables
         stats_by = self._stats_by
         occ_by = self._occ_by
         ways_by = self._ways_by
         cap_by = self._cap_by
+        owner = task_id << 2
         dependence_count = 0
         wait_mask = 0
         conflict_mask = 0
         bit = 1
         for aid, address, flag, table_index, set_idx in rows:
-            cell = cells[aid]
-            if cell is None:
+            active = act_rem[aid]
+            if active == 0:
+                # Idle: a fresh table entry, and the access proceeds.
                 stats = stats_by[table_index]
                 occupancy = occ_by[table_index]
                 ways_in_use = occupancy[set_idx]
@@ -194,12 +232,6 @@ class DependencyTracker:
                     # conflict is reported so timing can charge for it.
                     conflict_mask |= bit
                     stats.set_conflicts += 1
-                if free:
-                    cell = free.pop()
-                    cell.recycle(address)
-                else:
-                    cell = AddressCell(address)
-                cells[aid] = cell
                 occupancy[set_idx] = ways_in_use + 1
                 table = tables[table_index]
                 live = table._dense_live + 1
@@ -207,21 +239,21 @@ class DependencyTracker:
                 stats.insertions += 1
                 if live > stats.max_live_entries:
                     stats.max_live_entries = live
-                # A fresh cell has no owners and no waiters: the access
-                # proceeds immediately (the common no-conflict fast path).
-                if flag & 2:
-                    cell.writer = task_id
-                else:
-                    cell.readers.add(task_id)
+                act_rem[aid] = 1
+                act_writer[aid] = flag >> 1
             else:
-                length_before = cell.klen
-                if cell.insert(task_id, flag):
+                queue = queues[aid]
+                if not queue and not flag & 2 and not act_writer[aid]:
+                    act_rem[aid] = active + 1  # joins the active readers
+                else:
+                    queued = len(queue) - self._cursor[aid]
+                    queue.append(owner | flag)
                     dependence_count += 1
                     wait_mask |= bit
                     capacity = cap_by[table_index]
-                    if length_before + 1 > capacity:
-                        before_ways = ways_for(length_before, capacity)
-                        after_ways = ways_for(length_before + 1, capacity)
+                    if queued >= capacity:  # the kick-off list may spill
+                        before_ways = ways_for(queued, capacity)
+                        after_ways = ways_for(queued + 1, capacity)
                         if after_ways != before_ways:
                             occ_by[table_index][set_idx] += after_ways - before_ways
                             stats = stats_by[table_index]
@@ -253,55 +285,86 @@ class DependencyTracker:
             )
         del pending[task_id]
         rows = self._rows_of.pop(task_id)
-        live = self._live
-        cells = self._cells
-        free = self._free_cells
-        free_ids = self._free_ids
+        act_rem = self._act_rem
+        act_writer = self._act_writer
+        queues = self._queue
+        cursors = self._cursor
         tables = self.tables
         occ_by = self._occ_by
         cap_by = self._cap_by
-        stats_by = self._stats_by
         released: List[List[int]] = []
         newly_ready: List[int] = []
         kickoff_count = 0
         for aid, address, _flag, table_index, set_idx in rows:
-            cell = cells[aid]
-            if cell is None:
+            active = act_rem[aid]
+            if active == 0:
                 raise SimulationError(
                     f"{tables[table_index].name}: finish on untracked address {address:#x}"
                 )
-            length_before = cell.klen
-            kicked = cell.finish(task_id)
-            released.append(kicked)
-            if kicked:
-                kickoff_count += len(kicked)
-                for waiter_id in kicked:
-                    count = pending[waiter_id] - 1
-                    pending[waiter_id] = count
-                    if count == 0:
-                        newly_ready.append(waiter_id)
-            if cell.writer < 0 and cell.klen == 0 and not cell.readers:
-                # Idle: evict the cell, free its way(s), recycle it.
-                cells[aid] = None
-                free.append(cell)
-                occupancy = occ_by[table_index]
-                before_ways = ways_for(length_before, cap_by[table_index])
-                remaining = occupancy[set_idx] - before_ways
-                occupancy[set_idx] = remaining if remaining > 0 else 0
-                tables[table_index]._dense_live -= 1
-                stats_by[table_index].evictions += 1
-                del live[address]
-                free_ids.append(aid)
-            else:
+            active -= 1
+            kicked: List[int] = []
+            queue = queues[aid]
+            if queue:
+                # Activate from the cursor: a writer alone, or a run of
+                # readers; the queue stays non-empty only behind an
+                # active access, so the address stays live.
+                cursor = first = cursors[aid]
+                end = len(queue)
+                writer = act_writer[aid]
+                while cursor < end:
+                    entry = queue[cursor]
+                    if entry & 2:
+                        if active == 0:
+                            cursor += 1
+                            active = 1
+                            writer = 1
+                            kicked.append(entry >> 2)
+                        break
+                    if active and writer:
+                        break
+                    cursor += 1
+                    active += 1
+                    writer = 0
+                    kicked.append(entry >> 2)
+                act_rem[aid] = active
+                act_writer[aid] = writer
+                if kicked:
+                    kickoff_count += len(kicked)
+                    for waiter_id in kicked:
+                        count = pending[waiter_id] - 1
+                        pending[waiter_id] = count
+                        if count == 0:
+                            newly_ready.append(waiter_id)
                 capacity = cap_by[table_index]
-                length_after = cell.klen
-                if length_before > capacity or length_after > capacity:
-                    before_ways = ways_for(length_before, capacity)
-                    after_ways = ways_for(length_after, capacity)
-                    if after_ways != before_ways:
+                if end - first > capacity or end - cursor > capacity:
+                    grown = ways_for(end - cursor, capacity) - ways_for(end - first, capacity)
+                    if grown:
                         occupancy = occ_by[table_index]
-                        remaining = occupancy[set_idx] + (after_ways - before_ways)
+                        remaining = occupancy[set_idx] + grown
                         occupancy[set_idx] = remaining if remaining > 0 else 0
+                if cursor == end:
+                    queue.clear()
+                    cursor = 0
+                elif cursor > 64 and cursor * 2 >= end:
+                    # Drop the consumed prefix so a long-lived kick-off
+                    # list stays O(pending waiters).
+                    del queue[:cursor]
+                    cursor = 0
+                cursors[aid] = cursor
+            else:
+                act_rem[aid] = active
+                if active == 0:
+                    # Idle: evict the entry (its empty kick-off list held
+                    # one way) and free the dense id.
+                    occupancy = occ_by[table_index]
+                    remaining = occupancy[set_idx] - 1
+                    occupancy[set_idx] = remaining if remaining > 0 else 0
+                    table = tables[table_index]
+                    table._dense_live -= 1
+                    table.stats.evictions += 1
+                    del self._live[address]
+                    self._free_ids.append(aid)
+            released.append(kicked)
         self.total_finished += 1
         return rows, released, newly_ready, kickoff_count
 
@@ -311,10 +374,7 @@ class DependencyTracker:
             table.reset()
         self._prefetch_tables()
         self._pending.clear()
-        # Live cells go onto the free list; every dense id is forgotten.
-        free = self._free_cells
-        free.extend(cell for cell in self._cells if cell is not None)
-        self._cells = []
+        self._clear_addresses()
         self._live.clear()
         self._free_ids.clear()
         self._rows_of.clear()

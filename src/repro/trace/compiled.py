@@ -21,7 +21,7 @@ trace:
 
 The program is pure integers: it knows nothing about managers, table
 counts or hash functions.  The replay kernel of :mod:`repro.sim.batch`
-builds its per-address sequences and task-graph placements on top of it.
+indexes its per-address state and task-graph placements by its ids.
 
 A program is compiled straight from a trace's columns
 (:class:`~repro.trace.columns.TraceColumns`), never from event or
@@ -37,7 +37,7 @@ task once, at insertion.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -84,8 +84,7 @@ class CompiledAccessProgram:
         (:data:`FLAG_READS` / :data:`FLAG_WRITES` bits).
     """
 
-    __slots__ = ("addresses", "id_of", "task_ids", "offsets", "addr_ids",
-                 "flags", "_slot_of")
+    __slots__ = ("addresses", "id_of", "task_ids", "offsets", "addr_ids", "flags")
 
     def __init__(self, columns: TraceColumns) -> None:
         # Runs once per trace on the static hot path: intern every raw
@@ -111,16 +110,10 @@ class CompiledAccessProgram:
             raw_ids, flags, offsets = addr_ids, merged_flags, merged_offsets
         self.addresses = list(id_of)
         self.id_of = id_of
-        self.task_ids = task_ids = list(columns.task_ids)
+        self.task_ids = list(columns.task_ids)
         self.offsets = offsets
         self.addr_ids = raw_ids
         self.flags = flags
-        # Dense task ids (the TraceBuilder invariant) index slots directly;
-        # sparse ids go through an explicit map.
-        if columns.task_ids == tuple(range(num_tasks)):
-            self._slot_of: Optional[Dict[int, int]] = None
-        else:
-            self._slot_of = {task_id: slot for slot, task_id in enumerate(task_ids)}
 
     # -- geometry ----------------------------------------------------------
     @property
@@ -137,21 +130,6 @@ class CompiledAccessProgram:
     def num_accesses(self) -> int:
         """Total deduplicated accesses over all tasks."""
         return len(self.addr_ids)
-
-    def slot(self, task_id: int) -> int:
-        """Task slot of ``task_id``, or ``-1`` when not in the program."""
-        slot_of = self._slot_of
-        if slot_of is None:
-            return task_id if 0 <= task_id < len(self.task_ids) else -1
-        return slot_of.get(task_id, -1)
-
-    def task_accesses(self, task_id: int) -> List[Tuple[int, int]]:
-        """``(address_id, flags)`` pairs of one task (convenience view)."""
-        slot = self.slot(task_id)
-        if slot < 0:
-            raise KeyError(f"task {task_id} is not in the access program")
-        start, end = self.offsets[slot], self.offsets[slot + 1]
-        return list(zip(self.addr_ids[start:end], self.flags[start:end]))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

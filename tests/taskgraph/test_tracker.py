@@ -1,12 +1,14 @@
 """Tests for the DependencyTracker (functional dependency engine)."""
 
+import tracemalloc
+
 import pytest
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.taskgraph.tracker import DependencyTracker
-from repro.trace.compiled import FLAG_READS, FLAG_READWRITE
+from repro.trace.compiled import FLAG_READS, FLAG_READWRITE, FLAG_WRITES
 from repro.trace.dag import build_dependency_graph
-from repro.trace.task import Direction, Parameter, TaskDescriptor
+from repro.trace.task import DIRECTION_OF_FLAGS, Direction, Parameter, TaskDescriptor
 from repro.workloads.synthetic import generate_random_dag
 
 from task_params import make_params
@@ -137,6 +139,96 @@ class TestInsertFinish:
         assert tracker.finish_task(1)[2] == []
 
 
+def one_address_task(task_id, flag, address=0x40):
+    return TaskDescriptor(
+        task_id=task_id,
+        function="f",
+        params=(Parameter(address=address, direction=DIRECTION_OF_FLAGS[flag]),),
+        duration_us=1.0,
+    )
+
+
+def kickoff_length(tracker, address=0x40):
+    """Waiting accesses on ``address``: the queue past its cursor."""
+    aid = tracker._live[address][0]
+    return len(tracker._queue[aid]) - tracker._cursor[aid]
+
+
+R, W, RW = FLAG_READS, FLAG_WRITES, FLAG_READWRITE
+
+#: One address, step by step: ``(task, flags, waits)`` inserts a task
+#: and checks whether it had to wait; ``(task, None, released)`` finishes
+#: a task and checks whom it kicked off.  ``kickoff`` is the waiting
+#: count after the last step, ``None`` when the address must be idle.
+ADDRESS_CASES = {
+    "first-writer-proceeds": ([(1, W, False)], 0),
+    "first-reader-proceeds": ([(1, R, False)], 0),
+    "concurrent-readers-proceed": ([(1, R, False), (2, R, False)], 0),
+    "raw-waits": ([(1, W, False), (2, R, True)], 1),
+    "war-waits": ([(1, R, False), (2, W, True)], 1),
+    "waw-waits": ([(1, W, False), (2, W, True)], 1),
+    "readwrite-is-a-writer": ([(1, R, False), (2, RW, True)], 1),
+    "reader-queues-behind-waiting-writer": (
+        [(1, R, False), (2, W, True), (3, R, True)], 2),
+    "writer-releases-consecutive-readers": (
+        [(1, W, False), (2, R, True), (3, R, True), (1, None, [2, 3])], 0),
+    "writer-releases-one-writer": (
+        [(1, W, False), (2, W, True), (3, W, True), (1, None, [2])], 1),
+    "readers-release-writer-when-all-done": (
+        [(1, R, False), (2, R, False), (3, W, True), (1, None, []), (2, None, [3])], 0),
+    "release-stops-at-next-writer": (
+        [(1, W, False), (2, R, True), (3, W, True), (1, None, [2]), (2, None, [3])], 0),
+    "kickoff-length": ([(1, W, False)] + [(task, R, True) for task in range(2, 6)], 4),
+    "idle-after-all-finish": (
+        [(1, W, False), (2, R, True), (1, None, [2]), (2, None, [])], None),
+}
+
+
+class TestAddressStateMachine:
+    @pytest.mark.parametrize("steps, kickoff", ADDRESS_CASES.values(), ids=ADDRESS_CASES)
+    def test_one_address(self, steps, kickoff):
+        tracker = DependencyTracker()
+        for task_id, flag, expected in steps:
+            if flag is None:
+                assert tracker.finish_task(task_id)[1] == [expected]
+            else:
+                waits = tracker.insert_task(one_address_task(task_id, flag))[1] == 1
+                assert waits is expected
+        if kickoff is None:
+            assert tracker._live == {} and tracker.tables[0].live_entries == 0
+        else:
+            assert kickoff_length(tracker) == kickoff
+
+    def test_finish_on_an_untracked_address_raises(self):
+        tracker = DependencyTracker()
+        tracker.insert_task(one_address_task(1, W))
+        tracker._act_rem[tracker._live[0x40][0]] = 0  # the address lost its owner
+        with pytest.raises(SimulationError, match="untracked address"):
+            tracker.finish_task(1)
+
+    def test_hot_address_memory_stays_bounded(self):
+        """One INOUT address, at most 64 tasks in flight: the consumed
+        queue prefix is dropped, so memory does not grow with the stream."""
+        # Task i reuses id i % 128, free again since task i - 128 finished;
+        # the descriptors are built before tracing starts.
+        tasks = [one_address_task(task_id, RW) for task_id in range(128)]
+
+        def peak(num_tasks):
+            tracker = DependencyTracker()
+            tracemalloc.start()
+            try:
+                for index in range(num_tasks):
+                    tracker.insert_task(tasks[index % 128])
+                    if index >= 64:
+                        tracker.finish_task((index - 64) % 128)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1_000)  # warm up one-time allocations
+        assert peak(200_000) <= peak(20_000)
+
+
 class TestDistribution:
     def test_accesses_routed_by_distribution_function(self):
         tracker = DependencyTracker(num_tables=4, distribute=lambda a: a % 4)
@@ -205,7 +297,7 @@ class TestResolutionAtInsert:
             tracker.finish_task(task_id)
         # Memory is O(live addresses + in-flight tasks), not O(tasks).
         assert tracker._live == {} and tracker._rows_of == {}
-        assert len(tracker._cells) == 1
+        assert len(tracker._act_rem) == 1
 
     def test_freed_id_never_aliases_a_live_address(self):
         tracker = DependencyTracker()
@@ -217,5 +309,5 @@ class TestResolutionAtInsert:
         # 0x40 takes the freed id; 0x80 keeps its own and its writer.
         assert [row[1] for row in rows] == [0x80, 0x40]
         assert wait_mask == 0b01
-        assert len(tracker._cells) == 2
+        assert len(tracker._act_rem) == 2
         assert tracker.finish_task(1)[2] == [2]

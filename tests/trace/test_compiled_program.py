@@ -2,13 +2,17 @@
 
 import pickle
 
-import pytest
-
 from repro.taskgraph.tracker import DependencyTracker
 from repro.trace.compiled import FLAG_READS, FLAG_READWRITE, FLAG_WRITES
 from repro.trace.events import TaskSubmitEvent
 from repro.trace.task import Direction, Parameter, TaskDescriptor
 from repro.trace.trace import Trace, TraceBuilder
+
+
+def accesses(program, slot):
+    """``(address_id, flags)`` pairs of task ``slot``, from the flat columns."""
+    start, end = program.offsets[slot], program.offsets[slot + 1]
+    return list(zip(program.addr_ids[start:end], program.flags[start:end]))
 
 
 def build_trace():
@@ -30,9 +34,10 @@ class TestCompilation:
     def test_per_task_access_lists_and_flags(self):
         program = build_trace().access_program()
         assert program.num_tasks == 3
-        assert program.task_accesses(0) == [(0, FLAG_WRITES)]
-        assert program.task_accesses(1) == [(0, FLAG_READS), (1, FLAG_WRITES)]
-        assert program.task_accesses(2) == [(0, FLAG_READS), (1, FLAG_READS), (2, FLAG_READWRITE)]
+        assert program.offsets == [0, 1, 3, 6]
+        assert accesses(program, 0) == [(0, FLAG_WRITES)]
+        assert accesses(program, 1) == [(0, FLAG_READS), (1, FLAG_WRITES)]
+        assert accesses(program, 2) == [(0, FLAG_READS), (1, FLAG_READS), (2, FLAG_READWRITE)]
 
     def test_duplicate_addresses_merge_like_unbound_insert(self):
         task = TaskDescriptor(
@@ -47,30 +52,14 @@ class TestCompilation:
             duration_us=1.0,
         )
         program = Trace("duplicates", [TaskSubmitEvent(task)]).access_program()
-        assert program.task_accesses(0) == [(0, FLAG_READWRITE), (1, FLAG_READS)]
+        assert accesses(program, 0) == [(0, FLAG_READWRITE), (1, FLAG_READS)]
         rows = DependencyTracker().insert_task(task)[0]
         assert [(program.addresses[aid], flag) for aid, flag in
-                program.task_accesses(0)] == [(row[1], row[2]) for row in rows]
+                accesses(program, 0)] == [(row[1], row[2]) for row in rows]
 
     def test_flags_are_the_read_and_write_bits(self):
-        """The tracker's cells test ``flags & 2`` for a write."""
+        """The tracker and the kernel test ``flags & 2`` for a write."""
         assert (FLAG_READS, FLAG_WRITES, FLAG_READWRITE) == (1, 2, 3)
-
-    def test_dense_and_sparse_task_ids(self):
-        program = build_trace().access_program()
-        assert program.slot(0) == 0 and program.slot(2) == 2
-        assert program.slot(99) == -1
-        sparse = Trace("sparse", [
-            TaskSubmitEvent(TaskDescriptor(task_id=7, function="f", params=(), duration_us=1.0)),
-            TaskSubmitEvent(TaskDescriptor(task_id=3, function="f", params=(), duration_us=1.0)),
-        ]).access_program()
-        assert sparse.slot(7) == 0
-        assert sparse.slot(3) == 1
-        assert sparse.slot(0) == -1
-
-    def test_unknown_task_raises_keyerror(self):
-        with pytest.raises(KeyError):
-            build_trace().access_program().task_accesses(42)
 
 
 class TestTraceCache:
