@@ -28,6 +28,7 @@ Failure semantics are documented in ``docs/distributed.md``.
 from __future__ import annotations
 
 import os
+import selectors
 import socket
 import subprocess
 import sys
@@ -49,6 +50,10 @@ _TICK_SECONDS = 0.05
 #: process is relaunched under its original identity while budget remains,
 #: so transient worker crashes do not sink the sweep.
 MAX_RESPAWNS = 8
+
+#: Shared bound (seconds) on waiting for every connection's ``goodbye`` at
+#: shutdown, before the scheduler closes whatever is still open.
+_GOODBYE_SECONDS = 5.0
 
 #: Straggler threshold (seconds): a worker holding cells but silent on the
 #: result channel this long gets its head-of-line cells speculatively
@@ -236,6 +241,10 @@ class SweepScheduler:
         self._stopping = False
         self._failure: Optional[BaseException] = None
         self._server: Optional[socket.socket] = None
+        #: ``(read end, write end)`` of the socketpair that wakes the
+        #: accept thread at shutdown.
+        self._wake: Optional[Tuple[socket.socket, socket.socket]] = None
+        #: The accept thread first, then one serve thread per connection.
         self._threads: List[threading.Thread] = []
         self._payload: Optional[str] = None
 
@@ -270,6 +279,7 @@ class SweepScheduler:
         with self._progress:
             self.address = self._server.getsockname()[:2]
             self._progress.notify_all()
+        self._wake = socket.socketpair()
         accept_thread = threading.Thread(
             target=self._accept_loop, name="fabric-accept", daemon=True)
         accept_thread.start()
@@ -330,6 +340,17 @@ class SweepScheduler:
         self.events.append(entry)
 
     def _shutdown(self) -> None:
+        """Say ``shutdown`` to every worker and stop serving.
+
+        The accept thread is woken through the wake socketpair and
+        returns at once.  Local processes are awaited (and killed after
+        5 s) as before.  Each connection is closed by its own serve
+        thread once the worker's ``goodbye`` or EOF arrives, so a
+        heartbeat or ``need_work`` still in flight is read, not answered
+        with a reset.  One :data:`_GOODBYE_SECONDS` deadline bounds the
+        wait for all of them; connections still open after it are
+        closed here.
+        """
         self._stopping = True
         with self._lock:
             conns = list(self._conns.values())
@@ -338,21 +359,24 @@ class SweepScheduler:
                 conn.stream.send({"type": "shutdown"})
             except OSError:
                 pass
-        if self._server is not None:
-            try:
-                self._server.close()
-            except OSError:
-                pass
+        deadline = time.monotonic() + _GOODBYE_SECONDS
+        self._wake[1].send(b"\0")
+        self._threads[0].join(timeout=_GOODBYE_SECONDS)
+        # The accept thread has returned, so no serve thread can be
+        # added behind this snapshot.
+        serve_threads = self._threads[1:]
+        for sock in (self._server, *self._wake):
+            sock.close()
         for process in self.processes:
             try:
                 process.wait(timeout=5)
             except subprocess.TimeoutExpired:
                 process.kill()
                 process.wait(timeout=5)
+        for thread in serve_threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
         for conn in conns:
             conn.stream.close()
-        for thread in self._threads:
-            thread.join(timeout=5)
 
     def _fail(self, exc: BaseException) -> None:
         with self._progress:
@@ -386,22 +410,32 @@ class SweepScheduler:
 
     # -- connection handling -----------------------------------------------
     def _accept_loop(self) -> None:
-        assert self._server is not None
-        # A timeout (not a bare blocking accept): on Linux, closing the
-        # listening socket does not wake a thread already blocked in
-        # accept(), so shutdown would stall until the join times out.
-        self._server.settimeout(0.25)
-        while not self._stopping:
-            try:
-                sock, _addr = self._server.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return  # server socket closed during shutdown
-            thread = threading.Thread(
-                target=self._serve, args=(sock,), name="fabric-serve", daemon=True)
-            thread.start()
-            self._threads.append(thread)
+        # The listener is watched beside the read end of the wake
+        # socketpair, and _shutdown writes one byte to the other end: the
+        # thread returns at once, with no timeout to wait out.  Shutting
+        # down or closing the listener is no portable wake-up for a thread
+        # blocked in accept(); only Linux wakes it on shutdown().
+        server, (wake, _) = self._server, self._wake
+        server.setblocking(False)
+        with selectors.DefaultSelector() as selector:
+            selector.register(server, selectors.EVENT_READ)
+            selector.register(wake, selectors.EVENT_READ)
+            while True:
+                for key, _events in selector.select():
+                    if key.fileobj is wake:
+                        return
+                try:
+                    sock, _addr = server.accept()
+                except BlockingIOError:
+                    continue  # the peer gave up before we took it
+                except OSError:
+                    return
+                # FrameStream's recv/send assume a blocking socket.
+                sock.setblocking(True)
+                thread = threading.Thread(
+                    target=self._serve, args=(sock,), name="fabric-serve", daemon=True)
+                thread.start()
+                self._threads.append(thread)
 
     def _serve(self, sock: socket.socket) -> None:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -420,6 +454,8 @@ class SweepScheduler:
                 stream.close()
                 return
             with self._lock:
+                if self._stopping:
+                    return  # the sweep ended before this worker said hello
                 worker_id = claimed
                 if not worker_id or worker_id in self._conns:
                     worker_id = f"{worker_id or 'worker'}-{self._next_anon}"

@@ -3,7 +3,8 @@
 Covers the fabric's contract: byte-identical JSONL against every other
 execution mode, survival of a SIGKILLed worker mid-sweep, shared-cache
 publishing (warm re-runs do zero simulations), work stealing + heartbeat
-rescue of a silent worker, and clean failure on engine errors.
+rescue of a silent worker, clean failure on engine errors, and a
+shutdown that reads each worker's goodbye and waits out no timer.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import os
 import signal
 import socket
+import statistics
 import threading
 import time
 
@@ -236,6 +238,70 @@ class TestSchedulerDirect:
         finally:
             stream.close()
             thread.join(timeout=10)
+
+    def test_worker_frames_after_shutdown_are_read_before_close(self):
+        """A worker whose heartbeat is in flight when ``shutdown``
+        arrives still says ``goodbye`` on an open connection: the
+        scheduler closes each connection only after its goodbye."""
+        pending = list(enumerate(small_spec(scale=0.01).points()))
+        jobs, table = intern_jobs(pending)
+        expected = [run_job((index, point, None)) for index, point in pending]
+        docs = dict(expected)
+        scheduler = SweepScheduler(jobs, table, workers=0, external_workers=1,
+                                   timeout=60)
+        thread, box = self.start(scheduler)
+        stream = FrameStream(socket.create_connection(scheduler.address))
+        try:
+            stream.send({"type": "hello", "worker_id": "hand"})
+            assert stream.recv(timeout=10)["type"] == "setup"
+            stream.send({"type": "need_work"})
+            while True:
+                frame = stream.recv(timeout=30)
+                assert frame is not None
+                if frame["type"] == "shutdown":
+                    break
+                assert frame["type"] == "work"
+                for cell in frame["cells"]:
+                    stream.send({"type": "result", "cell": cell, "doc": docs[cell]})
+                stream.send({"type": "need_work"})
+            stream.send({"type": "heartbeat"})
+            stream.send({"type": "goodbye"})
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+            assert box["pairs"] == expected
+        finally:
+            stream.close()
+            thread.join(timeout=10)
+
+    def test_run_returns_as_soon_as_the_worker_leaves(self):
+        """No timer floor between the worker's exit and run()'s return,
+        and nothing of the scheduler's is left running or open."""
+        pending = list(enumerate(small_spec(scale=0.01).points()))
+        jobs, table = intern_jobs(pending)
+        gaps = []
+        for trial in range(5):
+            scheduler = SweepScheduler(jobs, table, workers=0, external_workers=1,
+                                       timeout=60)
+            box = {}
+
+            def work():
+                scheduler.wait_until(lambda: scheduler.address is not None)
+                box["code"] = run_worker(*scheduler.address, worker_id=f"w{trial}")
+                box["returned"] = time.perf_counter()
+
+            worker = threading.Thread(target=work)
+            worker.start()
+            pairs = scheduler.run()
+            returned = time.perf_counter()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+            assert box["code"] == 0
+            assert [index for index, _ in pairs] == [index for index, _ in pending]
+            gaps.append(returned - box["returned"])
+            assert not any(t.is_alive() for t in scheduler._threads)
+            assert all(sock.fileno() == -1
+                       for sock in (scheduler._server, *scheduler._wake))
+        assert statistics.median(gaps) < 0.1, gaps
 
     def test_engine_error_frame_fails_the_sweep(self):
         pending = list(enumerate(small_spec().points()))
