@@ -49,6 +49,7 @@ kernel-vs-scalar suites (``tests/batch/``,
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -64,7 +65,7 @@ from repro.system.scheduling import DurationPriorityPolicy, FifoPolicy, Locality
 from repro.system.timeline import TaskTimeline
 from repro.system.topology import CorePool
 from repro.taskgraph.table import AddressTable, ways_for
-from repro.trace.columns import FULL_TASKWAIT
+from repro.trace.columns import FULL_TASKWAIT, TraceColumns
 from repro.trace.dag import validate_schedule
 from repro.trace.task import FLAG_WRITES
 from repro.trace.trace import Trace
@@ -86,6 +87,20 @@ class LaneSpec:
     trace: Trace
     manager: TaskManagerModel
     config: "MachineConfig"  # noqa: F821 - resolved via repro.system.machine
+
+
+def _writer_slots(columns: TraceColumns, address: int) -> List[int]:
+    """Ascending slots of the tasks that write ``address`` (C-level scans)."""
+    addresses, flags, offsets = columns.addresses, columns.flags, columns.offsets
+    slots: List[int] = []
+    access = -1
+    while True:
+        try:
+            access = addresses.index(address, access + 1)
+        except ValueError:
+            return slots
+        if flags[access] & FLAG_WRITES:
+            slots.append(bisect_right(offsets, access) - 1)
 
 
 class LaneProgram:
@@ -115,7 +130,8 @@ class LaneProgram:
         # One op per event: runs of submissions between barriers.
         ops: List[int] = []
         op_slot: List[int] = []
-        wait_addresses: Dict[int, int] = {}  # event index -> taskwait-on address
+        # event index -> (taskwait-on address, tasks submitted before it)
+        wait_ons: Dict[int, Tuple[int, int]] = {}
         for start, end, barrier in columns.segments():
             ops.extend([OP_SUBMIT] * (end - start))
             op_slot.extend(range(start, end))
@@ -124,7 +140,7 @@ class LaneProgram:
             if barrier == FULL_TASKWAIT:
                 ops.append(OP_WAIT)
             else:
-                wait_addresses[len(ops)] = barrier
+                wait_ons[len(ops)] = (barrier, end)
                 ops.append(OP_WAIT_ON)
             op_slot.append(-1)
         self.num_tasks = num_tasks
@@ -140,22 +156,18 @@ class LaneProgram:
             self.slot_of = {task_id: slot for slot, task_id in enumerate(self.task_ids)}
         # The `taskwait on` target of each event: the slot of the last
         # writer of the address before it in trace order, or -1.  The
-        # master submits in trace order, so the target is static.
-        self.has_wait_on = bool(wait_addresses)
+        # master submits in trace order, so the target is static.  Only
+        # the addresses some `taskwait on` names are searched for.
+        self.has_wait_on = bool(wait_ons)
         self.op_wait = [-1] * self.num_events
-        if self.has_wait_on:
-            offsets = columns.offsets
-            addresses = columns.addresses
-            flags = columns.flags
-            last_writer: Dict[int, int] = {}
-            for index, op in enumerate(ops):
-                if op == OP_SUBMIT:
-                    slot = op_slot[index]
-                    for access in range(offsets[slot], offsets[slot + 1]):
-                        if flags[access] & FLAG_WRITES:
-                            last_writer[addresses[access]] = slot
-                elif op == OP_WAIT_ON:
-                    self.op_wait[index] = last_writer.get(wait_addresses[index], -1)
+        writers: Dict[int, List[int]] = {}
+        for index, (address, submitted) in wait_ons.items():
+            slots = writers.get(address)
+            if slots is None:
+                slots = writers[address] = _writer_slots(columns, address)
+            before = bisect_left(slots, submitted)
+            if before:
+                self.op_wait[index] = slots[before - 1]
         # The columns' left-to-right float sum (Trace.total_work_us).
         self.total_work_us = columns.total_work_us
 

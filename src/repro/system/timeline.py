@@ -64,17 +64,12 @@ class TaskTimeline:
         return slot
 
     # -- export --------------------------------------------------------------
-    def _id_of(self, slot: int) -> int:
-        return slot if self.task_ids is None else self.task_ids[slot]
-
     def _as_dict(self, values: List[float]) -> Dict[int, float]:
         """Dict view of one array, skipping never-written (NaN) slots."""
-        id_of = self._id_of
-        return {
-            id_of(slot): value
-            for slot, value in enumerate(values)
-            if value == value  # not NaN
-        }
+        if self.task_ids is None:  # dense: slot == task id
+            return {slot: value for slot, value in enumerate(values) if value == value}
+        return {task_id: value for task_id, value in zip(self.task_ids, values)
+                if value == value}  # not NaN
 
     def submit_dict(self) -> Dict[int, float]:
         return self._as_dict(self.submit)
@@ -90,9 +85,6 @@ class TaskTimeline:
 
     def core_dict(self) -> Dict[int, int]:
         """Task id -> core id that executed it (only scheduled tasks)."""
-        id_of = self._id_of
-        return {
-            id_of(slot): core
-            for slot, core in enumerate(self.core)
-            if core >= 0
-        }
+        if self.task_ids is None:
+            return {slot: core for slot, core in enumerate(self.core) if core >= 0}
+        return {task_id: core for task_id, core in zip(self.task_ids, self.core) if core >= 0}

@@ -20,6 +20,9 @@ from repro.common.errors import TraceError
 from repro.trace.columns import FULL_TASKWAIT, TraceColumns
 from repro.trace.events import SpawnEvent, TaskSubmitEvent, TaskwaitEvent, TaskwaitOnEvent, TraceEvent
 from repro.trace.task import (
+    FLAG_READS,
+    FLAG_READWRITE,
+    FLAG_WRITES,
     Parameter,
     TaskDescriptor,
     check_address,
@@ -219,7 +222,10 @@ class TraceBuilder:
     per-task object (the generator sink protocol shared with
     :class:`~repro.trace.stream.EventEmitter`); :meth:`add_task` also
     returns the task's descriptor.  Values are validated once per column
-    by :meth:`build`.
+    by :meth:`build`.  While ids are dense and no task has given sizes,
+    :meth:`task` without ``params`` extends the address and flag columns
+    straight from its lists (the generators' fast path); every other call
+    normalizes through :func:`~repro.trace.task.task_accesses`.
 
     >>> builder = TraceBuilder("ids")
     >>> builder.add_task("t", duration_us=1.0, outputs=[0x2000]).task_id
@@ -265,9 +271,25 @@ class TraceBuilder:
         Either pass ``params`` explicitly or use the ``inputs`` /
         ``outputs`` / ``inouts`` address lists.
         """
-        addresses, flags, sizes, _ = task_accesses(inputs, outputs, inouts, params)
         task_id = self._next_task_id
         self._next_task_id = task_id + 1
+        if params is None and self._task_ids is None and self._sizes is None:
+            # Fast path (dense ids, no sizes column): the address lists go
+            # straight onto the columns, in task_accesses' order.
+            self._functions.append(function)
+            self._durations.append(duration_us)
+            self._creations.append(creation_overhead_us)
+            column = self._addresses
+            column.extend(inputs)
+            column.extend(inouts)
+            column.extend(outputs)
+            flags = self._flags
+            flags += (FLAG_READS,) * len(inputs)
+            flags += (FLAG_READWRITE,) * len(inouts)
+            flags += (FLAG_WRITES,) * len(outputs)
+            self._offsets.append(len(column))
+            return task_id
+        addresses, flags, sizes, _ = task_accesses(inputs, outputs, inouts, params)
         self._append(task_id, function, duration_us, creation_overhead_us,
                      addresses, flags, sizes)
         return task_id

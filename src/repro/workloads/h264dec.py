@@ -119,7 +119,7 @@ def stream_h264dec(
         # One address per task-grid block per frame buffer.  Buffers are
         # recycled every `frame_buffers` frames, exactly like a real
         # decoder's decoded-picture buffer.
-        buffer_blocks = [space.alloc_grid(rows, cols) for _ in range(frame_buffers)]
+        buffer_blocks = [space.alloc_grid(rows, cols).tolist() for _ in range(frame_buffers)]
 
         for frame in range(num_frames):
             buffer_index = frame % frame_buffers
@@ -128,22 +128,27 @@ def stream_h264dec(
             if frame >= frame_buffers:
                 # Wait for the frame that previously used this buffer to be
                 # fully decoded (its bottom-right block is the last writer).
-                yield sink.taskwait_on(int(blocks[rows - 1, cols - 1]))
-            jitter = rng.normal(1.0, duration_cv, size=(rows, cols)).clip(min=0.2)
+                yield sink.taskwait_on(blocks[rows - 1][cols - 1])
+            jitter = rng.normal(1.0, duration_cv, size=(rows, cols)).clip(min=0.2).tolist()
             for r in range(rows):
+                row = blocks[r]
+                upper = blocks[r - 1] if r > 0 else None
+                reference = (prev_blocks[r] if inter_frame_dependency and prev_blocks is not None
+                             else None)
+                jitter_row = jitter[r]
                 for c in range(cols):
                     inputs = []
                     if c > 0:
-                        inputs.append(int(blocks[r, c - 1]))        # left neighbour
-                    if r > 0 and c < cols - 1:
-                        inputs.append(int(blocks[r - 1, c + 1]))    # upper-right neighbour
-                    if inter_frame_dependency and prev_blocks is not None:
-                        inputs.append(int(prev_blocks[r, c]))       # motion-compensation ref
+                        inputs.append(row[c - 1])            # left neighbour
+                    if upper is not None and c < cols - 1:
+                        inputs.append(upper[c + 1])          # upper-right neighbour
+                    if reference is not None:
+                        inputs.append(reference[c])          # motion-compensation ref
                     yield sink.task(
                         "decode_mb",
-                        duration_us=float(mean_task_us * jitter[r, c]),
+                        duration_us=mean_task_us * jitter_row[c],
                         inputs=inputs,
-                        inouts=[int(blocks[r, c])],
+                        inouts=[row[c]],
                     )
         yield sink.taskwait()
 

@@ -21,7 +21,7 @@ wave-parallelism toward the end of the factorisation.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -54,9 +54,9 @@ def stream_sparselu(
 ) -> TraceStream:
     """Stream a sparselu trace (see :func:`generate_sparselu`).
 
-    Live generator state is the O(NB²) block map — tiny next to the
-    O(NB³) task count, so big factorisations stream without holding
-    their tasks in memory.
+    Live generator state is the O(NB²) block map and one step's task
+    durations — tiny next to the O(NB³) task count, so big
+    factorisations stream without holding their tasks in memory.
     """
     check_positive("scale", scale)
     if not 0.0 < density <= 1.0:
@@ -71,10 +71,12 @@ def stream_sparselu(
         rng = make_rng(seed, "sparselu")
         space = AddressSpace(seed=seed)
 
-        # Populated-block map; diagonal blocks always exist.
+        # Populated-block map; diagonal blocks always exist.  Both grids
+        # are nested lists: the loops below index them per task.
         populated = rng.random((nb, nb)) < density
         np.fill_diagonal(populated, True)
-        block_addresses = space.alloc_grid(nb, nb)
+        populated = populated.tolist()
+        block_addresses = space.alloc_grid(nb, nb).tolist()
 
         # Duration model: bmod dominates the task count, so anchor the mean
         # on it and make lu0 heavier (it factorises a full block).
@@ -82,41 +84,49 @@ def stream_sparselu(
         panel_us = avg_task_us * 0.9
         bmod_us = avg_task_us * 1.0
 
-        def jittered(mean: float) -> float:
-            return float(max(mean * 0.1, rng.normal(mean, mean * duration_cv)))
+        def jittered(means: List[float]) -> List[float]:
+            # One rng.normal call per step: elementwise it makes the same
+            # draws, in the same order and with the same arithmetic, as one
+            # scalar call per task.
+            loc = np.array(means)
+            return np.maximum(loc * 0.1, rng.normal(loc, loc * duration_cv)).tolist()
 
         for k in range(nb):
-            diag = int(block_addresses[k, k])
-            yield sink.task("lu0", duration_us=jittered(lu0_us), inouts=[diag])
-            for j in range(k + 1, nb):
-                if populated[k, j]:
-                    yield sink.task(
-                        "fwd",
-                        duration_us=jittered(panel_us),
-                        inputs=[diag],
-                        inouts=[int(block_addresses[k, j])],
-                    )
-            for i in range(k + 1, nb):
-                if populated[i, k]:
-                    yield sink.task(
-                        "bdiv",
-                        duration_us=jittered(panel_us),
-                        inputs=[diag],
-                        inouts=[int(block_addresses[i, k])],
-                    )
-            for i in range(k + 1, nb):
-                if not populated[i, k]:
-                    continue
-                for j in range(k + 1, nb):
-                    if not populated[k, j]:
-                        continue
+            row_k = block_addresses[k]
+            populated_k = populated[k]
+            diag = row_k[k]
+            # Step k's panels.  Fill-in below only touches blocks right of
+            # column k and below row k, so both lists hold for the step.
+            cols = [j for j in range(k + 1, nb) if populated_k[j]]
+            rows = [i for i in range(k + 1, nb) if populated[i][k]]
+            durations = iter(jittered([lu0_us] + [panel_us] * (len(cols) + len(rows))
+                                      + [bmod_us] * (len(rows) * len(cols))))
+            yield sink.task("lu0", duration_us=next(durations), inouts=[diag])
+            for j in cols:
+                yield sink.task(
+                    "fwd",
+                    duration_us=next(durations),
+                    inputs=[diag],
+                    inouts=[row_k[j]],
+                )
+            for i in rows:
+                yield sink.task(
+                    "bdiv",
+                    duration_us=next(durations),
+                    inputs=[diag],
+                    inouts=[block_addresses[i][k]],
+                )
+            for i in rows:
+                row_i = block_addresses[i]
+                populated_i = populated[i]
+                for j in cols:
                     # Fill-in: the target block becomes populated if it was not.
-                    populated[i, j] = True
+                    populated_i[j] = True
                     yield sink.task(
                         "bmod",
-                        duration_us=jittered(bmod_us),
-                        inputs=[int(block_addresses[i, k]), int(block_addresses[k, j])],
-                        inouts=[int(block_addresses[i, j])],
+                        duration_us=next(durations),
+                        inputs=[row_i[k], row_k[j]],
+                        inouts=[row_i[j]],
                     )
         yield sink.taskwait()
 

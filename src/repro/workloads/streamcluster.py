@@ -63,11 +63,11 @@ def stream_streamcluster(
         centers_address = space.alloc_one()
         chunk_addresses = space.alloc(group_size)
         for _round in range(rounds):
-            jitter = rng.normal(1.0, duration_cv, size=group_size).clip(min=0.1)
+            jitter = rng.normal(1.0, duration_cv, size=group_size).clip(min=0.1).tolist()
             for chunk in range(group_size):
                 yield sink.task(
                     "compute_gain",
-                    duration_us=float(avg_task_us * jitter[chunk]),
+                    duration_us=avg_task_us * jitter[chunk],
                     inputs=[centers_address],
                     inouts=[chunk_addresses[chunk]],
                 )

@@ -154,6 +154,28 @@ def test_dynamic_elaboration_columns_equal_events(name, seed, scale):
     assert get_workload(name, scale=scale, seed=seed) == columnar
 
 
+def test_taskwait_on_targets_are_the_last_writer_before_the_barrier():
+    a, b, c, never = 0x40, 0x80, 0xC0, 0x100
+    builder = TraceBuilder("wait-on")
+    builder.task("w", 1.0, inputs=[c], outputs=[a])      # slot 0: c is only read
+    builder.task("r", 1.0, inputs=[a])                   # slot 1: reads a
+    builder.taskwait_on(a)                               # -> 0
+    builder.taskwait_on(c)                               # read, never written -> -1
+    builder.task("twice", 1.0, inputs=[a], outputs=[a])  # slot 2: a listed twice
+    builder.taskwait()
+    builder.task("u", 1.0, inouts=[a])                   # slot 3
+    builder.task("r", 1.0, inputs=[a, b, b])             # slot 4: reads only
+    builder.taskwait_on(a)                               # -> 3, across the full taskwait
+    builder.taskwait_on(never)                           # never named by a task -> -1
+    builder.task("w", 1.0, outputs=[b])                  # slot 5
+    builder.taskwait_on(b)                               # -> 5
+    builder.taskwait_on(a)                               # -> 3 again
+    trace = builder.build()
+    prog = lane_program(trace)
+    assert prog.op_wait == [-1, -1, 0, -1, -1, -1, -1, -1, 3, -1, -1, 5, 3]
+    assert prog.op_wait == _reference_lane_columns(trace)["op_wait"]
+
+
 def _provenance_events():
     sized = Parameter(address=0x100, direction=Direction.OUT, size=64)
     first = TaskDescriptor(0, "root", (sized,), 3.0, creation_overhead_us=0.5)
